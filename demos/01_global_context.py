@@ -33,7 +33,7 @@ print("\nqualifying pair occurrences:", acc.occurrences,
       "(cap: 3x interactions =", 3 * acc.total_interactions, ")")
 for k in (1, 2, 3):
     print(f"{k}-hop accumulated weights:")
-    for (mu, nu), q in sorted(acc.weights[k].items()):
+    for mu, nu, q in zip(*acc.hops[k]):
         print(f"  ({mu} -> {nu}): {q:.4f}")
 
 adj = build_weighted_adjacency(acc, alpha=4.5, beta=2.0, gamma=1.0,

@@ -27,9 +27,11 @@ header = f"{'variant':<8}" + "".join(f"  q{p}" for p in pairs)
 print(header)
 for variant in AblationVariant:
     acc = extract_hop_pairs(sequences, variant, a=0.65, b=0.35, l_time=7.0)
+    rows, cols, values = acc.hops[1]
+    hop1 = {(r, c): q for r, c, q in zip(rows.tolist(), cols.tolist(), values)}
     row = f"{variant.value:<8}"
     for p in pairs:
-        row += f"  {acc.weights[1].get(p, 0.0):7.3f}"
+        row += f"  {hop1.get(p, 0.0):7.3f}"
     print(row)
 
 print("""

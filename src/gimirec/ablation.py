@@ -46,20 +46,20 @@ def compare_variant_matrices(bundle: DatasetBundle, hp: HyperParams) -> dict:
     }
     report: dict[str, bool] = {}
     for k in (1, 2, 3):
-        full = accs[AblationVariant.FULL].weights[k]
-        no_i = accs[AblationVariant.NO_I].weights[k]
-        no_in = accs[AblationVariant.NO_IN].weights[k]
-        no_int = accs[AblationVariant.NO_INT].weights[k]
-        same_support = set(full) == set(no_i) == set(no_in)
+        full, no_i, no_in, no_int = (accs[v].hops[k] for v in VARIANT_ORDER)
+        same_support = all(np.array_equal(h.rows, full.rows)
+                           and np.array_equal(h.cols, full.cols)
+                           for h in (no_i, no_in))
         report[f"hop{k}_same_support_under_threshold"] = same_support
-        report[f"hop{k}_no_threshold_superset"] = set(no_in) <= set(no_int)
-        report[f"hop{k}_counts_are_integers"] = all(
-            float(v).is_integer() and v >= 1.0 for v in no_i.values())
-        report[f"hop{k}_presence_is_binary"] = (
-            all(v == 1.0 for v in no_in.values())
-            and all(v == 1.0 for v in no_int.values()))
-        report[f"hop{k}_interval_weight_bounded_by_count"] = all(
-            full[key] <= no_i[key] + 1e-9 for key in full)
+        report[f"hop{k}_no_threshold_superset"] = (
+            set(zip(no_in.rows.tolist(), no_in.cols.tolist()))
+            <= set(zip(no_int.rows.tolist(), no_int.cols.tolist())))
+        report[f"hop{k}_counts_are_integers"] = bool(np.all(
+            (no_i.values == np.floor(no_i.values)) & (no_i.values >= 1.0)))
+        report[f"hop{k}_presence_is_binary"] = bool(
+            np.all(no_in.values == 1.0) and np.all(no_int.values == 1.0))
+        report[f"hop{k}_interval_weight_bounded_by_count"] = same_support and bool(
+            np.all(full.values <= no_i.values + 1e-9))
     return report
 
 

@@ -9,8 +9,9 @@ produces global item embeddings with a single sparse-dense product.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,25 +44,25 @@ class AblationVariant(str, enum.Enum):
         return self is not AblationVariant.NO_INT
 
 
+class HopPairs(NamedTuple):
+    """Distinct ordered pairs (rows[j], cols[j]), sorted, and their weights."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
 @dataclass
 class HopPairAccumulator:
-    """Per-hop sparse maps (item, item) -> accumulated occurrence weight."""
+    """Per-hop accumulated occurrence weights of ordered item pairs."""
 
-    weights: dict[int, dict[tuple[int, int], float]]
+    hops: dict[int, HopPairs]
     a: float
     b: float
     l_time: float
     variant: AblationVariant
     occurrences: int = 0
     total_interactions: int = 0
-    config: dict = field(default_factory=dict)
-
-    def max_index(self) -> int:
-        top = 0
-        for d in self.weights.values():
-            for mu, nu in d:
-                top = max(top, mu, nu)
-        return top
 
 
 def occurrence_weight(delta_t, a: float, b: float, l_time: float):
@@ -79,50 +80,44 @@ def extract_hop_pairs(sequences: list[UserSequence], variant: AblationVariant,
                       allow_self_pairs: bool = True) -> HopPairAccumulator:
     """Accumulate 1/2/3-hop ordered pair weights over full user histories.
 
-    An ordered pair (items[n], items[n+k]) qualifies when its interval,
-    converted to time units, is <= l_time (always, for the no_INT variant).
-    Accumulation order is (user, hop, position), so sums are reproducible
-    bit for bit.
+    An ordered pair (items[n], items[n+k]) of one user qualifies when its
+    interval, converted to time units, is <= l_time (always, for the no_INT
+    variant). Each pair's occurrences are summed in (user, position) order,
+    so sums are reproducible bit for bit.
     """
     if a < 0 or b < 0 or abs(a + b - 1.0) > 1e-9:
         raise ValueError(f"interval weights need a+b=1, a,b>=0 (a={a}, b={b})")
-    weights: dict[int, dict[tuple[int, int], float]] = {k: {} for k in HOPS}
+    empty = [np.zeros(0, dtype=np.int64)]
+    items = np.concatenate(empty + [s.items for s in sequences])
+    ts = np.concatenate(empty + [s.timestamps for s in sequences])
+    user = np.repeat(np.arange(len(sequences)),
+                     np.array([len(s) for s in sequences], dtype=np.int64))
+    # pair key mu * base + nu, exact in int64 for catalogs below 3e9 items
+    base = int(items.max(initial=0)) + 1
+    hops = {}
     occurrences = 0
-    total = 0
-    for seq in sequences:
-        items = seq.items
-        ts = seq.timestamps
-        n = len(items)
-        total += n
-        for k in HOPS:
-            if n <= k:
-                continue
-            mu = items[:-k]
-            nu = items[k:]
-            dt = (ts[k:] - ts[:-k]).astype(np.float64) / time_unit_seconds
-            keep = dt <= l_time if variant.uses_threshold else np.ones(len(dt), dtype=bool)
-            if not allow_self_pairs:
-                keep &= mu != nu
-            if not np.any(keep):
-                continue
-            if variant.uses_interval_weight:
-                w = occurrence_weight(dt[keep], a, b, l_time)
-            else:
-                w = np.ones(int(keep.sum()), dtype=np.float64)
-            dk = weights[k]
-            for m, v, wi in zip(mu[keep].tolist(), nu[keep].tolist(), w.tolist()):
-                key = (m, v)
-                dk[key] = dk.get(key, 0.0) + wi
-            occurrences += int(keep.sum())
-    if not variant.uses_counts:
-        for dk in weights.values():
-            for key in dk:
-                dk[key] = 1.0
+    for k in HOPS:
+        mu, nu = items[:-k], items[k:]
+        dt = (ts[k:] - ts[:-k]).astype(np.float64) / time_unit_seconds
+        keep = user[:-k] == user[k:]
+        if variant.uses_threshold:
+            keep &= dt <= l_time
+        if not allow_self_pairs:
+            keep &= mu != nu
+        if variant.uses_interval_weight:
+            w = occurrence_weight(dt[keep], a, b, l_time)
+        else:
+            w = np.ones(int(keep.sum()), dtype=np.float64)
+        keys, inverse = np.unique(mu[keep] * base + nu[keep], return_inverse=True)
+        values = np.zeros(len(keys), dtype=np.float64)
+        np.add.at(values, inverse, w)
+        if not variant.uses_counts:
+            values[:] = 1.0
+        hops[k] = HopPairs(keys // base, keys % base, values)
+        occurrences += len(w)
     return HopPairAccumulator(
-        weights=weights, a=a, b=b, l_time=l_time, variant=variant,
-        occurrences=occurrences, total_interactions=total,
-        config={"time_unit_seconds": time_unit_seconds,
-                "allow_self_pairs": allow_self_pairs},
+        hops=hops, a=a, b=b, l_time=l_time, variant=variant,
+        occurrences=occurrences, total_interactions=len(items),
     )
 
 
@@ -144,54 +139,32 @@ class NormalizedAdjacency:
 
 def build_weighted_adjacency(acc: HopPairAccumulator, alpha: float, beta: float,
                              gamma: float, num_items: int) -> NormalizedAdjacency:
-    """Symmetrize each hop map, combine with identity, normalize.
+    """Symmetrize each hop matrix, combine with identity, normalize.
 
-    A^k[r,c] = q^k[r,c] + q^k[c,r];  A' = I + alpha A^1 + beta A^2 + gamma A^3;
-    a_norm = D^-1/2 A' D^-1/2 with D the diagonal of row sums. Off-diagonal
-    values are computed once per unordered pair and stored for both
-    orientations, so A' (and a_norm) are symmetric bit for bit.
+    A^k = Q^k + Q^k.T;  A' = alpha A^1 + beta A^2 + gamma A^3 + I;
+    a_norm = D^-1/2 A' D^-1/2 with D the diagonal of row sums. Entry (r, c)
+    of A^k is q[r,c] + q[c,r], the same float as entry (c, r), so A' (and
+    a_norm) are symmetric bit for bit; a self pair counts twice.
     """
-    if num_items < acc.max_index():
+    top = max(int(np.max((h.rows, h.cols), initial=0)) for h in acc.hops.values())
+    if num_items < top:
         raise ValueError("num_items smaller than the largest accumulated index")
     size = num_items + 1  # padding row 0 included
 
-    combined: dict[tuple[int, int], float] = {}
+    combined = sp.csr_matrix((size, size))
     for hop_weight, k in zip((alpha, beta, gamma), HOPS):
-        sym: dict[tuple[int, int], float] = {}
-        for (m, v), q in acc.weights[k].items():
-            key = (m, v) if m <= v else (v, m)
-            sym[key] = sym.get(key, 0.0) + q
-        for key, q in sym.items():
-            # off-diagonal A^k entries are q_mv + q_vm; the diagonal sees each
-            # self-pair occurrence once, so double it to match q_ii + q_ii
-            a_entry = 2.0 * q if key[0] == key[1] else q
-            combined[key] = combined.get(key, 0.0) + hop_weight * a_entry
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i in range(size):
-        rows.append(i)
-        cols.append(i)
-        vals.append(1.0 + combined.pop((i, i), 0.0))
-    for (r, c), v in sorted(combined.items()):
-        rows.extend((r, c))
-        cols.extend((c, r))
-        vals.extend((v, v))
-
-    rows_a = np.asarray(rows, dtype=np.int64)
-    cols_a = np.asarray(cols, dtype=np.int64)
-    vals_a = np.asarray(vals, dtype=np.float64)
-    a_prime = sp.csr_matrix((vals_a, (rows_a, cols_a)), shape=(size, size))
-    a_prime.sort_indices()
+        rows, cols, values = acc.hops[k]
+        q = sp.csr_matrix((values, (rows, cols)), shape=(size, size))
+        combined = combined + hop_weight * (q + q.T)
+    a_prime = combined + sp.identity(size, format="csr")
 
     degree = np.asarray(a_prime.sum(axis=1)).ravel()
     assert np.all(degree > 0), "zero row sum impossible with unit diagonal"
     d_inv_sqrt = 1.0 / np.sqrt(degree)
+    entry_rows = np.repeat(np.arange(size), np.diff(a_prime.indptr))
+    a_norm = a_prime.copy()
     # d[r]*d[c] first, then times the shared pair value: keeps bit symmetry
-    norm_vals = vals_a * (d_inv_sqrt[rows_a] * d_inv_sqrt[cols_a])
-    a_norm = sp.csr_matrix((norm_vals, (rows_a, cols_a)), shape=(size, size))
-    a_norm.sort_indices()
+    a_norm.data *= d_inv_sqrt[entry_rows] * d_inv_sqrt[a_norm.indices]
     return NormalizedAdjacency(a_prime, degree, a_norm, alpha, beta, gamma)
 
 
@@ -231,9 +204,21 @@ def read_adjacency(path: str | Path) -> sp.csr_matrix:
         return arr
 
     n_rows, n_cols, nnz = (int(x) for x in read("<i8", 3))
+    if n_rows != n_cols or n_rows < 0 or nnz < 0:
+        raise ValueError(f"{path}: shape ({n_rows}, {n_cols}), nnz {nnz}: "
+                         "not a square matrix")
+    expected = pos + 8 * (n_rows + 1 + 2 * nnz)
+    if len(raw) != expected:
+        raise ValueError(f"{path}: {len(raw)} bytes, the header implies {expected}")
     indptr = read("<i8", n_rows + 1).astype(np.int64)
     indices = read("<i8", nnz).astype(np.int64)
     data = read("<f8", nnz).astype(np.float64)
+    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+        raise ValueError(f"{path}: indptr must rise monotonically from 0 to nnz")
+    if nnz and (indices.min() < 0 or indices.max() >= n_cols):
+        raise ValueError(f"{path}: column index outside [0, {n_cols})")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite adjacency value")
     return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
+from .global_context import global_embeddings
 from .ingest import UserSequence
 from .model import ModelParams, forward_interests
 from .recent import make_window, stack_windows
@@ -83,7 +84,7 @@ def top_n(interest_vectors: np.ndarray, e_global: np.ndarray, n: int,
 
 def compute_global_table(params: ModelParams, a_norm: sp.csr_matrix) -> np.ndarray:
     """Global item embeddings from the current table (forward only)."""
-    return a_norm @ params.item_table.data
+    return global_embeddings(a_norm, params.item_table.data)
 
 
 def infer_interests(seq: UserSequence, prefix_len: int, params: ModelParams,
@@ -92,13 +93,8 @@ def infer_interests(seq: UserSequence, prefix_len: int, params: ModelParams,
     """Interest matrix for one user from the first ``prefix_len`` interactions."""
     if prefix_len < 1:
         raise ValueError("prefix must contain at least one interaction")
-    dims = params.dims
-    window = make_window(seq, prefix_len + 1, dims.l_rec)
-    items, buckets, mask = stack_windows([window], dims.l_time, time_unit_seconds)
-    with ad.no_grad():
-        interests, _ = forward_interests(params, a_norm, items, buckets, mask,
-                                         residual=residual)
-    return interests.data[0]
+    return _batched_interests([seq], [prefix_len], params, a_norm,
+                              time_unit_seconds, residual)[0]
 
 
 def _batched_interests(seqs: list[UserSequence], prefix_lens: list[int],
@@ -114,30 +110,49 @@ def _batched_interests(seqs: list[UserSequence], prefix_lens: list[int],
     return interests.data
 
 
+def _holdout_jobs(sequences: list[UserSequence], user_indices: np.ndarray,
+                  exclude_prefix: bool) -> list[tuple]:
+    """(sequence, prefix length, truth set, excluded items) per scored user.
+
+    Prefix = first floor(0.8 N) interactions (integer arithmetic), ground
+    truth = the rest; users with an empty prefix or truth are skipped.
+    """
+    jobs = []
+    for u in user_indices:
+        seq = sequences[int(u)]
+        prefix = (8 * len(seq)) // 10
+        truth = set(seq.items[prefix:].tolist())
+        if prefix < 1 or not truth:
+            continue
+        exclude = set(seq.items[:prefix].tolist()) if exclude_prefix else set()
+        jobs.append((seq, prefix, truth, exclude))
+    return jobs
+
+
+def _mean_report(per_user: list[dict], n_list: tuple[int, ...]) -> MetricsReport:
+    """Average each N's (recall, ndcg, hit) over users; zeros when none."""
+    if not per_user:
+        return MetricsReport({n: MetricRow(0.0, 0.0, 0.0) for n in n_list}, 0)
+    report = {}
+    for n in n_list:
+        triples = np.array([row[n] for row in per_user], dtype=np.float64)
+        report[n] = MetricRow(*(float(x) for x in triples.mean(axis=0)))
+    return MetricsReport(report, len(per_user))
+
+
 def evaluate(sequences: list[UserSequence], user_indices: np.ndarray,
              params: ModelParams, a_norm: sp.csr_matrix,
              n_list: tuple[int, ...] = (20, 50), time_unit_seconds: int = 86400,
              residual: bool = False, exclude_prefix: bool = True,
              threads: int = 1) -> MetricsReport:
-    """80/20 protocol over the given users.
+    """80/20 protocol over the given users (see ``_holdout_jobs``).
 
-    Per user: prefix = first floor(0.8 N) interactions (integer arithmetic),
-    ground truth = the rest; users with empty ground truth are skipped.
-    Prefix items are excluded from the candidate pool.
+    Prefix items are excluded from the candidate pool; a user with fewer
+    candidates than max(n_list) is scored on the shorter ranked list.
     """
-    jobs = []
-    for u in user_indices:
-        seq = sequences[int(u)]
-        n_int = len(seq)
-        prefix = (8 * n_int) // 10
-        if prefix < 1:
-            continue
-        truth = set(seq.items[prefix:].tolist())
-        if not truth:
-            continue
-        jobs.append((seq, prefix, truth))
+    jobs = _holdout_jobs(sequences, user_indices, exclude_prefix)
     if not jobs:
-        return MetricsReport({n: MetricRow(0.0, 0.0, 0.0) for n in n_list}, 0)
+        return _mean_report([], n_list)
 
     e_global = compute_global_table(params, a_norm)
     n_max = max(n_list)
@@ -148,9 +163,9 @@ def evaluate(sequences: list[UserSequence], user_indices: np.ndarray,
             [j[0] for j in chunk], [j[1] for j in chunk], params, a_norm,
             time_unit_seconds, residual)
         rows = []
-        for (seq, prefix, truth), vecs in zip(chunk, interests):
-            exclude = set(seq.items[:prefix].tolist()) if exclude_prefix else set()
-            ranked = top_n(vecs, e_global, n_max, exclude)
+        for (seq, prefix, truth, exclude), vecs in zip(chunk, interests):
+            candidates = e_global.shape[0] - 1 - len(exclude)
+            ranked = top_n(vecs, e_global, min(n_max, candidates), exclude)
             rows.append({n: metrics(ranked, truth, n) for n in n_list})
         return rows
 
@@ -159,12 +174,7 @@ def evaluate(sequences: list[UserSequence], user_indices: np.ndarray,
             per_user = [row for rows in pool.map(run_chunk, chunks) for row in rows]
     else:
         per_user = [row for chunk in chunks for row in run_chunk(chunk)]
-
-    report = {}
-    for n in n_list:
-        triples = np.array([row[n] for row in per_user], dtype=np.float64)
-        report[n] = MetricRow(*(float(x) for x in triples.mean(axis=0)))
-    return MetricsReport(report, len(per_user))
+    return _mean_report(per_user, n_list)
 
 
 # ---------------------------------------------------------------------------
@@ -198,24 +208,11 @@ def evaluate_ranker(sequences: list[UserSequence], user_indices: np.ndarray,
                     exclude_prefix: bool = True) -> MetricsReport:
     """Same 80/20 protocol for a plain ranking function (baselines).
 
-    rank_fn(n, exclude) -> ranked item indices.
+    rank_fn(n, exclude) -> ranked item indices, at most n of them.
     """
-    rows = []
-    for u in user_indices:
-        seq = sequences[int(u)]
-        prefix = (8 * len(seq)) // 10
-        if prefix < 1:
-            continue
-        truth = set(seq.items[prefix:].tolist())
-        if not truth:
-            continue
-        exclude = set(seq.items[:prefix].tolist()) if exclude_prefix else set()
+    per_user = []
+    for _, _, truth, exclude in _holdout_jobs(sequences, user_indices,
+                                              exclude_prefix):
         ranked = rank_fn(max(n_list), exclude)
-        rows.append({n: metrics(ranked, truth, n) for n in n_list})
-    if not rows:
-        return MetricsReport({n: MetricRow(0.0, 0.0, 0.0) for n in n_list}, 0)
-    report = {}
-    for n in n_list:
-        triples = np.array([row[n] for row in rows], dtype=np.float64)
-        report[n] = MetricRow(*(float(x) for x in triples.mean(axis=0)))
-    return MetricsReport(report, len(rows))
+        per_user.append({n: metrics(ranked, truth, n) for n in n_list})
+    return _mean_report(per_user, n_list)

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gimirec.global_context import AblationVariant, build_weighted_adjacency, extract_hop_pairs
+from gimirec.global_context import (AblationVariant, HopPairAccumulator, HopPairs,
+                                    build_weighted_adjacency, extract_hop_pairs)
 from gimirec.ingest import UserSequence
 
 
@@ -21,6 +22,26 @@ def random_sequences(rng: np.random.Generator, n_users: int = 5,
         ts = 1 + np.cumsum(rng.integers(0, max_gap + 1, size=n)).astype(np.int64)
         seqs.append(UserSequence(u, items, ts))
     return seqs
+
+
+def hop_dicts(acc: HopPairAccumulator) -> dict:
+    """The accumulator's per-hop arrays as {k: {(mu, nu): weight}} dicts."""
+    return {k: {(r, c): v for r, c, v in zip(h.rows.tolist(), h.cols.tolist(),
+                                              h.values.tolist())}
+            for k, h in acc.hops.items()}
+
+
+def acc_from_dicts(weights: dict, a: float = 0.5, b: float = 0.5,
+                   l_time: float = 10.0,
+                   variant=AblationVariant.FULL) -> HopPairAccumulator:
+    """An accumulator holding the given {k: {(mu, nu): weight}} hop dicts."""
+    hops = {}
+    for k in (1, 2, 3):
+        pairs = sorted(weights.get(k, {}).items())
+        hops[k] = HopPairs(np.array([p[0][0] for p in pairs], dtype=np.int64),
+                           np.array([p[0][1] for p in pairs], dtype=np.int64),
+                           np.array([p[1] for p in pairs], dtype=np.float64))
+    return HopPairAccumulator(hops, a, b, l_time, variant)
 
 
 @pytest.fixture

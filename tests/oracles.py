@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,47 @@ def normalized_adjacency_oracle(weights: dict, alpha: float, beta: float,
         a_prime = a_prime + hop_weight * a_k
     d_inv_sqrt = 1.0 / np.sqrt(a_prime.sum(axis=1))
     a_norm = d_inv_sqrt[:, None] * a_prime * d_inv_sqrt[None, :]
+    return a_prime, a_norm
+
+
+def weighted_adjacency_dict_reference(weights: dict, alpha: float, beta: float,
+                                      gamma: float, num_items: int):
+    """Dict-of-dicts symmetrize-combine-normalize; returns CSR (a_prime, a_norm).
+
+    The per-pair formulation the library's array build replaced: each
+    unordered pair's value is summed once and stored for both orientations,
+    self pairs are doubled by hand, and row/column order is sorted, so the
+    array build must reproduce its CSR arrays bit for bit.
+    """
+    size = num_items + 1
+    combined = {}
+    for hop_weight, k in zip((alpha, beta, gamma), (1, 2, 3)):
+        sym = {}
+        for (m, v), q in weights[k].items():
+            key = (m, v) if m <= v else (v, m)
+            sym[key] = sym.get(key, 0.0) + q
+        for key, q in sym.items():
+            a_entry = 2.0 * q if key[0] == key[1] else q
+            combined[key] = combined.get(key, 0.0) + hop_weight * a_entry
+
+    rows, cols, vals = [], [], []
+    for i in range(size):
+        rows.append(i)
+        cols.append(i)
+        vals.append(1.0 + combined.pop((i, i), 0.0))
+    for (r, c), v in sorted(combined.items()):
+        rows.extend((r, c))
+        cols.extend((c, r))
+        vals.extend((v, v))
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    a_prime = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    a_prime.sort_indices()
+    d_inv_sqrt = 1.0 / np.sqrt(np.asarray(a_prime.sum(axis=1)).ravel())
+    norm_vals = vals * (d_inv_sqrt[rows] * d_inv_sqrt[cols])
+    a_norm = sp.csr_matrix((norm_vals, (rows, cols)), shape=(size, size))
+    a_norm.sort_indices()
     return a_prime, a_norm
 
 

@@ -25,7 +25,7 @@ from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 from gimirec.train import (build_adjacency_from_bundle, run_gradient_checks,
                            train_loop)
 
-from conftest import random_sequences
+from conftest import acc_from_dicts, hop_dicts, random_sequences
 from oracles import hop_pairs_oracle, metrics_oracle
 
 FULL = AblationVariant.FULL
@@ -57,7 +57,7 @@ def test_criterion_1_pair_extraction_oracle():
                                 time_unit_seconds=1)
         expect, occurrences = hop_pairs_oracle(
             seqs, variant.value, 0.65, 0.35, 6.0, 1)
-        assert acc.weights == expect  # dict equality: bit-exact floats
+        assert hop_dicts(acc) == expect  # dict equality: bit-exact floats
         assert acc.occurrences == occurrences
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -73,9 +73,7 @@ def test_criterion_2_gce_algebra():
     assert np.array_equal(global_embeddings(adj.a_norm, table), table)
 
     # two-item hand case
-    from gimirec.global_context import HopPairAccumulator
-    acc = HopPairAccumulator({1: {(1, 2): 2.0, (2, 1): 1.0}, 2: {}, 3: {}},
-                             0.5, 0.5, 8.0, FULL)
+    acc = acc_from_dicts({1: {(1, 2): 2.0, (2, 1): 1.0}}, 0.5, 0.5, 8.0, FULL)
     adj2 = build_weighted_adjacency(acc, 1.0, 0.0, 0.0, 2)
     np.testing.assert_allclose(adj2.a_norm.toarray()[1:, 1:],
                                [[0.25, 0.75], [0.75, 0.25]], atol=1e-12)

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from gimirec.global_context import (AblationVariant, build_weighted_adjacency,
                                     extract_hop_pairs, global_embeddings,
                                     occurrence_weight, read_adjacency,
-                                    write_adjacency, write_global_embeddings,
-                                    HopPairAccumulator)
+                                    write_adjacency, write_global_embeddings)
 from gimirec.ingest import UserSequence
 
-from conftest import random_sequences
-from oracles import hop_pairs_oracle, normalized_adjacency_oracle
+from conftest import acc_from_dicts, hop_dicts, random_sequences
+from oracles import (hop_pairs_oracle, normalized_adjacency_oracle,
+                     weighted_adjacency_dict_reference)
 
 FULL = AblationVariant.FULL
 
@@ -27,34 +27,34 @@ class TestExtractHopPairs:
         s = seq([2, 5, 1, 4], [10, 20, 30, 40])
         acc = extract_hop_pairs([s], FULL, 0.5, 0.5, l_time=1000.0,
                                 time_unit_seconds=1)
-        assert set(acc.weights[1]) == {(2, 5), (5, 1), (1, 4)}
-        assert set(acc.weights[2]) == {(2, 1), (5, 4)}
-        assert set(acc.weights[3]) == {(2, 4)}
+        assert set(hop_dicts(acc)[1]) == {(2, 5), (5, 1), (1, 4)}
+        assert set(hop_dicts(acc)[2]) == {(2, 1), (5, 4)}
+        assert set(hop_dicts(acc)[3]) == {(2, 4)}
 
     def test_single_item_sequence_no_pairs(self):
         acc = extract_hop_pairs([seq([3], [5])], FULL, 0.5, 0.5, 10.0, 1)
-        assert all(not d for d in acc.weights.values())
+        assert all(not d for d in hop_dicts(acc).values())
 
     def test_threshold_filters_pairs(self):
         s = seq([1, 2, 3], [0 + 1, 1 + 1, 100 + 1])
         acc = extract_hop_pairs([s], FULL, 0.5, 0.5, l_time=10.0,
                                 time_unit_seconds=1)
-        assert set(acc.weights[1]) == {(1, 2)}
-        assert not acc.weights[2]
+        assert set(hop_dicts(acc)[1]) == {(1, 2)}
+        assert not hop_dicts(acc)[2]
 
     def test_no_int_variant_ignores_threshold(self):
         s = seq([1, 2, 3], [1, 2, 102])
         acc = extract_hop_pairs([s], AblationVariant.NO_INT, 0.5, 0.5, 10.0, 1)
-        assert set(acc.weights[1]) == {(1, 2), (2, 3)}
-        assert set(acc.weights[2]) == {(1, 3)}
+        assert set(hop_dicts(acc)[1]) == {(1, 2), (2, 3)}
+        assert set(hop_dicts(acc)[2]) == {(1, 3)}
 
     def test_self_pairs_counted_and_flag(self):
         s = seq([7, 7], [1, 2])
         acc = extract_hop_pairs([s], FULL, 0.5, 0.5, 10.0, 1)
-        assert (7, 7) in acc.weights[1]
+        assert (7, 7) in hop_dicts(acc)[1]
         acc2 = extract_hop_pairs([s], FULL, 0.5, 0.5, 10.0, 1,
                                  allow_self_pairs=False)
-        assert (7, 7) not in acc2.weights[1]
+        assert (7, 7) not in hop_dicts(acc2)[1]
 
     @pytest.mark.parametrize("variant", list(AblationVariant))
     def test_matches_brute_force_oracle_exactly(self, variant):
@@ -65,7 +65,7 @@ class TestExtractHopPairs:
                                     time_unit_seconds=1)
             expect, occ = hop_pairs_oracle(seqs, variant.value, 0.65, 0.35,
                                            4.0, 1)
-            assert acc.weights == expect  # bit-exact float equality
+            assert hop_dicts(acc) == expect  # bit-exact float equality
             assert acc.occurrences == occ
 
     def test_cost_bound_three_times_interactions(self):
@@ -104,13 +104,6 @@ class TestOccurrenceWeight:
             assert w1 >= w2 - 1e-12
 
 
-def acc_from_dicts(weights, a=0.5, b=0.5, l_time=10.0,
-                   variant=FULL) -> HopPairAccumulator:
-    full = {1: {}, 2: {}, 3: {}}
-    full.update({k: dict(v) for k, v in weights.items()})
-    return HopPairAccumulator(full, a, b, l_time, variant)
-
-
 class TestWeightedAdjacency:
     def test_empty_accumulator_is_identity(self):
         adj = build_weighted_adjacency(acc_from_dicts({}), 1.0, 0.5, 0.25, 3)
@@ -141,11 +134,32 @@ class TestWeightedAdjacency:
             acc = extract_hop_pairs(seqs, FULL, 0.6, 0.4, 5.0, 1)
             adj = build_weighted_adjacency(acc, 4.5, 2.0, 1.0, 9)
             a_prime_d, a_norm_d = normalized_adjacency_oracle(
-                acc.weights, 4.5, 2.0, 1.0, 9)
+                hop_dicts(acc), 4.5, 2.0, 1.0, 9)
             np.testing.assert_allclose(adj.a_prime.toarray(), a_prime_d,
                                        atol=1e-12)
             np.testing.assert_allclose(adj.a_norm.toarray(), a_norm_d,
                                        atol=1e-12)
+
+    @pytest.mark.parametrize("variant", list(AblationVariant))
+    def test_csr_arrays_match_dict_reference_bit_for_bit(self, variant):
+        rng = np.random.default_rng(sum(map(ord, variant.value)))
+        self_pairs = single_users = 0
+        for trial in range(40):
+            seqs = random_sequences(rng, n_users=int(rng.integers(1, 9)),
+                                    n_items=8, max_len=14, min_len=1, max_gap=3)
+            acc = extract_hop_pairs(seqs, variant, 0.65, 0.35, 4.0, 1,
+                                    allow_self_pairs=trial % 4 != 3)
+            adj = build_weighted_adjacency(acc, 4.5, 2.0, 1.0, 8)
+            a_prime, a_norm = weighted_adjacency_dict_reference(
+                hop_dicts(acc), 4.5, 2.0, 1.0, 8)
+            for got, expect in ((adj.a_prime, a_prime), (adj.a_norm, a_norm)):
+                assert np.array_equal(got.indptr, expect.indptr)
+                assert np.array_equal(got.indices, expect.indices)
+                assert np.array_equal(got.data, expect.data)  # bitwise
+            self_pairs += sum(int(np.sum(h.rows == h.cols))
+                              for h in acc.hops.values())
+            single_users += sum(len(s) == 1 for s in seqs)
+        assert self_pairs > 0 and single_users > 0
 
     def test_a_prime_bit_exact_symmetry(self):
         rng = np.random.default_rng(21)
@@ -175,7 +189,7 @@ class TestWeightedAdjacency:
         rng = np.random.default_rng(6)
         seqs = random_sequences(rng, n_users=6, n_items=6, max_len=15)
         acc = extract_hop_pairs(seqs, AblationVariant.NO_IN, 0.5, 0.5, 4.0, 1)
-        for d in acc.weights.values():
+        for d in hop_dicts(acc).values():
             assert all(v == 1.0 for v in d.values())
 
     def test_num_items_too_small_rejected(self):
@@ -227,6 +241,38 @@ class TestContainers:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOT-A-MAGIC" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
+            read_adjacency(path)
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda m: {"shape": (3, 4)}, "square"),
+        (lambda m: {"indptr": m.indptr + 1}, "indptr"),
+        (lambda m: {"indptr": np.r_[m.indptr[:-1], m.nnz - 1]}, "indptr"),
+        (lambda m: {"indptr": np.r_[0, 2, 1, m.indptr[3:]]}, "indptr"),
+        (lambda m: {"indices": np.r_[m.indices[:-1], m.shape[1]]}, "column index"),
+        (lambda m: {"indices": np.r_[-1, m.indices[1:]]}, "column index"),
+        (lambda m: {"data": np.r_[np.nan, m.data[1:]]}, "non-finite"),
+        (lambda m: {"data": np.r_[m.data[:-1], np.inf]}, "non-finite"),
+        (lambda m: {"tail": b"\x00"}, "bytes"),
+        (lambda m: {"tail": -8}, "bytes"),
+    ], ids=["non_square", "indptr_start", "indptr_end", "indptr_decreasing",
+            "index_too_large", "index_negative", "nan_value", "inf_value",
+            "trailing_byte", "truncated"])
+    def test_malformed_adjacency_rejected(self, tmp_path, tiny_adjacency,
+                                          corrupt, match):
+        m = tiny_adjacency.a_norm
+        parts = {"shape": m.shape, "indptr": m.indptr, "indices": m.indices,
+                 "data": m.data, "tail": b""}
+        parts.update(corrupt(m))
+        raw = (b"GIMI-ADJ1"
+               + np.array([*parts["shape"], len(parts["data"])], dtype="<i8").tobytes()
+               + parts["indptr"].astype("<i8").tobytes()
+               + parts["indices"].astype("<i8").tobytes()
+               + parts["data"].astype("<f8").tobytes())
+        tail = parts["tail"]
+        raw = raw[:tail] if isinstance(tail, int) else raw + tail
+        path = tmp_path / "adjacency.bin"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=match):
             read_adjacency(path)
 
     def test_global_embeddings_file_is_raw_f32(self, tmp_path):

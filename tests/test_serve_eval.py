@@ -6,9 +6,10 @@ import pytest
 from gimirec.ingest import UserSequence
 from gimirec.model import ModelDims, ModelParams, cast_adjacency, forward_interests
 from gimirec.recent import make_window, stack_windows
-from gimirec.serve_eval import (MetricsReport, evaluate, evaluate_ranker,
-                                infer_interests, metrics, popularity_counts,
-                                popularity_top_n, random_top_n, top_n)
+from gimirec.serve_eval import (MetricRow, MetricsReport, compute_global_table,
+                                evaluate, evaluate_ranker, infer_interests,
+                                metrics, popularity_counts, popularity_top_n,
+                                random_top_n, top_n)
 
 from oracles import metrics_oracle
 
@@ -157,7 +158,6 @@ class TestInferAndEvaluate:
         n = 4
         report = evaluate(seqs, users, params, a_norm, n_list=(n,),
                           time_unit_seconds=1)
-        from gimirec.serve_eval import compute_global_table
         e_global = compute_global_table(params, a_norm)
         rows = []
         for u in users:
@@ -171,6 +171,22 @@ class TestInferAndEvaluate:
         expect = np.array(rows).mean(axis=0)
         got = report.per_n[n]
         assert (got.recall, got.ndcg, got.hit_rate) == pytest.approx(tuple(expect))
+
+    def test_user_with_fewer_candidates_than_n_scores_shorter_list(self):
+        # 12 items, prefix excludes 8 of them: 4 candidates for N up to 6
+        seqs, params, a_norm = build_model(8)
+        seq = UserSequence(0, np.arange(1, 11), np.arange(1, 11))
+        report = evaluate([seqs[0], seq], np.array([0, 1]), params, a_norm,
+                          n_list=(3, 6), time_unit_seconds=1)
+        assert report.user_count == 2
+        solo = evaluate([seq], np.array([0]), params, a_norm, n_list=(3, 6),
+                        time_unit_seconds=1)
+        assert (solo.per_n[6].recall, solo.per_n[6].hit_rate) == (1.0, 1.0)
+        vecs = infer_interests(seq, 8, params, a_norm, time_unit_seconds=1)
+        ranked = top_n(vecs, compute_global_table(params, a_norm), 4,
+                       set(range(1, 9)))
+        for n in (3, 6):
+            assert solo.per_n[n] == MetricRow(*metrics(ranked, {9, 10}, n))
 
     def test_thread_count_does_not_change_results(self):
         seqs, params, a_norm = build_model(5)
