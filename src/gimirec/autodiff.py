@@ -1,16 +1,17 @@
 """Reverse-mode automatic differentiation over NumPy arrays.
 
 A deliberately small tape: only the primitives the recommender needs
-(broadcast arithmetic, batched matmul, shape moves, table gathers, masked
-softmax, log-sum-exp, sparse-dense products). Gradients propagate in the
-same dtype as the forward values; training runs in float32, oracles and
-gradient checks in float64. Gradient arrays are never mutated in place, so
-sharing a grad buffer between consumers is safe.
+(broadcast arithmetic, batched matmul, shape moves, table gathers, bucket
+sums, masked softmax, log-sum-exp, sparse-dense products). Gradients
+propagate in the same dtype as the forward values; training runs in
+float32, oracles and gradient checks in float64. Gradient arrays are never
+mutated in place, so sharing a grad buffer between consumers is safe.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 _GRAD_ENABLED = True
 
@@ -180,13 +181,27 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matrix product with NumPy broadcasting.
+
+    When one operand is a 2-D weight and the other is batched, the weight
+    gradient is a single product over the flattened batch instead of a
+    per-example stack of (k, n) products that is then summed.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
     data = a.data @ b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if b.ndim == 2 and a.ndim > 2:
+            _accum(a, g @ b.data.T)
+            _accum(b, a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1]))
+        elif a.ndim == 2 and b.ndim > 2:
+            summed = tuple(range(g.ndim - 2)) + (g.ndim - 1,)
+            _accum(a, np.tensordot(g, b.data, axes=(summed, summed)))
+            _accum(b, a.data.T @ g)
+        else:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _node(data, (a, b), bwd)
 
@@ -263,14 +278,23 @@ def broadcast_to(a: Tensor, shape: tuple) -> Tensor:
 
 
 def gather(table: Tensor, idx: np.ndarray) -> Tensor:
-    """Row lookup: table (V, d), idx any int shape S -> output S + (d,)."""
+    """Row lookup: table (V, d), idx any int shape S -> output S + (d,).
+
+    The backward pass multiplies the output gradient by a sparse (V, size(S))
+    one-hot matrix in CSC form; its product visits the columns, i.e. the
+    lookups, in index order, so repeated rows accumulate in the same order
+    as a sequential scatter.
+    """
     idx = np.asarray(idx)
     data = table.data[idx]
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        _accum(table, gt)
+        n = idx.size
+        one_hot = sp.csc_matrix(
+            (np.ones(n, dtype=g.dtype), idx.ravel(), np.arange(n + 1)),
+            shape=(table.data.shape[0], n))
+        width = int(np.prod(table.data.shape[1:]))
+        _accum(table, (one_hot @ g.reshape(n, width)).reshape(table.data.shape))
 
     return _node(data, (table,), bwd)
 
@@ -283,8 +307,27 @@ def select_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
     def bwd(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, (batch, idx), g)
+        gx[batch, idx] = g  # one pick per batch row: no repeated targets
         _accum(x, gx)
+
+    return _node(data, (x,), bwd)
+
+
+def bucket_sum(x: Tensor, idx: np.ndarray, n_buckets: int) -> Tensor:
+    """Per-row histogram: x (..., L) summed into (..., n_buckets) by idx (..., L).
+
+    ``out[..., t]`` is the sum of ``x[..., j]`` over the j with
+    ``idx[..., j] == t``; the backward pass gathers the bucket gradient back.
+    """
+    idx = np.asarray(idx)
+    n_rows = int(np.prod(idx.shape[:-1]))
+    offsets = (np.arange(n_rows) * n_buckets).reshape(idx.shape[:-1] + (1,))
+    data = np.bincount((idx + offsets).ravel(), weights=x.data.ravel(),
+                       minlength=n_rows * n_buckets)
+    data = data.astype(x.data.dtype, copy=False).reshape(idx.shape[:-1] + (n_buckets,))
+
+    def bwd(g):
+        _accum(x, np.take_along_axis(g, idx, axis=-1))
 
     return _node(data, (x,), bwd)
 

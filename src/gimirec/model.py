@@ -8,6 +8,7 @@ extraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,31 +174,49 @@ def save_checkpoint(path: str | Path, params: ModelParams) -> None:
 
 
 def load_checkpoint(path: str | Path, dtype=np.float32) -> ModelParams:
+    """Read a checkpoint; a malformed container raises ``ValueError``.
+
+    Each tensor's declared shape is checked against the header dims before
+    its values are read, and the file must end exactly after the last one.
+    """
     raw = Path(path).read_bytes()
     if raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
     pos = len(CHECKPOINT_MAGIC)
 
-    def read(dt: str, count: int):
+    def read(dt: str, count: int, what: str):
         nonlocal pos
+        end = pos + np.dtype(dt).itemsize * count
+        if end > len(raw):
+            raise ValueError(f"{path}: truncated in {what} (needs {end} bytes, "
+                             f"file has {len(raw)})")
         arr = np.frombuffer(raw, dtype=dt, count=count, offset=pos)
-        pos += arr.nbytes
+        pos = end
         return arr
 
-    version = int(read("<u4", 1)[0])
+    version = int(read("<u4", 1, "header")[0])
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    dims = ModelDims(*(int(x) for x in read("<i8", 7)))
+    header = [int(x) for x in read("<i8", 7, "header")]
+    if min(header) < 1:
+        raise ValueError(f"{path}: model dims must be positive, got {header}")
+    dims = ModelDims(*header)
+    expected = ModelParams.tensor_shapes(dims)
     tensors = {}
-    for _ in range(int(read("<u4", 1)[0])):
-        name_len = int(read("<u4", 1)[0])
-        name = raw[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        ndim = int(read("<u4", 1)[0])
-        shape = tuple(int(x) for x in read("<i8", ndim))
-        data = read("<f4", int(np.prod(shape))).reshape(shape).astype(dtype)
+    for _ in range(int(read("<u4", 1, "header")[0])):
+        name_len = int(read("<u4", 1, "tensor name")[0])
+        name = read("u1", name_len, "tensor name").tobytes().decode("utf-8", "replace")
+        if name not in expected or name in tensors:
+            raise ValueError(f"{path}: unexpected or repeated tensor {name!r}")
+        ndim = int(read("<u4", 1, name)[0])
+        shape = tuple(int(x) for x in read("<i8", ndim, name))
+        if shape != expected[name]:
+            raise ValueError(f"{path}: tensor {name!r} has shape {shape}, "
+                             f"model dims imply {expected[name]}")
+        data = read("<f4", math.prod(shape), name).reshape(shape).astype(dtype)
         tensors[name] = ad.Tensor(data, requires_grad=True)
-    expected = set(ModelParams.tensor_shapes(dims))
-    if set(tensors) != expected:
+    if set(tensors) != set(expected):
         raise ValueError("checkpoint tensor names do not match model dims")
+    if pos != len(raw):
+        raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the last tensor")
     return ModelParams(dims, tensors)

@@ -52,13 +52,20 @@ def interval_matrix(window: RecentWindow, l_time: float,
     Off-diagonal entries involving a padding slot are forced to l_time (the
     maximal distance); the diagonal is zero.
     """
-    t = window.timestamps.astype(np.float64)
-    vals = np.abs(t[:, None] - t[None, :]) / time_unit_seconds
+    return _interval_matrices(window.timestamps[None], window.mask[None],
+                              l_time, time_unit_seconds)[0]
+
+
+def _interval_matrices(timestamps: np.ndarray, mask: np.ndarray, l_time: float,
+                       time_unit_seconds: int) -> np.ndarray:
+    """``interval_matrix`` of every window at once: (B, L) -> (B, L, L)."""
+    t = timestamps.astype(np.float64)
+    vals = np.abs(t[:, :, None] - t[:, None, :]) / time_unit_seconds
     np.minimum(vals, l_time, out=vals)
-    pad = ~window.mask
-    vals[pad, :] = l_time
-    vals[:, pad] = l_time
-    np.fill_diagonal(vals, 0.0)
+    pad = ~mask
+    vals[pad[:, :, None] | pad[:, None, :]] = l_time
+    diag = np.arange(vals.shape[1])
+    vals[:, diag, diag] = 0.0
     return vals
 
 
@@ -74,16 +81,20 @@ def interval_attention(buckets: np.ndarray, interval_table: ad.Tensor,
 
     buckets: (B, L, L) int; interval_table: (l_time+1, d); score_weight:
     (d, 1). Each real slot attends over the real key slots of its interval
-    row; padding rows come out as zero vectors.
+    row; padding rows come out as zero vectors. A key's score depends only
+    on its bucket, so scores are read from the (l_time+1,) bucket scores and
+    each row's output is its per-bucket attention mass times the table; no
+    (B, L, L, d) tensor is formed.
     """
     b, l, _ = buckets.shape
-    d = interval_table.shape[1]
-    t_emb = ad.gather(interval_table, buckets)                    # (B,L,L,d)
-    scores = ad.reshape(ad.matmul(t_emb, score_weight), (b, l, l))
+    n_buckets = interval_table.shape[0]
+    bucket_scores = ad.matmul(interval_table, score_weight)       # (T, 1)
+    scores = ad.reshape(ad.gather(bucket_scores, buckets), (b, l, l))
     probs = ad.masked_softmax(scores, mask[:, None, :])           # (B,L,L)
     if trace is not None:
         trace["interval_attn"] = probs.data
-    e_time = ad.reshape(ad.matmul(ad.reshape(probs, (b, l, 1, l)), t_emb), (b, l, d))
+    hist = ad.bucket_sum(probs, buckets, n_buckets)               # (B,L,T)
+    e_time = ad.matmul(hist, interval_table)                      # (B,L,d)
     maskf = mask[:, :, None].astype(interval_table.dtype)
     return ad.mul(e_time, ad.Tensor(maskf))
 
@@ -93,8 +104,6 @@ def stack_windows(windows: list[RecentWindow], l_time: float,
     """Batch windows into (items, buckets, mask) arrays for the forward pass."""
     items = np.stack([w.items for w in windows])
     mask = np.stack([w.mask for w in windows])
-    buckets = np.stack([
-        bucketize(interval_matrix(w, l_time, time_unit_seconds), l_time)
-        for w in windows
-    ])
-    return items, buckets, mask
+    timestamps = np.stack([w.timestamps for w in windows])
+    values = _interval_matrices(timestamps, mask, l_time, time_unit_seconds)
+    return items, bucketize(values, l_time), mask

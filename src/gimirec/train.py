@@ -294,6 +294,10 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
             value.backward()
             grads = {n: (t.grad if t.grad is not None else np.zeros_like(t.data))
                      for n, t in params.named().items()}
+            if not all(np.isfinite(g).all() for g in grads.values()):
+                log_file.write(f"step={step} diverged: non-finite gradient\n")
+                diverged = True
+                break
             adam_step(params, grads, state)
             loss_accum += value.item()
             loss_count += 1

@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written loop-first with no reuse of the library's
-vectorized/autodiff code paths, so agreement is a genuine dual-route check.
+vectorized/autodiff code paths, so agreement is a genuine dual-route check,
+except the last section: the tape formulations the library replaced, kept
+so the rewrites can be compared against them.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+
+from gimirec import autodiff as ad
 
 
 # ---------------------------------------------------------------------------
@@ -239,3 +243,59 @@ def metrics_oracle(recommended, ground_truth, n):
     recall = hits / len(ground_truth)
     hit = 1.0 if hits else 0.0
     return recall, dcg / idcg, hit
+
+
+# ---------------------------------------------------------------------------
+# replaced tape formulations
+
+def scatter_add_reference(shape, idx, g):
+    """Sequential ``np.add.at`` scatter of ``g`` into zeros of ``shape``."""
+    out = np.zeros(shape, dtype=g.dtype)
+    np.add.at(out, idx, g)
+    return out
+
+
+def gather_add_at(table, idx):
+    """``ad.gather`` with the ``np.add.at`` backward it replaced."""
+    idx = np.asarray(idx)
+
+    def bwd(g):
+        ad._accum(table, scatter_add_reference(table.data.shape, idx, g))
+
+    return ad._node(table.data[idx], (table,), bwd)
+
+
+def select_rows_add_at(x, idx):
+    """``ad.select_rows`` with the ``np.add.at`` backward it replaced."""
+    idx = np.asarray(idx)
+    batch = np.arange(x.data.shape[0])
+
+    def bwd(g):
+        ad._accum(x, scatter_add_reference(x.data.shape, (batch, idx), g))
+
+    return ad._node(x.data[batch, idx], (x,), bwd)
+
+
+def matmul_stacked(a, b):
+    """``ad.matmul`` whose weight gradient is a batched (..., k, n) stack
+    summed over the batch axes."""
+    def bwd(g):
+        ad._accum(a, ad._unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        ad._accum(b, ad._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+
+    return ad._node(a.data @ b.data, (a, b), bwd)
+
+
+def interval_attention_dense(buckets, interval_table, score_weight, mask,
+                             trace=None):
+    """Interval attention over the (B, L, L, d) tensor of gathered bucket rows."""
+    b, l, _ = buckets.shape
+    d = interval_table.shape[1]
+    t_emb = gather_add_at(interval_table, buckets)                # (B,L,L,d)
+    scores = ad.reshape(matmul_stacked(t_emb, score_weight), (b, l, l))
+    probs = ad.masked_softmax(scores, mask[:, None, :])
+    if trace is not None:
+        trace["interval_attn"] = probs.data
+    e_time = ad.reshape(matmul_stacked(ad.reshape(probs, (b, l, 1, l)), t_emb), (b, l, d))
+    maskf = mask[:, :, None].astype(interval_table.dtype)
+    return ad.mul(e_time, ad.Tensor(maskf))

@@ -6,6 +6,8 @@ import scipy.sparse as sp
 
 from gimirec import autodiff as ad
 
+from oracles import scatter_add_reference
+
 
 def fd_check(build, tensors, h=1e-6, tol=1e-6):
     """Compare analytic gradients of sum(build(*tensors)) with central FD."""
@@ -47,8 +49,11 @@ def test_scale_neg_sub():
 
 def test_matmul_batched():
     rng = np.random.default_rng(2)
-    a, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 5)
-    fd_check(ad.matmul, [a, b])
+    # batched x weight, weight x batched (flat weight gradients), both
+    # batched with a broadcast batch axis (stacked gradients)
+    for a_shape, b_shape in (((2, 3, 4), (4, 5)), ((4, 3), (2, 3, 5)),
+                             ((2, 1, 3, 4), (3, 4, 2))):
+        fd_check(ad.matmul, [leaf(rng, *a_shape), leaf(rng, *b_shape)])
 
 
 def test_tanh_sum_axis():
@@ -81,6 +86,39 @@ def test_select_rows():
     x = leaf(rng, 3, 4, 2)
     idx = np.array([1, 0, 3])
     fd_check(lambda t: ad.select_rows(t, idx), [x])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_and_select_rows_backward_match_add_at_bit_for_bit(dtype):
+    rng = np.random.default_rng(13)
+    table = ad.Tensor(rng.normal(size=(6, 3)).astype(dtype), requires_grad=True)
+    idx = rng.integers(0, 6, size=(40, 7))
+    idx[0] = 2  # one row gathered many times in a row
+    g = rng.normal(size=(40, 7, 3)).astype(dtype)
+    ad.sumt(ad.mul(ad.gather(table, idx), ad.Tensor(g))).backward()
+    assert table.grad.dtype == dtype
+    np.testing.assert_array_equal(table.grad, scatter_add_reference((6, 3), idx, g))
+
+    x = ad.Tensor(rng.normal(size=(9, 4, 3)).astype(dtype), requires_grad=True)
+    pick = np.array([0, 3, 3, 1, 3, 0, 2, 3, 3])
+    gx = rng.normal(size=(9, 3)).astype(dtype)
+    ad.sumt(ad.mul(ad.select_rows(x, pick), ad.Tensor(gx))).backward()
+    np.testing.assert_array_equal(
+        x.grad, scatter_add_reference(x.shape, (np.arange(9), pick), gx))
+
+
+def test_bucket_sum():
+    rng = np.random.default_rng(14)
+    x = leaf(rng, 2, 3, 5)
+    idx = rng.integers(0, 4, size=(2, 3, 5))
+    idx[1, 2] = 3  # every slot of a row in one bucket
+    weight = ad.Tensor(rng.normal(size=(2, 3, 4)))
+    fd_check(lambda t: ad.mul(ad.bucket_sum(t, idx, 4), weight), [x])
+    expect = np.zeros((2, 3, 4))
+    for r in np.ndindex(2, 3):
+        for j in range(5):
+            expect[r][idx[r][j]] += x.data[r][j]
+    np.testing.assert_allclose(ad.bucket_sum(x, idx, 4).data, expect, atol=1e-15)
 
 
 def test_masked_softmax_gradient_and_rows():

@@ -66,6 +66,41 @@ class TestCheckpoint:
             loaded.item_table.data,
             params.item_table.data.astype(np.float32).astype(np.float64))
 
+    @pytest.mark.parametrize("case, match", [
+        ("trailing_bytes", "trailing bytes"),
+        ("swapped_shape", r"'item_embeddings' has shape \(8, 9\)"),
+        ("negative_dim", r"'layer1.center.wo' has shape \(8, -1\)"),
+        ("truncated_values", "truncated in layer1.center.wo"),
+        ("truncated_header", "truncated in header"),
+        ("zero_dim", "dims must be positive"),
+        ("repeated_tensor", "repeated tensor 'item_embeddings'"),
+    ])
+    def test_malformed_checkpoint_rejected(self, tmp_path, case, match):
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, fresh_params(dtype=np.float32))
+        raw = path.read_bytes()
+
+        def shape_at(name):  # offset of the i64 shape after name and u32 ndim
+            return raw.index(name.encode()) + len(name) + 4
+
+        first, last = shape_at("item_embeddings"), shape_at("layer1.center.wo")
+        second = raw.index(b"interval_embeddings")
+        bad = {
+            "trailing_bytes": raw + b"junk",
+            "swapped_shape": raw[:first] + np.array([8, 9], "<i8").tobytes()
+                             + raw[first + 16:],
+            "negative_dim": raw[:last] + np.array([8, -1], "<i8").tobytes()
+                            + raw[last + 16:],
+            "truncated_values": raw[:-3],
+            "truncated_header": raw[:30],
+            "zero_dim": raw[:22] + np.array([0], "<i8").tobytes() + raw[30:],
+            "repeated_tensor": raw[:second - 4] + np.uint32(15).tobytes()
+                               + b"item_embeddings" + raw[second + 19:],
+        }[case]
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"WRONG-MAGIC!" + b"\x00" * 16)

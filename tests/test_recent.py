@@ -83,6 +83,24 @@ class TestIntervalMatrix:
                         expect = min(dt, 12.0)
                     assert vals[i, j] == expect
 
+    def test_stacked_buckets_match_per_window(self):
+        rng = np.random.default_rng(5)
+        windows = []
+        for _ in range(12):
+            n = int(rng.integers(1, 9))
+            ts = np.sort(rng.integers(1, 400_000, size=n))
+            s = seq(rng.integers(1, 9, n), ts)
+            # fully padded, single-item, partly padded and full windows
+            windows += [make_window(s, 1, 6), make_window(s, 2, 6),
+                        make_window(s, int(rng.integers(1, n + 2)), 6),
+                        make_window(s, n + 1, 6)]
+        items, buckets, mask = stack_windows(windows, l_time=5.0,
+                                             time_unit_seconds=3600)
+        assert buckets.shape == (len(windows), 6, 6)
+        for w, got in zip(windows, buckets):
+            np.testing.assert_array_equal(
+                got, bucketize(interval_matrix(w, 5.0, 3600), 5.0))
+
     @given(st.integers(0, 2**31), st.lists(st.integers(1, 10**6), min_size=2,
                                            max_size=8))
     @settings(max_examples=50, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 
 from gimirec import autodiff as ad
+from gimirec import model
 from gimirec.config import HyperParams
 from gimirec.global_context import AblationVariant, build_weighted_adjacency, extract_hop_pairs
 from gimirec.ingest import DatasetBundle, DatasetSplit, UserSequence, Vocab
@@ -16,6 +17,7 @@ from gimirec.train import (AdamState, TrainingExample, adam_step, batch_loss,
                            sampled_softmax_nll, train_loop)
 
 from conftest import random_sequences
+import oracles
 from oracles import full_loss_oracle
 
 
@@ -146,6 +148,47 @@ class TestLossAndGradients:
                 batch.buckets[0], batch.mask[0], example.target_item,
                 example.negatives)
             assert abs(got - expect) <= 1e-10
+
+    @pytest.mark.parametrize("equal_buckets", [False, True])
+    def test_batch_loss_matches_replaced_formulation(self, monkeypatch,
+                                                     equal_buckets):
+        params, a_norm, _, seqs = tiny_setup(5, n_items=8, d=8, k=3, l_rec=6,
+                                             n_layers=2)
+        stream = make_examples(np.arange(4), seqs, 6, 3, 8,
+                               np.random.default_rng(11))
+        batch = build_batch([next(stream) for _ in range(16)],
+                            params.dims.l_time, 1)
+        assert not batch.mask.all()
+        if equal_buckets:
+            batch.buckets[:] = 3
+
+        def run():
+            params.zero_grad()
+            trace = {}
+            value, _ = batch_loss(params, a_norm, batch, trace=trace)
+            value.backward()
+            return value.item(), trace["interval_attn"], {
+                n: t.grad for n, t in params.named().items()}
+
+        new_loss, new_attn, new_grads = run()
+        monkeypatch.setattr(ad, "matmul", oracles.matmul_stacked)
+        monkeypatch.setattr(ad, "gather", oracles.gather_add_at)
+        monkeypatch.setattr(ad, "select_rows", oracles.select_rows_add_at)
+        monkeypatch.setattr(model, "interval_attention",
+                            oracles.interval_attention_dense)
+        old_loss, old_attn, old_grads = run()
+        assert abs(new_loss - old_loss) <= 1e-12 * abs(old_loss)
+        np.testing.assert_allclose(new_attn, old_attn, rtol=1e-12, atol=1e-15)
+        largest = max(np.abs(g).max() for g in old_grads.values() if g is not None)
+        for name, g in old_grads.items():
+            if g is None:  # the last layer's center attention feeds nothing
+                assert new_grads[name] is None, name
+                continue
+            scale = np.abs(g).max()
+            if equal_buckets and name == "interval_score_weight":
+                # attention is uniform whatever the scores: zero up to rounding
+                scale = largest
+            assert np.abs(new_grads[name] - g).max() <= 1e-12 * scale, name
 
     def test_unselected_interest_query_rows_get_zero_gradient(self):
         params, a_norm, _, seqs = tiny_setup(1, k=4)
@@ -317,6 +360,34 @@ class TestTrainLoop:
         lines = result.log_path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert all("recall@3=" in ln and "wall=" in ln for ln in lines)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_stops_before_update(self, tmp_path, monkeypatch):
+        bundle = make_bundle()
+        hp = self._hp(max_steps=5, eval_every=5)
+        from gimirec.train import build_adjacency_from_bundle
+        adj = build_adjacency_from_bundle(bundle, hp)
+        finite_tanh = ad.tanh
+
+        def tanh_with_inf_gradient(a):
+            out = finite_tanh(a)
+            out._backward = lambda g: ad._accum(a, np.full_like(a.data, np.inf))
+            return out
+
+        monkeypatch.setattr(ad, "tanh", tanh_with_inf_gradient)
+        result = train_loop(hp, bundle, adj.a_norm, tmp_path / "run", n_eval=3)
+        assert result.diverged and result.steps_run == 1
+        assert result.log_path.read_text() == "step=1 diverged: non-finite gradient\n"
+        from gimirec.model import load_checkpoint
+        ckpt = load_checkpoint(result.checkpoint_path, dtype=np.float64)
+        dims = ModelDims(bundle.split.item_vocab.size, hp.d, hp.k, hp.l_rec,
+                         hp.l_time, hp.n_heads, hp.n_layers)
+        init = ModelParams.init(dims, np.random.default_rng(hp.seed),
+                                dtype=np.float64)
+        for name, t in init.named().items():
+            np.testing.assert_array_equal(
+                ckpt.named()[name].data,
+                t.data.astype(np.float32).astype(np.float64))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_checkpoint(self, tmp_path):
