@@ -2,10 +2,11 @@
 
 A deliberately small tape: only the primitives the recommender needs
 (broadcast arithmetic, batched matmul, shape moves, table gathers, bucket
-sums, masked softmax, log-sum-exp, sparse-dense products). Gradients
-propagate in the same dtype as the forward values; training runs in
-float32, oracles and gradient checks in float64. Gradient arrays are never
-mutated in place, so sharing a grad buffer between consumers is safe.
+sums, masked softmax, log-sum-exp, sparse-dense products over all rows or
+selected ones). Gradients propagate in the same dtype as the forward
+values; training runs in float32, oracles and gradient checks in float64.
+Gradient arrays are never mutated in place, so sharing a grad buffer
+between consumers is safe.
 """
 
 from __future__ import annotations
@@ -380,6 +381,25 @@ def spmm(a_sparse, a_sparse_t, x: Tensor) -> Tensor:
 
     def bwd(g):
         _accum(x, a_sparse_t @ g)
+
+    return _node(data, (x,), bwd)
+
+
+def spmm_rows(a_sparse: sp.csr_matrix, x: Tensor, rows: np.ndarray) -> Tensor:
+    """Selected rows of a fixed sparse product: ``(a_sparse @ x)[rows]``.
+
+    The result keeps the full (n_rows, d) shape: the listed rows are exact
+    (row slicing keeps each row's summation order) and every other row is
+    zero. The backward pass is the exact transpose of the sliced matrix,
+    ``a_sparse[rows].T @ g[rows]``, so no symmetry is assumed.
+    """
+    sub = a_sparse[rows]
+    data = np.zeros((a_sparse.shape[0],) + x.data.shape[1:],
+                    dtype=np.result_type(a_sparse.dtype, x.data.dtype))
+    data[rows] = sub @ x.data
+
+    def bwd(g):
+        _accum(x, sub.T @ g[rows])
 
     return _node(data, (x,), bwd)
 

@@ -23,7 +23,7 @@ from .config import ConfigError, PRESETS, load_config
 from .global_context import (global_embeddings, read_adjacency, write_adjacency,
                              write_global_embeddings)
 from .ingest import load_bundle, prepare
-from .model import ModelDims, ModelParams, load_checkpoint
+from .model import ModelDims, ModelParams, cast_adjacency, load_checkpoint
 from .serve_eval import evaluate, infer_interests, top_n, compute_global_table
 from .synthetic import PlantedConfig, planted_cluster_records, write_log
 from .train import build_adjacency_from_bundle, run_gradient_checks, train_loop
@@ -74,10 +74,17 @@ def _load_model_inputs(args):
     bundle = load_bundle(args.bundle)
     adj_path = Path(args.adjacency) if args.adjacency else Path(args.bundle) / "adjacency.bin"
     _require(adj_path, "run `gimirec gce --bundle ... --out ...` first")
+    ckpt_path = _require(Path(args.checkpoint), "run `gimirec train` first")
     a_norm = read_adjacency(adj_path)
-    params = load_checkpoint(_require(Path(args.checkpoint),
-                                      "run `gimirec train` first"))
-    return bundle, a_norm.astype(params.dtype), params
+    params = load_checkpoint(ckpt_path)
+    if a_norm.shape[0] != params.dims.n_items:
+        raise ValueError(f"{adj_path} has {a_norm.shape[0]} rows but {ckpt_path} "
+                         f"has {params.dims.n_items} items")
+    try:
+        a_norm = cast_adjacency(a_norm, params.dtype)
+    except ValueError as exc:
+        raise ValueError(f"{adj_path} (for {ckpt_path}): {exc}") from exc
+    return bundle, a_norm, params
 
 
 def cmd_prepare(args) -> int:

@@ -1,9 +1,9 @@
 """Model parameters, the shared forward pass and checkpoint serialization.
 
 The same forward path serves training and inference: global embeddings via
-the fixed normalized adjacency, interval attention over the recent window,
-layered aggregation with the virtual center node, then K-interest
-extraction.
+the fixed normalized adjacency (only the rows a batch reads), interval
+attention over the recent window, layered aggregation with the virtual
+center node, then K-interest extraction.
 """
 
 from __future__ import annotations
@@ -120,18 +120,31 @@ def forward_interests(params: ModelParams, a_norm: sp.csr_matrix,
                       rng: np.random.Generator | None = None,
                       residual: bool = False,
                       trace: dict | None = None,
-                      e_global_override: ad.Tensor | None = None) -> tuple[ad.Tensor, dict]:
+                      e_global_override: ad.Tensor | None = None,
+                      extra_rows: tuple[np.ndarray, ...] = ()) -> tuple[ad.Tensor, dict]:
     """Window batch -> (interests (B, K, d), aux tensors).
 
-    aux carries the global table (for target/negative lookups), the per-item
-    matrix and the interest attention. ``e_global_override`` substitutes a
-    precomputed global table (it then acts as an independent leaf).
+    aux carries the global table, the per-item matrix and the interest
+    attention. The global table has all V rows but only those the caller
+    reads are computed: the window items and the indices in ``extra_rows``
+    (a loss passes its targets and negatives); every other row is zero.
+    ``e_global_override`` substitutes a precomputed global table (it then
+    acts as an independent leaf).
     """
     dims = params.dims
     if e_global_override is not None:
         e_global = e_global_override
     else:
-        e_global = ad.spmm(a_norm, a_norm, params.item_table)     # (V, d)
+        n_items = params.item_table.shape[0]
+        if a_norm.shape != (n_items, n_items):
+            raise ValueError(f"adjacency shape {a_norm.shape} does not match "
+                             f"the item table's {n_items} rows")
+        read = np.zeros(n_items, dtype=bool)
+        read[item_idx] = True
+        for idx in extra_rows:
+            read[idx] = True
+        e_global = ad.spmm_rows(a_norm, params.item_table,
+                                np.flatnonzero(read))              # (V, d)
     global_rows = ad.gather(e_global, item_idx)                   # (B, L, d)
     e_time = interval_attention(buckets, params.interval_table,
                                 params.interval_score_w, mask, trace=trace)
@@ -177,7 +190,8 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> ModelParams:
     """Read a checkpoint; a malformed container raises ``ValueError``.
 
     Each tensor's declared shape is checked against the header dims before
-    its values are read, and the file must end exactly after the last one.
+    its values are read, the values must be finite, and the file must end
+    exactly after the last tensor.
     """
     raw = Path(path).read_bytes()
     if raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -201,6 +215,10 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> ModelParams:
     if min(header) < 1:
         raise ValueError(f"{path}: model dims must be positive, got {header}")
     dims = ModelDims(*header)
+    # the shape table grows with the layer count: bound it by the file first
+    if dims.n_layers > len(raw):
+        raise ValueError(f"{path}: {dims.n_layers} layers cannot fit in "
+                         f"{len(raw)} bytes")
     expected = ModelParams.tensor_shapes(dims)
     tensors = {}
     for _ in range(int(read("<u4", 1, "header")[0])):
@@ -214,6 +232,8 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> ModelParams:
             raise ValueError(f"{path}: tensor {name!r} has shape {shape}, "
                              f"model dims imply {expected[name]}")
         data = read("<f4", math.prod(shape), name).reshape(shape).astype(dtype)
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"{path}: non-finite value in tensor {name!r}")
         tensors[name] = ad.Tensor(data, requires_grad=True)
     if set(tensors) != set(expected):
         raise ValueError("checkpoint tensor names do not match model dims")

@@ -68,7 +68,9 @@ def top_n(interest_vectors: np.ndarray, e_global: np.ndarray, n: int,
     """Exact max-inner-product scan over all items.
 
     Each item's score is the max over the K interests; padding and excluded
-    items never appear; ties rank the smaller index first.
+    items never appear; ties rank the smaller index first. Only the items
+    scoring at least the N-th best are sorted, which gives the same list as
+    a stable sort of all scores.
     """
     exclude = exclude or set()
     vectors = np.atleast_2d(interest_vectors)
@@ -79,11 +81,20 @@ def top_n(interest_vectors: np.ndarray, e_global: np.ndarray, n: int,
     candidates = e_global.shape[0] - 1 - len(exclude)
     if n > candidates:
         raise ValueError(f"cannot rank {n} items from {candidates} candidates")
-    return np.argsort(-scores, kind="stable")[:n]
+    if n == 0:
+        return np.empty(0, dtype=np.intp)
+    order = -scores
+    kth = np.partition(order, n - 1)[n - 1]
+    # not '<=': NaN ranks last in the sort, and so must stay a candidate
+    pool = np.flatnonzero(~(order > kth))
+    return pool[np.argsort(order[pool], kind="stable")[:n]]
 
 
 def compute_global_table(params: ModelParams, a_norm: sp.csr_matrix) -> np.ndarray:
-    """Global item embeddings from the current table (forward only)."""
+    """Global item embeddings from the current table (forward only).
+
+    The one full product: scoring the whole catalog reads every row.
+    """
     return global_embeddings(a_norm, params.item_table.data)
 
 
@@ -181,9 +192,12 @@ def evaluate(sequences: list[UserSequence], user_indices: np.ndarray,
 # reference rankers used as baselines in experiments
 
 def popularity_counts(train_sequences: list[UserSequence], vocab_size: int) -> np.ndarray:
-    counts = np.zeros(vocab_size, dtype=np.int64)
-    for seq in train_sequences:
-        np.add.at(counts, seq.items, 1)
+    items = np.concatenate([np.empty(0, dtype=np.int64)]
+                           + [seq.items for seq in train_sequences])
+    counts = np.bincount(items, minlength=vocab_size)
+    if counts.size > vocab_size:
+        raise IndexError(f"item index {counts.size - 1} outside a vocabulary "
+                         f"of {vocab_size}")
     counts[0] = 0
     return counts
 
@@ -191,8 +205,8 @@ def popularity_counts(train_sequences: list[UserSequence], vocab_size: int) -> n
 def popularity_top_n(counts: np.ndarray, n: int, exclude: set | None = None) -> np.ndarray:
     scores = counts.astype(np.float64)
     scores[0] = -np.inf
-    for idx in exclude or ():
-        scores[idx] = -np.inf
+    if exclude:
+        scores[np.fromiter(exclude, dtype=np.int64)] = -np.inf
     return np.argsort(-scores, kind="stable")[:n]
 
 

@@ -1,6 +1,6 @@
 """Training: example sampling, sampled-softmax loss, Adam, gradient checks.
 
-The loss runs the full pipeline (sparse global product -> recent interval
+The loss runs the full pipeline (sparse global rows -> recent interval
 attention -> aggregation -> interest extraction -> target-driven selection)
 and is differentiated end to end by the autodiff tape. A central-difference
 checker validates every parameter tensor on tiny 64-bit models.
@@ -119,11 +119,15 @@ def batch_loss(params: ModelParams, a_norm: sp.csr_matrix, batch: Batch,
                residual: bool = False,
                trace: dict | None = None,
                e_global_override: ad.Tensor | None = None) -> tuple[ad.Tensor, dict]:
-    """Mean sampled-softmax loss over the batch; full forward pipeline."""
+    """Mean sampled-softmax loss over the batch; full forward pipeline.
+
+    Only the global rows of the windows, targets and negatives are computed.
+    """
     interests, aux = forward_interests(
         params, a_norm, batch.item_idx, batch.buckets, batch.mask,
         dropout_rate=dropout_rate, rng=rng, residual=residual, trace=trace,
-        e_global_override=e_global_override)
+        e_global_override=e_global_override,
+        extra_rows=(batch.targets, batch.negatives))
     e_global = aux["e_global"]
     target_emb = ad.gather(e_global, batch.targets)
     chosen, selected = select_training_interest(interests, target_emb)

@@ -299,3 +299,9 @@ def interval_attention_dense(buckets, interval_table, score_weight, mask,
     e_time = ad.reshape(matmul_stacked(ad.reshape(probs, (b, l, 1, l)), t_emb), (b, l, d))
     maskf = mask[:, :, None].astype(interval_table.dtype)
     return ad.mul(e_time, ad.Tensor(maskf))
+
+
+def spmm_full_table(a_sparse, x, rows):
+    """``ad.spmm_rows`` as the full-table product it replaced: every row of
+    ``a_sparse @ x`` is computed, whichever rows are read."""
+    return ad.spmm(a_sparse, a_sparse.T.tocsr(), x)

@@ -160,6 +160,25 @@ def test_spmm_matches_dense():
     np.testing.assert_array_equal(ad.spmm(a, a_t, x).data, a @ x.data)
 
 
+def test_spmm_rows_is_exact_on_its_rows_and_zero_elsewhere():
+    rng = np.random.default_rng(15)
+    dense = rng.random((7, 7))
+    dense[dense < 0.5] = 0.0  # not symmetric: the backward must transpose
+    a = sp.csr_matrix(dense)
+    rows = np.array([0, 2, 3, 6])
+    x = leaf(rng, 7, 3)
+    fd_check(lambda t: ad.spmm_rows(a, t, rows), [x])
+    out = ad.spmm_rows(a, x, rows).data
+    np.testing.assert_array_equal(out[rows], (a @ x.data)[rows])
+    np.testing.assert_array_equal(np.delete(out, rows, axis=0), 0.0)
+    x.grad = None
+    g = rng.normal(size=(7, 3))
+    ad.sumt(ad.mul(ad.spmm_rows(a, x, rows), ad.Tensor(g))).backward()
+    kept = np.zeros_like(g)
+    kept[rows] = g[rows]
+    np.testing.assert_allclose(x.grad, dense.T @ kept, rtol=1e-14, atol=1e-15)
+
+
 def test_broadcast_to():
     rng = np.random.default_rng(10)
     x = leaf(rng, 2, 1, 3)

@@ -1,14 +1,17 @@
 """Hyperparameter resolution, presets and the command-line pipeline."""
 
 import json
+import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gimirec.cli import main
 from gimirec.config import ConfigError, HyperParams, PRESETS, load_config
-from gimirec.global_context import AblationVariant
+from gimirec.global_context import AblationVariant, read_adjacency, write_adjacency
 from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 
 
@@ -131,6 +134,38 @@ class TestCliPipeline:
                      "--users", "0,1", "-n", "3", *SMALL]) == 0
         out = capsys.readouterr().out
         assert out.count("user ") == 2
+
+    @pytest.mark.parametrize("defect, match", [
+        ("asymmetric", "must be symmetric"),
+        ("extra_row", "has 42 rows but .* has 41 items"),
+    ], ids=["asymmetric", "extra_row"])
+    def test_recommend_rejects_adjacency_not_matching_checkpoint(
+            self, mini_corpus, tmp_path, capsys, defect, match):
+        root = mini_corpus
+        bundle = tmp_path / "bundle"
+        assert main(["prepare", "--input", str(root / "log.csv"),
+                     "--out", str(bundle), "--set", "seed=5"]) == 0
+        assert main(["gce", "--bundle", str(bundle), "--out", str(bundle),
+                     *SMALL]) == 0
+        assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path),
+                     *SMALL, "--set", "max_steps=0"]) == 0
+        good = read_adjacency(bundle / "adjacency.bin")
+        if defect == "asymmetric":
+            bad = good.copy()
+            rows = np.repeat(np.arange(good.shape[0]), np.diff(good.indptr))
+            bad.data[np.flatnonzero(rows != good.indices)[0]] *= 2.0
+        else:
+            bad = sp.block_diag([good, sp.identity(1)]).tocsr()
+        adj_path = tmp_path / f"{defect}.bin"
+        write_adjacency(adj_path, SimpleNamespace(a_norm=bad))
+        ckpt_path = tmp_path / "checkpoint.bin"
+        capsys.readouterr()
+        assert main(["recommend", "--bundle", str(bundle),
+                     "--checkpoint", str(ckpt_path), "--adjacency", str(adj_path),
+                     "--users", "0", "-n", "3", *SMALL]) == 1
+        err = capsys.readouterr().err
+        assert str(adj_path) in err and str(ckpt_path) in err
+        assert re.search(match, err), err
 
     def test_prepare_is_deterministic(self, mini_corpus):
         root = mini_corpus

@@ -1,14 +1,17 @@
 """Co-occurrence accumulation, adjacency algebra and the exported containers."""
 
+import contextlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gimirec.global_context import (AblationVariant, build_weighted_adjacency,
                                     extract_hop_pairs, global_embeddings,
                                     occurrence_weight, read_adjacency,
                                     write_adjacency, write_global_embeddings)
 from gimirec.ingest import UserSequence
+from gimirec.model import cast_adjacency
 
 from conftest import acc_from_dicts, hop_dicts, random_sequences
 from oracles import (hop_pairs_oracle, normalized_adjacency_oracle,
@@ -242,6 +245,28 @@ class TestContainers:
         path.write_bytes(b"NOT-A-MAGIC" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             read_adjacency(path)
+
+    @given(cut=st.integers(0, 2**20),
+           flips=st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 255)),
+                          min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_truncated_or_corrupted_adjacency_fails_cleanly(
+            self, tmp_path, tiny_adjacency, cut, flips):
+        path = tmp_path / "adjacency.bin"
+        write_adjacency(path, tiny_adjacency)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut % len(raw)])
+        with pytest.raises(ValueError):
+            read_adjacency(path)
+        bad = bytearray(raw)
+        for offset, mask in flips:
+            bad[offset % len(raw)] ^= mask
+        path.write_bytes(bytes(bad))
+        # read, then the symmetry check a model load adds; a changed
+        # diagonal value keeps the matrix valid, so loading may succeed
+        with contextlib.suppress(ValueError):
+            cast_adjacency(read_adjacency(path), np.float32)
 
     @pytest.mark.parametrize("corrupt, match", [
         (lambda m: {"shape": (3, 4)}, "square"),

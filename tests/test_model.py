@@ -1,7 +1,11 @@
 """Parameter container, shared forward pass and checkpoint format."""
 
+import contextlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gimirec import autodiff as ad
 from gimirec.model import (CHECKPOINT_MAGIC, ModelDims, ModelParams,
@@ -74,6 +78,8 @@ class TestCheckpoint:
         ("truncated_header", "truncated in header"),
         ("zero_dim", "dims must be positive"),
         ("repeated_tensor", "repeated tensor 'item_embeddings'"),
+        ("nan_value", "non-finite value in tensor 'layer1.center.wo'"),
+        ("huge_layer_count", "2199023255554 layers cannot fit"),
     ])
     def test_malformed_checkpoint_rejected(self, tmp_path, case, match):
         path = tmp_path / "checkpoint.bin"
@@ -96,9 +102,33 @@ class TestCheckpoint:
             "zero_dim": raw[:22] + np.array([0], "<i8").tobytes() + raw[30:],
             "repeated_tensor": raw[:second - 4] + np.uint32(15).tobytes()
                                + b"item_embeddings" + raw[second + 19:],
+            "nan_value": raw[:-4] + np.array([np.nan], "<f4").tobytes(),
+            "huge_layer_count": raw[:62] + np.array([2 + 2**41], "<i8").tobytes()
+                                + raw[70:],
         }[case]
         path.write_bytes(bad)
         with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
+    @given(cut=st.integers(0, 2**20),
+           flips=st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 255)),
+                          min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_truncated_or_corrupted_checkpoint_fails_cleanly(self, tmp_path,
+                                                             cut, flips):
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, fresh_params(dtype=np.float32))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut % len(raw)])
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+        bad = bytearray(raw)
+        for offset, mask in flips:
+            bad[offset % len(raw)] ^= mask
+        path.write_bytes(bytes(bad))
+        # a changed value can still be a valid float: loading may succeed
+        with contextlib.suppress(ValueError):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
@@ -131,6 +161,17 @@ class TestForward:
         mask = np.array([[False, True, True, True]])
         out, _ = forward_interests(params, a, items, buckets, mask)
         assert out.dtype == np.float32
+
+    def test_adjacency_of_another_catalog_rejected(self, tiny_adjacency):
+        params = fresh_params()
+        a = cast_adjacency(sp.block_diag([tiny_adjacency.a_norm,
+                                          sp.identity(1)]).tocsr(), np.float64)
+        items = np.array([[0, 1, 2, 3]])
+        buckets = np.zeros((1, 4, 4), dtype=np.int64)
+        mask = np.array([[False, True, True, True]])
+        with pytest.raises(ValueError, match=r"adjacency shape \(10, 10\) does "
+                                             r"not match the item table's 9 rows"):
+            forward_interests(params, a, items, buckets, mask)
 
     def test_asymmetric_adjacency_rejected(self):
         import scipy.sparse as sp

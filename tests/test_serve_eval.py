@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gimirec import autodiff as ad
 from gimirec.ingest import UserSequence
 from gimirec.model import ModelDims, ModelParams, cast_adjacency, forward_interests
 from gimirec.recent import make_window, stack_windows
-from gimirec.serve_eval import (MetricRow, MetricsReport, compute_global_table,
+from gimirec.serve_eval import (MetricRow, MetricsReport, _batched_interests,
+                                compute_global_table,
                                 evaluate, evaluate_ranker, infer_interests,
                                 metrics, popularity_counts, popularity_top_n,
                                 random_top_n, top_n)
 
+import oracles
 from oracles import metrics_oracle
 
 
@@ -96,6 +100,23 @@ class TestTopN:
             expect = sorted(range(1, 25), key=lambda i: (-scores[i], i))
             np.testing.assert_array_equal(ranked, expect)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_stable_argsort_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        n_rows = int(rng.integers(1, 30))
+        e_global = rng.integers(-2, 3, size=(n_rows, 2)).astype(np.float64)
+        if rng.random() < 0.3:
+            e_global[rng.integers(n_rows, size=rng.integers(1, 4))] = np.nan
+        vectors = rng.integers(-2, 3, size=(int(rng.integers(1, 4)), 2))
+        exclude = set(rng.integers(1, n_rows, size=rng.integers(0, n_rows)).tolist())
+        scores = (e_global @ vectors.T.astype(np.float64)).max(axis=1)
+        scores[[0, *exclude]] = -np.inf
+        full = np.argsort(-scores, kind="stable")
+        for n in range(n_rows - len(exclude)):
+            np.testing.assert_array_equal(
+                top_n(vectors, e_global, n, exclude), full[:n])
+
     def test_too_many_requested(self):
         with pytest.raises(ValueError):
             top_n(np.ones((1, 2)), np.zeros((4, 2)), 4)
@@ -132,6 +153,24 @@ class TestInferAndEvaluate:
         items, buckets, mask = stack_windows([window], params.dims.l_time, 1)
         expect, _ = forward_interests(params, a_norm, items, buckets, mask)
         np.testing.assert_array_equal(got, expect.data[0])
+
+    def test_batched_interests_match_full_global_table(self, monkeypatch):
+        seqs, params, a_norm = build_model(6)
+        params, a_norm = params.astype(np.float32), a_norm.astype(np.float32)
+        # single-item, partial and full windows (l_rec = 4); a fully padded
+        # one is rejected the same way by both
+        picks, prefixes = seqs[:3], [1, 2, 6]
+
+        def run():
+            with pytest.raises(ValueError, match="no center"):
+                _batched_interests(picks[:1], [0], params, a_norm, 1, False)
+            return _batched_interests(picks, prefixes, params, a_norm, 1, False)
+
+        new = run()
+        monkeypatch.setattr(ad, "spmm_rows", oracles.spmm_full_table)
+        old = run()
+        assert new.dtype == np.float32
+        np.testing.assert_array_equal(new, old)
 
     def test_prefix_floor_rule(self):
         # 5 interactions -> prefix 4, ground truth 1

@@ -190,6 +190,38 @@ class TestLossAndGradients:
                 scale = largest
             assert np.abs(new_grads[name] - g).max() <= 1e-12 * scale, name
 
+    def test_batch_loss_matches_full_global_table(self, monkeypatch):
+        params, a_norm, _, seqs = tiny_setup(6, n_items=40, d=8, k=3, l_rec=4,
+                                             n_layers=2)
+        stream = make_examples(np.arange(4), seqs, 4, 3, 40,
+                               np.random.default_rng(12))
+        batch = build_batch([next(stream) for _ in range(8)],
+                            params.dims.l_time, 1)
+        window = set(batch.item_idx.ravel().tolist())
+        targets = set(batch.targets.tolist())
+        negatives = set(batch.negatives.ravel().tolist())
+        # some rows are read only as a target, some only as a negative
+        assert targets - window - negatives and negatives - window - targets
+        read = sorted(window | targets | negatives)
+
+        def run():
+            params.zero_grad()
+            value, aux = batch_loss(params, a_norm, batch)
+            value.backward()
+            return value.item(), aux["e_global"].data, {
+                n: t.grad for n, t in params.named().items()}
+
+        new_loss, new_table, new_grads = run()
+        monkeypatch.setattr(ad, "spmm_rows", oracles.spmm_full_table)
+        old_loss, old_table, old_grads = run()
+        assert new_loss == old_loss
+        np.testing.assert_array_equal(new_table[read], old_table[read])
+        for name, g in old_grads.items():
+            if g is None:  # the last layer's center attention feeds nothing
+                assert new_grads[name] is None, name
+                continue
+            assert np.abs(new_grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
     def test_unselected_interest_query_rows_get_zero_gradient(self):
         params, a_norm, _, seqs = tiny_setup(1, k=4)
         # window needs >= 2 real items, else the position softmax is constant
