@@ -11,24 +11,29 @@ between consumers is safe.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import scipy.sparse as sp
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    enabled = True    # per thread: evaluation workers enter no_grad concurrently
+
+
+_GRAD_MODE = _GradMode()
 
 
 class no_grad:
-    """Disable graph construction inside a ``with`` block (forward only)."""
+    """Disable graph construction in this thread inside a ``with`` block."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *_exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_MODE.enabled = self._prev
         return False
 
 
@@ -99,7 +104,7 @@ def _wrap(x) -> Tensor:
 
 def _node(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

@@ -77,6 +77,9 @@ def _load_model_inputs(args):
     ckpt_path = _require(Path(args.checkpoint), "run `gimirec train` first")
     a_norm = read_adjacency(adj_path)
     params = load_checkpoint(ckpt_path)
+    if bundle.split.item_vocab.size != params.dims.n_items:
+        raise ValueError(f"{args.bundle} has {bundle.split.item_vocab.size} item "
+                         f"rows but {ckpt_path} has {params.dims.n_items} items")
     if a_norm.shape[0] != params.dims.n_items:
         raise ValueError(f"{adj_path} has {a_norm.shape[0]} rows but {ckpt_path} "
                          f"has {params.dims.n_items} items")

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .ingest import UserSequence
+from .ingest import BinaryReader, UserSequence
 
 HOPS = (1, 2, 3)
 
@@ -192,27 +192,15 @@ def write_adjacency(path: str | Path, adj: NormalizedAdjacency) -> None:
 
 
 def read_adjacency(path: str | Path) -> sp.csr_matrix:
-    raw = Path(path).read_bytes()
-    if raw[:len(ADJACENCY_MAGIC)] != ADJACENCY_MAGIC:
-        raise ValueError(f"{path}: not an adjacency container (bad magic)")
-    pos = len(ADJACENCY_MAGIC)
-
-    def read(dtype: str, count: int):
-        nonlocal pos
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
-        pos += arr.nbytes
-        return arr
-
-    n_rows, n_cols, nnz = (int(x) for x in read("<i8", 3))
+    reader = BinaryReader(path, ADJACENCY_MAGIC)
+    n_rows, n_cols, nnz = (int(x) for x in reader.read("<i8", 3, "header"))
     if n_rows != n_cols or n_rows < 0 or nnz < 0:
         raise ValueError(f"{path}: shape ({n_rows}, {n_cols}), nnz {nnz}: "
                          "not a square matrix")
-    expected = pos + 8 * (n_rows + 1 + 2 * nnz)
-    if len(raw) != expected:
-        raise ValueError(f"{path}: {len(raw)} bytes, the header implies {expected}")
-    indptr = read("<i8", n_rows + 1).astype(np.int64)
-    indices = read("<i8", nnz).astype(np.int64)
-    data = read("<f8", nnz).astype(np.float64)
+    indptr = reader.read("<i8", n_rows + 1, "indptr").astype(np.int64)
+    indices = reader.read("<i8", nnz, "indices").astype(np.int64)
+    data = reader.read("<f8", nnz, "values").astype(np.float64)
+    reader.finish()
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
         raise ValueError(f"{path}: indptr must rise monotonically from 0 to nnz")
     if nnz and (indices.min() < 0 or indices.max() >= n_cols):

@@ -3,7 +3,9 @@
 Parses delimited logs, drops non-positive timestamps, applies the iterative
 5-interaction user/item filter, assigns dense indices (item index 0 is the
 padding slot), splits users 8:1:1 and reads/writes the on-disk dataset
-bundle (vocab.tsv / sequences.bin / split.json).
+bundle (vocab.tsv / sequences.bin / split.json). ``BinaryReader`` is the
+bounded reader every binary container (bundle, adjacency, checkpoint) loads
+through.
 """
 
 from __future__ import annotations
@@ -195,6 +197,31 @@ def split_users(sequences: list[UserSequence], seed: int, item_vocab: Vocab) -> 
     )
 
 
+class BinaryReader:
+    """Bounded reads from one binary container; ``finish`` rejects trailing
+    bytes. Every failure is a ``ValueError`` that names the file."""
+
+    def __init__(self, path: str | Path, magic: bytes = b""):
+        self.path = path
+        self.raw = Path(path).read_bytes()
+        if not self.raw.startswith(magic):
+            raise ValueError(f"{path}: bad magic (expected {magic!r})")
+        self.pos = len(magic)
+
+    def read(self, dtype: str, count: int, what: str) -> np.ndarray:
+        end = self.pos + np.dtype(dtype).itemsize * count
+        if count < 0 or end > len(self.raw):
+            raise ValueError(f"{self.path}: truncated in {what} (needs {end} "
+                             f"bytes, file has {len(self.raw)})")
+        arr = np.frombuffer(self.raw, dtype=dtype, count=count, offset=self.pos)
+        self.pos = end
+        return arr
+
+    def finish(self) -> None:
+        if self.pos != len(self.raw):
+            raise ValueError(f"{self.path}: {len(self.raw) - self.pos} trailing bytes")
+
+
 # ---------------------------------------------------------------------------
 # dataset bundle on disk
 #
@@ -247,31 +274,34 @@ def load_bundle(in_dir: str | Path) -> DatasetBundle:
             for line in fh:
                 _, raw = line.rstrip("\n").split("\t")
                 user_ids.append(raw)
-    raw_bytes = (src / "sequences.bin").read_bytes()
-    pos = 0
-
-    def read(dtype: str, count: int):
-        nonlocal pos
-        arr = np.frombuffer(raw_bytes, dtype=dtype, count=count, offset=pos)
-        pos += arr.nbytes
-        return arr
-
-    n_users = int(read("<u8", 1)[0])
+    seq_path = src / "sequences.bin"
+    reader = BinaryReader(seq_path)
+    n_users = int(reader.read("<u8", 1, "header")[0])
     sequences = []
-    for _ in range(n_users):
-        header = read("<u8", 2)
-        u, n = int(header[0]), int(header[1])
-        items = read("<u4", n).astype(np.int64)
-        ts = read("<i8", n).astype(np.int64)
-        sequences.append(UserSequence(u, items, ts))
-    sequences.sort(key=lambda s: s.user_index)
-    manifest = json.loads((src / "split.json").read_text(encoding="utf-8"))
-    split = DatasetSplit(
-        train_users=np.asarray(manifest["train_users"], dtype=np.int64),
-        valid_users=np.asarray(manifest["valid_users"], dtype=np.int64),
-        test_users=np.asarray(manifest["test_users"], dtype=np.int64),
-        item_vocab=vocab,
-    )
+    for expected in range(n_users):
+        u, n = (int(x) for x in reader.read("<u8", 2, "user header"))
+        if u != expected:
+            raise ValueError(f"{seq_path}: user index {u} where {expected} "
+                             "belongs (indices must run 0..user_count-1)")
+        items = reader.read("<u4", n, f"user {u}").astype(np.int64)
+        if n and (items.min() < 1 or items.max() > vocab.num_real):
+            raise ValueError(f"{seq_path}: user {u} has an item index outside "
+                             f"1..{vocab.num_real}")
+        ts = reader.read("<i8", n, f"user {u}").astype(np.int64)
+        try:
+            sequences.append(UserSequence(u, items, ts))
+        except ValueError as exc:
+            raise ValueError(f"{seq_path}: user {u}: {exc}") from exc
+    reader.finish()
+    split_path = src / "split.json"
+    manifest = json.loads(split_path.read_text(encoding="utf-8"))
+    keys = ("train_users", "valid_users", "test_users")
+    for key in keys:
+        if not all(type(u) is int and 0 <= u < n_users for u in manifest[key]):
+            raise ValueError(f"{split_path}: {key} holds an entry that is not "
+                             f"a user index in 0..{n_users - 1}")
+    split = DatasetSplit(*(np.asarray(manifest[k], dtype=np.int64) for k in keys),
+                         item_vocab=vocab)
     if not user_ids:
         user_ids = [f"user{u}" for u in range(n_users)]
     return DatasetBundle(sequences, split, user_ids)

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .aggregate import AttnProjs, LayerParams, aggregate_layers, hybrid_embeddings
+from .ingest import BinaryReader
 from .interests import extract_interests
 from .recent import interval_attention
 
@@ -108,10 +109,14 @@ class ModelParams:
 
 
 def cast_adjacency(a_norm: sp.csr_matrix, dtype) -> sp.csr_matrix:
-    """Adjacency in the model dtype; must be symmetric (checked)."""
+    """Adjacency in the model dtype; must be symmetric and stay finite (checked)."""
     if (a_norm != a_norm.T).nnz != 0:
         raise ValueError("normalized adjacency must be symmetric")
-    return a_norm.astype(dtype)
+    with np.errstate(over="ignore"):
+        cast = a_norm.astype(dtype)
+    if not np.all(np.isfinite(cast.data)):
+        raise ValueError(f"adjacency value overflows {np.dtype(dtype)}")
+    return cast
 
 
 def forward_interests(params: ModelParams, a_norm: sp.csr_matrix,
@@ -193,50 +198,36 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> ModelParams:
     its values are read, the values must be finite, and the file must end
     exactly after the last tensor.
     """
-    raw = Path(path).read_bytes()
-    if raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic)")
-    pos = len(CHECKPOINT_MAGIC)
-
-    def read(dt: str, count: int, what: str):
-        nonlocal pos
-        end = pos + np.dtype(dt).itemsize * count
-        if end > len(raw):
-            raise ValueError(f"{path}: truncated in {what} (needs {end} bytes, "
-                             f"file has {len(raw)})")
-        arr = np.frombuffer(raw, dtype=dt, count=count, offset=pos)
-        pos = end
-        return arr
-
-    version = int(read("<u4", 1, "header")[0])
+    reader = BinaryReader(path, CHECKPOINT_MAGIC)
+    version = int(reader.read("<u4", 1, "header")[0])
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    header = [int(x) for x in read("<i8", 7, "header")]
+    header = [int(x) for x in reader.read("<i8", 7, "header")]
     if min(header) < 1:
         raise ValueError(f"{path}: model dims must be positive, got {header}")
     dims = ModelDims(*header)
     # the shape table grows with the layer count: bound it by the file first
-    if dims.n_layers > len(raw):
+    if dims.n_layers > len(reader.raw):
         raise ValueError(f"{path}: {dims.n_layers} layers cannot fit in "
-                         f"{len(raw)} bytes")
+                         f"{len(reader.raw)} bytes")
     expected = ModelParams.tensor_shapes(dims)
     tensors = {}
-    for _ in range(int(read("<u4", 1, "header")[0])):
-        name_len = int(read("<u4", 1, "tensor name")[0])
-        name = read("u1", name_len, "tensor name").tobytes().decode("utf-8", "replace")
+    for _ in range(int(reader.read("<u4", 1, "header")[0])):
+        name_len = int(reader.read("<u4", 1, "tensor name")[0])
+        raw_name = reader.read("u1", name_len, "tensor name").tobytes()
+        name = raw_name.decode("utf-8", "replace")
         if name not in expected or name in tensors:
             raise ValueError(f"{path}: unexpected or repeated tensor {name!r}")
-        ndim = int(read("<u4", 1, name)[0])
-        shape = tuple(int(x) for x in read("<i8", ndim, name))
+        ndim = int(reader.read("<u4", 1, name)[0])
+        shape = tuple(int(x) for x in reader.read("<i8", ndim, name))
         if shape != expected[name]:
             raise ValueError(f"{path}: tensor {name!r} has shape {shape}, "
                              f"model dims imply {expected[name]}")
-        data = read("<f4", math.prod(shape), name).reshape(shape).astype(dtype)
+        data = reader.read("<f4", math.prod(shape), name).reshape(shape).astype(dtype)
         if not np.all(np.isfinite(data)):
             raise ValueError(f"{path}: non-finite value in tensor {name!r}")
         tensors[name] = ad.Tensor(data, requires_grad=True)
     if set(tensors) != set(expected):
         raise ValueError("checkpoint tensor names do not match model dims")
-    if pos != len(raw):
-        raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the last tensor")
+    reader.finish()
     return ModelParams(dims, tensors)

@@ -121,8 +121,8 @@ def _batched_interests(seqs: list[UserSequence], prefix_lens: list[int],
     return interests.data
 
 
-def _holdout_jobs(sequences: list[UserSequence], user_indices: np.ndarray,
-                  exclude_prefix: bool) -> list[tuple]:
+def _holdout_jobs(sequences: list[UserSequence],
+                  user_indices: np.ndarray) -> list[tuple]:
     """(sequence, prefix length, truth set, excluded items) per scored user.
 
     Prefix = first floor(0.8 N) interactions (integer arithmetic), ground
@@ -135,8 +135,7 @@ def _holdout_jobs(sequences: list[UserSequence], user_indices: np.ndarray,
         truth = set(seq.items[prefix:].tolist())
         if prefix < 1 or not truth:
             continue
-        exclude = set(seq.items[:prefix].tolist()) if exclude_prefix else set()
-        jobs.append((seq, prefix, truth, exclude))
+        jobs.append((seq, prefix, truth, set(seq.items[:prefix].tolist())))
     return jobs
 
 
@@ -154,14 +153,13 @@ def _mean_report(per_user: list[dict], n_list: tuple[int, ...]) -> MetricsReport
 def evaluate(sequences: list[UserSequence], user_indices: np.ndarray,
              params: ModelParams, a_norm: sp.csr_matrix,
              n_list: tuple[int, ...] = (20, 50), time_unit_seconds: int = 86400,
-             residual: bool = False, exclude_prefix: bool = True,
-             threads: int = 1) -> MetricsReport:
+             residual: bool = False, threads: int = 1) -> MetricsReport:
     """80/20 protocol over the given users (see ``_holdout_jobs``).
 
     Prefix items are excluded from the candidate pool; a user with fewer
     candidates than max(n_list) is scored on the shorter ranked list.
     """
-    jobs = _holdout_jobs(sequences, user_indices, exclude_prefix)
+    jobs = _holdout_jobs(sequences, user_indices)
     if not jobs:
         return _mean_report([], n_list)
 
@@ -203,11 +201,14 @@ def popularity_counts(train_sequences: list[UserSequence], vocab_size: int) -> n
 
 
 def popularity_top_n(counts: np.ndarray, n: int, exclude: set | None = None) -> np.ndarray:
+    """Most frequent candidates first (ties: smaller index); never padding or
+    excluded items, so fewer than n when fewer candidates remain."""
     scores = counts.astype(np.float64)
     scores[0] = -np.inf
     if exclude:
         scores[np.fromiter(exclude, dtype=np.int64)] = -np.inf
-    return np.argsort(-scores, kind="stable")[:n]
+    ranked = np.argsort(-scores, kind="stable")
+    return ranked[:min(n, int(np.isfinite(scores).sum()))]
 
 
 def random_top_n(rng: np.random.Generator, vocab_size: int, n: int,
@@ -218,15 +219,13 @@ def random_top_n(rng: np.random.Generator, vocab_size: int, n: int,
 
 
 def evaluate_ranker(sequences: list[UserSequence], user_indices: np.ndarray,
-                    rank_fn, n_list: tuple[int, ...] = (20,),
-                    exclude_prefix: bool = True) -> MetricsReport:
+                    rank_fn, n_list: tuple[int, ...] = (20,)) -> MetricsReport:
     """Same 80/20 protocol for a plain ranking function (baselines).
 
     rank_fn(n, exclude) -> ranked item indices, at most n of them.
     """
     per_user = []
-    for _, _, truth, exclude in _holdout_jobs(sequences, user_indices,
-                                              exclude_prefix):
+    for _, _, truth, exclude in _holdout_jobs(sequences, user_indices):
         ranked = rank_fn(max(n_list), exclude)
         per_user.append({n: metrics(ranked, truth, n) for n in n_list})
     return _mean_report(per_user, n_list)

@@ -1,5 +1,7 @@
 """Finite-difference checks for every autodiff primitive."""
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -190,6 +192,33 @@ def test_no_grad_builds_no_graph():
     with ad.no_grad():
         y = ad.tanh(x)
     assert y._backward is None and not y.requires_grad
+
+
+def test_no_grad_is_per_thread():
+    # events force the order: enter A, enter B, exit A, exit B
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+
+    def first():
+        with ad.no_grad():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def second():
+        a_in.wait(10)
+        with ad.no_grad():
+            b_in.set()
+            a_out.wait(10)
+
+    workers = [threading.Thread(target=f) for f in (first, second)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(10)
+    assert not any(w.is_alive() for w in workers)
+    assert a_out.is_set()
+    x = ad.Tensor(np.ones(3), requires_grad=True)
+    assert ad.tanh(x).requires_grad
 
 
 def test_grad_accumulates_across_uses():

@@ -138,7 +138,8 @@ class TestCliPipeline:
     @pytest.mark.parametrize("defect, match", [
         ("asymmetric", "must be symmetric"),
         ("extra_row", "has 42 rows but .* has 41 items"),
-    ], ids=["asymmetric", "extra_row"])
+        ("overflow", "adjacency value overflows float32"),
+    ], ids=["asymmetric", "extra_row", "overflow"])
     def test_recommend_rejects_adjacency_not_matching_checkpoint(
             self, mini_corpus, tmp_path, capsys, defect, match):
         root = mini_corpus
@@ -150,10 +151,12 @@ class TestCliPipeline:
         assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path),
                      *SMALL, "--set", "max_steps=0"]) == 0
         good = read_adjacency(bundle / "adjacency.bin")
+        bad = good.copy()
+        rows = np.repeat(np.arange(good.shape[0]), np.diff(good.indptr))
         if defect == "asymmetric":
-            bad = good.copy()
-            rows = np.repeat(np.arange(good.shape[0]), np.diff(good.indptr))
             bad.data[np.flatnonzero(rows != good.indices)[0]] *= 2.0
+        elif defect == "overflow":  # finite in f64, inf once cast to f32
+            bad.data[np.flatnonzero(rows == good.indices)[1]] = 1e300
         else:
             bad = sp.block_diag([good, sp.identity(1)]).tocsr()
         adj_path = tmp_path / f"{defect}.bin"
@@ -166,6 +169,34 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert str(adj_path) in err and str(ckpt_path) in err
         assert re.search(match, err), err
+
+    @pytest.mark.parametrize("command", ["eval", "recommend"])
+    def test_bundle_not_matching_checkpoint_rejected(self, mini_corpus, tmp_path,
+                                                     capsys, command):
+        small = PlantedConfig(n_clusters=2, items_per_cluster=8, n_users=30,
+                              n_hot_items=4, n_tail_items=10,
+                              cluster_draw_frac=(0.6, 0.9))
+        write_log(tmp_path / "small.csv", planted_cluster_records(small, seed=3))
+        small_bundle, bundle = tmp_path / "small", tmp_path / "bundle"
+        assert main(["prepare", "--input", str(tmp_path / "small.csv"),
+                     "--out", str(small_bundle), "--set", "seed=5"]) == 0
+        assert main(["gce", "--bundle", str(small_bundle),
+                     "--out", str(small_bundle), *SMALL]) == 0
+        assert main(["train", "--bundle", str(small_bundle),
+                     "--out", str(tmp_path), *SMALL, "--set", "max_steps=0"]) == 0
+        assert main(["prepare", "--input", str(mini_corpus / "log.csv"),
+                     "--out", str(bundle), "--set", "seed=5"]) == 0
+        ckpt_path = tmp_path / "checkpoint.bin"
+        extra = ["--users", "0"] if command == "recommend" else []
+        capsys.readouterr()
+        # the small run's adjacency matches its checkpoint; the bundle does not
+        assert main([command, "--bundle", str(bundle),
+                     "--checkpoint", str(ckpt_path),
+                     "--adjacency", str(small_bundle / "adjacency.bin"),
+                     *extra, *SMALL]) == 1
+        err = capsys.readouterr().err
+        assert re.search(f"{re.escape(str(bundle))} has 41 item rows but "
+                         f"{re.escape(str(ckpt_path))} has 27 items", err), err
 
     def test_prepare_is_deterministic(self, mini_corpus):
         root = mini_corpus

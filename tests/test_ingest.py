@@ -1,8 +1,11 @@
 """Parsing, filtering, splitting and bundle round trips."""
 
+import contextlib
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gimirec.ingest import (DatasetBundle, InteractionRecord, UserSequence,
                             filter_and_index, load_bundle, parse_log, prepare,
@@ -216,4 +219,64 @@ class TestBundle:
         self._prepare(tmp_path)
         (tmp_path / "bundle" / "split.json").unlink()
         with pytest.raises(FileNotFoundError, match="split.json"):
+            load_bundle(tmp_path / "bundle")
+
+    @pytest.mark.parametrize("case, match", [
+        ("truncated", r"sequences\.bin: truncated in user 11 \(needs"),
+        ("trailing_byte", r"sequences\.bin: 1 trailing bytes"),
+        ("item_zero", r"sequences\.bin: user 0 has an item index outside 1\.\.6"),
+        ("item_past_vocab", r"sequences\.bin: user 0 has an item index outside 1\.\.6"),
+        ("repeated_user", r"sequences\.bin: user index 0 where 1 belongs"),
+        ("huge_user_count", r"sequences\.bin: truncated in user header"),
+        ("decreasing_timestamp", r"sequences\.bin: user 0: timestamps must be"),
+        ("split_user_out_of_range", r"split\.json: test_users holds an entry"),
+    ], ids=["truncated", "trailing_byte", "item_zero", "item_past_vocab",
+            "repeated_user", "huge_user_count", "decreasing_timestamp",
+            "split_user_out_of_range"])
+    def test_malformed_bundle_rejected(self, tmp_path, case, match):
+        self._prepare(tmp_path)
+        seq_path = tmp_path / "bundle" / "sequences.bin"
+        raw = seq_path.read_bytes()
+        # 12 users of 6 items: u64 count, then 88 bytes per user record
+        item0, user1, ts0 = 8 + 16, 8 + 88, 8 + 16 + 6 * 4
+        u4 = lambda v: np.array([v], "<u4").tobytes()
+        u8 = lambda v: np.array([v], "<u8").tobytes()
+        bad = {
+            "truncated": raw[:-3],
+            "trailing_byte": raw + b"\x00",
+            "item_zero": raw[:item0] + u4(0) + raw[item0 + 4:],
+            "item_past_vocab": raw[:item0] + u4(7) + raw[item0 + 4:],
+            "repeated_user": raw[:user1] + u8(0) + raw[user1 + 8:],
+            "huge_user_count": u8(2**40) + raw[8:],
+            "decreasing_timestamp": raw[:ts0] + u8(10**12) + raw[ts0 + 8:],
+            "split_user_out_of_range": raw,
+        }[case]
+        seq_path.write_bytes(bad)
+        if case == "split_user_out_of_range":
+            split_path = tmp_path / "bundle" / "split.json"
+            manifest = json.loads(split_path.read_text())
+            manifest["test_users"].append(12)
+            split_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=match):
+            load_bundle(tmp_path / "bundle")
+
+    @given(cut=st.integers(0, 2**20),
+           flips=st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 255)),
+                          min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_truncated_or_corrupted_bundle_fails_cleanly(self, tmp_path, cut,
+                                                         flips):
+        self._prepare(tmp_path)
+        seq_path = tmp_path / "bundle" / "sequences.bin"
+        raw = seq_path.read_bytes()
+        seq_path.write_bytes(raw[:cut % len(raw)])
+        with pytest.raises(ValueError):
+            load_bundle(tmp_path / "bundle")
+        bad = bytearray(raw)
+        for offset, mask in flips:
+            bad[offset % len(raw)] ^= mask
+        seq_path.write_bytes(bytes(bad))
+        # a changed timestamp can keep its sequence ordered: loading may succeed
+        with contextlib.suppress(ValueError):
             load_bundle(tmp_path / "bundle")

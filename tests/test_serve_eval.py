@@ -254,6 +254,9 @@ class TestBaselines:
         np.testing.assert_array_equal(counts, [0, 2, 1, 3, 0])
         np.testing.assert_array_equal(popularity_top_n(counts, 3), [3, 1, 2])
         np.testing.assert_array_equal(popularity_top_n(counts, 2, {3}), [1, 2])
+        # only candidates: never the padding row or an excluded item
+        np.testing.assert_array_equal(
+            popularity_top_n(np.array([0, 5, 3, 9, 1]), 4, {3, 1}), [2, 4])
 
     def test_random_ranker_excludes_and_covers(self):
         rng = np.random.default_rng(0)
