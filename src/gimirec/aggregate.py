@@ -9,6 +9,7 @@ norms by default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,7 @@ class LayerParams:
 def multi_head_attention(query: ad.Tensor, keys: ad.Tensor, projs: AttnProjs,
                          n_heads: int, key_mask: np.ndarray | None = None,
                          dropout_rate: float = 0.0,
-                         rng: np.random.Generator | None = None,
-                         trace: dict | None = None, tag: str = "") -> ad.Tensor:
+                         rng: np.random.Generator | None = None) -> ad.Tensor:
     """Scaled dot-product attention with per-head splits of width d/H.
 
     query: (..., Tq, d); keys: (..., Tk, d) used for both K and V.
@@ -46,17 +46,14 @@ def multi_head_attention(query: ad.Tensor, keys: ad.Tensor, projs: AttnProjs,
     head = d // n_heads
 
     def split(x: ad.Tensor) -> ad.Tensor:
-        t = x.shape[-2]
         x = ad.reshape(x, x.shape[:-1] + (n_heads, head))
         return ad.swapaxes(x, -2, -3)  # (..., H, T, head)
 
     q = split(ad.matmul(query, projs.wq))
     k = split(ad.matmul(keys, projs.wk))
     v = split(ad.matmul(keys, projs.wv))
-    scores = ad.matmul(q, ad.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(head))
+    scores = ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / math.sqrt(head))
     probs = ad.masked_softmax(scores, key_mask)
-    if trace is not None:
-        trace[tag] = probs.data
     if dropout_rate > 0.0 and rng is not None:
         probs = ad.dropout(probs, dropout_rate, rng)
     out = ad.matmul(probs, v)                      # (..., H, Tq, head)
@@ -86,8 +83,7 @@ def aggregate_layers(hybrid: ad.Tensor, global_rows: ad.Tensor,
                      layers: list[LayerParams], n_heads: int, mask: np.ndarray,
                      dropout_rate: float = 0.0,
                      rng: np.random.Generator | None = None,
-                     residual: bool = False,
-                     trace: dict | None = None) -> tuple[ad.Tensor, ad.Tensor]:
+                     residual: bool = False) -> tuple[ad.Tensor, ad.Tensor]:
     """Run the attention layers; returns (per-item matrix, center vector).
 
     Item states start at the hybrid embeddings, the center at their masked
@@ -103,16 +99,15 @@ def aggregate_layers(hybrid: ad.Tensor, global_rows: ad.Tensor,
     center = init_center(hybrid, mask)
     center_key_mask = np.concatenate(
         [np.ones((b, 1), dtype=bool), mask], axis=1)[:, None, None, :]
-    for li, lp in enumerate(layers):
+    for lp in layers:
         q_prev = ad.concat([ad.Tensor(np.zeros((b, 1, d), dtype=q.dtype)),
-                            q[:, :-1, :]], axis=1)
+                            ad.take(q, np.s_[:, :-1, :])], axis=1)
         center_tok = ad.broadcast_to(ad.reshape(center, (b, 1, d)), (b, l, d))
         tokens = ad.concat([ad.reshape(t, (b, l, 1, d))
                             for t in (q_prev, center_tok, q, global_rows)], axis=2)
         upd = multi_head_attention(
             ad.reshape(q, (b, l, 1, d)), tokens, lp.item, n_heads,
-            dropout_rate=dropout_rate, rng=rng,
-            trace=trace, tag=f"layer{li}.item_attn")
+            dropout_rate=dropout_rate, rng=rng)
         upd = ad.reshape(upd, (b, l, d))
         if residual:
             upd = ad.add(upd, q)
@@ -120,8 +115,7 @@ def aggregate_layers(hybrid: ad.Tensor, global_rows: ad.Tensor,
         center_tokens = ad.concat([ad.reshape(center, (b, 1, d)), q], axis=1)
         c_upd = multi_head_attention(
             ad.reshape(center, (b, 1, d)), center_tokens, lp.center, n_heads,
-            key_mask=center_key_mask, dropout_rate=dropout_rate, rng=rng,
-            trace=trace, tag=f"layer{li}.center_attn")
+            key_mask=center_key_mask, dropout_rate=dropout_rate, rng=rng)
         c_upd = ad.reshape(c_upd, (b, d))
         center = ad.add(c_upd, center) if residual else c_upd
     return q, center

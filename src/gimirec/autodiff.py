@@ -38,7 +38,10 @@ class no_grad:
 
 
 class Tensor:
-    """A NumPy array plus an optional backward closure on the tape."""
+    """A NumPy array plus an optional backward closure on the tape.
+
+    It has no arithmetic operators: every op is a function of this module.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -70,36 +73,8 @@ class Tensor:
     def backward(self):
         backward(self)
 
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, scale(_wrap(other), -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _wrap(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def __getitem__(self, key):
-        return take(self, key)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
 def _node(data, parents, backward_fn) -> Tensor:

@@ -168,10 +168,14 @@ def cmd_eval(args) -> int:
 def cmd_recommend(args) -> int:
     hp = _resolve_config(args)
     bundle, a_norm, params = _load_model_inputs(args)
+    users = [int(raw_u) for raw_u in args.users.split(",")]
+    for u in users:
+        if not 0 <= u < len(bundle.sequences):
+            raise ValueError(f"user index {u} outside 0..{len(bundle.sequences) - 1} "
+                             f"of {args.bundle}")
     e_global = compute_global_table(params, a_norm)
     vocab = bundle.split.item_vocab
-    for raw_u in args.users.split(","):
-        u = int(raw_u)
+    for u in users:
         seq = bundle.sequences[u]
         vectors = infer_interests(seq, len(seq), params, a_norm,
                                   time_unit_seconds=hp.time_unit_seconds,

@@ -52,8 +52,9 @@ class HyperParams:
                 f"hop weights should satisfy alpha >= beta >= gamma > 0 "
                 f"(got {self.alpha}, {self.beta}, {self.gamma})",
                 stacklevel=2)
-        if self.d % self.n_heads != 0:
-            raise ConfigError(f"d={self.d} not divisible by n_heads={self.n_heads}")
+        if self.d < 1 or self.n_heads < 1 or self.d % self.n_heads != 0:
+            raise ConfigError(f"d={self.d} must be a positive multiple of "
+                              f"n_heads={self.n_heads}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.l_time < 1:
@@ -70,6 +71,9 @@ class HyperParams:
             raise ConfigError(f"unknown neg_distribution {self.neg_distribution}")
         if self.neg_samples < 1 or self.batch < 1 or self.max_steps < 0:
             raise ConfigError("neg_samples/batch must be >= 1 and max_steps >= 0")
+        if self.eval_every < 1 or self.time_unit_seconds < 1:
+            raise ConfigError("eval_every and time_unit_seconds must be >= 1 "
+                              f"(got {self.eval_every}, {self.time_unit_seconds})")
         return self
 
 

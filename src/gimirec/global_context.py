@@ -57,10 +57,6 @@ class HopPairAccumulator:
     """Per-hop accumulated occurrence weights of ordered item pairs."""
 
     hops: dict[int, HopPairs]
-    a: float
-    b: float
-    l_time: float
-    variant: AblationVariant
     occurrences: int = 0
     total_interactions: int = 0
 
@@ -115,10 +111,7 @@ def extract_hop_pairs(sequences: list[UserSequence], variant: AblationVariant,
             values[:] = 1.0
         hops[k] = HopPairs(keys // base, keys % base, values)
         occurrences += len(w)
-    return HopPairAccumulator(
-        hops=hops, a=a, b=b, l_time=l_time, variant=variant,
-        occurrences=occurrences, total_interactions=len(items),
-    )
+    return HopPairAccumulator(hops, occurrences, len(items))
 
 
 @dataclass
@@ -132,9 +125,6 @@ class NormalizedAdjacency:
     a_prime: sp.csr_matrix
     degree: np.ndarray
     a_norm: sp.csr_matrix
-    alpha: float
-    beta: float
-    gamma: float
 
 
 def build_weighted_adjacency(acc: HopPairAccumulator, alpha: float, beta: float,
@@ -165,7 +155,7 @@ def build_weighted_adjacency(acc: HopPairAccumulator, alpha: float, beta: float,
     a_norm = a_prime.copy()
     # d[r]*d[c] first, then times the shared pair value: keeps bit symmetry
     a_norm.data *= d_inv_sqrt[entry_rows] * d_inv_sqrt[a_norm.indices]
-    return NormalizedAdjacency(a_prime, degree, a_norm, alpha, beta, gamma)
+    return NormalizedAdjacency(a_prime, degree, a_norm)
 
 
 def global_embeddings(a_norm: sp.csr_matrix, item_table: np.ndarray) -> np.ndarray:

@@ -256,24 +256,32 @@ def save_bundle(out_dir: str | Path, bundle: DatasetBundle) -> None:
         fh.write("\n")
 
 
+def _read_tsv(path: Path) -> list[tuple[int, str]]:
+    """The (index, id) lines of a two-column TSV; a malformed line raises."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            try:
+                idx_s, raw = line.rstrip("\n").split("\t")
+                rows.append((int(idx_s), raw))
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no} is not "
+                                 "'<index><TAB><id>'") from None
+    return rows
+
+
 def load_bundle(in_dir: str | Path) -> DatasetBundle:
     src = Path(in_dir)
     for name in ("vocab.tsv", "sequences.bin", "split.json"):
         if not (src / name).exists():
             raise FileNotFoundError(f"dataset bundle incomplete: missing {src / name}")
     vocab = Vocab()
-    with open(src / "vocab.tsv", "r", encoding="utf-8") as fh:
-        for line in fh:
-            idx_s, raw = line.rstrip("\n").split("\t")
-            if vocab.add(raw) != int(idx_s):
-                raise ValueError("vocab.tsv indices are not dense from 1")
-    user_ids: list[str] = []
+    for idx, raw in _read_tsv(src / "vocab.tsv"):
+        if vocab.add(raw) != idx:
+            raise ValueError(f"{src / 'vocab.tsv'}: indices are not dense from 1")
     users_path = src / "users.tsv"
-    if users_path.exists():
-        with open(users_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                _, raw = line.rstrip("\n").split("\t")
-                user_ids.append(raw)
+    user_ids = ([raw for _, raw in _read_tsv(users_path)]
+                if users_path.exists() else None)
     seq_path = src / "sequences.bin"
     reader = BinaryReader(seq_path)
     n_users = int(reader.read("<u8", 1, "header")[0])
@@ -293,17 +301,27 @@ def load_bundle(in_dir: str | Path) -> DatasetBundle:
         except ValueError as exc:
             raise ValueError(f"{seq_path}: user {u}: {exc}") from exc
     reader.finish()
+    if user_ids is None:
+        user_ids = [f"user{u}" for u in range(n_users)]
+    elif len(user_ids) != n_users:
+        raise ValueError(f"{users_path} has {len(user_ids)} lines but {seq_path} "
+                         f"has {n_users} users")
     split_path = src / "split.json"
-    manifest = json.loads(split_path.read_text(encoding="utf-8"))
     keys = ("train_users", "valid_users", "test_users")
+    try:
+        manifest = json.loads(split_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{split_path}: not JSON ({exc})") from exc
+    if not (isinstance(manifest, dict)
+            and all(isinstance(manifest.get(k), list) for k in keys)):
+        raise ValueError(f"{split_path}: must be an object holding the lists "
+                         f"{', '.join(keys)}")
     for key in keys:
         if not all(type(u) is int and 0 <= u < n_users for u in manifest[key]):
             raise ValueError(f"{split_path}: {key} holds an entry that is not "
                              f"a user index in 0..{n_users - 1}")
     split = DatasetSplit(*(np.asarray(manifest[k], dtype=np.int64) for k in keys),
                          item_vocab=vocab)
-    if not user_ids:
-        user_ids = [f"user{u}" for u in range(n_users)]
     return DatasetBundle(sequences, split, user_ids)
 
 

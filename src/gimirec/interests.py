@@ -8,8 +8,7 @@ from . import autodiff as ad
 
 
 def extract_interests(e_user: ad.Tensor, hidden_weight: ad.Tensor,
-                      query_weight: ad.Tensor, mask: np.ndarray,
-                      trace: dict | None = None) -> tuple[ad.Tensor, ad.Tensor]:
+                      query_weight: ad.Tensor, mask: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
     """Self-attentive pooling of the per-item matrix into K interest rows.
 
     e_user: (B, L, d); hidden_weight: (4d, d); query_weight: (K, 4d).
@@ -19,8 +18,6 @@ def extract_interests(e_user: ad.Tensor, hidden_weight: ad.Tensor,
     hidden = ad.tanh(ad.matmul(hidden_weight, ad.swapaxes(e_user, -1, -2)))
     logits = ad.matmul(query_weight, hidden)          # (B, K, L)
     attn = ad.masked_softmax(logits, mask[:, None, :])
-    if trace is not None:
-        trace["interest_attn"] = attn.data
     interests = ad.matmul(attn, e_user)               # (B, K, d)
     return interests, attn
 

@@ -124,8 +124,6 @@ def forward_interests(params: ModelParams, a_norm: sp.csr_matrix,
                       mask: np.ndarray, dropout_rate: float = 0.0,
                       rng: np.random.Generator | None = None,
                       residual: bool = False,
-                      trace: dict | None = None,
-                      e_global_override: ad.Tensor | None = None,
                       extra_rows: tuple[np.ndarray, ...] = ()) -> tuple[ad.Tensor, dict]:
     """Window batch -> (interests (B, K, d), aux tensors).
 
@@ -133,35 +131,29 @@ def forward_interests(params: ModelParams, a_norm: sp.csr_matrix,
     attention. The global table has all V rows but only those the caller
     reads are computed: the window items and the indices in ``extra_rows``
     (a loss passes its targets and negatives); every other row is zero.
-    ``e_global_override`` substitutes a precomputed global table (it then
-    acts as an independent leaf).
     """
     dims = params.dims
-    if e_global_override is not None:
-        e_global = e_global_override
-    else:
-        n_items = params.item_table.shape[0]
-        if a_norm.shape != (n_items, n_items):
-            raise ValueError(f"adjacency shape {a_norm.shape} does not match "
-                             f"the item table's {n_items} rows")
-        read = np.zeros(n_items, dtype=bool)
-        read[item_idx] = True
-        for idx in extra_rows:
-            read[idx] = True
-        e_global = ad.spmm_rows(a_norm, params.item_table,
-                                np.flatnonzero(read))              # (V, d)
+    n_items = params.item_table.shape[0]
+    if a_norm.shape != (n_items, n_items):
+        raise ValueError(f"adjacency shape {a_norm.shape} does not match "
+                         f"the item table's {n_items} rows")
+    read = np.zeros(n_items, dtype=bool)
+    read[item_idx] = True
+    for idx in extra_rows:
+        read[idx] = True
+    e_global = ad.spmm_rows(a_norm, params.item_table,
+                            np.flatnonzero(read))                  # (V, d)
     global_rows = ad.gather(e_global, item_idx)                   # (B, L, d)
     e_time = interval_attention(buckets, params.interval_table,
-                                params.interval_score_w, mask, trace=trace)
+                                params.interval_score_w, mask)
     hybrid = hybrid_embeddings(global_rows, e_time, mask)
-    e_user, center = aggregate_layers(
+    e_user, _ = aggregate_layers(
         hybrid, global_rows, params.layers, dims.n_heads, mask,
-        dropout_rate=dropout_rate, rng=rng, residual=residual, trace=trace)
+        dropout_rate=dropout_rate, rng=rng, residual=residual)
     interests, attn = extract_interests(
-        e_user, params.interest_hidden_w, params.interest_query_w, mask,
-        trace=trace)
+        e_user, params.interest_hidden_w, params.interest_query_w, mask)
     return interests, {"e_global": e_global, "e_user": e_user,
-                       "center": center, "interest_attn": attn}
+                       "interest_attn": attn}
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,7 @@ def bucketize(values: np.ndarray, l_time: float) -> np.ndarray:
 
 
 def interval_attention(buckets: np.ndarray, interval_table: ad.Tensor,
-                       score_weight: ad.Tensor, mask: np.ndarray,
-                       trace: dict | None = None) -> ad.Tensor:
+                       score_weight: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
     """Attention over discretized intervals; one embedding row per slot.
 
     buckets: (B, L, L) int; interval_table: (l_time+1, d); score_weight:
@@ -91,8 +90,6 @@ def interval_attention(buckets: np.ndarray, interval_table: ad.Tensor,
     bucket_scores = ad.matmul(interval_table, score_weight)       # (T, 1)
     scores = ad.reshape(ad.gather(bucket_scores, buckets), (b, l, l))
     probs = ad.masked_softmax(scores, mask[:, None, :])           # (B,L,L)
-    if trace is not None:
-        trace["interval_attn"] = probs.data
     hist = ad.bucket_sum(probs, buckets, n_buckets)               # (B,L,T)
     e_time = ad.matmul(hist, interval_table)                      # (B,L,d)
     maskf = mask[:, :, None].astype(interval_table.dtype)

@@ -116,17 +116,14 @@ def sampled_softmax_nll(selected: ad.Tensor, target_emb: ad.Tensor,
 def batch_loss(params: ModelParams, a_norm: sp.csr_matrix, batch: Batch,
                dropout_rate: float = 0.0,
                rng: np.random.Generator | None = None,
-               residual: bool = False,
-               trace: dict | None = None,
-               e_global_override: ad.Tensor | None = None) -> tuple[ad.Tensor, dict]:
+               residual: bool = False) -> tuple[ad.Tensor, dict]:
     """Mean sampled-softmax loss over the batch; full forward pipeline.
 
     Only the global rows of the windows, targets and negatives are computed.
     """
     interests, aux = forward_interests(
         params, a_norm, batch.item_idx, batch.buckets, batch.mask,
-        dropout_rate=dropout_rate, rng=rng, residual=residual, trace=trace,
-        e_global_override=e_global_override,
+        dropout_rate=dropout_rate, rng=rng, residual=residual,
         extra_rows=(batch.targets, batch.negatives))
     e_global = aux["e_global"]
     target_emb = ad.gather(e_global, batch.targets)
@@ -135,7 +132,6 @@ def batch_loss(params: ModelParams, a_norm: sp.csr_matrix, batch: Batch,
     nll = sampled_softmax_nll(selected, target_emb, neg_emb)
     total = ad.scale(ad.sumt(nll), 1.0 / batch.item_idx.shape[0])
     aux["chosen_interest"] = chosen
-    aux["per_example_nll"] = nll.data
     return total, aux
 
 

@@ -6,42 +6,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gimirec.global_context import (AblationVariant, HopPairAccumulator, HopPairs,
-                                    build_weighted_adjacency, extract_hop_pairs)
-from gimirec.ingest import UserSequence
-
-
-def random_sequences(rng: np.random.Generator, n_users: int = 5,
-                     n_items: int = 10, max_len: int = 12,
-                     min_len: int = 5, max_gap: int = 5) -> list[UserSequence]:
-    """Random dense-indexed user sequences with unit-second timestamps."""
-    seqs = []
-    for u in range(n_users):
-        n = int(rng.integers(min_len, max_len + 1))
-        items = rng.integers(1, n_items + 1, size=n).astype(np.int64)
-        ts = 1 + np.cumsum(rng.integers(0, max_gap + 1, size=n)).astype(np.int64)
-        seqs.append(UserSequence(u, items, ts))
-    return seqs
-
-
-def hop_dicts(acc: HopPairAccumulator) -> dict:
-    """The accumulator's per-hop arrays as {k: {(mu, nu): weight}} dicts."""
-    return {k: {(r, c): v for r, c, v in zip(h.rows.tolist(), h.cols.tolist(),
-                                              h.values.tolist())}
-            for k, h in acc.hops.items()}
-
-
-def acc_from_dicts(weights: dict, a: float = 0.5, b: float = 0.5,
-                   l_time: float = 10.0,
-                   variant=AblationVariant.FULL) -> HopPairAccumulator:
-    """An accumulator holding the given {k: {(mu, nu): weight}} hop dicts."""
-    hops = {}
-    for k in (1, 2, 3):
-        pairs = sorted(weights.get(k, {}).items())
-        hops[k] = HopPairs(np.array([p[0][0] for p in pairs], dtype=np.int64),
-                           np.array([p[0][1] for p in pairs], dtype=np.int64),
-                           np.array([p[1] for p in pairs], dtype=np.float64))
-    return HopPairAccumulator(hops, a, b, l_time, variant)
+from gimirec import autodiff as ad
+from gimirec.global_context import (AblationVariant, build_weighted_adjacency,
+                                    extract_hop_pairs)
+from helpers import random_sequences
 
 
 @pytest.fixture
@@ -52,3 +20,18 @@ def tiny_adjacency():
     acc = extract_hop_pairs(seqs, AblationVariant.FULL, a=0.5, b=0.5,
                             l_time=6.0, time_unit_seconds=1)
     return build_weighted_adjacency(acc, 3.0, 2.0, 1.0, 8)
+
+
+@pytest.fixture
+def softmax_probs(monkeypatch):
+    """Every ``ad.masked_softmax`` output of the test, in call order."""
+    recorded = []
+    masked_softmax = ad.masked_softmax
+
+    def recording(x, mask=None):
+        out = masked_softmax(x, mask)
+        recorded.append(out.data)
+        return out
+
+    monkeypatch.setattr(ad, "masked_softmax", recording)
+    return recorded

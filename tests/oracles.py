@@ -286,16 +286,13 @@ def matmul_stacked(a, b):
     return ad._node(a.data @ b.data, (a, b), bwd)
 
 
-def interval_attention_dense(buckets, interval_table, score_weight, mask,
-                             trace=None):
+def interval_attention_dense(buckets, interval_table, score_weight, mask):
     """Interval attention over the (B, L, L, d) tensor of gathered bucket rows."""
     b, l, _ = buckets.shape
     d = interval_table.shape[1]
     t_emb = gather_add_at(interval_table, buckets)                # (B,L,L,d)
     scores = ad.reshape(matmul_stacked(t_emb, score_weight), (b, l, l))
     probs = ad.masked_softmax(scores, mask[:, None, :])
-    if trace is not None:
-        trace["interval_attn"] = probs.data
     e_time = ad.reshape(matmul_stacked(ad.reshape(probs, (b, l, 1, l)), t_emb), (b, l, d))
     maskf = mask[:, :, None].astype(interval_table.dtype)
     return ad.mul(e_time, ad.Tensor(maskf))

@@ -25,7 +25,7 @@ from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 from gimirec.train import (build_adjacency_from_bundle, run_gradient_checks,
                            train_loop)
 
-from conftest import acc_from_dicts, hop_dicts, random_sequences
+from helpers import acc_from_dicts, hop_dicts, random_sequences
 from oracles import hop_pairs_oracle, metrics_oracle
 
 FULL = AblationVariant.FULL
@@ -73,7 +73,7 @@ def test_criterion_2_gce_algebra():
     assert np.array_equal(global_embeddings(adj.a_norm, table), table)
 
     # two-item hand case
-    acc = acc_from_dicts({1: {(1, 2): 2.0, (2, 1): 1.0}}, 0.5, 0.5, 8.0, FULL)
+    acc = acc_from_dicts({1: {(1, 2): 2.0, (2, 1): 1.0}})
     adj2 = build_weighted_adjacency(acc, 1.0, 0.0, 0.0, 2)
     np.testing.assert_allclose(adj2.a_norm.toarray()[1:, 1:],
                                [[0.25, 0.75], [0.75, 0.25]], atol=1e-12)
@@ -101,7 +101,7 @@ def test_criterion_3_gradient_check():
               f"({elapsed:.1f}s)")
 
 
-def test_criterion_4_normalization_suite():
+def test_criterion_4_normalization_suite(softmax_probs):
     rng = np.random.default_rng(33)
     checked_rows = 0
     for trial in range(10):
@@ -121,13 +121,16 @@ def test_criterion_4_normalization_suite():
         assert tmat.min() >= 0.0 and tmat.max() <= dims.l_time
 
         items, buckets, mask = stack_windows([window], dims.l_time, 1)
-        trace = {}
+        softmax_probs.clear()
         forward_interests(params, cast_adjacency(adj.a_norm, np.float64),
-                          items, buckets, mask, trace=trace)
-        for key, probs in trace.items():
+                          items, buckets, mask)
+        # interval attention, item and center attention per layer, interests
+        assert len(softmax_probs) == 2 + 2 * dims.n_layers
+        for call, probs in enumerate(softmax_probs):
             sums = probs.sum(axis=-1)
             real = sums[np.abs(sums) > 1e-9]  # padded query rows are zero
-            np.testing.assert_allclose(real, 1.0, atol=1e-6, err_msg=key)
+            np.testing.assert_allclose(real, 1.0, atol=1e-6,
+                                       err_msg=f"softmax call {call}")
             checked_rows += real.size
     assert checked_rows > 100
     report(4, f"{checked_rows} softmax rows sum to 1 within 1e-6; adjacency "

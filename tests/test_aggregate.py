@@ -97,7 +97,7 @@ class TestMultiHeadAttention:
                             heads, mask)
         np.testing.assert_allclose(out.data[0, 0], expect, atol=1e-10)
 
-    def test_identity_projections_give_convex_combination(self):
+    def test_identity_projections_give_convex_combination(self, softmax_probs):
         # one real item, token set [0; center; q; global]: with identity
         # projections and one head the output is a convex mix of the tokens
         rng = np.random.default_rng(5)
@@ -107,9 +107,9 @@ class TestMultiHeadAttention:
         q = tensor(rng, 1, 1, d)
         tokens = ad.Tensor(np.stack([np.zeros(d), q.data[0, 0].copy(),
                                      q.data[0, 0], rng.normal(size=d)])[None])
-        trace = {}
-        out = multi_head_attention(q, tokens, projs, 1, trace=trace, tag="t")
-        probs = trace["t"][0, 0, 0]
+        out = multi_head_attention(q, tokens, projs, 1)
+        (probs,) = softmax_probs
+        probs = probs[0, 0, 0]
         assert probs.min() >= 0.0 and abs(probs.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(out.data[0, 0],
                                    probs @ tokens.data[0], atol=1e-12)
@@ -144,31 +144,29 @@ class TestAggregateLayers:
             np.testing.assert_allclose(e_user.data[b], q_expect, atol=1e-9)
             np.testing.assert_allclose(center.data[b], c_expect, atol=1e-9)
 
-    def test_attention_rows_sum_to_one_everywhere(self):
+    def test_attention_rows_sum_to_one_everywhere(self, softmax_probs):
         rng = np.random.default_rng(8)
         hybrid, rows, layers, mask = self._setup(rng, n_layers=3)
-        trace = {}
-        aggregate_layers(hybrid, rows, layers, 2, mask, trace=trace)
-        assert len([k for k in trace if "item_attn" in k]) == 3
-        for key, probs in trace.items():
-            if "item_attn" in key:
-                sums = probs[mask].sum(axis=-1)  # (real, H, 1) rows
-                np.testing.assert_allclose(sums, 1.0, atol=1e-6)
-            else:
-                np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
+        aggregate_layers(hybrid, rows, layers, 2, mask)
+        # per layer: item attention, then center attention
+        assert len(softmax_probs) == 6
+        for probs in softmax_probs[0::2]:
+            sums = probs[mask].sum(axis=-1)  # (real, H, 1) rows
+            np.testing.assert_allclose(sums, 1.0, atol=1e-6)
+        for probs in softmax_probs[1::2]:
+            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
-    def test_padding_rows_zero_and_receive_no_center_attention(self):
+    def test_padding_rows_zero_and_receive_no_center_attention(self, softmax_probs):
         rng = np.random.default_rng(9)
         hybrid, rows, layers, mask = self._setup(rng, b=4, l=5)
-        trace = {}
-        e_user, _ = aggregate_layers(hybrid, rows, layers, 2, mask, trace=trace)
+        e_user, _ = aggregate_layers(hybrid, rows, layers, 2, mask)
         assert np.all(e_user.data[~mask] == 0.0)
-        for key, probs in trace.items():
-            if "center_attn" in key:
-                # keys are [center, slots...]; padding key slots get zero mass
-                for b in range(4):
-                    np.testing.assert_array_equal(
-                        probs[b, :, :, 1:][:, :, ~mask[b]], 0.0)
+        assert len(softmax_probs) == 4
+        for probs in softmax_probs[1::2]:  # center attention of each layer
+            # keys are [center, slots...]; padding key slots get zero mass
+            for b in range(4):
+                np.testing.assert_array_equal(
+                    probs[b, :, :, 1:][:, :, ~mask[b]], 0.0)
 
     def test_batch_permutation_equivariance(self):
         rng = np.random.default_rng(10)

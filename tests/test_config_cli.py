@@ -74,6 +74,12 @@ class TestConfig:
     def test_defaults_validate(self):
         HyperParams().validate()
 
+    @pytest.mark.parametrize("key", ["eval_every", "time_unit_seconds",
+                                     "n_heads", "d"])
+    def test_zero_count_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            load_config(overrides=[f"{key}=0"])
+
     def test_all_presets_echo_into_config(self):
         for name, preset in PRESETS.items():
             hp = load_config(preset=name)
@@ -169,6 +175,26 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert str(adj_path) in err and str(ckpt_path) in err
         assert re.search(match, err), err
+
+    @pytest.mark.parametrize("users", ["-1", "0,40"])
+    def test_recommend_rejects_user_outside_bundle(self, mini_corpus, tmp_path,
+                                                   capsys, users):
+        bundle = tmp_path / "bundle"
+        assert main(["prepare", "--input", str(mini_corpus / "log.csv"),
+                     "--out", str(bundle), "--set", "seed=5"]) == 0
+        assert main(["gce", "--bundle", str(bundle), "--out", str(bundle),
+                     *SMALL]) == 0
+        assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path),
+                     *SMALL, "--set", "max_steps=0"]) == 0
+        capsys.readouterr()
+        assert main(["recommend", "--bundle", str(bundle),
+                     "--checkpoint", str(tmp_path / "checkpoint.bin"),
+                     "--users", users, "-n", "3", *SMALL]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bad = users.split(",")[-1]
+        assert re.search(f"user index {bad} outside 0\\.\\.39 of "
+                         f"{re.escape(str(bundle))}", captured.err), captured.err
 
     @pytest.mark.parametrize("command", ["eval", "recommend"])
     def test_bundle_not_matching_checkpoint_rejected(self, mini_corpus, tmp_path,

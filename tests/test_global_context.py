@@ -13,7 +13,7 @@ from gimirec.global_context import (AblationVariant, build_weighted_adjacency,
 from gimirec.ingest import UserSequence
 from gimirec.model import cast_adjacency
 
-from conftest import acc_from_dicts, hop_dicts, random_sequences
+from helpers import acc_from_dicts, hop_dicts, random_sequences
 from oracles import (hop_pairs_oracle, normalized_adjacency_oracle,
                      weighted_adjacency_dict_reference)
 

@@ -230,9 +230,17 @@ class TestBundle:
         ("huge_user_count", r"sequences\.bin: truncated in user header"),
         ("decreasing_timestamp", r"sequences\.bin: user 0: timestamps must be"),
         ("split_user_out_of_range", r"split\.json: test_users holds an entry"),
+        ("users_short", r"users\.tsv has 5 lines but .*sequences\.bin has 12 users"),
+        ("vocab_malformed", r"vocab\.tsv: line 1 is not"),
+        ("users_malformed", r"users\.tsv: line 1 is not"),
+        ("split_not_json", r"split\.json: not JSON"),
+        ("split_not_object", r"split\.json: must be an object"),
+        ("split_missing_key", r"split\.json: must be an object"),
     ], ids=["truncated", "trailing_byte", "item_zero", "item_past_vocab",
             "repeated_user", "huge_user_count", "decreasing_timestamp",
-            "split_user_out_of_range"])
+            "split_user_out_of_range", "users_short", "vocab_malformed",
+            "users_malformed", "split_not_json", "split_not_object",
+            "split_missing_key"])
     def test_malformed_bundle_rejected(self, tmp_path, case, match):
         self._prepare(tmp_path)
         seq_path = tmp_path / "bundle" / "sequences.bin"
@@ -249,14 +257,27 @@ class TestBundle:
             "repeated_user": raw[:user1] + u8(0) + raw[user1 + 8:],
             "huge_user_count": u8(2**40) + raw[8:],
             "decreasing_timestamp": raw[:ts0] + u8(10**12) + raw[ts0 + 8:],
-            "split_user_out_of_range": raw,
-        }[case]
+        }.get(case, raw)
         seq_path.write_bytes(bad)
-        if case == "split_user_out_of_range":
-            split_path = tmp_path / "bundle" / "split.json"
-            manifest = json.loads(split_path.read_text())
-            manifest["test_users"].append(12)
-            split_path.write_text(json.dumps(manifest))
+
+        bundle_dir = tmp_path / "bundle"
+        text = {n: (bundle_dir / n).read_text()
+                for n in ("vocab.tsv", "users.tsv", "split.json")}
+        manifest = json.loads(text["split.json"])
+        replacements = {
+            "split_user_out_of_range": ("split.json", json.dumps(
+                {**manifest, "test_users": manifest["test_users"] + [12]})),
+            "users_short": ("users.tsv", "".join(text["users.tsv"].splitlines(True)[:5])),
+            "vocab_malformed": ("vocab.tsv", text["vocab.tsv"].replace("\t", " ", 1)),
+            "users_malformed": ("users.tsv", text["users.tsv"].replace("\n", "\tx\n", 1)),
+            "split_not_json": ("split.json", "{"),
+            "split_not_object": ("split.json", "[]"),
+            "split_missing_key": ("split.json", json.dumps(
+                {k: v for k, v in manifest.items() if k != "valid_users"})),
+        }
+        if case in replacements:
+            name, new_text = replacements[case]
+            (bundle_dir / name).write_text(new_text)
         with pytest.raises(ValueError, match=match):
             load_bundle(tmp_path / "bundle")
 

@@ -134,25 +134,24 @@ class TestIntervalAttention:
         w = ad.Tensor(rng.normal(size=(d, 1)).astype(dtype), requires_grad=True)
         return table, w
 
-    def test_single_real_item_returns_zero_bucket_row(self):
+    def test_single_real_item_returns_zero_bucket_row(self, softmax_probs):
         rng = np.random.default_rng(0)
         table, w = self._params(rng, 6, 4)
         buckets = np.zeros((1, 1, 1), dtype=np.int64)
         mask = np.ones((1, 1), dtype=bool)
-        trace = {}
-        out = interval_attention(buckets, table, w, mask, trace=trace)
-        np.testing.assert_allclose(trace["interval_attn"][0], [[1.0]])
+        out = interval_attention(buckets, table, w, mask)
+        (probs,) = softmax_probs
+        np.testing.assert_allclose(probs[0], [[1.0]])
         np.testing.assert_allclose(out.data[0, 0], table.data[0], atol=1e-15)
 
-    def test_equal_intervals_give_uniform_attention(self):
+    def test_equal_intervals_give_uniform_attention(self, softmax_probs):
         rng = np.random.default_rng(1)
         table, w = self._params(rng, 6, 4)
         buckets = np.full((1, 3, 3), 2, dtype=np.int64)
         mask = np.ones((1, 3), dtype=bool)
-        trace = {}
-        out = interval_attention(buckets, table, w, mask, trace=trace)
-        np.testing.assert_allclose(trace["interval_attn"][0],
-                                   np.full((3, 3), 1 / 3), atol=1e-12)
+        out = interval_attention(buckets, table, w, mask)
+        (probs,) = softmax_probs
+        np.testing.assert_allclose(probs[0], np.full((3, 3), 1 / 3), atol=1e-12)
         np.testing.assert_allclose(out.data[0],
                                    np.tile(table.data[2], (3, 1)), atol=1e-12)
 
@@ -167,13 +166,12 @@ class TestIntervalAttention:
                     buckets[bi], table.data, w.data, mask[bi])
                 np.testing.assert_allclose(out.data[bi], expect, atol=1e-10)
 
-    def test_rows_sum_to_one_and_pads_zero(self):
+    def test_rows_sum_to_one_and_pads_zero(self, softmax_probs):
         rng = np.random.default_rng(3)
         buckets, mask = random_window_batch(rng, 4, 6, l_time=5)
         table, w = self._params(rng, 5, 4)
-        trace = {}
-        out = interval_attention(buckets, table, w, mask, trace=trace)
-        probs = trace["interval_attn"]
+        out = interval_attention(buckets, table, w, mask)
+        (probs,) = softmax_probs
         np.testing.assert_allclose(probs[mask].sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(out.data[~mask] == 0.0)
         # no attention mass on padding keys

@@ -123,7 +123,7 @@ class TestTopN:
 
 
 def build_model(seed, n_items=12, d=8, k=2, l_rec=4, l_time=5):
-    from conftest import random_sequences
+    from helpers import random_sequences
     from gimirec.global_context import AblationVariant, build_weighted_adjacency, extract_hop_pairs
     rng = np.random.default_rng(seed)
     seqs = random_sequences(rng, n_users=6, n_items=n_items, max_len=10,

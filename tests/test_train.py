@@ -16,7 +16,7 @@ from gimirec.train import (AdamState, TrainingExample, adam_step, batch_loss,
                            make_examples, sample_negatives,
                            sampled_softmax_nll, train_loop)
 
-from conftest import random_sequences
+from helpers import random_sequences
 import oracles
 from oracles import full_loss_oracle
 
@@ -151,7 +151,7 @@ class TestLossAndGradients:
 
     @pytest.mark.parametrize("equal_buckets", [False, True])
     def test_batch_loss_matches_replaced_formulation(self, monkeypatch,
-                                                     equal_buckets):
+                                                     softmax_probs, equal_buckets):
         params, a_norm, _, seqs = tiny_setup(5, n_items=8, d=8, k=3, l_rec=6,
                                              n_layers=2)
         stream = make_examples(np.arange(4), seqs, 6, 3, 8,
@@ -164,10 +164,11 @@ class TestLossAndGradients:
 
         def run():
             params.zero_grad()
-            trace = {}
-            value, _ = batch_loss(params, a_norm, batch, trace=trace)
+            softmax_probs.clear()
+            value, _ = batch_loss(params, a_norm, batch)
             value.backward()
-            return value.item(), trace["interval_attn"], {
+            # the interval attention is the forward pass's first softmax
+            return value.item(), softmax_probs[0], {
                 n: t.grad for n, t in params.named().items()}
 
         new_loss, new_attn, new_grads = run()
@@ -246,21 +247,17 @@ class TestLossAndGradients:
         grads = gradients(example, params, a_norm, time_unit_seconds=1)
         np.testing.assert_array_equal(grads["item_embeddings"][0], 0.0)
 
-    def test_item_gradient_is_adjoint_of_global_gradient(self, ):
+    def test_item_gradient_is_adjoint_of_global_gradient(self):
         # the item table feeds the loss only through the fixed sparse product
         params, a_norm, example, _ = tiny_setup(3)
         grads = gradients(example, params, a_norm, time_unit_seconds=1)
         batch = build_batch([example], params.dims.l_time, 1)
-        e_global_leaf = ad.Tensor(a_norm @ params.item_table.data,
-                                  requires_grad=True)
-        value, _ = batch_loss(params, a_norm, batch,
-                              e_global_override=e_global_leaf)
         params.zero_grad()
+        value, aux = batch_loss(params, a_norm, batch)
         value.backward()
-        chained = a_norm.T @ e_global_leaf.grad
+        chained = a_norm.T @ aux["e_global"].grad
         np.testing.assert_allclose(grads["item_embeddings"], chained,
                                    atol=1e-12)
-        assert params.item_table.grad is None
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_gradient_reported_with_name(self):
