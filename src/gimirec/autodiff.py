@@ -67,9 +67,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         backward(self)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -35,17 +34,10 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="hyperparameter preset")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override one hyperparameter")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for evaluation (default: all cores)")
 
 
 def _resolve_config(args):
-    hp = load_config(args.config, args.overrides, args.preset)
-    if args.threads is not None:
-        hp = dataclasses.replace(hp, threads=args.threads)
-    elif not any(o.startswith("threads=") for o in args.overrides):
-        hp = dataclasses.replace(hp, threads=os.cpu_count() or 1)
-    return hp.validate()
+    return load_config(args.config, args.overrides, args.preset)
 
 
 def _config_echo(hp) -> dict:

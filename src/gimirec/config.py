@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -43,6 +44,11 @@ class HyperParams:
     threads: int = 1
 
     def validate(self) -> "HyperParams":
+        for key in ("a", "b", "alpha", "beta", "gamma", "lr"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
         if abs(self.a + self.b - 1.0) > 1e-9:
             raise ConfigError(f"a+b must equal 1 (a={self.a}, b={self.b})")
         if self.a < 0 or self.b < 0:

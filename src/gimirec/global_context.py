@@ -105,8 +105,7 @@ def extract_hop_pairs(sequences: list[UserSequence], variant: AblationVariant,
         else:
             w = np.ones(int(keep.sum()), dtype=np.float64)
         keys, inverse = np.unique(mu[keep] * base + nu[keep], return_inverse=True)
-        values = np.zeros(len(keys), dtype=np.float64)
-        np.add.at(values, inverse, w)
+        values = np.bincount(inverse, weights=w, minlength=len(keys))
         if not variant.uses_counts:
             values[:] = 1.0
         hops[k] = HopPairs(keys // base, keys % base, values)

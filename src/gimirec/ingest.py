@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -102,30 +103,48 @@ class DatasetBundle:
         return [self.sequences[u] for u in self.split.train_users]
 
 
+def _text_lines(path: str | Path):
+    """The lines of a UTF-8 text file; a decoding error names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def parse_log(path: str | Path, delimiter: str = ",") -> ParseResult:
     """Read one interaction per line (user, item, timestamp).
 
-    Malformed lines (wrong field count, empty ids, unparsable timestamp) are
-    skipped and counted; blank lines are ignored. An unreadable file raises.
+    Malformed lines (wrong field count, empty ids, a timestamp that is not
+    an int64 integer) are skipped and counted; blank lines are ignored. An
+    unreadable file or one that is not UTF-8 raises.
     """
     records: list[InteractionRecord] = []
     rejects = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            parts = line.split(delimiter)
-            if len(parts) != 3 or not parts[0] or not parts[1]:
-                rejects += 1
-                continue
-            try:
-                ts = int(parts[2])
-            except ValueError:
-                rejects += 1
-                continue
-            records.append(InteractionRecord(parts[0], parts[1], ts))
+    for line in _text_lines(path):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        parts = line.split(delimiter)
+        if len(parts) != 3 or not parts[0] or not parts[1]:
+            rejects += 1
+            continue
+        try:
+            ts = int(parts[2])
+        except ValueError:
+            ts = None
+        if ts is None or not -2**63 <= ts < 2**63:
+            rejects += 1
+            continue
+        records.append(InteractionRecord(parts[0], parts[1], ts))
     return ParseResult(records, rejects)
+
+
+def _code_by_first_appearance(keys) -> tuple[np.ndarray, list[str]]:
+    """Code 0.. for each key in order of first appearance; also the distinct keys."""
+    index: dict[str, int] = {}
+    codes = np.fromiter((index.setdefault(k, len(index)) for k in keys), np.int64)
+    return codes, list(index)
 
 
 def filter_and_index(records: list[InteractionRecord]) -> tuple[list[UserSequence], Vocab, list[str]]:
@@ -137,44 +156,30 @@ def filter_and_index(records: list[InteractionRecord]) -> tuple[list[UserSequenc
     ties kept in input order.
     """
     live = [r for r in records if r.timestamp > 0]
+    users, user_ids = _code_by_first_appearance(r.user for r in live)
+    items, item_raw = _code_by_first_appearance(r.item for r in live)
+    keep = np.ones(len(live), dtype=bool)
     while True:
-        user_counts: dict[str, int] = {}
-        item_counts: dict[str, int] = {}
-        for r in live:
-            user_counts[r.user] = user_counts.get(r.user, 0) + 1
-            item_counts[r.item] = item_counts.get(r.item, 0) + 1
-        kept = [r for r in live
-                if user_counts[r.user] >= MIN_INTERACTIONS
-                and item_counts[r.item] >= MIN_INTERACTIONS]
-        if len(kept) == len(live):
+        user_ok = np.bincount(users[keep], minlength=len(user_ids)) >= MIN_INTERACTIONS
+        item_ok = np.bincount(items[keep], minlength=len(item_raw)) >= MIN_INTERACTIONS
+        kept = keep & user_ok[users] & item_ok[items]
+        if np.array_equal(kept, keep):
             break
-        live = kept
-    if not live:
+        keep = kept
+    if not keep.any():
         raise ValueError("dataset too sparse: nothing survives the 5-interaction filter")
 
-    item_vocab = Vocab()
-    user_index: dict[str, int] = {}
-    user_ids: list[str] = []
-    per_user: dict[int, list[tuple[int, int, int]]] = {}
-    for order, r in enumerate(live):
-        u = user_index.get(r.user)
-        if u is None:
-            u = len(user_ids)
-            user_index[r.user] = u
-            user_ids.append(r.user)
-            per_user[u] = []
-        i = item_vocab.add(r.item)
-        per_user[u].append((r.timestamp, order, i))
-
-    sequences = []
-    for u in range(len(user_ids)):
-        rows = sorted(per_user[u], key=lambda t: (t[0], t[1]))
-        sequences.append(UserSequence(
-            user_index=u,
-            items=np.array([i for _, _, i in rows], dtype=np.int64),
-            timestamps=np.array([ts for ts, _, _ in rows], dtype=np.int64),
-        ))
-    return sequences, item_vocab, user_ids
+    # re-code the survivors, so indices follow first appearance among them
+    live = list(compress(live, keep))
+    users, user_ids = _code_by_first_appearance(r.user for r in live)
+    items, item_raw = _code_by_first_appearance(r.item for r in live)
+    timestamps = np.fromiter((r.timestamp for r in live), np.int64, len(live))
+    order = np.lexsort((timestamps, users))  # stable: timestamp ties keep input order
+    cuts = np.cumsum(np.bincount(users))[:-1]
+    sequences = [UserSequence(u, seq_items, seq_ts) for u, (seq_items, seq_ts) in enumerate(
+        zip(np.split(items[order] + 1, cuts), np.split(timestamps[order], cuts)))]
+    vocab = Vocab(["", *item_raw], {raw: i for i, raw in enumerate(item_raw, 1)})
+    return sequences, vocab, user_ids
 
 
 def split_users(sequences: list[UserSequence], seed: int, item_vocab: Vocab) -> DatasetSplit:
@@ -259,14 +264,13 @@ def save_bundle(out_dir: str | Path, bundle: DatasetBundle) -> None:
 def _read_tsv(path: Path) -> list[tuple[int, str]]:
     """The (index, id) lines of a two-column TSV; a malformed line raises."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            try:
-                idx_s, raw = line.rstrip("\n").split("\t")
-                rows.append((int(idx_s), raw))
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no} is not "
-                                 "'<index><TAB><id>'") from None
+    for line_no, line in enumerate(_text_lines(path), 1):
+        try:
+            idx_s, raw = line.rstrip("\n").split("\t")
+            rows.append((int(idx_s), raw))
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no} is not "
+                             "'<index><TAB><id>'") from None
     return rows
 
 

@@ -102,11 +102,6 @@ class ModelParams:
                    for n, t in self._tensors.items()}
         return ModelParams(self.dims, tensors)
 
-    def copy(self) -> "ModelParams":
-        tensors = {n: ad.Tensor(t.data.copy(), requires_grad=True)
-                   for n, t in self._tensors.items()}
-        return ModelParams(self.dims, tensors)
-
 
 def cast_adjacency(a_norm: sp.csr_matrix, dtype) -> sp.csr_matrix:
     """Adjacency in the model dtype; must be symmetric and stay finite (checked)."""

@@ -275,10 +275,6 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
         loss_count = 0
 
     with open(log_path, "w", encoding="utf-8") as log_file:
-        if hp.max_steps == 0:
-            save_checkpoint(ckpt_path, params)
-            return TrainResult(ckpt_path, log_path, history, best_recall,
-                               False, 0)
         step = 0
         for step in range(1, hp.max_steps + 1):
             examples = [next(stream) for _ in range(hp.batch)]
@@ -303,7 +299,7 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
             loss_count += 1
             if step % hp.eval_every == 0 or step == hp.max_steps:
                 evaluate_now(step, log_file)
-        if not ckpt_path.exists():
+        if best_recall < 0:  # no validation saved: keep this run's parameters
             save_checkpoint(ckpt_path, params)
     return TrainResult(ckpt_path, log_path, history, best_recall, diverged, step)
 

@@ -14,6 +14,54 @@ import numpy as np
 import scipy.sparse as sp
 
 from gimirec import autodiff as ad
+from gimirec.ingest import MIN_INTERACTIONS, UserSequence, Vocab
+
+
+# ---------------------------------------------------------------------------
+# ingestion
+
+def filter_and_index_reference(records):
+    """``ingest.filter_and_index`` as dict counts per 5-core round and one
+    ``sorted`` per user, the formulation the array code replaced."""
+    live = [r for r in records if r.timestamp > 0]
+    while True:
+        user_counts: dict[str, int] = {}
+        item_counts: dict[str, int] = {}
+        for r in live:
+            user_counts[r.user] = user_counts.get(r.user, 0) + 1
+            item_counts[r.item] = item_counts.get(r.item, 0) + 1
+        kept = [r for r in live
+                if user_counts[r.user] >= MIN_INTERACTIONS
+                and item_counts[r.item] >= MIN_INTERACTIONS]
+        if len(kept) == len(live):
+            break
+        live = kept
+    if not live:
+        raise ValueError("dataset too sparse: nothing survives the 5-interaction filter")
+
+    item_vocab = Vocab()
+    user_index: dict[str, int] = {}
+    user_ids: list[str] = []
+    per_user: dict[int, list[tuple[int, int, int]]] = {}
+    for order, r in enumerate(live):
+        u = user_index.get(r.user)
+        if u is None:
+            u = len(user_ids)
+            user_index[r.user] = u
+            user_ids.append(r.user)
+            per_user[u] = []
+        i = item_vocab.add(r.item)
+        per_user[u].append((r.timestamp, order, i))
+
+    sequences = []
+    for u in range(len(user_ids)):
+        rows = sorted(per_user[u], key=lambda t: (t[0], t[1]))
+        sequences.append(UserSequence(
+            user_index=u,
+            items=np.array([i for _, _, i in rows], dtype=np.int64),
+            timestamps=np.array([ts for ts, _, _ in rows], dtype=np.int64),
+        ))
+    return sequences, item_vocab, user_ids
 
 
 # ---------------------------------------------------------------------------

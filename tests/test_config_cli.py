@@ -75,10 +75,16 @@ class TestConfig:
         HyperParams().validate()
 
     @pytest.mark.parametrize("key", ["eval_every", "time_unit_seconds",
-                                     "n_heads", "d"])
+                                     "n_heads", "d", "lr"])
     def test_zero_count_rejected(self, key):
         with pytest.raises(ConfigError, match=key):
             load_config(overrides=[f"{key}=0"])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["a", "b", "alpha", "beta", "gamma", "lr"])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            load_config(overrides=[f"{key}={value}"])
 
     def test_all_presets_echo_into_config(self):
         for name, preset in PRESETS.items():
@@ -100,7 +106,7 @@ def mini_corpus(tmp_path_factory):
 SMALL = ["--set", "d=8", "--set", "k=2", "--set", "l_rec=6", "--set", "l_time=4",
          "--set", "n_layers=1", "--set", "n_heads=2", "--set", "batch=8",
          "--set", "max_steps=12", "--set", "eval_every=6", "--set",
-         "neg_samples=4", "--set", "seed=5", "--threads", "1"]
+         "neg_samples=4", "--set", "seed=5", "--set", "threads=1"]
 
 
 class TestCliPipeline:
@@ -234,6 +240,24 @@ class TestCliPipeline:
             assert (root / "b1" / name).read_bytes() == \
                 (root / "b2" / name).read_bytes()
 
+    def test_config_file_threads_reach_evaluation(self, mini_corpus, tmp_path,
+                                                  capsys):
+        root = mini_corpus
+        bundle = tmp_path / "bundle"
+        assert main(["prepare", "--input", str(root / "log.csv"),
+                     "--out", str(bundle), "--set", "seed=5"]) == 0
+        assert main(["gce", "--bundle", str(bundle), "--out", str(bundle),
+                     *SMALL]) == 0
+        assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path),
+                     *SMALL, "--set", "max_steps=0"]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 3\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--bundle", str(bundle), "--config", str(cfg),
+                     "--checkpoint", str(tmp_path / "checkpoint.bin"),
+                     *SMALL[:-2]]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["threads"] == 3
+
     def test_train_missing_adjacency_hints_gce(self, mini_corpus, capsys):
         root = mini_corpus
         code = main(["train", "--bundle", str(root / "bundle"),
@@ -259,7 +283,7 @@ class TestCliPipeline:
         code = main(["ablate", "--bundle", str(root / "ab_bundle"),
                      "--out", str(root / "ablate"), "--seeds", "0",
                      *SMALL[:-2], "--set", "l_time=3", "--set", "max_steps=6",
-                     "--set", "eval_every=6", "--threads", "1"])
+                     "--set", "eval_every=6", "--set", "threads=1"])
         out = capsys.readouterr().out
         assert code == 0
         assert "variant wiring checks: ok" in out

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from gimirec.ingest import (DatasetBundle, InteractionRecord, UserSequence,
                             filter_and_index, load_bundle, parse_log, prepare,
                             save_bundle, split_users)
+from oracles import filter_and_index_reference
 
 
 def rec(u, i, t):
@@ -51,6 +52,20 @@ class TestParseLog:
     def test_unreadable_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             parse_log(tmp_path / "missing.csv")
+
+    def test_timestamp_outside_int64_rejected(self, tmp_path):
+        result = parse_log(make_log(tmp_path, [
+            f"u1,i9,{2**63}", f"u1,i9,{-2**63 - 1}", f"u1,i9,{2**63 - 1}",
+            f"u1,i9,{-2**63}"]))
+        assert result.records == [rec("u1", "i9", 2**63 - 1),
+                                  rec("u1", "i9", -2**63)]
+        assert result.rejects == 2
+
+    def test_non_utf8_log_raises_naming_file(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"u1,i9,1000\nu\xff,i9,1001\n")
+        with pytest.raises(ValueError, match=r"log\.csv: not UTF-8"):
+            parse_log(path)
 
 
 def five_of(u, items, t0=100):
@@ -144,6 +159,31 @@ class TestFilterAndIndex:
         assert users2 == users and vocab2.num_real == vocab.num_real
         assert sum(len(s) for s in seqs2) == sum(len(s) for s in seqs)
 
+    # 30-80 records over six users and six items: most logs survive, with
+    # cascades and counts at the 5-core boundary; six positive timestamps
+    # force ties, and -1 and 0 are dropped
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                              st.integers(-1, 6)), min_size=30, max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dict_and_sort_reference(self, triples):
+        records = [rec(f"u{u}", f"i{i}", t) for u, i, t in triples]
+        try:
+            want_seqs, want_vocab, want_users = filter_and_index_reference(records)
+        except ValueError:
+            with pytest.raises(ValueError, match="too sparse"):
+                filter_and_index(records)
+            return
+        seqs, vocab, users = filter_and_index(records)
+        assert users == want_users
+        assert vocab.index_to_raw == want_vocab.index_to_raw
+        assert vocab.raw_to_index == want_vocab.raw_to_index
+        assert len(seqs) == len(want_seqs)
+        for got, want in zip(seqs, want_seqs):
+            assert got.user_index == want.user_index
+            assert got.items.dtype == got.timestamps.dtype == np.int64
+            np.testing.assert_array_equal(got.items, want.items)
+            np.testing.assert_array_equal(got.timestamps, want.timestamps)
+
 
 def dummy_sequences(n):
     return [UserSequence(u, np.array([1, 2, 3, 4, 5]),
@@ -236,11 +276,12 @@ class TestBundle:
         ("split_not_json", r"split\.json: not JSON"),
         ("split_not_object", r"split\.json: must be an object"),
         ("split_missing_key", r"split\.json: must be an object"),
+        ("vocab_not_utf8", r"vocab\.tsv: not UTF-8"),
     ], ids=["truncated", "trailing_byte", "item_zero", "item_past_vocab",
             "repeated_user", "huge_user_count", "decreasing_timestamp",
             "split_user_out_of_range", "users_short", "vocab_malformed",
             "users_malformed", "split_not_json", "split_not_object",
-            "split_missing_key"])
+            "split_missing_key", "vocab_not_utf8"])
     def test_malformed_bundle_rejected(self, tmp_path, case, match):
         self._prepare(tmp_path)
         seq_path = tmp_path / "bundle" / "sequences.bin"
@@ -278,6 +319,9 @@ class TestBundle:
         if case in replacements:
             name, new_text = replacements[case]
             (bundle_dir / name).write_text(new_text)
+        if case == "vocab_not_utf8":
+            (bundle_dir / "vocab.tsv").write_bytes(
+                b"\xff\xfe" + text["vocab.tsv"].encode())
         with pytest.raises(ValueError, match=match):
             load_bundle(tmp_path / "bundle")
 

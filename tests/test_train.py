@@ -404,13 +404,17 @@ class TestTrainLoop:
             return out
 
         monkeypatch.setattr(ad, "tanh", tanh_with_inf_gradient)
+        from gimirec.model import load_checkpoint, save_checkpoint
+        dims = ModelDims(bundle.split.item_vocab.size, hp.d, hp.k, hp.l_rec,
+                         hp.l_time, hp.n_heads, hp.n_layers)
+        # an earlier run's checkpoint in the directory must not be reported
+        (tmp_path / "run").mkdir()
+        save_checkpoint(tmp_path / "run" / "checkpoint.bin",
+                        ModelParams.init(dims, np.random.default_rng(hp.seed + 1)))
         result = train_loop(hp, bundle, adj.a_norm, tmp_path / "run", n_eval=3)
         assert result.diverged and result.steps_run == 1
         assert result.log_path.read_text() == "step=1 diverged: non-finite gradient\n"
-        from gimirec.model import load_checkpoint
         ckpt = load_checkpoint(result.checkpoint_path, dtype=np.float64)
-        dims = ModelDims(bundle.split.item_vocab.size, hp.d, hp.k, hp.l_rec,
-                         hp.l_time, hp.n_heads, hp.n_layers)
         init = ModelParams.init(dims, np.random.default_rng(hp.seed),
                                 dtype=np.float64)
         for name, t in init.named().items():
