@@ -5,6 +5,9 @@ number of multi-head-attention layers. Each item attends over four tokens
 (left neighbor, center, itself, its global-context row); the center then
 attends over itself and all real items. No residual connections or layer
 norms by default.
+
+Item states are flat (B*L, d) rows: per layer one gather builds every
+slot's four tokens, and both updates are single-query attention.
 """
 
 from __future__ import annotations
@@ -35,31 +38,29 @@ def multi_head_attention(query: ad.Tensor, keys: ad.Tensor, projs: AttnProjs,
                          n_heads: int, key_mask: np.ndarray | None = None,
                          dropout_rate: float = 0.0,
                          rng: np.random.Generator | None = None) -> ad.Tensor:
-    """Scaled dot-product attention with per-head splits of width d/H.
+    """Single-query scaled dot-product attention with per-head splits of width d/H.
 
-    query: (..., Tq, d); keys: (..., Tk, d) used for both K and V.
-    key_mask broadcasts against (..., H, Tq, Tk); masked keys get zero
-    attention. Dropout, when enabled, is applied to the attention
-    probabilities.
+    query: (N, d); keys: (N, T, d), used for both K and V; key_mask (N, T)
+    marks the keys each query reads (masked keys get zero attention).
+    Dropout, when enabled, is applied to the (N, H, T) attention
+    probabilities. Returns (N, d).
     """
-    d = query.shape[-1]
+    n, t, d = keys.shape
     head = d // n_heads
 
     def split(x: ad.Tensor) -> ad.Tensor:
-        x = ad.reshape(x, x.shape[:-1] + (n_heads, head))
-        return ad.swapaxes(x, -2, -3)  # (..., H, T, head)
+        return ad.swapaxes(ad.reshape(x, (n, t, n_heads, head)), 1, 2)  # (N, H, T, head)
 
-    q = split(ad.matmul(query, projs.wq))
+    q = ad.reshape(ad.matmul(query, projs.wq), (n, n_heads, 1, head))
     k = split(ad.matmul(keys, projs.wk))
     v = split(ad.matmul(keys, projs.wv))
-    scores = ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / math.sqrt(head))
-    probs = ad.masked_softmax(scores, key_mask)
+    scores = ad.matmul(q, ad.swapaxes(k, -1, -2))                   # (N, H, 1, T)
+    scores = ad.scale(ad.reshape(scores, (n, n_heads, t)), 1.0 / math.sqrt(head))
+    probs = ad.masked_softmax(scores, None if key_mask is None else key_mask[:, None, :])
     if dropout_rate > 0.0 and rng is not None:
         probs = ad.dropout(probs, dropout_rate, rng)
-    out = ad.matmul(probs, v)                      # (..., H, Tq, head)
-    out = ad.swapaxes(out, -2, -3)                 # (..., Tq, H, head)
-    out = ad.reshape(out, out.shape[:-2] + (d,))
-    return ad.matmul(out, projs.wo)
+    out = ad.matmul(ad.reshape(probs, (n, n_heads, 1, t)), v)        # (N, H, 1, head)
+    return ad.matmul(ad.reshape(out, (n, d)), projs.wo)
 
 
 def hybrid_embeddings(global_rows: ad.Tensor, e_time: ad.Tensor,
@@ -94,28 +95,28 @@ def aggregate_layers(hybrid: ad.Tensor, global_rows: ad.Tensor,
     if len(layers) < 1:
         raise ValueError("at least one aggregation layer is required")
     b, l, d = hybrid.shape
-    maskf = mask[:, :, None].astype(hybrid.dtype)
-    q = hybrid
+    n = b * l
+    slot = np.arange(n)
+    # rows of [zero; items; centers; global rows] that each slot reads:
+    # left neighbor (a window's first slot reads the zero row), center,
+    # itself, global row
+    token_idx = np.stack([np.where(slot % l > 0, slot, 0), 1 + n + slot // l,
+                          1 + slot, 1 + n + b + slot], axis=1)
+    zero = ad.Tensor(np.zeros((1, d), dtype=hybrid.dtype))
+    rows = ad.reshape(global_rows, (n, d))
+    maskf = ad.Tensor(mask.reshape(n, 1).astype(hybrid.dtype))
+    center_key_mask = np.concatenate([np.ones((b, 1), dtype=bool), mask], axis=1)
+    q = ad.reshape(hybrid, (n, d))
     center = init_center(hybrid, mask)
-    center_key_mask = np.concatenate(
-        [np.ones((b, 1), dtype=bool), mask], axis=1)[:, None, None, :]
     for lp in layers:
-        q_prev = ad.concat([ad.Tensor(np.zeros((b, 1, d), dtype=q.dtype)),
-                            ad.take(q, np.s_[:, :-1, :])], axis=1)
-        center_tok = ad.broadcast_to(ad.reshape(center, (b, 1, d)), (b, l, d))
-        tokens = ad.concat([ad.reshape(t, (b, l, 1, d))
-                            for t in (q_prev, center_tok, q, global_rows)], axis=2)
-        upd = multi_head_attention(
-            ad.reshape(q, (b, l, 1, d)), tokens, lp.item, n_heads,
-            dropout_rate=dropout_rate, rng=rng)
-        upd = ad.reshape(upd, (b, l, d))
-        if residual:
-            upd = ad.add(upd, q)
-        q = ad.mul(upd, ad.Tensor(maskf))
-        center_tokens = ad.concat([ad.reshape(center, (b, 1, d)), q], axis=1)
-        c_upd = multi_head_attention(
-            ad.reshape(center, (b, 1, d)), center_tokens, lp.center, n_heads,
-            key_mask=center_key_mask, dropout_rate=dropout_rate, rng=rng)
-        c_upd = ad.reshape(c_upd, (b, d))
+        tokens = ad.gather(ad.concat([zero, q, center, rows], axis=0), token_idx)
+        upd = multi_head_attention(q, tokens, lp.item, n_heads,
+                                   dropout_rate=dropout_rate, rng=rng)
+        q = ad.mul(ad.add(upd, q) if residual else upd, maskf)
+        center_tokens = ad.concat([ad.reshape(center, (b, 1, d)),
+                                   ad.reshape(q, (b, l, d))], axis=1)
+        c_upd = multi_head_attention(center, center_tokens, lp.center, n_heads,
+                                     key_mask=center_key_mask,
+                                     dropout_rate=dropout_rate, rng=rng)
         center = ad.add(c_upd, center) if residual else c_upd
-    return q, center
+    return ad.reshape(q, (b, l, d)), center

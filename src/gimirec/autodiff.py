@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation over NumPy arrays.
 
 A deliberately small tape: only the primitives the recommender needs
-(broadcast arithmetic, batched matmul, shape moves, table gathers, bucket
-sums, masked softmax, log-sum-exp, sparse-dense products over all rows or
-selected ones). Gradients propagate in the same dtype as the forward
+(broadcast arithmetic, batched matmul, reshape/swapaxes/concat, row
+gathers, bucket sums, masked softmax, log-sum-exp, sparse-dense products
+over all rows or selected ones). ``gather`` is the one primitive whose
+backward scatters into rows: slices, broadcasts and per-example picks are
+all written as gathers. Gradients propagate in the same dtype as the forward
 values; training runs in float32, oracles and gradient checks in float64.
 Gradient arrays are never mutated in place, so sharing a grad buffer
 between consumers is safe.
@@ -222,18 +224,6 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     return _node(data, (a,), bwd)
 
 
-def take(a: Tensor, key) -> Tensor:
-    """Basic (slice/int) indexing; not for index arrays — use gather."""
-    data = a.data[key]
-
-    def bwd(g):
-        ga = np.zeros_like(a.data)
-        ga[key] = g
-        _accum(a, ga)
-
-    return _node(data, (a,), bwd)
-
-
 def concat(parts: list[Tensor], axis: int) -> Tensor:
     data = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.data.shape[axis] for p in parts]
@@ -244,15 +234,6 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
             _accum(p, piece)
 
     return _node(data, tuple(parts), bwd)
-
-
-def broadcast_to(a: Tensor, shape: tuple) -> Tensor:
-    data = np.broadcast_to(a.data, shape)
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-
-    return _node(data, (a,), bwd)
 
 
 def gather(table: Tensor, idx: np.ndarray) -> Tensor:
@@ -275,20 +256,6 @@ def gather(table: Tensor, idx: np.ndarray) -> Tensor:
         _accum(table, (one_hot @ g.reshape(n, width)).reshape(table.data.shape))
 
     return _node(data, (table,), bwd)
-
-
-def select_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Per-batch row pick: x (B, K, ...), idx (B,) -> (B, ...)."""
-    idx = np.asarray(idx)
-    batch = np.arange(x.data.shape[0])
-    data = x.data[batch, idx]
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[batch, idx] = g  # one pick per batch row: no repeated targets
-        _accum(x, gx)
-
-    return _node(data, (x,), bwd)
 
 
 def bucket_sum(x: Tensor, idx: np.ndarray, n_buckets: int) -> Tensor:

@@ -62,16 +62,22 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-def _load_model_inputs(args):
+def _load_bundle_checkpoint(args):
+    """The bundle and ``--checkpoint``, which must have the same item rows."""
     bundle = load_bundle(args.bundle)
-    adj_path = Path(args.adjacency) if args.adjacency else Path(args.bundle) / "adjacency.bin"
-    _require(adj_path, "run `gimirec gce --bundle ... --out ...` first")
     ckpt_path = _require(Path(args.checkpoint), "run `gimirec train` first")
-    a_norm = read_adjacency(adj_path)
     params = load_checkpoint(ckpt_path)
     if bundle.split.item_vocab.size != params.dims.n_items:
         raise ValueError(f"{args.bundle} has {bundle.split.item_vocab.size} item "
                          f"rows but {ckpt_path} has {params.dims.n_items} items")
+    return bundle, ckpt_path, params
+
+
+def _load_model_inputs(args):
+    bundle, ckpt_path, params = _load_bundle_checkpoint(args)
+    adj_path = Path(args.adjacency) if args.adjacency else Path(args.bundle) / "adjacency.bin"
+    _require(adj_path, "run `gimirec gce --bundle ... --out ...` first")
+    a_norm = read_adjacency(adj_path)
     if a_norm.shape[0] != params.dims.n_items:
         raise ValueError(f"{adj_path} has {a_norm.shape[0]} rows but {ckpt_path} "
                          f"has {params.dims.n_items} items")
@@ -98,19 +104,18 @@ def cmd_prepare(args) -> int:
 
 def cmd_gce(args) -> int:
     hp = _resolve_config(args)
-    bundle = load_bundle(args.bundle)
+    if args.checkpoint:
+        bundle, _, params = _load_bundle_checkpoint(args)
+    else:
+        bundle = load_bundle(args.bundle)
+        dims = ModelDims(bundle.split.item_vocab.size, hp.d, hp.k, hp.l_rec,
+                         hp.l_time, hp.n_heads, hp.n_layers)
+        params = ModelParams.init(dims, np.random.default_rng(hp.seed))
+    table = params.item_table.data.astype(np.float64)
     adj = build_adjacency_from_bundle(bundle, hp)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_adjacency(out / "adjacency.bin", adj)
-    if args.checkpoint:
-        params = load_checkpoint(args.checkpoint)
-        table = params.item_table.data.astype(np.float64)
-    else:
-        dims = ModelDims(bundle.split.item_vocab.size, hp.d, hp.k, hp.l_rec,
-                         hp.l_time, hp.n_heads, hp.n_layers)
-        params = ModelParams.init(dims, np.random.default_rng(hp.seed))
-        table = params.item_table.data.astype(np.float64)
     write_global_embeddings(out / "global_emb.f32", global_embeddings(adj.a_norm, table))
     print(f"adjacency: {adj.a_norm.shape[0]}x{adj.a_norm.shape[1]}, "
           f"nnz={adj.a_norm.nnz} -> {out / 'adjacency.bin'}")

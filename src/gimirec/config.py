@@ -9,6 +9,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .global_context import AblationVariant
+from .ingest import _text_lines
 
 
 class ConfigError(ValueError):
@@ -119,9 +120,12 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment."""
+    """Flat ``key = value`` lines; '#' starts a comment.
+
+    Every error names the file, and a bad line its line number too.
+    """
     values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_text_lines(path), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -129,7 +133,10 @@ def parse_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, raw = line.split("=", 1)
         key = key.strip()
-        values[key] = _parse_value(key, raw)
+        try:
+            values[key] = _parse_value(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 

@@ -3,9 +3,9 @@
 Parses delimited logs, drops non-positive timestamps, applies the iterative
 5-interaction user/item filter, assigns dense indices (item index 0 is the
 padding slot), splits users 8:1:1 and reads/writes the on-disk dataset
-bundle (vocab.tsv / sequences.bin / split.json). ``BinaryReader`` is the
-bounded reader every binary container (bundle, adjacency, checkpoint) loads
-through.
+bundle (vocab.tsv / users.tsv / sequences.bin / split.json).
+``BinaryReader`` is the bounded reader every binary container (bundle,
+adjacency, checkpoint) loads through.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ def _read_tsv(path: Path) -> list[tuple[int, str]]:
 
 def load_bundle(in_dir: str | Path) -> DatasetBundle:
     src = Path(in_dir)
-    for name in ("vocab.tsv", "sequences.bin", "split.json"):
+    for name in ("vocab.tsv", "users.tsv", "sequences.bin", "split.json"):
         if not (src / name).exists():
             raise FileNotFoundError(f"dataset bundle incomplete: missing {src / name}")
     vocab = Vocab()
@@ -284,8 +284,11 @@ def load_bundle(in_dir: str | Path) -> DatasetBundle:
         if vocab.add(raw) != idx:
             raise ValueError(f"{src / 'vocab.tsv'}: indices are not dense from 1")
     users_path = src / "users.tsv"
-    user_ids = ([raw for _, raw in _read_tsv(users_path)]
-                if users_path.exists() else None)
+    user_ids = []
+    for idx, raw in _read_tsv(users_path):
+        if idx != len(user_ids):
+            raise ValueError(f"{users_path}: indices are not dense from 0")
+        user_ids.append(raw)
     seq_path = src / "sequences.bin"
     reader = BinaryReader(seq_path)
     n_users = int(reader.read("<u8", 1, "header")[0])
@@ -305,9 +308,7 @@ def load_bundle(in_dir: str | Path) -> DatasetBundle:
         except ValueError as exc:
             raise ValueError(f"{seq_path}: user {u}: {exc}") from exc
     reader.finish()
-    if user_ids is None:
-        user_ids = [f"user{u}" for u in range(n_users)]
-    elif len(user_ids) != n_users:
+    if len(user_ids) != n_users:
         raise ValueError(f"{users_path} has {len(user_ids)} lines but {seq_path} "
                          f"has {n_users} users")
     split_path = src / "split.json"

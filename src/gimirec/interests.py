@@ -31,4 +31,6 @@ def select_training_interest(interests: ad.Tensor,
     """
     scores = np.einsum("bkd,bd->bk", interests.data, target_emb.data)
     chosen = np.argmax(scores, axis=1)
-    return chosen, ad.select_rows(interests, chosen)
+    b, k, d = interests.shape
+    rows = ad.reshape(interests, (b * k, d))
+    return chosen, ad.gather(rows, np.arange(b) * k + chosen)

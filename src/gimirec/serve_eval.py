@@ -67,27 +67,26 @@ def top_n(interest_vectors: np.ndarray, e_global: np.ndarray, n: int,
           exclude: set | None = None) -> np.ndarray:
     """Exact max-inner-product scan over all items.
 
-    Each item's score is the max over the K interests; padding and excluded
-    items never appear; ties rank the smaller index first. Only the items
-    scoring at least the N-th best are sorted, which gives the same list as
-    a stable sort of all scores.
+    Each item's score is the max over the K interests. Only candidates are
+    ranked, so padding and excluded items never appear whatever the scores;
+    ties rank the smaller index first and NaN scores rank last. Just the
+    candidates scoring at least the N-th best are sorted, which gives the
+    same list as a stable sort of all candidates.
     """
-    exclude = exclude or set()
-    vectors = np.atleast_2d(interest_vectors)
-    scores = (e_global @ vectors.T).max(axis=1)
-    scores[0] = -np.inf
+    keep = np.ones(e_global.shape[0], dtype=bool)
+    keep[0] = False
     if exclude:
-        scores[np.fromiter(exclude, dtype=np.int64)] = -np.inf
-    candidates = e_global.shape[0] - 1 - len(exclude)
-    if n > candidates:
-        raise ValueError(f"cannot rank {n} items from {candidates} candidates")
+        keep[np.fromiter(exclude, dtype=np.int64)] = False
+    candidates = np.flatnonzero(keep)
+    if n > candidates.size:
+        raise ValueError(f"cannot rank {n} items from {candidates.size} candidates")
     if n == 0:
         return np.empty(0, dtype=np.intp)
-    order = -scores
+    order = -(e_global @ np.atleast_2d(interest_vectors).T).max(axis=1)[candidates]
     kth = np.partition(order, n - 1)[n - 1]
     # not '<=': NaN ranks last in the sort, and so must stay a candidate
     pool = np.flatnonzero(~(order > kth))
-    return pool[np.argsort(order[pool], kind="stable")[:n]]
+    return candidates[pool[np.argsort(order[pool], kind="stable")[:n]]]
 
 
 def compute_global_table(params: ModelParams, a_norm: sp.csr_matrix) -> np.ndarray:

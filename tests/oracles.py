@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from gimirec import autodiff as ad
+from gimirec.aggregate import init_center
 from gimirec.ingest import MIN_INTERACTIONS, UserSequence, Vocab
 
 
@@ -314,7 +315,8 @@ def gather_add_at(table, idx):
 
 
 def select_rows_add_at(x, idx):
-    """``ad.select_rows`` with the ``np.add.at`` backward it replaced."""
+    """Per-example row pick x (B, K, ...) -> (B, ...), as the deleted
+    ``ad.select_rows`` did it, with an ``np.add.at`` backward."""
     idx = np.asarray(idx)
     batch = np.arange(x.data.shape[0])
 
@@ -322,6 +324,80 @@ def select_rows_add_at(x, idx):
         ad._accum(x, scatter_add_reference(x.data.shape, (batch, idx), g))
 
     return ad._node(x.data[batch, idx], (x,), bwd)
+
+
+def tape_take(a, key):
+    """Basic (slice) indexing on the tape, scattering its gradient back."""
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        ga[key] = g
+        ad._accum(a, ga)
+
+    return ad._node(a.data[key], (a,), bwd)
+
+
+def tape_broadcast_to(a, shape):
+    """``np.broadcast_to`` on the tape, summing its gradient back."""
+    def bwd(g):
+        ad._accum(a, ad._unbroadcast(g, a.data.shape))
+
+    return ad._node(np.broadcast_to(a.data, shape), (a,), bwd)
+
+
+def multi_head_attention_query_rows(query, keys, projs, n_heads, key_mask=None,
+                                    dropout_rate=0.0, rng=None):
+    """``aggregate.multi_head_attention`` with a query-row axis:
+    query (..., Tq, d), keys (..., Tk, d), key_mask broadcasting against
+    (..., H, Tq, Tk)."""
+    d = query.shape[-1]
+    head = d // n_heads
+
+    def split(x):
+        x = ad.reshape(x, x.shape[:-1] + (n_heads, head))
+        return ad.swapaxes(x, -2, -3)  # (..., H, T, head)
+
+    q = split(ad.matmul(query, projs.wq))
+    k = split(ad.matmul(keys, projs.wk))
+    v = split(ad.matmul(keys, projs.wv))
+    scores = ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / math.sqrt(head))
+    probs = ad.masked_softmax(scores, key_mask)
+    if dropout_rate > 0.0 and rng is not None:
+        probs = ad.dropout(probs, dropout_rate, rng)
+    out = ad.swapaxes(ad.matmul(probs, v), -2, -3)  # (..., Tq, H, head)
+    out = ad.reshape(out, out.shape[:-2] + (d,))
+    return ad.matmul(out, projs.wo)
+
+
+def aggregate_layers_token_tensor(hybrid, global_rows, layers, n_heads, mask,
+                                  dropout_rate=0.0, rng=None, residual=False):
+    """``aggregate.aggregate_layers`` over a (B, L, 4, d) token tensor built
+    with slices and broadcasts, attending with one query row per item."""
+    b, l, d = hybrid.shape
+    maskf = mask[:, :, None].astype(hybrid.dtype)
+    q = hybrid
+    center = init_center(hybrid, mask)
+    center_key_mask = np.concatenate(
+        [np.ones((b, 1), dtype=bool), mask], axis=1)[:, None, None, :]
+    for lp in layers:
+        q_prev = ad.concat([ad.Tensor(np.zeros((b, 1, d), dtype=q.dtype)),
+                            tape_take(q, np.s_[:, :-1, :])], axis=1)
+        center_tok = tape_broadcast_to(ad.reshape(center, (b, 1, d)), (b, l, d))
+        tokens = ad.concat([ad.reshape(t, (b, l, 1, d))
+                            for t in (q_prev, center_tok, q, global_rows)], axis=2)
+        upd = multi_head_attention_query_rows(
+            ad.reshape(q, (b, l, 1, d)), tokens, lp.item, n_heads,
+            dropout_rate=dropout_rate, rng=rng)
+        upd = ad.reshape(upd, (b, l, d))
+        if residual:
+            upd = ad.add(upd, q)
+        q = ad.mul(upd, ad.Tensor(maskf))
+        center_tokens = ad.concat([ad.reshape(center, (b, 1, d)), q], axis=1)
+        c_upd = multi_head_attention_query_rows(
+            ad.reshape(center, (b, 1, d)), center_tokens, lp.center, n_heads,
+            key_mask=center_key_mask, dropout_rate=dropout_rate, rng=rng)
+        c_upd = ad.reshape(c_upd, (b, d))
+        center = ad.add(c_upd, center) if residual else c_upd
+    return q, center
 
 
 def matmul_stacked(a, b):

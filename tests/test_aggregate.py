@@ -8,7 +8,7 @@ from gimirec.aggregate import (AttnProjs, LayerParams, aggregate_layers,
                                hybrid_embeddings, init_center,
                                multi_head_attention)
 
-from oracles import aggregate_oracle, mha_oracle
+from oracles import aggregate_layers_token_tensor, aggregate_oracle, mha_oracle
 
 
 def tensor(rng, *shape, requires_grad=True):
@@ -87,15 +87,14 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(4)
         d, heads, t = 8, 2, 5
         projs = AttnProjs(*(tensor(rng, d, d) for _ in range(4)))
-        query = tensor(rng, 1, 1, d)
+        query = tensor(rng, 1, d)
         keys = tensor(rng, 1, t, d)
         mask = np.array([True, True, False, True, False])
-        out = multi_head_attention(query, keys, projs, heads,
-                                   key_mask=mask[None, None, None, :])
-        expect = mha_oracle(query.data[0, 0], keys.data[0], projs.wq.data,
+        out = multi_head_attention(query, keys, projs, heads, key_mask=mask[None])
+        expect = mha_oracle(query.data[0], keys.data[0], projs.wq.data,
                             projs.wk.data, projs.wv.data, projs.wo.data,
                             heads, mask)
-        np.testing.assert_allclose(out.data[0, 0], expect, atol=1e-10)
+        np.testing.assert_allclose(out.data[0], expect, atol=1e-10)
 
     def test_identity_projections_give_convex_combination(self, softmax_probs):
         # one real item, token set [0; center; q; global]: with identity
@@ -104,15 +103,14 @@ class TestMultiHeadAttention:
         d = 4
         eye = lambda: ad.Tensor(np.eye(d), requires_grad=True)
         projs = AttnProjs(eye(), eye(), eye(), eye())
-        q = tensor(rng, 1, 1, d)
-        tokens = ad.Tensor(np.stack([np.zeros(d), q.data[0, 0].copy(),
-                                     q.data[0, 0], rng.normal(size=d)])[None])
+        q = tensor(rng, 1, d)
+        tokens = ad.Tensor(np.stack([np.zeros(d), q.data[0].copy(),
+                                     q.data[0], rng.normal(size=d)])[None])
         out = multi_head_attention(q, tokens, projs, 1)
         (probs,) = softmax_probs
-        probs = probs[0, 0, 0]
+        probs = probs[0, 0]
         assert probs.min() >= 0.0 and abs(probs.sum() - 1.0) < 1e-12
-        np.testing.assert_allclose(out.data[0, 0],
-                                   probs @ tokens.data[0], atol=1e-12)
+        np.testing.assert_allclose(out.data[0], probs @ tokens.data[0], atol=1e-12)
 
 
 class TestAggregateLayers:
@@ -151,7 +149,7 @@ class TestAggregateLayers:
         # per layer: item attention, then center attention
         assert len(softmax_probs) == 6
         for probs in softmax_probs[0::2]:
-            sums = probs[mask].sum(axis=-1)  # (real, H, 1) rows
+            sums = probs[mask.ravel()].sum(axis=-1)  # (real, H) rows
             np.testing.assert_allclose(sums, 1.0, atol=1e-6)
         for probs in softmax_probs[1::2]:
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
@@ -165,8 +163,37 @@ class TestAggregateLayers:
         for probs in softmax_probs[1::2]:  # center attention of each layer
             # keys are [center, slots...]; padding key slots get zero mass
             for b in range(4):
-                np.testing.assert_array_equal(
-                    probs[b, :, :, 1:][:, :, ~mask[b]], 0.0)
+                np.testing.assert_array_equal(probs[b, :, 1:][:, ~mask[b]], 0.0)
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
+    def test_matches_token_tensor_formulation(self, n_layers, residual,
+                                              dropout_rate):
+        # the (B, L, 4, d) token tensor built with slices and broadcasts,
+        # attended with one query row per item, that the flat gather replaced
+        def run(aggregate):
+            rng = np.random.default_rng(14)
+            hybrid, rows, layers, mask = self._setup(rng, b=5, l=6,
+                                                     n_layers=n_layers)
+            projections = [getattr(getattr(lp, role), name) for lp in layers
+                           for role in ("item", "center")
+                           for name in ("wq", "wk", "wv", "wo")]
+            for w in projections:  # the model's init scale: softmaxes unsaturated
+                w.data /= np.sqrt(8)
+            weights = [rng.normal(size=s) for s in ((5, 6, 8), (5, 8))]
+            e_user, center = aggregate(hybrid, rows, layers, 2, mask,
+                                       dropout_rate=dropout_rate,
+                                       rng=np.random.default_rng(15),
+                                       residual=residual)
+            ad.add(ad.sumt(ad.mul(e_user, ad.Tensor(weights[0]))),
+                   ad.sumt(ad.mul(center, ad.Tensor(weights[1])))).backward()
+            return [e_user.data, center.data] + [
+                t.grad for t in [hybrid, rows] + projections]
+
+        for got, expect in zip(run(aggregate_layers),
+                               run(aggregate_layers_token_tensor)):
+            assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
     def test_batch_permutation_equivariance(self):
         rng = np.random.default_rng(10)

@@ -7,8 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from gimirec import autodiff as ad
+from gimirec.interests import select_training_interest
 
-from oracles import scatter_add_reference
+from oracles import scatter_add_reference, select_rows_add_at
 
 
 def fd_check(build, tensors, h=1e-6, tol=1e-6):
@@ -65,14 +66,13 @@ def test_tanh_sum_axis():
     fd_check(lambda x: ad.sumt(ad.tanh(x), axis=1, keepdims=True), [a])
 
 
-def test_reshape_swapaxes_concat_take():
+def test_reshape_swapaxes_concat():
     rng = np.random.default_rng(4)
     a, b = leaf(rng, 2, 6), leaf(rng, 2, 3)
 
     def build(x, y):
         x2 = ad.swapaxes(ad.reshape(x, (2, 3, 2)), 1, 2)   # (2, 2, 3)
-        cat = ad.concat([x2, ad.reshape(y, (2, 1, 3))], axis=1)
-        return ad.take(cat, np.s_[:, 1:, :])
+        return ad.concat([x2, ad.reshape(y, (2, 1, 3))], axis=1)
 
     fd_check(build, [a, b])
 
@@ -82,13 +82,6 @@ def test_gather_accumulates_duplicates():
     table = leaf(rng, 4, 3)
     idx = np.array([[0, 2], [2, 2]])
     fd_check(lambda t: ad.gather(t, idx), [table])
-
-
-def test_select_rows():
-    rng = np.random.default_rng(6)
-    x = leaf(rng, 3, 4, 2)
-    idx = np.array([1, 0, 3])
-    fd_check(lambda t: ad.select_rows(t, idx), [x])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -102,12 +95,17 @@ def test_gather_and_select_rows_backward_match_add_at_bit_for_bit(dtype):
     assert table.grad.dtype == dtype
     np.testing.assert_array_equal(table.grad, scatter_add_reference((6, 3), idx, g))
 
+    # the training interest pick: a gather on the (B*K, d) view of (B, K, d)
     x = ad.Tensor(rng.normal(size=(9, 4, 3)).astype(dtype), requires_grad=True)
-    pick = np.array([0, 3, 3, 1, 3, 0, 2, 3, 3])
+    pick, picked = select_training_interest(
+        x, ad.Tensor(rng.normal(size=(9, 3)).astype(dtype)))
+    assert len(set(pick.tolist())) > 1
     gx = rng.normal(size=(9, 3)).astype(dtype)
-    ad.sumt(ad.mul(ad.select_rows(x, pick), ad.Tensor(gx))).backward()
-    np.testing.assert_array_equal(
-        x.grad, scatter_add_reference(x.shape, (np.arange(9), pick), gx))
+    ad.sumt(ad.mul(picked, ad.Tensor(gx))).backward()
+    expect = ad.Tensor(x.data, requires_grad=True)
+    ad.sumt(ad.mul(select_rows_add_at(expect, pick), ad.Tensor(gx))).backward()
+    np.testing.assert_array_equal(picked.data, x.data[np.arange(9), pick])
+    np.testing.assert_array_equal(x.grad, expect.grad)
 
 
 def test_bucket_sum():
@@ -180,12 +178,6 @@ def test_spmm_rows_is_exact_on_its_rows_and_zero_elsewhere():
     kept = np.zeros_like(g)
     kept[rows] = g[rows]
     np.testing.assert_allclose(x.grad, dense.T @ kept, rtol=1e-14, atol=1e-15)
-
-
-def test_broadcast_to():
-    rng = np.random.default_rng(10)
-    x = leaf(rng, 2, 1, 3)
-    fd_check(lambda t: ad.broadcast_to(t, (2, 4, 3)), [x])
 
 
 def test_no_grad_builds_no_graph():

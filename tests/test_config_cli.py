@@ -230,6 +230,44 @@ class TestCliPipeline:
         assert re.search(f"{re.escape(str(bundle))} has 41 item rows but "
                          f"{re.escape(str(ckpt_path))} has 27 items", err), err
 
+    def test_gce_rejects_checkpoint_of_another_catalog(self, mini_corpus,
+                                                       tmp_path, capsys):
+        small = PlantedConfig(n_clusters=2, items_per_cluster=8, n_users=30,
+                              n_hot_items=4, n_tail_items=10,
+                              cluster_draw_frac=(0.6, 0.9))
+        write_log(tmp_path / "small.csv", planted_cluster_records(small, seed=3))
+        small_bundle, bundle = tmp_path / "small", tmp_path / "bundle"
+        assert main(["prepare", "--input", str(tmp_path / "small.csv"),
+                     "--out", str(small_bundle), "--set", "seed=5"]) == 0
+        assert main(["gce", "--bundle", str(small_bundle),
+                     "--out", str(small_bundle), *SMALL]) == 0
+        assert main(["train", "--bundle", str(small_bundle),
+                     "--out", str(tmp_path), *SMALL, "--set", "max_steps=0"]) == 0
+        assert main(["prepare", "--input", str(mini_corpus / "log.csv"),
+                     "--out", str(bundle), "--set", "seed=5"]) == 0
+        ckpt_path = tmp_path / "checkpoint.bin"
+        capsys.readouterr()
+        assert main(["gce", "--bundle", str(bundle), "--checkpoint", str(ckpt_path),
+                     "--out", str(tmp_path / "gce"), *SMALL]) == 1
+        err = capsys.readouterr().err
+        assert re.search(f"{re.escape(str(bundle))} has 41 item rows but "
+                         f"{re.escape(str(ckpt_path))} has 27 items", err), err
+        assert not (tmp_path / "gce").exists()
+
+    @pytest.mark.parametrize("content, match", [
+        (b"seed = 1\n\xff\n", r"run\.cfg: not UTF-8 text"),
+        (b"# comment\nseed = abc\n", r"run\.cfg:2: bad value for seed: 'abc'"),
+        (b"d = 8\nbogus = 1\n", r"run\.cfg:2: unknown config key: bogus"),
+    ], ids=["not_utf8", "bad_value", "unknown_key"])
+    def test_config_file_errors_name_the_file(self, tmp_path, capsys, content,
+                                              match):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(content)
+        assert main(["gce", "--bundle", str(tmp_path / "bundle"),
+                     "--out", str(tmp_path / "gce"), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(f"^error: {re.escape(str(tmp_path))}/{match}", err), err
+
     def test_prepare_is_deterministic(self, mini_corpus):
         root = mini_corpus
         assert main(["prepare", "--input", str(root / "log.csv"),

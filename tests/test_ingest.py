@@ -277,11 +277,14 @@ class TestBundle:
         ("split_not_object", r"split\.json: must be an object"),
         ("split_missing_key", r"split\.json: must be an object"),
         ("vocab_not_utf8", r"vocab\.tsv: not UTF-8"),
+        ("users_misnumbered", r"users\.tsv: indices are not dense from 0"),
+        ("users_missing", r"missing .*users\.tsv"),
     ], ids=["truncated", "trailing_byte", "item_zero", "item_past_vocab",
             "repeated_user", "huge_user_count", "decreasing_timestamp",
             "split_user_out_of_range", "users_short", "vocab_malformed",
             "users_malformed", "split_not_json", "split_not_object",
-            "split_missing_key", "vocab_not_utf8"])
+            "split_missing_key", "vocab_not_utf8", "users_misnumbered",
+            "users_missing"])
     def test_malformed_bundle_rejected(self, tmp_path, case, match):
         self._prepare(tmp_path)
         seq_path = tmp_path / "bundle" / "sequences.bin"
@@ -315,6 +318,9 @@ class TestBundle:
             "split_not_object": ("split.json", "[]"),
             "split_missing_key": ("split.json", json.dumps(
                 {k: v for k, v in manifest.items() if k != "valid_users"})),
+            "users_misnumbered": ("users.tsv", "".join(
+                "999\t" + line.split("\t", 1)[1]
+                for line in text["users.tsv"].splitlines(True))),
         }
         if case in replacements:
             name, new_text = replacements[case]
@@ -322,7 +328,10 @@ class TestBundle:
         if case == "vocab_not_utf8":
             (bundle_dir / "vocab.tsv").write_bytes(
                 b"\xff\xfe" + text["vocab.tsv"].encode())
-        with pytest.raises(ValueError, match=match):
+        if case == "users_missing":
+            (bundle_dir / "users.tsv").unlink()
+        error = FileNotFoundError if case == "users_missing" else ValueError
+        with pytest.raises(error, match=match):
             load_bundle(tmp_path / "bundle")
 
     @given(cut=st.integers(0, 2**20),

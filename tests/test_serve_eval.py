@@ -76,6 +76,10 @@ class TestTopN:
         assert 0 not in ranked
         assert not exclude & set(ranked.tolist())
         assert len(set(ranked.tolist())) == 26
+        # not even behind a candidate whose score is NaN
+        e_global = np.array([[0.0, 0.0], [np.nan, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(
+            top_n(np.array([[1.0, 0.0]]), e_global, 2, exclude={3}), [2, 1])
 
     def test_ties_break_to_smaller_index(self):
         e_global = np.zeros((5, 2))
@@ -111,9 +115,10 @@ class TestTopN:
         vectors = rng.integers(-2, 3, size=(int(rng.integers(1, 4)), 2))
         exclude = set(rng.integers(1, n_rows, size=rng.integers(0, n_rows)).tolist())
         scores = (e_global @ vectors.T.astype(np.float64)).max(axis=1)
-        scores[[0, *exclude]] = -np.inf
-        full = np.argsort(-scores, kind="stable")
-        for n in range(n_rows - len(exclude)):
+        candidates = np.array([i for i in range(1, n_rows) if i not in exclude],
+                              dtype=np.intp)
+        full = candidates[np.argsort(-scores[candidates], kind="stable")]
+        for n in range(candidates.size + 1):
             np.testing.assert_array_equal(
                 top_n(vectors, e_global, n, exclude), full[:n])
 

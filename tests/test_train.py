@@ -174,7 +174,8 @@ class TestLossAndGradients:
         new_loss, new_attn, new_grads = run()
         monkeypatch.setattr(ad, "matmul", oracles.matmul_stacked)
         monkeypatch.setattr(ad, "gather", oracles.gather_add_at)
-        monkeypatch.setattr(ad, "select_rows", oracles.select_rows_add_at)
+        monkeypatch.setattr(model, "aggregate_layers",
+                            oracles.aggregate_layers_token_tensor)
         monkeypatch.setattr(model, "interval_attention",
                             oracles.interval_attention_dense)
         old_loss, old_attn, old_grads = run()
