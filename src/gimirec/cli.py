@@ -23,7 +23,8 @@ from .global_context import (global_embeddings, read_adjacency, write_adjacency,
                              write_global_embeddings)
 from .ingest import load_bundle, prepare
 from .model import ModelDims, ModelParams, cast_adjacency, load_checkpoint
-from .serve_eval import evaluate, infer_interests, top_n, compute_global_table
+from .serve_eval import (_batched_interests, compute_global_table, evaluate,
+                         top_n_rows)
 from .synthetic import PlantedConfig, planted_cluster_records, write_log
 from .train import build_adjacency_from_bundle, run_gradient_checks, train_loop
 
@@ -172,13 +173,19 @@ def cmd_recommend(args) -> int:
                              f"of {args.bundle}")
     e_global = compute_global_table(params, a_norm)
     vocab = bundle.split.item_vocab
-    for u in users:
-        seq = bundle.sequences[u]
-        vectors = infer_interests(seq, len(seq), params, a_norm,
-                                  time_unit_seconds=hp.time_unit_seconds,
-                                  residual=hp.residual)
-        ranked = top_n(vectors, e_global, args.n, exclude=set(seq.items.tolist()))
-        names = [vocab.index_to_raw[int(i)] for i in ranked]
+    seqs = [bundle.sequences[u] for u in users]
+    vectors = _batched_interests(seqs, [len(s) for s in seqs], params, a_norm,
+                                 hp.time_unit_seconds, hp.residual)
+    excludes = [set(s.items.tolist()) for s in seqs]
+    # a short list means too few candidates, reported when that user is
+    # reached, so the users before it are still printed
+    ranked = top_n_rows(vectors, e_global,
+                        [min(args.n, e_global.shape[0] - 1 - len(ex)) for ex in excludes],
+                        excludes)
+    for u, items in zip(users, ranked):
+        if len(items) < args.n:
+            raise ValueError(f"cannot rank {args.n} items from {len(items)} candidates")
+        names = [vocab.index_to_raw[int(i)] for i in items]
         print(f"user {u} ({bundle.user_ids[u]}): {' '.join(names)}")
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,6 +22,8 @@ from .model import ModelParams, forward_interests
 from .recent import make_window, stack_windows
 
 _EVAL_CHUNK = 256
+# cap on one block's (users·K, V) score product in top_n_rows
+_SCORE_BLOCK_BYTES = 4 << 20
 
 
 @dataclass
@@ -65,28 +68,60 @@ def metrics(recommended, ground_truth: set, n: int) -> tuple[float, float, float
 
 def top_n(interest_vectors: np.ndarray, e_global: np.ndarray, n: int,
           exclude: set | None = None) -> np.ndarray:
-    """Exact max-inner-product scan over all items.
+    """Exact top-N for one user: the one-row case of ``top_n_rows``."""
+    return top_n_rows(np.atleast_2d(interest_vectors)[None], e_global, [n],
+                      [exclude or ()])[0]
 
-    Each item's score is the max over the K interests. Only candidates are
-    ranked, so padding and excluded items never appear whatever the scores;
-    ties rank the smaller index first and NaN scores rank last. Just the
-    candidates scoring at least the N-th best are sorted, which gives the
-    same list as a stable sort of all candidates.
+
+def top_n_rows(interests: np.ndarray, e_global: np.ndarray, n,
+               excludes: list) -> list[np.ndarray]:
+    """Exact max-inner-product scan over all items for each user.
+
+    interests (U, K, d); row u ranks its best ``n[u]`` items. Each item's
+    score is the max over the row's K interests. Only candidates are ranked,
+    so padding and ``excludes[u]`` never appear whatever the scores; ties
+    rank the smaller index first and NaN scores rank last. Users are scored
+    in blocks whose (users·K, V) product fits ``_SCORE_BLOCK_BYTES``.
     """
-    keep = np.ones(e_global.shape[0], dtype=bool)
-    keep[0] = False
-    if exclude:
-        keep[np.fromiter(exclude, dtype=np.int64)] = False
-    candidates = np.flatnonzero(keep)
-    if n > candidates.size:
-        raise ValueError(f"cannot rank {n} items from {candidates.size} candidates")
-    if n == 0:
-        return np.empty(0, dtype=np.intp)
-    order = -(e_global @ np.atleast_2d(interest_vectors).T).max(axis=1)[candidates]
-    kth = np.partition(order, n - 1)[n - 1]
-    # not '<=': NaN ranks last in the sort, and so must stay a candidate
-    pool = np.flatnonzero(~(order > kth))
-    return candidates[pool[np.argsort(order[pool], kind="stable")[:n]]]
+    interests = np.asarray(interests)
+    n = np.asarray(n, dtype=np.int64)
+    itemsize = np.result_type(interests, e_global).itemsize
+    block = max(1, _SCORE_BLOCK_BYTES
+                // (interests.shape[1] * e_global.shape[0] * itemsize))
+    ranked = []
+    for lo in range(0, len(interests), block):
+        hi = lo + block
+        ranked += _rank_block(interests[lo:hi], e_global, n[lo:hi], excludes[lo:hi])
+    return ranked
+
+
+def _rank_block(interests, e_global, n, excludes) -> list[np.ndarray]:
+    u, k, d = interests.shape
+    v = e_global.shape[0]
+    order = -(interests.reshape(u * k, d) @ e_global.T).reshape(u, k, v).max(axis=1)
+    # selection key: NaN scores tie with -inf ones, and padding and excluded
+    # items are NaN, which sorts after every candidate
+    key = np.fmin(order, np.inf)
+    sizes = [len(ex) for ex in excludes]
+    key[np.repeat(np.arange(u), sizes),
+        np.fromiter(chain.from_iterable(excludes), np.int64, sum(sizes))] = np.nan
+    key[:, 0] = np.nan
+    kth = np.maximum(np.minimum(n, v), 1) - 1
+    thresh = np.partition(key, sorted(set(kth.tolist())), axis=1)[np.arange(u), kth]
+    # every candidate keyed at most a row's N-th best, sorted by row, then
+    # score with NaN last, then index: the head of each row's full stable
+    # sort. Padding is NaN, so a row short of candidates has a NaN N-th best
+    # and pools nothing.
+    rows, items = np.divmod(np.flatnonzero(key <= thresh[:, None]), v)
+    items = items[np.lexsort((order[rows, items], rows))]
+    bounds = np.searchsorted(rows, np.arange(u + 1)).tolist()
+    ranked = []
+    for r, m in enumerate(n.tolist()):
+        if not 0 <= m <= bounds[r + 1] - bounds[r]:
+            raise ValueError(f"cannot rank {m} items from "
+                             f"{np.count_nonzero(~np.isnan(key[r]))} candidates")
+        ranked.append(items[bounds[r]:bounds[r] + m])
+    return ranked
 
 
 def compute_global_table(params: ModelParams, a_norm: sp.csr_matrix) -> np.ndarray:
@@ -170,12 +205,13 @@ def evaluate(sequences: list[UserSequence], user_indices: np.ndarray,
         interests = _batched_interests(
             [j[0] for j in chunk], [j[1] for j in chunk], params, a_norm,
             time_unit_seconds, residual)
-        rows = []
-        for (seq, prefix, truth, exclude), vecs in zip(chunk, interests):
-            candidates = e_global.shape[0] - 1 - len(exclude)
-            ranked = top_n(vecs, e_global, min(n_max, candidates), exclude)
-            rows.append({n: metrics(ranked, truth, n) for n in n_list})
-        return rows
+        excludes = [j[3] for j in chunk]
+        ranked = top_n_rows(
+            interests, e_global,
+            [min(n_max, e_global.shape[0] - 1 - len(ex)) for ex in excludes],
+            excludes)
+        return [{n: metrics(items, j[2], n) for n in n_list}
+                for j, items in zip(chunk, ranked)]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -177,7 +177,11 @@ class AdamState:
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
               state: AdamState) -> None:
-    """One bias-corrected Adam update; the item padding row stays frozen."""
+    """One bias-corrected Adam update; the item padding row stays frozen.
+
+    The moments are updated in place; each tensor's data is rebound to a new
+    array, so a reference taken before the step keeps the step's inputs.
+    """
     state.step += 1
     t = state.step
     for name, tensor in params.named().items():
@@ -188,10 +192,13 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
         if name not in state.m:
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[name] / (1.0 - state.beta1 ** t)
-        v_hat = state.v[name] / (1.0 - state.beta2 ** t)
+        m, v = state.m[name], state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        m_hat = m / (1.0 - state.beta1 ** t)
+        v_hat = v / (1.0 - state.beta2 ** t)
         tensor.data = tensor.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 

@@ -2,8 +2,9 @@
 
 Everything here is written loop-first with no reuse of the library's
 vectorized/autodiff code paths, so agreement is a genuine dual-route check,
-except the last section: the tape formulations the library replaced, kept
-so the rewrites can be compared against them.
+except the last two sections: the tape, retrieval and optimiser
+formulations the library replaced, kept so the rewrites can be compared
+against them.
 """
 
 from __future__ import annotations
@@ -426,3 +427,77 @@ def spmm_full_table(a_sparse, x, rows):
     """``ad.spmm_rows`` as the full-table product it replaced: every row of
     ``a_sparse @ x`` is computed, whichever rows are read."""
     return ad.spmm(a_sparse, a_sparse.T.tocsr(), x)
+
+
+# ---------------------------------------------------------------------------
+# replaced retrieval and optimiser formulations
+
+def top_n_per_user(interest_vectors, e_global, n, exclude=None):
+    """``serve_eval.top_n`` as one user's own (V, d) x (d, K) scan, the
+    formulation the batched ranker replaced."""
+    keep = np.ones(e_global.shape[0], dtype=bool)
+    keep[0] = False
+    if exclude:
+        keep[np.fromiter(exclude, dtype=np.int64)] = False
+    candidates = np.flatnonzero(keep)
+    if n > candidates.size:
+        raise ValueError(f"cannot rank {n} items from {candidates.size} candidates")
+    if n == 0:
+        return np.empty(0, dtype=np.intp)
+    order = -(e_global @ np.atleast_2d(interest_vectors).T).max(axis=1)[candidates]
+    kth = np.partition(order, n - 1)[n - 1]
+    # not '<=': NaN ranks last in the sort, and so must stay a candidate
+    pool = np.flatnonzero(~(order > kth))
+    return candidates[pool[np.argsort(order[pool], kind="stable")[:n]]]
+
+
+def evaluate_per_user(sequences, user_indices, params, a_norm, n_list=(20, 50),
+                      time_unit_seconds=86400, residual=False, threads=1):
+    """``serve_eval.evaluate`` ranking each user with ``top_n_per_user``."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from gimirec import serve_eval as se
+    jobs = se._holdout_jobs(sequences, user_indices)
+    if not jobs:
+        return se._mean_report([], n_list)
+    e_global = se.compute_global_table(params, a_norm)
+    n_max = max(n_list)
+    chunks = [jobs[i:i + se._EVAL_CHUNK] for i in range(0, len(jobs), se._EVAL_CHUNK)]
+
+    def run_chunk(chunk):
+        interests = se._batched_interests(
+            [j[0] for j in chunk], [j[1] for j in chunk], params, a_norm,
+            time_unit_seconds, residual)
+        rows = []
+        for (seq, prefix, truth, exclude), vecs in zip(chunk, interests):
+            candidates = e_global.shape[0] - 1 - len(exclude)
+            ranked = top_n_per_user(vecs, e_global, min(n_max, candidates), exclude)
+            rows.append({n: se.metrics(ranked, truth, n) for n in n_list})
+        return rows
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            per_user = [row for rows in pool.map(run_chunk, chunks) for row in rows]
+    else:
+        per_user = [row for chunk in chunks for row in run_chunk(chunk)]
+    return se._mean_report(per_user, n_list)
+
+
+def adam_step_out_of_place(params, grads, state):
+    """``train.adam_step`` with every moment and parameter rebound to a new
+    array, the formulation the in-place moment update replaced."""
+    state.step += 1
+    t = state.step
+    for name, tensor in params.named().items():
+        g = grads[name]
+        if name == "item_embeddings" and g[0].any():
+            g = g.copy()
+            g[0] = 0.0
+        if name not in state.m:
+            state.m[name] = np.zeros_like(tensor.data)
+            state.v[name] = np.zeros_like(tensor.data)
+        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
+        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
+        m_hat = state.m[name] / (1.0 - state.beta1 ** t)
+        v_hat = state.v[name] / (1.0 - state.beta2 ** t)
+        tensor.data = tensor.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from gimirec.cli import main
 from gimirec.config import ConfigError, HyperParams, PRESETS, load_config
 from gimirec.global_context import AblationVariant, read_adjacency, write_adjacency
+from gimirec.ingest import load_bundle
 from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 
 
@@ -181,6 +182,45 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert str(adj_path) in err and str(ckpt_path) in err
         assert re.search(match, err), err
+
+    def test_recommend_several_users_prints_per_user_output(
+            self, mini_corpus, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        assert main(["prepare", "--input", str(mini_corpus / "log.csv"),
+                     "--out", str(bundle), "--set", "seed=5"]) == 0
+        assert main(["gce", "--bundle", str(bundle), "--out", str(bundle),
+                     *SMALL]) == 0
+        assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path),
+                     *SMALL]) == 0
+        common = ["recommend", "--bundle", str(bundle),
+                  "--checkpoint", str(tmp_path / "checkpoint.bin"), *SMALL]
+
+        def run(users, n):
+            capsys.readouterr()
+            code = main([*common, "--users", ",".join(map(str, users)), "-n", str(n)])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        loaded = load_bundle(bundle)
+        counts = [loaded.split.item_vocab.num_real - len(set(s.items.tolist()))
+                  for s in loaded.sequences]
+        low = int(np.argmin(counts))
+        high = np.argsort(counts)[::-1][:2].tolist()
+        assert counts[low] < counts[high[1]]
+
+        users = [high[0], low, high[1]]
+        n = counts[low]
+        solo = [run([u], n) for u in users]
+        assert all(code == 0 and err == "" for code, _, err in solo)
+        assert run(users, n) == (0, "".join(out for _, out, _ in solo), "")
+
+        # one more than the middle user's candidates: the first user's list,
+        # then that user's error
+        n = counts[low] + 1
+        first, middle = run(users[:1], n), run(users[1:2], n)
+        assert middle[0] == 1
+        assert "cannot rank" in middle[2]
+        assert run(users, n) == (1, first[1], middle[2])
 
     @pytest.mark.parametrize("users", ["-1", "0,40"])
     def test_recommend_rejects_user_outside_bundle(self, mini_corpus, tmp_path,

@@ -17,8 +17,10 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR: the work directory demo 02 makes with mkdtemp lands in tmp_path
+    # TMPDIR: demo 02's temporary work directory is made in tmp_path, so
+    # the check below sees whether the demo removed it
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     done = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+    assert not list(tmp_path.glob("gimirec-demo-*"))

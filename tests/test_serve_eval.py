@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gimirec import autodiff as ad
-from gimirec.ingest import UserSequence
+from gimirec import serve_eval
+from gimirec.config import HyperParams
+from gimirec.ingest import UserSequence, prepare
 from gimirec.model import ModelDims, ModelParams, cast_adjacency, forward_interests
 from gimirec.recent import make_window, stack_windows
 from gimirec.serve_eval import (MetricRow, MetricsReport, _batched_interests,
                                 compute_global_table,
                                 evaluate, evaluate_ranker, infer_interests,
                                 metrics, popularity_counts, popularity_top_n,
-                                random_top_n, top_n)
+                                random_top_n, top_n, top_n_rows)
+from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
+from gimirec.train import build_adjacency_from_bundle
 
 import oracles
 from oracles import metrics_oracle
@@ -125,6 +129,69 @@ class TestTopN:
     def test_too_many_requested(self):
         with pytest.raises(ValueError):
             top_n(np.ones((1, 2)), np.zeros((4, 2)), 4)
+
+
+def _edge_case_rows(rng):
+    """Tie-heavy integer scores with NaN and ±inf rows: (interests (U, K, 2),
+    e_global (V, 2), one exclusion set per user)."""
+    n_rows = int(rng.integers(1, 30))
+    e_global = rng.integers(-2, 3, size=(n_rows, 2)).astype(np.float64)
+    for special in (np.nan, np.inf, -np.inf):
+        if rng.random() < 0.3:
+            e_global[rng.integers(n_rows, size=rng.integers(1, 4)),
+                     rng.integers(2)] = special
+    users, k = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    interests = rng.integers(-2, 3, size=(users, k, 2)).astype(np.float64)
+    excludes = [set(rng.integers(1, n_rows, size=rng.integers(0, n_rows)).tolist())
+                for _ in range(users)]
+    return interests, e_global, excludes
+
+
+class TestTopNRows:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+    def test_rows_match_per_user_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        interests, e_global, excludes = _edge_case_rows(rng)
+        counts = [e_global.shape[0] - 1 - len(ex) for ex in excludes]
+        # blocks of 1-3 users, so one call spans several of them
+        per_block = interests.shape[1] * e_global.shape[0] * 8
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serve_eval, "_SCORE_BLOCK_BYTES",
+                       int(rng.integers(1, 4)) * per_block)
+            for n in range(max(counts) + 1):
+                ns = np.minimum(n, counts)
+                got = top_n_rows(interests, e_global, ns, excludes)
+                assert len(got) == len(excludes)
+                for vecs, m, ex, row in zip(interests, ns, excludes, got):
+                    expect = oracles.top_n_per_user(vecs, e_global, m, ex)
+                    assert row.dtype == expect.dtype
+                    np.testing.assert_array_equal(row, expect)
+            # a row asked for more than its candidates fails as top_n does
+            short = int(np.argmin(counts))
+            ns = np.minimum(max(counts), counts)
+            ns[short] = counts[short] + 1
+            with pytest.raises(ValueError) as expected:
+                oracles.top_n_per_user(interests[short], e_global, ns[short],
+                                       excludes[short])
+            with pytest.raises(ValueError, match=f"^{expected.value}$"):
+                top_n_rows(interests, e_global, ns, excludes)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="cannot rank -1 items"):
+            top_n_rows(np.ones((2, 1, 2)), np.ones((5, 2)), [3, -1], [set(), set()])
+
+    def test_float32_rows_match_per_user_scan(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        e_global = rng.normal(size=(400, 16)).astype(np.float32)
+        interests = rng.normal(size=(37, 4, 16)).astype(np.float32)
+        excludes = [set(rng.integers(1, 400, size=30).tolist()) for _ in range(37)]
+        monkeypatch.setattr(serve_eval, "_SCORE_BLOCK_BYTES", 5 * 4 * 400 * 4)
+        got = top_n_rows(interests, e_global, [50] * 37, excludes)
+        for vecs, ex, row in zip(interests, excludes, got):
+            np.testing.assert_array_equal(
+                row, oracles.top_n_per_user(vecs, e_global, 50, ex))
 
 
 def build_model(seed, n_items=12, d=8, k=2, l_rec=4, l_time=5):
@@ -241,6 +308,37 @@ class TestInferAndEvaluate:
                         time_unit_seconds=1, threads=4)
         assert one.per_n[4] == four.per_n[4]
         assert one.user_count == four.user_count
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_per_user_evaluation(self, tmp_path, monkeypatch, threads):
+        cfg = PlantedConfig(n_clusters=3, items_per_cluster=12, n_users=60,
+                            n_hot_items=8, n_tail_items=50)
+        write_log(tmp_path / "log.csv", planted_cluster_records(cfg, seed=4))
+        bundle, _ = prepare(tmp_path / "log.csv", tmp_path / "bundle", seed=4)
+        hp = HyperParams(d=16, k=3, l_rec=8, l_time=8, n_heads=2, n_layers=1)
+        a_norm = cast_adjacency(build_adjacency_from_bundle(bundle, hp).a_norm,
+                                np.float32)
+        v = bundle.split.item_vocab.size
+        dims = ModelDims(v, hp.d, hp.k, hp.l_rec, hp.l_time, hp.n_heads, hp.n_layers)
+        params = ModelParams.init(dims, np.random.default_rng(4), dtype=np.float32)
+        # a user whose prefix leaves fewer than 20 unseen items
+        extra = 0
+        while v - 1 - (8 * (v - 1 + extra)) // 10 >= 20:
+            extra += 1
+        items = np.r_[np.arange(1, v), np.arange(1, 1 + extra)]
+        sequences = bundle.sequences + [
+            UserSequence(len(bundle.sequences), items, np.arange(1, items.size + 1))]
+        users = np.r_[bundle.split.test_users, bundle.split.valid_users,
+                      len(bundle.sequences)]
+        # several chunks per thread and several score blocks per chunk
+        monkeypatch.setattr(serve_eval, "_EVAL_CHUNK", 5)
+        monkeypatch.setattr(serve_eval, "_SCORE_BLOCK_BYTES", 2 * hp.k * v * 4)
+        got = evaluate(sequences, users, params, a_norm, n_list=(5, 20),
+                       threads=threads)
+        expect = oracles.evaluate_per_user(sequences, users, params, a_norm,
+                                           n_list=(5, 20), threads=threads)
+        assert got.user_count == users.size
+        assert got == expect
 
     def test_report_dict_shape(self):
         seqs, params, a_norm = build_model(6)

@@ -324,6 +324,31 @@ class TestAdam:
         adam_step(params, grads, state)
         assert abs(params.interval_score_w.data[0, 0] - 0.8000000040000006) <= 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_out_of_place_update_bit_for_bit(self, dtype):
+        dims = ModelDims(30, 8, 2, 4, 5, 2, 1)
+        params = ModelParams.init(dims, np.random.default_rng(1), dtype=dtype)
+        reference = params.astype(dtype)
+        state, ref_state = AdamState(lr=0.01), AdamState(lr=0.01)
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            # the padding row's gradient is non-zero, and must be dropped
+            grads = {n: rng.normal(scale=10.0 ** rng.integers(-6, 2),
+                                   size=t.data.shape).astype(dtype)
+                     for n, t in params.named().items()}
+            before = {n: t.data for n, t in params.named().items()}
+            kept = {n: a.copy() for n, a in before.items()}
+            adam_step(params, grads, state)
+            oracles.adam_step_out_of_place(reference, grads, ref_state)
+            for n, t in params.named().items():
+                assert t.data.dtype == dtype and state.m[n].dtype == dtype
+                np.testing.assert_array_equal(t.data, reference.named()[n].data)
+                np.testing.assert_array_equal(state.m[n], ref_state.m[n])
+                np.testing.assert_array_equal(state.v[n], ref_state.v[n])
+                # the data is rebound, not written over
+                np.testing.assert_array_equal(before[n], kept[n])
+        np.testing.assert_array_equal(params.item_table.data[0], 0.0)
+
     def test_padding_row_stays_frozen(self):
         params = self._params()
         grads = {n: np.ones_like(t.data) for n, t in params.named().items()}
