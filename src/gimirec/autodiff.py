@@ -135,8 +135,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _node(data, (a, b), bwd)
 
@@ -145,8 +147,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(data, (a, b), bwd)
 
@@ -163,25 +167,37 @@ def scale(a: Tensor, s: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product with NumPy broadcasting.
 
-    When one operand is a 2-D weight and the other is batched, the weight
-    gradient is a single product over the flattened batch instead of a
-    per-example stack of (k, n) products that is then summed.
+    When ``a`` is batched and ``b`` is a 2-D weight, the forward product,
+    ``a``'s gradient and the weight gradient are each one product over the
+    flattened ``(-1, k)`` batch instead of a stack of per-example products.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
-    data = a.data @ b.data
+    flat = b.ndim == 2 and a.ndim > 2
+    if flat:
+        a_rows = a.data.reshape(-1, b.shape[0])
+        data = (a_rows @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
+    else:
+        data = a.data @ b.data
 
     def bwd(g):
-        if b.ndim == 2 and a.ndim > 2:
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1]))
+        if flat:
+            g = g.reshape(-1, b.shape[1])
+            if a.requires_grad:
+                _accum(a, (g @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                _accum(b, a_rows.T @ g)
         elif a.ndim == 2 and b.ndim > 2:
-            summed = tuple(range(g.ndim - 2)) + (g.ndim - 1,)
-            _accum(a, np.tensordot(g, b.data, axes=(summed, summed)))
-            _accum(b, a.data.T @ g)
+            if a.requires_grad:
+                summed = tuple(range(g.ndim - 2)) + (g.ndim - 1,)
+                _accum(a, np.tensordot(g, b.data, axes=(summed, summed)))
+            if b.requires_grad:
+                _accum(b, a.data.T @ g)
         else:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _node(data, (a, b), bwd)
 

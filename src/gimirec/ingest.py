@@ -1,9 +1,11 @@
 """Interaction-log ingestion.
 
-Parses delimited logs, drops non-positive timestamps, applies the iterative
-5-interaction user/item filter, assigns dense indices (item index 0 is the
-padding slot), splits users 8:1:1 and reads/writes the on-disk dataset
-bundle (vocab.tsv / users.tsv / sequences.bin / split.json).
+Parses delimited logs into user, item and timestamp columns, drops
+non-positive timestamps, applies the iterative 5-interaction user/item
+filter, assigns dense indices (item index 0 is the padding slot), splits
+users 8:1:1 and reads/writes the on-disk dataset bundle (vocab.tsv /
+users.tsv / sequences.bin / split.json). ``InteractionRecord`` lists are an
+interface for callers; ``prepare`` never builds one.
 ``BinaryReader`` is the bounded reader every binary container (bundle,
 adjacency, checkpoint) loads through.
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -103,9 +104,12 @@ class DatasetBundle:
         return [self.sequences[u] for u in self.split.train_users]
 
 
-def _text_lines(path: str | Path):
-    """The lines of a UTF-8 text file; a decoding error names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _text_lines(path: str | Path, newline: str | None = None):
+    """The lines of a UTF-8 text file; a decoding error names the file.
+
+    ``newline`` is ``open``'s: by default a CRLF or a lone CR also ends a line.
+    """
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
         try:
             yield from fh
         except UnicodeDecodeError as exc:
@@ -119,7 +123,17 @@ def parse_log(path: str | Path, delimiter: str = ",") -> ParseResult:
     an int64 integer) are skipped and counted; blank lines are ignored. An
     unreadable file or one that is not UTF-8 raises.
     """
-    records: list[InteractionRecord] = []
+    users, items, timestamps, rejects = _parse_columns(path, delimiter)
+    return ParseResult(list(map(InteractionRecord, users, items, timestamps.tolist())),
+                       rejects)
+
+
+def _parse_columns(path: str | Path, delimiter: str
+                   ) -> tuple[list[str], list[str], np.ndarray, int]:
+    """``parse_log`` as three columns: (users, items, int64 timestamps, rejects)."""
+    users: list[str] = []
+    items: list[str] = []
+    timestamps: list[int] = []
     rejects = 0
     for line in _text_lines(path):
         line = line.rstrip("\n").rstrip("\r")
@@ -136,15 +150,27 @@ def parse_log(path: str | Path, delimiter: str = ",") -> ParseResult:
         if ts is None or not -2**63 <= ts < 2**63:
             rejects += 1
             continue
-        records.append(InteractionRecord(parts[0], parts[1], ts))
-    return ParseResult(records, rejects)
+        users.append(parts[0])
+        items.append(parts[1])
+        timestamps.append(ts)
+    return users, items, np.array(timestamps, dtype=np.int64), rejects
 
 
-def _code_by_first_appearance(keys) -> tuple[np.ndarray, list[str]]:
+def _code_by_first_appearance(keys: list[str]) -> tuple[np.ndarray, list[str]]:
     """Code 0.. for each key in order of first appearance; also the distinct keys."""
-    index: dict[str, int] = {}
-    codes = np.fromiter((index.setdefault(k, len(index)) for k in keys), np.int64)
-    return codes, list(index)
+    distinct = list(dict.fromkeys(keys))
+    index = dict(zip(distinct, range(len(distinct))))
+    return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys)), distinct
+
+
+def _recode_by_first_appearance(codes: np.ndarray, keys: list[str]
+                                ) -> tuple[np.ndarray, list[str]]:
+    """``_code_by_first_appearance`` of ``[keys[c] for c in codes]``, from the codes."""
+    present, first = np.unique(codes, return_index=True)
+    present = present[np.argsort(first)]
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[present] = np.arange(len(present))
+    return rank[codes], [keys[c] for c in present.tolist()]
 
 
 def filter_and_index(records: list[InteractionRecord]) -> tuple[list[UserSequence], Vocab, list[str]]:
@@ -156,9 +182,16 @@ def filter_and_index(records: list[InteractionRecord]) -> tuple[list[UserSequenc
     ties kept in input order.
     """
     live = [r for r in records if r.timestamp > 0]
-    users, user_ids = _code_by_first_appearance(r.user for r in live)
-    items, item_raw = _code_by_first_appearance(r.item for r in live)
-    keep = np.ones(len(live), dtype=bool)
+    return _index_columns([r.user for r in live], [r.item for r in live],
+                          np.fromiter((r.timestamp for r in live), np.int64, len(live)))
+
+
+def _index_columns(users: list[str], items: list[str], timestamps: np.ndarray
+                   ) -> tuple[list[UserSequence], Vocab, list[str]]:
+    """``filter_and_index`` over the columns of ``_parse_columns``."""
+    users, user_ids = _code_by_first_appearance(users)
+    items, item_raw = _code_by_first_appearance(items)
+    keep = timestamps > 0
     while True:
         user_ok = np.bincount(users[keep], minlength=len(user_ids)) >= MIN_INTERACTIONS
         item_ok = np.bincount(items[keep], minlength=len(item_raw)) >= MIN_INTERACTIONS
@@ -170,10 +203,9 @@ def filter_and_index(records: list[InteractionRecord]) -> tuple[list[UserSequenc
         raise ValueError("dataset too sparse: nothing survives the 5-interaction filter")
 
     # re-code the survivors, so indices follow first appearance among them
-    live = list(compress(live, keep))
-    users, user_ids = _code_by_first_appearance(r.user for r in live)
-    items, item_raw = _code_by_first_appearance(r.item for r in live)
-    timestamps = np.fromiter((r.timestamp for r in live), np.int64, len(live))
+    users, user_ids = _recode_by_first_appearance(users[keep], user_ids)
+    items, item_raw = _recode_by_first_appearance(items[keep], item_raw)
+    timestamps = timestamps[keep]
     order = np.lexsort((timestamps, users))  # stable: timestamp ties keep input order
     cuts = np.cumsum(np.bincount(users))[:-1]
     sequences = [UserSequence(u, seq_items, seq_ts) for u, (seq_items, seq_ts) in enumerate(
@@ -262,9 +294,13 @@ def save_bundle(out_dir: str | Path, bundle: DatasetBundle) -> None:
 
 
 def _read_tsv(path: Path) -> list[tuple[int, str]]:
-    """The (index, id) lines of a two-column TSV; a malformed line raises."""
+    """The (index, id) lines of a two-column TSV; a malformed line raises.
+
+    Only LF ends a line, as ``save_bundle`` writes it, so an id keeps any CR
+    it holds.
+    """
     rows = []
-    for line_no, line in enumerate(_text_lines(path), 1):
+    for line_no, line in enumerate(_text_lines(path, newline="\n"), 1):
         try:
             idx_s, raw = line.rstrip("\n").split("\t")
             rows.append((int(idx_s), raw))
@@ -279,10 +315,13 @@ def load_bundle(in_dir: str | Path) -> DatasetBundle:
     for name in ("vocab.tsv", "users.tsv", "sequences.bin", "split.json"):
         if not (src / name).exists():
             raise FileNotFoundError(f"dataset bundle incomplete: missing {src / name}")
+    vocab_path = src / "vocab.tsv"
     vocab = Vocab()
-    for idx, raw in _read_tsv(src / "vocab.tsv"):
+    for idx, raw in _read_tsv(vocab_path):
+        if idx != vocab.size:
+            raise ValueError(f"{vocab_path}: indices are not dense from 1")
         if vocab.add(raw) != idx:
-            raise ValueError(f"{src / 'vocab.tsv'}: indices are not dense from 1")
+            raise ValueError(f"{vocab_path}: item id {raw!r} appears twice")
     users_path = src / "users.tsv"
     user_ids = []
     for idx, raw in _read_tsv(users_path):
@@ -333,9 +372,9 @@ def load_bundle(in_dir: str | Path) -> DatasetBundle:
 def prepare(log_path: str | Path, out_dir: str | Path, delimiter: str = ",",
             seed: int = 42) -> tuple[DatasetBundle, int]:
     """Full ingestion pipeline: parse, filter, split, write bundle."""
-    parsed = parse_log(log_path, delimiter)
-    sequences, vocab, user_ids = filter_and_index(parsed.records)
+    users, items, timestamps, rejects = _parse_columns(log_path, delimiter)
+    sequences, vocab, user_ids = _index_columns(users, items, timestamps)
     split = split_users(sequences, seed, vocab)
     bundle = DatasetBundle(sequences, split, user_ids)
     save_bundle(out_dir, bundle)
-    return bundle, parsed.rejects
+    return bundle, rejects

@@ -402,8 +402,10 @@ def aggregate_layers_token_tensor(hybrid, global_rows, layers, n_heads, mask,
 
 
 def matmul_stacked(a, b):
-    """``ad.matmul`` whose weight gradient is a batched (..., k, n) stack
-    summed over the batch axes."""
+    """``ad.matmul`` as NumPy's stacked products: the forward pass and the
+    input gradient run one product per batch element against the weight,
+    and the weight gradient is a batched (..., k, n) stack summed over the
+    batch axes."""
     def bwd(g):
         ad._accum(a, ad._unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         ad._accum(b, ad._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))

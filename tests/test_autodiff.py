@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from gimirec import autodiff as ad
 from gimirec.interests import select_training_interest
 
-from oracles import scatter_add_reference, select_rows_add_at
+from oracles import matmul_stacked, scatter_add_reference, select_rows_add_at
 
 
 def fd_check(build, tensors, h=1e-6, tol=1e-6):
@@ -58,6 +58,45 @@ def test_matmul_batched():
     for a_shape, b_shape in (((2, 3, 4), (4, 5)), ((4, 3), (2, 3, 5)),
                              ((2, 1, 3, 4), (3, 4, 2))):
         fd_check(ad.matmul, [leaf(rng, *a_shape), leaf(rng, *b_shape)])
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((2560, 4, 32), (32, 32)), ((3, 5, 7, 4), (4, 6)), ((6, 1, 3), (3, 2))])
+@pytest.mark.parametrize("needs", [(True, True), (True, False), (False, True)])
+def test_matmul_flat_weight_product_matches_stacked_form(a_shape, b_shape, needs):
+    """Batched input times a 2-D weight: forward and both gradients as one
+    flattened product agree with the per-example stack to 1e-12, and an
+    operand that needs no gradient gets none."""
+    rng = np.random.default_rng(11)
+    a_data, b_data = rng.normal(size=a_shape), rng.normal(size=b_shape)
+    # a non-contiguous batched operand, as swapaxes outputs are
+    a_data = np.swapaxes(np.swapaxes(a_data, 0, -2).copy(), 0, -2)
+    seed = rng.normal(size=a_shape[:-1] + b_shape[-1:])
+    results = []
+    for op in (ad.matmul, matmul_stacked):
+        a = ad.Tensor(a_data, requires_grad=needs[0])
+        b = ad.Tensor(b_data, requires_grad=needs[1])
+        out = op(a, b)
+        ad.sumt(ad.mul(out, ad.Tensor(seed))).backward()
+        results.append((out.data, a.grad, b.grad))
+    (out, ga, gb), (want_out, want_ga, want_gb) = results
+    assert out.shape == want_out.shape
+    np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+    for got, want, need in ((ga, want_ga, needs[0]), (gb, want_gb, needs[1])):
+        if not need:
+            assert got is None
+            continue
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_constant_operand_gets_no_gradient():
+    rng = np.random.default_rng(12)
+    x = leaf(rng, 3, 4)
+    mask = ad.Tensor(rng.normal(size=(3, 4)))
+    ad.sumt(ad.add(ad.mul(x, mask), mask)).backward()
+    assert mask.grad is None
+    np.testing.assert_array_equal(x.grad, mask.data)
 
 
 def test_tanh_sum_axis():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gimirec import ingest
 from gimirec.ingest import (DatasetBundle, InteractionRecord, UserSequence,
                             filter_and_index, load_bundle, parse_log, prepare,
                             save_bundle, split_users)
@@ -61,6 +62,14 @@ class TestParseLog:
                                   rec("u1", "i9", -2**63)]
         assert result.rejects == 2
 
+    def test_blank_lines_and_line_endings_neither_kept_nor_counted(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"u1,i9,1000\r\n\r\n   \n\t\nu2,i3,5\ru3,i4,6\n\n")
+        result = parse_log(path)
+        assert result.records == [rec("u1", "i9", 1000), rec("u2", "i3", 5),
+                                  rec("u3", "i4", 6)]
+        assert result.rejects == 0
+
     def test_non_utf8_log_raises_naming_file(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_bytes(b"u1,i9,1000\nu\xff,i9,1001\n")
@@ -112,6 +121,18 @@ class TestFilterAndIndex:
                     zip("abcde", [0, 201, 202, 203, 204])]
         seqs, vocab, users = filter_and_index(records)
         assert users == [f"u{u}" for u in range(5)]
+
+    def test_timestamp_below_int64_dropped(self):
+        records = []
+        for u in range(5):
+            records += five_of(f"u{u}", ["a", "b", "c", "d", "e"])
+        seqs, vocab, users = filter_and_index(records + [rec("u0", "a", -2**70)])
+        want_seqs, want_vocab, want_users = filter_and_index(records)
+        assert users == want_users
+        assert vocab.index_to_raw == want_vocab.index_to_raw
+        for got, want in zip(seqs, want_seqs):
+            np.testing.assert_array_equal(got.items, want.items)
+            np.testing.assert_array_equal(got.timestamps, want.timestamps)
 
     def test_everything_filtered_raises(self):
         with pytest.raises(ValueError, match="too sparse"):
@@ -183,6 +204,64 @@ class TestFilterAndIndex:
             assert got.items.dtype == got.timestamps.dtype == np.int64
             np.testing.assert_array_equal(got.items, want.items)
             np.testing.assert_array_equal(got.timestamps, want.timestamps)
+
+
+BUNDLE_FILES = ("vocab.tsv", "users.tsv", "sequences.bin", "split.json")
+
+# Lines besides well-formed ones: malformed (field count, empty ids, bad or
+# out-of-range timestamps), blank, and timestamps that int() accepts.
+ODD_LINES = ["u1,i2", "u1,i2,3,4", ",i2,3", "u1,,3", "u1,i2,x", "u1,i2,",
+             f"u1,i2,{2**63}", f"u1,i2,{-2**63 - 1}", "", "   ", "\t",
+             "u1,i2, 4", "u2,i3,+5", "u3,i1,1_0", "u4,i0,-0"]
+
+
+class TestPrepareColumns:
+    """``prepare`` runs on columns; the record path is its oracle."""
+
+    # ten users with five items each always survive, so the split has
+    # users; the drawn lines add users u10-u11 and item i5 at the 5-core
+    # boundary, ties (timestamps 1-6), timestamps <= 0, malformed and blank
+    # lines, all shuffled among the base lines, with LF or CRLF endings
+    @given(data=st.data(),
+           extra=st.lists(st.one_of(
+               st.tuples(st.integers(0, 11), st.integers(0, 5),
+                         st.integers(-2, 6)).map(lambda t: "u%d,i%d,%d" % t),
+               st.sampled_from(ODD_LINES)), min_size=0, max_size=60))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bundle_matches_record_path(self, tmp_path, data, extra):
+        base = [f"u{u},i{i},{1 + (u + i) % 6}" for u in range(10) for i in range(5)]
+        lines = data.draw(st.permutations(base + extra))
+        endings = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                                     min_size=len(lines), max_size=len(lines)))
+        log = tmp_path / "log.csv"
+        log.write_bytes("".join(map(str.__add__, lines, endings)).encode("utf-8"))
+        seed = data.draw(st.integers(0, 3))
+        parsed = parse_log(log)
+        sequences, vocab, user_ids = filter_and_index_reference(parsed.records)
+        want = DatasetBundle(sequences, split_users(sequences, seed, vocab), user_ids)
+        save_bundle(tmp_path / "want", want)
+        _, rejects = prepare(log, tmp_path / "got", seed=seed)
+        assert rejects == parsed.rejects
+        for name in BUNDLE_FILES:
+            assert ((tmp_path / "got" / name).read_bytes()
+                    == (tmp_path / "want" / name).read_bytes()), name
+
+    def test_no_record_objects(self, tmp_path, monkeypatch):
+        lines = [f"u{u},i{i},{100 + i}" for u in range(12) for i in range(6)]
+        log = make_log(tmp_path, lines + ["bad line"])
+        want, want_rejects = prepare(log, tmp_path / "want", seed=1)
+
+        def no_records(*args):
+            raise AssertionError("prepare built an InteractionRecord")
+
+        monkeypatch.setattr(ingest, "InteractionRecord", no_records)
+        got, rejects = prepare(log, tmp_path / "got", seed=1)
+        assert rejects == want_rejects == 1
+        assert got.user_ids == want.user_ids
+        for name in BUNDLE_FILES:
+            assert ((tmp_path / "got" / name).read_bytes()
+                    == (tmp_path / "want" / name).read_bytes()), name
 
 
 def dummy_sequences(n):
@@ -279,12 +358,14 @@ class TestBundle:
         ("vocab_not_utf8", r"vocab\.tsv: not UTF-8"),
         ("users_misnumbered", r"users\.tsv: indices are not dense from 0"),
         ("users_missing", r"missing .*users\.tsv"),
+        ("vocab_repeated_line", r"vocab\.tsv: indices are not dense from 1"),
+        ("vocab_repeated_id", r"vocab\.tsv: item id 'e' appears twice"),
     ], ids=["truncated", "trailing_byte", "item_zero", "item_past_vocab",
             "repeated_user", "huge_user_count", "decreasing_timestamp",
             "split_user_out_of_range", "users_short", "vocab_malformed",
             "users_malformed", "split_not_json", "split_not_object",
             "split_missing_key", "vocab_not_utf8", "users_misnumbered",
-            "users_missing"])
+            "users_missing", "vocab_repeated_line", "vocab_repeated_id"])
     def test_malformed_bundle_rejected(self, tmp_path, case, match):
         self._prepare(tmp_path)
         seq_path = tmp_path / "bundle" / "sequences.bin"
@@ -318,6 +399,10 @@ class TestBundle:
             "split_not_object": ("split.json", "[]"),
             "split_missing_key": ("split.json", json.dumps(
                 {k: v for k, v in manifest.items() if k != "valid_users"})),
+            "vocab_repeated_line": ("vocab.tsv", text["vocab.tsv"].replace(
+                "6\tf", "5\te")),
+            "vocab_repeated_id": ("vocab.tsv", text["vocab.tsv"].replace(
+                "6\tf", "6\te")),
             "users_misnumbered": ("users.tsv", "".join(
                 "999\t" + line.split("\t", 1)[1]
                 for line in text["users.tsv"].splitlines(True))),
@@ -333,6 +418,46 @@ class TestBundle:
         error = FileNotFoundError if case == "users_missing" else ValueError
         with pytest.raises(error, match=match):
             load_bundle(tmp_path / "bundle")
+
+    # ids over letters, "\r" and non-ASCII, then up to two defects: an
+    # entry loses its tab (missing field), gets a tab in its id or carries
+    # another index (non-dense or repeated); vocab ids may repeat
+    @given(data=st.data(), name=st.sampled_from(["vocab.tsv", "users.tsv"]))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_text_files_round_trip_or_fail_naming_file(self, tmp_path, data, name):
+        self._prepare(tmp_path)
+        path = tmp_path / "bundle" / name
+        first = 1 if name == "vocab.tsv" else 0
+        count = path.read_bytes().count(b"\n")
+        ids = data.draw(st.lists(st.text(st.sampled_from("ab\ré"), max_size=3),
+                                 min_size=count, max_size=count))
+        entries = [[index, raw, "\t"] for index, raw in enumerate(ids, first)]
+        defects = data.draw(st.lists(st.tuples(
+            st.integers(0, count - 1), st.sampled_from(["no_tab", "tab_in_id", "index"]),
+            st.integers(-1, count + 1)), max_size=2))
+        for pos, kind, index in defects:
+            if kind == "no_tab":
+                entries[pos][2] = ""
+            elif kind == "tab_in_id":
+                entries[pos][1] += "\tb"
+            else:
+                entries[pos][0] = index
+        path.write_bytes("".join(f"{index}{tab}{raw}\n" if tab else f"{raw}\n"
+                                 for index, raw, tab in entries).encode("utf-8"))
+        valid = (all(tab and "\t" not in raw for _, raw, tab in entries)
+                 and [e[0] for e in entries] == list(range(first, first + count))
+                 and (name == "users.tsv" or len(set(ids)) == count))
+        try:
+            loaded = load_bundle(tmp_path / "bundle")
+        except ValueError as exc:
+            assert not valid, exc
+            assert str(path) in str(exc)
+            return
+        assert valid
+        got = (loaded.split.item_vocab.index_to_raw[1:] if name == "vocab.tsv"
+               else loaded.user_ids)
+        assert got == ids
 
     @given(cut=st.integers(0, 2**20),
            flips=st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 255)),
