@@ -3,8 +3,8 @@
 Window items and a virtual central node exchange information for a fixed
 number of multi-head-attention layers. Each item attends over four tokens
 (left neighbor, center, itself, its global-context row); the center then
-attends over itself and all real items. No residual connections or layer
-norms by default.
+attends over itself and all real items, except in the last layer, whose
+center nothing reads. No residual connections or layer norms by default.
 
 Item states are flat (B*L, d) rows: per layer one gather builds every
 slot's four tokens, and both updates are single-query attention.
@@ -84,13 +84,14 @@ def aggregate_layers(hybrid: ad.Tensor, global_rows: ad.Tensor,
                      layers: list[LayerParams], n_heads: int, mask: np.ndarray,
                      dropout_rate: float = 0.0,
                      rng: np.random.Generator | None = None,
-                     residual: bool = False) -> tuple[ad.Tensor, ad.Tensor]:
-    """Run the attention layers; returns (per-item matrix, center vector).
+                     residual: bool = False) -> ad.Tensor:
+    """Run the attention layers; returns the (B, L, d) per-item matrix.
 
     Item states start at the hybrid embeddings, the center at their masked
     mean. Within a layer every item re-reads [left neighbor; center; itself;
     its global row]; the center then re-reads [itself; updated items], with
-    padding items masked out. Padding rows stay exactly zero throughout.
+    padding items masked out. The last layer's center update feeds nothing,
+    so it is skipped. Padding rows stay exactly zero throughout.
     """
     if len(layers) < 1:
         raise ValueError("at least one aggregation layer is required")
@@ -108,15 +109,17 @@ def aggregate_layers(hybrid: ad.Tensor, global_rows: ad.Tensor,
     center_key_mask = np.concatenate([np.ones((b, 1), dtype=bool), mask], axis=1)
     q = ad.reshape(hybrid, (n, d))
     center = init_center(hybrid, mask)
-    for lp in layers:
+    for li, lp in enumerate(layers):
         tokens = ad.gather(ad.concat([zero, q, center, rows], axis=0), token_idx)
         upd = multi_head_attention(q, tokens, lp.item, n_heads,
                                    dropout_rate=dropout_rate, rng=rng)
         q = ad.mul(ad.add(upd, q) if residual else upd, maskf)
+        if li == len(layers) - 1:
+            break
         center_tokens = ad.concat([ad.reshape(center, (b, 1, d)),
                                    ad.reshape(q, (b, l, d))], axis=1)
         c_upd = multi_head_attention(center, center_tokens, lp.center, n_heads,
                                      key_mask=center_key_mask,
                                      dropout_rate=dropout_rate, rng=rng)
         center = ad.add(c_upd, center) if residual else c_upd
-    return ad.reshape(q, (b, l, d)), center
+    return ad.reshape(q, (b, l, d))

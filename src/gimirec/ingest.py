@@ -371,9 +371,21 @@ def load_bundle(in_dir: str | Path) -> DatasetBundle:
 
 def prepare(log_path: str | Path, out_dir: str | Path, delimiter: str = ",",
             seed: int = 42) -> tuple[DatasetBundle, int]:
-    """Full ingestion pipeline: parse, filter, split, write bundle."""
+    """Full ingestion pipeline: parse, filter, split, write bundle.
+
+    A kept user or item id that holds a tab raises, naming the first log
+    line that holds it: the bundle's TSV files could not store it.
+    """
     users, items, timestamps, rejects = _parse_columns(log_path, delimiter)
     sequences, vocab, user_ids = _index_columns(users, items, timestamps)
+    for field, ids in enumerate((user_ids, vocab.index_to_raw)):
+        bad = next((raw for raw in ids if "\t" in raw), None)
+        if bad is None:
+            continue
+        for line_no, line in enumerate(_text_lines(log_path), 1):
+            if line.rstrip("\n").split(delimiter)[field:field + 1] == [bad]:
+                raise ValueError(f"{log_path}: line {line_no}: {('user', 'item')[field]} "
+                                 f"id {bad!r} holds a tab, which the bundle cannot store")
     split = split_users(sequences, seed, vocab)
     bundle = DatasetBundle(sequences, split, user_ids)
     save_bundle(out_dir, bundle)

@@ -142,7 +142,7 @@ def forward_interests(params: ModelParams, a_norm: sp.csr_matrix,
     e_time = interval_attention(buckets, params.interval_table,
                                 params.interval_score_w, mask)
     hybrid = hybrid_embeddings(global_rows, e_time, mask)
-    e_user, _ = aggregate_layers(
+    e_user = aggregate_layers(
         hybrid, global_rows, params.layers, dims.n_heads, mask,
         dropout_rate=dropout_rate, rng=rng, residual=residual)
     interests, attn = extract_interests(

@@ -102,5 +102,11 @@ def stack_windows(windows: list[RecentWindow], l_time: float,
     items = np.stack([w.items for w in windows])
     mask = np.stack([w.mask for w in windows])
     timestamps = np.stack([w.timestamps for w in windows])
-    values = _interval_matrices(timestamps, mask, l_time, time_unit_seconds)
-    return items, bucketize(values, l_time), mask
+    return items, window_buckets(timestamps, mask, l_time, time_unit_seconds), mask
+
+
+def window_buckets(timestamps: np.ndarray, mask: np.ndarray, l_time: float,
+                   time_unit_seconds: int) -> np.ndarray:
+    """Bucketed interval matrices of stacked windows: (B, L) -> (B, L, L)."""
+    return bucketize(_interval_matrices(timestamps, mask, l_time, time_unit_seconds),
+                     l_time)

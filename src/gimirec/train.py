@@ -21,7 +21,7 @@ from .config import HyperParams
 from .global_context import AblationVariant, build_weighted_adjacency, extract_hop_pairs
 from .ingest import DatasetBundle, UserSequence
 from .model import ModelDims, ModelParams, cast_adjacency, forward_interests, save_checkpoint
-from .recent import RecentWindow, make_window, stack_windows
+from .recent import RecentWindow, stack_windows, window_buckets
 from .interests import select_training_interest
 
 
@@ -37,45 +37,6 @@ class TrainingExample:
             raise ValueError("target must not appear among negatives")
         if np.any(self.negatives == 0):
             raise ValueError("padding index cannot be a negative sample")
-
-
-def sample_negatives(n_real_items: int, target: int, n_neg: int,
-                     rng: np.random.Generator,
-                     distribution: str = "uniform") -> np.ndarray:
-    """Draw negatives without replacement from real items, excluding target."""
-    available = n_real_items - 1
-    if n_neg >= available:
-        negs = np.arange(1, n_real_items + 1, dtype=np.int64)
-        return negs[negs != target]
-    if distribution == "uniform":
-        idx = rng.choice(available, size=n_neg, replace=False).astype(np.int64) + 1
-        idx[idx >= target] += 1
-        return idx
-    if distribution == "log_uniform":
-        weights = 1.0 / np.arange(1, n_real_items + 1, dtype=np.float64)
-        weights[target - 1] = 0.0
-        weights /= weights.sum()
-        return rng.choice(np.arange(1, n_real_items + 1), size=n_neg,
-                          replace=False, p=weights).astype(np.int64)
-    raise ValueError(f"unknown negative distribution {distribution!r}")
-
-
-def make_examples(train_users: np.ndarray, sequences: list[UserSequence],
-                  l_rec: int, n_neg: int, n_real_items: int,
-                  rng: np.random.Generator, distribution: str = "uniform"):
-    """Endless example stream: uniform user, uniform target position 2..N."""
-    train_users = np.asarray(train_users)
-    while True:
-        u = int(train_users[rng.integers(len(train_users))])
-        seq = sequences[u]
-        pos = int(rng.integers(2, len(seq) + 1))
-        yield TrainingExample(
-            user_index=u,
-            window=make_window(seq, pos, l_rec),
-            target_item=int(seq.items[pos - 1]),
-            negatives=sample_negatives(n_real_items, int(seq.items[pos - 1]),
-                                       n_neg, rng, distribution),
-        )
 
 
 @dataclass
@@ -96,6 +57,113 @@ def build_batch(examples: list[TrainingExample], l_time: float,
         targets=np.array([e.target_item for e in examples], dtype=np.int64),
         negatives=np.stack([e.negatives for e in examples]),
     )
+
+
+class ExampleSampler:
+    """Training examples drawn as arrays.
+
+    An example is a uniform train user, a uniform target position 2..N in
+    that user's sequence with the window of up to ``l_rec`` items before it,
+    and ``n_neg`` distinct negatives from the real items other than the
+    target: a uniform subset by Floyd's algorithm, or successive draws
+    weighted 1/item for ``log_uniform``. When ``n_neg`` covers every other
+    item, all of them are the negatives.
+
+    Each example reads exactly ``2 + n_draws`` doubles from ``rng.random``,
+    in order: user, position, then one per negative (``n_draws`` is 0 when
+    all other items are negatives). So a batch of n consumes the stream
+    exactly as n single draws do.
+    """
+
+    def __init__(self, train_users: np.ndarray, sequences: list[UserSequence],
+                 l_rec: int, n_neg: int, n_real_items: int,
+                 distribution: str = "uniform"):
+        if distribution not in ("uniform", "log_uniform"):
+            raise ValueError(f"unknown negative distribution {distribution!r}")
+        users = np.asarray(train_users, dtype=np.int64)
+        if users.size == 0:
+            raise ValueError("the train split is empty: no examples to draw")
+        lengths = np.array([len(sequences[u]) for u in users], dtype=np.int64)
+        short = np.flatnonzero(lengths < 2)
+        if short.size:
+            raise ValueError(f"train user {users[short[0]]} has {lengths[short[0]]} "
+                             "interaction(s); a training example needs at least 2")
+        self.users, self.lengths = users, lengths
+        self.starts = np.cumsum(lengths) - lengths
+        self.items = np.concatenate([sequences[u].items for u in users])
+        self.timestamps = np.concatenate([sequences[u].timestamps for u in users])
+        self.l_rec, self.n_real_items = l_rec, n_real_items
+        self.distribution = distribution
+        self.n_neg = max(min(n_neg, n_real_items - 1), 0)
+        self.n_draws = n_neg if n_neg < n_real_items - 1 else 0
+
+    def draw(self, n: int, rng: np.random.Generator):
+        """n examples as (users, window items, window timestamps, mask,
+        targets, negatives); windows equal ``make_window``'s."""
+        u = rng.random((n, 2 + self.n_draws))
+        row = (u[:, 0] * len(self.users)).astype(np.int64)
+        target_at = 1 + (u[:, 1] * (self.lengths[row] - 1)).astype(np.int64)
+        offset = target_at[:, None] - self.l_rec + np.arange(self.l_rec)
+        mask = offset >= 0
+        # a pad slot reads the sequence's first item, whose timestamp pads
+        at = self.starts[row, None] + np.maximum(offset, 0)
+        items = np.where(mask, self.items[at], 0)
+        targets = self.items[self.starts[row] + target_at]
+        negatives = self._negatives(u[:, 2:], targets)
+        ordered = np.sort(negatives, axis=1)
+        if ((negatives == targets[:, None]).any() or (ordered[:, :1] < 1).any()
+                or (ordered[:, 1:] == ordered[:, :-1]).any()):
+            raise ValueError("negatives must exclude the target and padding "
+                             "and hold no repeat")
+        return self.users[row], items, self.timestamps[at], mask, targets, negatives
+
+    def _negatives(self, u: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Negatives from the (n, n_draws) draws: picks in 0..n_real_items-2
+        map to items 1..n_real_items, skipping each row's target."""
+        n = len(targets)
+        if not self.n_draws:  # every other item
+            picks = np.broadcast_to(np.arange(self.n_neg), (n, self.n_neg))
+        elif self.distribution == "uniform":
+            # Floyd: a uniform n_draws-subset, one draw per member
+            picks = np.empty(u.shape, dtype=np.int64)
+            first = self.n_real_items - 1 - self.n_draws
+            for c in range(self.n_draws):
+                t = (u[:, c] * (first + c + 1)).astype(np.int64)
+                taken = (picks[:, :c] == t[:, None]).any(axis=1)
+                picks[:, c] = np.where(taken, first + c, t)
+        else:
+            # successive draws weighted 1/item: the first pick whose
+            # cumulative weight reaches a point in (0, total]
+            items = np.arange(1, self.n_real_items)
+            weights = 1.0 / (items + (items >= targets[:, None]))
+            picks = np.empty(u.shape, dtype=np.int64)
+            for c in range(self.n_draws):
+                cdf = np.cumsum(weights, axis=1)
+                picks[:, c] = (cdf < (1.0 - u[:, c:c + 1]) * cdf[:, -1:]).sum(axis=1)
+                weights[np.arange(n), picks[:, c]] = 0.0
+        negatives = picks + 1
+        negatives += negatives >= targets[:, None]
+        return negatives
+
+    def batch(self, n: int, rng: np.random.Generator, l_time: float,
+              time_unit_seconds: int) -> Batch:
+        _, items, timestamps, mask, targets, negatives = self.draw(n, rng)
+        return Batch(items, window_buckets(timestamps, mask, l_time, time_unit_seconds),
+                     mask, targets, negatives)
+
+
+def make_examples(train_users: np.ndarray, sequences: list[UserSequence],
+                  l_rec: int, n_neg: int, n_real_items: int,
+                  rng: np.random.Generator, distribution: str = "uniform"):
+    """Endless stream of single ``ExampleSampler`` draws: n of them consume
+    the stream exactly as one batch of n."""
+    sampler = ExampleSampler(train_users, sequences, l_rec, n_neg, n_real_items,
+                             distribution)
+    while True:
+        user, items, timestamps, mask, target, negatives = (
+            a[0] for a in sampler.draw(1, rng))
+        yield TrainingExample(int(user), RecentWindow(items, timestamps, mask),
+                              int(target), negatives)
 
 
 def sampled_softmax_nll(selected: ad.Tensor, target_emb: ad.Tensor,
@@ -243,9 +311,9 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
     rng = np.random.default_rng(hp.seed)
     params = ModelParams.init(dims, rng, dtype=dtype)
     adj = cast_adjacency(a_norm, dtype)
-    stream = make_examples(bundle.split.train_users, bundle.sequences,
-                           hp.l_rec, hp.neg_samples, vocab.num_real, rng,
-                           hp.neg_distribution)
+    sampler = ExampleSampler(bundle.split.train_users, bundle.sequences,
+                             hp.l_rec, hp.neg_samples, vocab.num_real,
+                             hp.neg_distribution)
     state = AdamState(lr=hp.lr)
     ckpt_path = out / "checkpoint.bin"
     log_path = out / "train_log.txt"
@@ -284,8 +352,7 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
     with open(log_path, "w", encoding="utf-8") as log_file:
         step = 0
         for step in range(1, hp.max_steps + 1):
-            examples = [next(stream) for _ in range(hp.batch)]
-            batch = build_batch(examples, hp.l_time, hp.time_unit_seconds)
+            batch = sampler.batch(hp.batch, rng, hp.l_time, hp.time_unit_seconds)
             params.zero_grad()
             value, _ = batch_loss(params, adj, batch,
                                   dropout_rate=hp.dropout, rng=rng,
@@ -356,15 +423,8 @@ def gradient_check(seed: int, n_items: int = 8, d: int = 4, k: int = 2,
     dims = ModelDims(n_items=n_items + 1, d=d, k=k, l_rec=l_rec,
                      l_time=l_time, n_heads=n_heads, n_layers=n_layers)
     params = ModelParams.init(dims, rng, dtype=np.float64)
-    seq = sequences[int(rng.integers(len(sequences)))]
-    pos = int(rng.integers(2, len(seq) + 1))
-    target = int(seq.items[pos - 1])
-    example = TrainingExample(
-        user_index=seq.user_index,
-        window=make_window(seq, pos, l_rec),
-        target_item=target,
-        negatives=sample_negatives(n_items, target, n_neg, rng),
-    )
+    example = next(make_examples(np.arange(len(sequences)), sequences, l_rec,
+                                 n_neg, n_items, rng))
     batch = build_batch([example], l_time, time_unit_seconds=1)
 
     analytic = gradients(example, params, a_norm, time_unit_seconds=1)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from gimirec import autodiff as ad
-from gimirec.aggregate import init_center
+from gimirec.aggregate import init_center, multi_head_attention
 from gimirec.ingest import MIN_INTERACTIONS, UserSequence, Vocab
 
 
@@ -372,7 +372,8 @@ def multi_head_attention_query_rows(query, keys, projs, n_heads, key_mask=None,
 def aggregate_layers_token_tensor(hybrid, global_rows, layers, n_heads, mask,
                                   dropout_rate=0.0, rng=None, residual=False):
     """``aggregate.aggregate_layers`` over a (B, L, 4, d) token tensor built
-    with slices and broadcasts, attending with one query row per item."""
+    with slices and broadcasts, attending with one query row per item; like
+    it, skips the last layer's center update."""
     b, l, d = hybrid.shape
     maskf = mask[:, :, None].astype(hybrid.dtype)
     q = hybrid
@@ -392,13 +393,44 @@ def aggregate_layers_token_tensor(hybrid, global_rows, layers, n_heads, mask,
         if residual:
             upd = ad.add(upd, q)
         q = ad.mul(upd, ad.Tensor(maskf))
+        if lp is layers[-1]:
+            break
         center_tokens = ad.concat([ad.reshape(center, (b, 1, d)), q], axis=1)
         c_upd = multi_head_attention_query_rows(
             ad.reshape(center, (b, 1, d)), center_tokens, lp.center, n_heads,
             key_mask=center_key_mask, dropout_rate=dropout_rate, rng=rng)
         c_upd = ad.reshape(c_upd, (b, d))
         center = ad.add(c_upd, center) if residual else c_upd
-    return q, center
+    return q
+
+
+def aggregate_layers_with_last_center(hybrid, global_rows, layers, n_heads, mask,
+                                      dropout_rate=0.0, rng=None, residual=False):
+    """``aggregate.aggregate_layers`` as it was before it skipped the last
+    layer's center update, which nothing reads; returns (items, center)."""
+    b, l, d = hybrid.shape
+    n = b * l
+    slot = np.arange(n)
+    token_idx = np.stack([np.where(slot % l > 0, slot, 0), 1 + n + slot // l,
+                          1 + slot, 1 + n + b + slot], axis=1)
+    zero = ad.Tensor(np.zeros((1, d), dtype=hybrid.dtype))
+    rows = ad.reshape(global_rows, (n, d))
+    maskf = ad.Tensor(mask.reshape(n, 1).astype(hybrid.dtype))
+    center_key_mask = np.concatenate([np.ones((b, 1), dtype=bool), mask], axis=1)
+    q = ad.reshape(hybrid, (n, d))
+    center = init_center(hybrid, mask)
+    for lp in layers:
+        tokens = ad.gather(ad.concat([zero, q, center, rows], axis=0), token_idx)
+        upd = multi_head_attention(q, tokens, lp.item, n_heads,
+                                   dropout_rate=dropout_rate, rng=rng)
+        q = ad.mul(ad.add(upd, q) if residual else upd, maskf)
+        center_tokens = ad.concat([ad.reshape(center, (b, 1, d)),
+                                   ad.reshape(q, (b, l, d))], axis=1)
+        c_upd = multi_head_attention(center, center_tokens, lp.center, n_heads,
+                                     key_mask=center_key_mask,
+                                     dropout_rate=dropout_rate, rng=rng)
+        center = ad.add(c_upd, center) if residual else c_upd
+    return ad.reshape(q, (b, l, d)), center
 
 
 def matmul_stacked(a, b):

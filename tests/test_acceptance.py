@@ -124,8 +124,9 @@ def test_criterion_4_normalization_suite(softmax_probs):
         softmax_probs.clear()
         forward_interests(params, cast_adjacency(adj.a_norm, np.float64),
                           items, buckets, mask)
-        # interval attention, item and center attention per layer, interests
-        assert len(softmax_probs) == 2 + 2 * dims.n_layers
+        # interval attention, item and center attention per layer (no center
+        # update in the last), interests
+        assert len(softmax_probs) == 1 + 2 * dims.n_layers
         for call, probs in enumerate(softmax_probs):
             sums = probs.sum(axis=-1)
             real = sums[np.abs(sums) > 1e-9]  # padded query rows are zero

@@ -8,7 +8,8 @@ from gimirec.aggregate import (AttnProjs, LayerParams, aggregate_layers,
                                hybrid_embeddings, init_center,
                                multi_head_attention)
 
-from oracles import aggregate_layers_token_tensor, aggregate_oracle, mha_oracle
+from oracles import (aggregate_layers_token_tensor, aggregate_layers_with_last_center,
+                     aggregate_oracle, mha_oracle)
 
 
 def tensor(rng, *shape, requires_grad=True):
@@ -134,20 +135,19 @@ class TestAggregateLayers:
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(7)
         hybrid, rows, layers, mask = self._setup(rng, b=3, l=4, d=8, n_layers=2)
-        e_user, center = aggregate_layers(hybrid, rows, layers, 2, mask)
+        e_user = aggregate_layers(hybrid, rows, layers, 2, mask)
         dicts = layers_as_dicts(layers)
         for b in range(3):
-            q_expect, c_expect = aggregate_oracle(
+            q_expect, _ = aggregate_oracle(
                 hybrid.data[b], rows.data[b], dicts, 2, mask[b])
             np.testing.assert_allclose(e_user.data[b], q_expect, atol=1e-9)
-            np.testing.assert_allclose(center.data[b], c_expect, atol=1e-9)
 
     def test_attention_rows_sum_to_one_everywhere(self, softmax_probs):
         rng = np.random.default_rng(8)
         hybrid, rows, layers, mask = self._setup(rng, n_layers=3)
         aggregate_layers(hybrid, rows, layers, 2, mask)
-        # per layer: item attention, then center attention
-        assert len(softmax_probs) == 6
+        # per layer: item attention, then center attention but in the last
+        assert len(softmax_probs) == 5
         for probs in softmax_probs[0::2]:
             sums = probs[mask.ravel()].sum(axis=-1)  # (real, H) rows
             np.testing.assert_allclose(sums, 1.0, atol=1e-6)
@@ -157,9 +157,9 @@ class TestAggregateLayers:
     def test_padding_rows_zero_and_receive_no_center_attention(self, softmax_probs):
         rng = np.random.default_rng(9)
         hybrid, rows, layers, mask = self._setup(rng, b=4, l=5)
-        e_user, _ = aggregate_layers(hybrid, rows, layers, 2, mask)
+        e_user = aggregate_layers(hybrid, rows, layers, 2, mask)
         assert np.all(e_user.data[~mask] == 0.0)
-        assert len(softmax_probs) == 4
+        assert len(softmax_probs) == 3
         for probs in softmax_probs[1::2]:  # center attention of each layer
             # keys are [center, slots...]; padding key slots get zero mass
             for b in range(4):
@@ -181,50 +181,72 @@ class TestAggregateLayers:
                            for name in ("wq", "wk", "wv", "wo")]
             for w in projections:  # the model's init scale: softmaxes unsaturated
                 w.data /= np.sqrt(8)
-            weights = [rng.normal(size=s) for s in ((5, 6, 8), (5, 8))]
-            e_user, center = aggregate(hybrid, rows, layers, 2, mask,
-                                       dropout_rate=dropout_rate,
-                                       rng=np.random.default_rng(15),
-                                       residual=residual)
-            ad.add(ad.sumt(ad.mul(e_user, ad.Tensor(weights[0]))),
-                   ad.sumt(ad.mul(center, ad.Tensor(weights[1])))).backward()
-            return [e_user.data, center.data] + [
-                t.grad for t in [hybrid, rows] + projections]
+            weights = rng.normal(size=(5, 6, 8))
+            e_user = aggregate(hybrid, rows, layers, 2, mask,
+                               dropout_rate=dropout_rate,
+                               rng=np.random.default_rng(15), residual=residual)
+            ad.sumt(ad.mul(e_user, ad.Tensor(weights))).backward()
+            # the last layer's center projections feed nothing
+            return [e_user.data] + [t.grad for t in [hybrid, rows] + projections[:-4]]
 
         for got, expect in zip(run(aggregate_layers),
                                run(aggregate_layers_token_tensor)):
             assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_skipping_last_center_matches_full_update(self, n_layers, residual):
+        # the formulation that still ran the last layer's center attention
+        def run(aggregate):
+            rng = np.random.default_rng(16)
+            hybrid, rows, layers, mask = self._setup(rng, b=5, l=6,
+                                                     n_layers=n_layers)
+            projections = [getattr(getattr(lp, role), name) for lp in layers
+                           for role in ("item", "center")
+                           for name in ("wq", "wk", "wv", "wo")]
+            for w in projections:
+                w.data /= np.sqrt(8)
+            out = aggregate(hybrid, rows, layers, 2, mask, residual=residual)
+            e_user = out[0] if isinstance(out, tuple) else out
+            ad.sumt(ad.mul(e_user, ad.Tensor(rng.normal(size=(5, 6, 8))))).backward()
+            return [e_user.data] + [t.grad for t in [hybrid, rows] + projections]
+
+        new, old = run(aggregate_layers), run(aggregate_layers_with_last_center)
+        for got, expect in zip(new, old):
+            if expect is None:  # the last layer's center projections
+                assert got is None
+                continue
+            assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+        assert sum(g is None for g in old) == 4
+
     def test_batch_permutation_equivariance(self):
         rng = np.random.default_rng(10)
         hybrid, rows, layers, mask = self._setup(rng, b=4)
-        out1, c1 = aggregate_layers(hybrid, rows, layers, 2, mask)
+        out1 = aggregate_layers(hybrid, rows, layers, 2, mask)
         perm = np.array([2, 0, 3, 1])
         hybrid_p = ad.Tensor(hybrid.data[perm])
         rows_p = ad.Tensor(rows.data[perm])
-        out2, c2 = aggregate_layers(hybrid_p, rows_p, layers, 2, mask[perm])
+        out2 = aggregate_layers(hybrid_p, rows_p, layers, 2, mask[perm])
         np.testing.assert_array_equal(out2.data, out1.data[perm])
-        np.testing.assert_array_equal(c2.data, c1.data[perm])
 
     def test_forward_bitwise_deterministic(self):
         rng = np.random.default_rng(11)
         hybrid, rows, layers, mask = self._setup(rng, n_layers=3)
-        a, _ = aggregate_layers(hybrid, rows, layers, 2, mask)
-        b, _ = aggregate_layers(hybrid, rows, layers, 2, mask)
+        a = aggregate_layers(hybrid, rows, layers, 2, mask)
+        b = aggregate_layers(hybrid, rows, layers, 2, mask)
         assert np.array_equal(a.data, b.data)
 
     def test_residual_flag_changes_output(self):
         rng = np.random.default_rng(12)
         hybrid, rows, layers, mask = self._setup(rng)
-        plain, _ = aggregate_layers(hybrid, rows, layers, 2, mask)
-        res, _ = aggregate_layers(hybrid, rows, layers, 2, mask, residual=True)
+        plain = aggregate_layers(hybrid, rows, layers, 2, mask)
+        res = aggregate_layers(hybrid, rows, layers, 2, mask, residual=True)
         assert not np.allclose(plain.data, res.data)
 
     def test_dropout_only_in_training(self):
         rng = np.random.default_rng(13)
         hybrid, rows, layers, mask = self._setup(rng)
-        drop, _ = aggregate_layers(hybrid, rows, layers, 2, mask,
-                                   dropout_rate=0.5,
-                                   rng=np.random.default_rng(0))
-        plain, _ = aggregate_layers(hybrid, rows, layers, 2, mask)
+        drop = aggregate_layers(hybrid, rows, layers, 2, mask,
+                                dropout_rate=0.5, rng=np.random.default_rng(0))
+        plain = aggregate_layers(hybrid, rows, layers, 2, mask)
         assert not np.allclose(drop.data, plain.data)

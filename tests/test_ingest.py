@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -263,6 +264,19 @@ class TestPrepareColumns:
             assert ((tmp_path / "got" / name).read_bytes()
                     == (tmp_path / "want" / name).read_bytes()), name
 
+    @pytest.mark.parametrize("field", ["user", "item"])
+    def test_id_holding_a_tab_rejected_naming_line(self, tmp_path, field):
+        lines = [f"u{u},i{i},{100 + i}" for u in range(12) for i in range(6)]
+        if field == "user":
+            lines = [ln.replace("u3,", "u3\tx,") for ln in lines]
+            expect = "line 20: user id 'u3\\tx'"
+        else:
+            lines = [ln.replace(",i2,", ",a\tx,") for ln in lines]
+            expect = "line 4: item id 'a\\tx'"
+        log = make_log(tmp_path, ["bad line"] + lines)
+        with pytest.raises(ValueError, match=re.escape(f"{log}: {expect} holds a tab")):
+            prepare(log, tmp_path / "bundle", seed=1)
+        assert not (tmp_path / "bundle").exists()
 
 def dummy_sequences(n):
     return [UserSequence(u, np.array([1, 2, 3, 4, 5]),

@@ -11,10 +11,9 @@ from gimirec.global_context import AblationVariant, build_weighted_adjacency, ex
 from gimirec.ingest import DatasetBundle, DatasetSplit, UserSequence, Vocab
 from gimirec.model import ModelDims, ModelParams, cast_adjacency, forward_interests
 from gimirec.recent import make_window
-from gimirec.train import (AdamState, TrainingExample, adam_step, batch_loss,
-                           build_batch, gradient_check, gradients, loss,
-                           make_examples, sample_negatives,
-                           sampled_softmax_nll, train_loop)
+from gimirec.train import (AdamState, ExampleSampler, TrainingExample, adam_step,
+                           batch_loss, build_batch, gradient_check, gradients,
+                           loss, make_examples, sampled_softmax_nll, train_loop)
 
 from helpers import random_sequences
 import oracles
@@ -58,29 +57,102 @@ class TestSampledSoftmaxNll:
         assert np.isfinite(sampled_softmax_nll(selected, target, negs).data).all()
 
 
+def catalog_sampler(n_items, n_neg, distribution="uniform", l_rec=4, seed=0):
+    """A sampler over the random sequences of 6 users, 2 to 12 items long."""
+    rng = np.random.default_rng(seed)
+    seqs = random_sequences(rng, n_users=6, n_items=n_items, max_len=12, min_len=2)
+    return ExampleSampler(np.arange(6), seqs, l_rec, n_neg, n_items,
+                          distribution), seqs
+
+
 class TestExampleStream:
     def test_negative_constraints(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            target = int(rng.integers(1, 13))
-            negs = sample_negatives(12, target, 5, rng)
-            assert len(negs) == 5 and len(set(negs.tolist())) == 5
-            assert target not in negs and 0 not in negs
+        for distribution in ("uniform", "log_uniform"):
+            sampler, _ = catalog_sampler(12, 5, distribution)
+            *_, targets, negs = sampler.draw(2000, np.random.default_rng(1))
+            assert negs.shape == (2000, 5)
+            ordered = np.sort(negs, axis=1)
+            assert (ordered[:, 1:] != ordered[:, :-1]).all()
+            assert not (negs == targets[:, None]).any()
             assert negs.min() >= 1 and negs.max() <= 12
 
     def test_exhaustive_negatives_when_vocab_small(self):
-        rng = np.random.default_rng(2)
-        negs = sample_negatives(11, 4, 10, rng)
-        assert sorted(negs.tolist()) == [1, 2, 3, 5, 6, 7, 8, 9, 10, 11]
+        for n_neg in (10, 11, 50):
+            sampler, _ = catalog_sampler(11, n_neg)
+            rng = np.random.default_rng(2)
+            *_, targets, negs = sampler.draw(30, rng)
+            for target, row in zip(targets, negs):
+                assert sorted(row.tolist()) == [i for i in range(1, 12) if i != target]
+            # the exhaustive branch draws only the user and the position
+            assert rng.random() == np.random.default_rng(2).random(30 * 2 + 1)[-1]
 
     def test_log_uniform_distribution_skews_low(self):
-        rng = np.random.default_rng(3)
-        draws = np.concatenate([
-            sample_negatives(100, 50, 10, rng, "log_uniform")
-            for _ in range(400)])
+        sampler, _ = catalog_sampler(100, 10, "log_uniform")
+        *_, draws = sampler.draw(400, np.random.default_rng(3))
         low = (draws <= 10).mean()
         high = (draws > 90).mean()
         assert low > 2 * high
+
+    def test_negatives_uniform_chi_square(self):
+        n_items, n_neg = 9, 3
+        sampler, _ = catalog_sampler(n_items, n_neg)
+        *_, targets, negs = sampler.draw(30_000, np.random.default_rng(6))
+        for target in range(1, n_items + 1):
+            rows = negs[targets == target]
+            if len(rows) < 200:
+                continue
+            counts = np.bincount(rows.ravel(), minlength=n_items + 1)
+            assert counts[0] == 0 and counts[target] == 0
+            others = np.delete(counts[1:], target - 1)
+            _, p = scipy.stats.chisquare(others)
+            assert p > 0.001, (target, others)
+
+    @pytest.mark.parametrize("distribution", ["uniform", "log_uniform"])
+    def test_batch_equals_single_draws(self, distribution):
+        sampler, seqs = catalog_sampler(30, 5, distribution)
+        batch = sampler.draw(40, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        singles = [sampler.draw(1, rng) for _ in range(40)]
+        for got, parts in zip(batch, zip(*singles)):
+            np.testing.assert_array_equal(got, np.concatenate(parts))
+        # make_examples is the same stream, one example at a time
+        stream = make_examples(np.arange(6), seqs, 4, 5, 30,
+                               np.random.default_rng(7), distribution)
+        for i in range(40):
+            ex = next(stream)
+            assert (ex.user_index, ex.target_item) == (batch[0][i], batch[4][i])
+            for got, expect in zip((ex.window.items, ex.window.timestamps,
+                                    ex.window.mask, ex.negatives),
+                                   (batch[1][i], batch[2][i], batch[3][i],
+                                    batch[5][i])):
+                np.testing.assert_array_equal(got, expect)
+
+    def test_windows_and_targets_match_make_window(self):
+        sampler, seqs = catalog_sampler(30, 5, l_rec=5)
+        users, items, timestamps, mask, targets, _ = sampler.draw(
+            500, np.random.default_rng(8))
+        # the draws behind them: user row, target position 2..N, 5 negatives
+        u = np.random.default_rng(8).random((500, 2 + 5))
+        rows = np.floor(u[:, 0] * 6).astype(int)
+        positions = 2 + np.floor(u[:, 1] * (sampler.lengths[rows] - 1)).astype(int)
+        assert (mask.sum(axis=1) < 5).any() and mask.all(axis=1).any()
+        for i in range(500):
+            seq = seqs[users[i]]
+            window = make_window(seq, positions[i], 5)
+            np.testing.assert_array_equal(items[i], window.items)
+            np.testing.assert_array_equal(timestamps[i], window.timestamps)
+            np.testing.assert_array_equal(mask[i], window.mask)
+            assert targets[i] == seq.items[positions[i] - 1]
+
+    def test_short_user_or_empty_split_rejected(self):
+        rng = np.random.default_rng(9)
+        seqs = random_sequences(rng, n_users=4, n_items=9, min_len=5)
+        seqs[2] = UserSequence(2, np.array([3]), np.array([10]))
+        with pytest.raises(ValueError, match="train user 2 has 1 interaction"):
+            ExampleSampler(np.array([0, 1, 2, 3]), seqs, 4, 3, 9)
+        with pytest.raises(ValueError, match="train split is empty"):
+            ExampleSampler(np.array([], dtype=np.int64), seqs, 4, 3, 9)
+        ExampleSampler(np.array([0, 1, 3]), seqs, 4, 3, 9)
 
     def test_target_position_range_and_window(self):
         rng = np.random.default_rng(4)
@@ -128,11 +200,7 @@ def tiny_setup(seed=0, n_items=6, d=4, k=2, l_rec=3, l_time=5, n_layers=1,
     adj = build_weighted_adjacency(acc, 3.0, 2.0, 1.0, n_items)
     dims = ModelDims(n_items + 1, d, k, l_rec, l_time, 2, n_layers)
     params = ModelParams.init(dims, rng, dtype=dtype)
-    seq = seqs[0]
-    pos = int(rng.integers(2, len(seq) + 1))
-    target = int(seq.items[pos - 1])
-    example = TrainingExample(0, make_window(seq, pos, l_rec), target,
-                              sample_negatives(n_items, target, 3, rng))
+    example = next(make_examples(np.array([0]), seqs, l_rec, 3, n_items, rng))
     return params, cast_adjacency(adj.a_norm, dtype), example, seqs
 
 
@@ -231,7 +299,7 @@ class TestLossAndGradients:
         target = int(seq.items[-1])
         example = TrainingExample(
             0, make_window(seq, len(seq), 3), target,
-            sample_negatives(6, target, 3, np.random.default_rng(9)))
+            np.array([i for i in range(1, 7) if i != target][:3]))
         batch = build_batch([example], params.dims.l_time, 1)
         value, aux = batch_loss(params, a_norm, batch)
         value.backward()
@@ -415,6 +483,37 @@ class TestTrainLoop:
         lines = result.log_path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert all("recall@3=" in ln and "wall=" in ln for ln in lines)
+
+    def test_loss_matches_single_example_replay(self, tmp_path):
+        # what a benchmark replay runs: make_examples + build_batch +
+        # batch_loss + adam_step on the one seeded stream
+        bundle = make_bundle()
+        hp = self._hp(max_steps=10, eval_every=1)
+        from gimirec.train import build_adjacency_from_bundle
+        adj = build_adjacency_from_bundle(bundle, hp)
+        result = train_loop(hp, bundle, adj.a_norm, tmp_path / "run", n_eval=3)
+        rng = np.random.default_rng(hp.seed)
+        dims = ModelDims(bundle.split.item_vocab.size, hp.d, hp.k, hp.l_rec,
+                         hp.l_time, hp.n_heads, hp.n_layers)
+        params = ModelParams.init(dims, rng, dtype=np.float64)
+        a_norm = cast_adjacency(adj.a_norm, np.float64)
+        stream = make_examples(bundle.split.train_users, bundle.sequences,
+                               hp.l_rec, hp.neg_samples,
+                               bundle.split.item_vocab.num_real, rng)
+        state = AdamState(lr=hp.lr)
+        losses = []
+        for _ in range(hp.max_steps):
+            batch = build_batch([next(stream) for _ in range(hp.batch)],
+                                hp.l_time, hp.time_unit_seconds)
+            params.zero_grad()
+            value, _ = batch_loss(params, a_norm, batch,
+                                  dropout_rate=hp.dropout, rng=rng)
+            value.backward()
+            adam_step(params, {n: t.grad if t.grad is not None
+                               else np.zeros_like(t.data)
+                               for n, t in params.named().items()}, state)
+            losses.append(value.item())
+        assert [h["loss"] for h in result.history] == losses
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_gradient_stops_before_update(self, tmp_path, monkeypatch):
