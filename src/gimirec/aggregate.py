@@ -44,22 +44,26 @@ def multi_head_attention(query: ad.Tensor, keys: ad.Tensor, projs: AttnProjs,
     marks the keys each query reads (masked keys get zero attention).
     Dropout, when enabled, is applied to the (N, H, T) attention
     probabilities. Returns (N, d).
+
+    The key and value projections are folded so the T tokens are never
+    projected: head h scores ``(q Wq)_h Wk_hᵀ · x`` and outputs
+    ``(Σ_t p_t x_t) Wv_h``, the same sums associated differently.
     """
     n, t, d = keys.shape
     head = d // n_heads
 
-    def split(x: ad.Tensor) -> ad.Tensor:
-        return ad.swapaxes(ad.reshape(x, (n, t, n_heads, head)), 1, 2)  # (N, H, T, head)
+    def heads(w: ad.Tensor) -> ad.Tensor:
+        return ad.swapaxes(ad.reshape(w, (d, n_heads, head)), 0, 1)  # (H, d, head)
 
-    q = ad.reshape(ad.matmul(query, projs.wq), (n, n_heads, 1, head))
-    k = split(ad.matmul(keys, projs.wk))
-    v = split(ad.matmul(keys, projs.wv))
-    scores = ad.matmul(q, ad.swapaxes(k, -1, -2))                   # (N, H, 1, T)
-    scores = ad.scale(ad.reshape(scores, (n, n_heads, t)), 1.0 / math.sqrt(head))
+    q = ad.swapaxes(ad.reshape(ad.matmul(query, projs.wq), (n, n_heads, head)), 0, 1)
+    q_keys = ad.matmul(q, ad.swapaxes(heads(projs.wk), 1, 2))      # (H, N, d)
+    scores = ad.matmul(ad.swapaxes(q_keys, 0, 1), ad.swapaxes(keys, 1, 2))  # (N, H, T)
+    scores = ad.scale(scores, 1.0 / math.sqrt(head))
     probs = ad.masked_softmax(scores, None if key_mask is None else key_mask[:, None, :])
     if dropout_rate > 0.0 and rng is not None:
         probs = ad.dropout(probs, dropout_rate, rng)
-    out = ad.matmul(ad.reshape(probs, (n, n_heads, 1, t)), v)        # (N, H, 1, head)
+    mixed = ad.swapaxes(ad.matmul(probs, keys), 0, 1)                # (H, N, d)
+    out = ad.swapaxes(ad.matmul(mixed, heads(projs.wv)), 0, 1)       # (N, H, head)
     return ad.matmul(ad.reshape(out, (n, d)), projs.wo)
 
 

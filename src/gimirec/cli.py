@@ -164,6 +164,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"-n must be at least 1, got {args.n}")
     hp = _resolve_config(args)
     bundle, a_norm, params = _load_model_inputs(args)
     users = [int(raw_u) for raw_u in args.users.split(",")]

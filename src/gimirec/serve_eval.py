@@ -55,6 +55,8 @@ def metrics(recommended, ground_truth: set, n: int) -> tuple[float, float, float
     """
     if not ground_truth:
         raise ValueError("ground truth must be non-empty")
+    if n < 1:
+        raise ValueError(f"cutoff must be at least 1, got {n}")
     recommended = list(recommended)[:n]
     hit_ranks = [r for r, item in enumerate(recommended, start=1)
                  if item in ground_truth]
@@ -184,6 +186,11 @@ def _holdout_jobs(sequences: list[UserSequence],
     return jobs
 
 
+def _check_cutoffs(n_list: tuple[int, ...]) -> None:
+    if not n_list or min(n_list) < 1:
+        raise ValueError(f"cutoffs must be at least 1, got {', '.join(map(str, n_list))}")
+
+
 def _mean_report(per_user: list[dict], n_list: tuple[int, ...]) -> MetricsReport:
     """Average each N's (recall, ndcg, hit) over users; zeros when none."""
     if not per_user:
@@ -204,6 +211,7 @@ def evaluate(sequences: list[UserSequence], user_indices: np.ndarray,
     Prefix items are excluded from the candidate pool; a user with fewer
     candidates than max(n_list) is scored on the shorter ranked list.
     """
+    _check_cutoffs(n_list)
     jobs = _holdout_jobs(sequences, user_indices)
     if not jobs:
         return _mean_report([], n_list)
@@ -271,6 +279,7 @@ def evaluate_ranker(sequences: list[UserSequence], user_indices: np.ndarray,
 
     rank_fn(n, exclude) -> ranked item indices, at most n of them.
     """
+    _check_cutoffs(n_list)
     per_user = []
     for _, _, truth, exclude in _holdout_jobs(sequences, user_indices):
         ranked = rank_fn(max(n_list), exclude)

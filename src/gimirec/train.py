@@ -247,8 +247,9 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
               state: AdamState) -> None:
     """One bias-corrected Adam update; the item padding row stays frozen.
 
-    The moments are updated in place; each tensor's data is rebound to a new
-    array, so a reference taken before the step keeps the step's inputs.
+    The moments are updated in place and the temporaries go to two buffers
+    per tensor; each tensor's data is rebound to a new array (the second
+    buffer), so a reference taken before the step keeps the step's inputs.
     """
     state.step += 1
     t = state.step
@@ -261,13 +262,19 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
         m, v = state.m[name], state.v[name]
+        step, denom = np.empty_like(m), np.empty_like(m)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=step)
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        tensor.data = tensor.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(g, g, out=step)
+        v += np.multiply(step, 1.0 - state.beta2, out=step)
+        np.divide(m, 1.0 - state.beta1 ** t, out=step)
+        step *= state.lr
+        np.divide(v, 1.0 - state.beta2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        tensor.data = np.subtract(tensor.data, step, out=denom)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +462,8 @@ def run_gradient_checks(n_models: int = 20, base_seed: int = 0,
                         tolerance: float = 1e-4) -> list[GradCheckResult]:
     """Gradient-check a spread of tiny models (d in {4,8}, K in {1,2,4},
     L_rec <= 5, 1-2 layers)."""
+    if n_models < 1:
+        raise ValueError(f"n_models must be at least 1, got {n_models}")
     results = []
     for i in range(n_models):
         rng = np.random.default_rng(base_seed + 1000 + i)

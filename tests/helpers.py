@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from gimirec import autodiff as ad
 from gimirec.global_context import HopPairAccumulator, HopPairs
 from gimirec.ingest import UserSequence
 
@@ -35,3 +36,25 @@ def acc_from_dicts(weights: dict) -> HopPairAccumulator:
                            np.array([p[0][1] for p in pairs], dtype=np.int64),
                            np.array([p[1] for p in pairs], dtype=np.float64))
     return HopPairAccumulator(hops)
+
+
+def fd_check(build, tensors, h=1e-6, tol=1e-6):
+    """Compare analytic gradients of sum(build(*tensors)) with central FD."""
+    out = ad.sumt(build(*tensors))
+    out.backward()
+    analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
+                for t in tensors]
+    for t, ga in zip(tensors, analytic):
+        flat = t.data.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            with ad.no_grad():
+                up = float(ad.sumt(build(*tensors)).data)
+            flat[i] = orig - h
+            with ad.no_grad():
+                down = float(ad.sumt(build(*tensors)).data)
+            flat[i] = orig
+            num = (up - down) / (2 * h)
+            assert abs(ga.ravel()[i] - num) <= tol * max(1.0, abs(num)), \
+                f"element {i}: analytic {ga.ravel()[i]} vs numeric {num}"

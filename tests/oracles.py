@@ -369,6 +369,30 @@ def multi_head_attention_query_rows(query, keys, projs, n_heads, key_mask=None,
     return ad.matmul(out, projs.wo)
 
 
+def multi_head_attention_projected_tokens(query, keys, projs, n_heads,
+                                          key_mask=None, dropout_rate=0.0,
+                                          rng=None):
+    """``aggregate.multi_head_attention`` projecting every one of the T key
+    tokens with ``wk`` and ``wv``, the formulation the folded projections
+    replaced."""
+    n, t, d = keys.shape
+    head = d // n_heads
+
+    def split(x):
+        return ad.swapaxes(ad.reshape(x, (n, t, n_heads, head)), 1, 2)  # (N, H, T, head)
+
+    q = ad.reshape(ad.matmul(query, projs.wq), (n, n_heads, 1, head))
+    k = split(ad.matmul(keys, projs.wk))
+    v = split(ad.matmul(keys, projs.wv))
+    scores = ad.matmul(q, ad.swapaxes(k, -1, -2))                   # (N, H, 1, T)
+    scores = ad.scale(ad.reshape(scores, (n, n_heads, t)), 1.0 / math.sqrt(head))
+    probs = ad.masked_softmax(scores, None if key_mask is None else key_mask[:, None, :])
+    if dropout_rate > 0.0 and rng is not None:
+        probs = ad.dropout(probs, dropout_rate, rng)
+    out = ad.matmul(ad.reshape(probs, (n, n_heads, 1, t)), v)        # (N, H, 1, head)
+    return ad.matmul(ad.reshape(out, (n, d)), projs.wo)
+
+
 def aggregate_layers_token_tensor(hybrid, global_rows, layers, n_heads, mask,
                                   dropout_rate=0.0, rng=None, residual=False):
     """``aggregate.aggregate_layers`` over a (B, L, 4, d) token tensor built

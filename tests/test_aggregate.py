@@ -8,8 +8,10 @@ from gimirec.aggregate import (AttnProjs, LayerParams, aggregate_layers,
                                hybrid_embeddings, init_center,
                                multi_head_attention)
 
+from helpers import fd_check
 from oracles import (aggregate_layers_token_tensor, aggregate_layers_with_last_center,
-                     aggregate_oracle, mha_oracle)
+                     aggregate_oracle, mha_oracle,
+                     multi_head_attention_projected_tokens)
 
 
 def tensor(rng, *shape, requires_grad=True):
@@ -112,6 +114,52 @@ class TestMultiHeadAttention:
         probs = probs[0, 0]
         assert probs.min() >= 0.0 and abs(probs.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(out.data[0], probs @ tokens.data[0], atol=1e-12)
+
+
+    @staticmethod
+    def _inputs(rng, n, t, d, masked):
+        projs = AttnProjs(*(tensor(rng, d, d) for _ in range(4)))
+        for w in (projs.wq, projs.wk, projs.wv, projs.wo):
+            w.data /= np.sqrt(d)  # the model's init scale: softmaxes unsaturated
+        key_mask = None
+        if masked:  # the centre's [itself; slots...] keys over padded windows
+            key_mask = rng.random((n, t)) > 0.5
+            key_mask[:, 0] = True
+            key_mask[:3, 1:] = False  # rows that read a single valid key
+        return tensor(rng, n, d), tensor(rng, n, t, d), projs, key_mask
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("t, masked", [(4, False), (1 + 6, True)],
+                             ids=["item", "center"])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
+    def test_matches_projected_token_formulation(self, n_heads, t, masked,
+                                                 dropout_rate):
+        # the form that projected all T key tokens with wk and wv
+        def run(attention):
+            rng = np.random.default_rng(17)
+            query, keys, projs, key_mask = self._inputs(rng, 9, t, 8, masked)
+            draws = np.random.default_rng(18)
+            out = attention(query, keys, projs, n_heads, key_mask=key_mask,
+                            dropout_rate=dropout_rate, rng=draws)
+            ad.sumt(ad.mul(out, ad.Tensor(rng.normal(size=out.shape)))).backward()
+            grads = [x.grad for x in (query, keys, projs.wq, projs.wk,
+                                      projs.wv, projs.wo)]
+            return [out.data] + grads, draws.bit_generator.state
+
+        (new, new_state) = run(multi_head_attention)
+        (old, old_state) = run(multi_head_attention_projected_tokens)
+        for got, expect in zip(new, old):
+            assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+        # the dropout mask has the same shape, so the stream is not moved
+        assert new_state == old_state
+
+    def test_finite_difference_gradients_with_key_mask(self):
+        rng = np.random.default_rng(19)
+        query, keys, projs, key_mask = self._inputs(rng, 4, 5, 4, masked=True)
+        weights = ad.Tensor(rng.normal(size=(4, 4)))
+        fd_check(lambda q, k, *w: ad.mul(multi_head_attention(
+                     q, k, AttnProjs(*w), 2, key_mask=key_mask), weights),
+                 [query, keys, projs.wq, projs.wk, projs.wv, projs.wo])
 
 
 class TestAggregateLayers:

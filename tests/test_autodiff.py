@@ -9,29 +9,8 @@ import scipy.sparse as sp
 from gimirec import autodiff as ad
 from gimirec.interests import select_training_interest
 
+from helpers import fd_check
 from oracles import matmul_stacked, scatter_add_reference, select_rows_add_at
-
-
-def fd_check(build, tensors, h=1e-6, tol=1e-6):
-    """Compare analytic gradients of sum(build(*tensors)) with central FD."""
-    out = ad.sumt(build(*tensors))
-    out.backward()
-    analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
-                for t in tensors]
-    for t, ga in zip(tensors, analytic):
-        flat = t.data.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            with ad.no_grad():
-                up = float(ad.sumt(build(*tensors)).data)
-            flat[i] = orig - h
-            with ad.no_grad():
-                down = float(ad.sumt(build(*tensors)).data)
-            flat[i] = orig
-            num = (up - down) / (2 * h)
-            assert abs(ga.ravel()[i] - num) <= tol * max(1.0, abs(num)), \
-                f"element {i}: analytic {ga.ravel()[i]} vs numeric {num}"
 
 
 def leaf(rng, *shape):

@@ -222,6 +222,35 @@ class TestCliPipeline:
         assert "cannot rank" in middle[2]
         assert run(users, n) == (1, first[1], middle[2])
 
+    @pytest.mark.parametrize("cutoffs, named", [("0", "0"), ("5,0", "5, 0"),
+                                                ("-3", "-3")])
+    def test_eval_rejects_cutoff_below_one(self, mini_corpus, tmp_path, capsys,
+                                           cutoffs, named):
+        bundle = tmp_path / "bundle"
+        assert main(["prepare", "--input", str(mini_corpus / "log.csv"),
+                     "--out", str(bundle), "--set", "seed=5"]) == 0
+        assert main(["gce", "--bundle", str(bundle), "--out", str(bundle),
+                     *SMALL]) == 0
+        assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path),
+                     *SMALL, "--set", "max_steps=0"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--bundle", str(bundle),
+                     "--checkpoint", str(tmp_path / "checkpoint.bin"),
+                     "--n", cutoffs, *SMALL]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cutoffs must be at least 1, got {named}\n"
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_recommend_rejects_list_length_below_one(self, tmp_path, capsys, n):
+        # checked before any file is read; 0 used to print an empty list
+        assert main(["recommend", "--bundle", str(tmp_path / "no_bundle"),
+                     "--checkpoint", str(tmp_path / "no_checkpoint.bin"),
+                     "--users", "0", "-n", n, *SMALL]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: -n must be at least 1, got {n}\n"
+
     @pytest.mark.parametrize("users", ["-1", "0,40"])
     def test_recommend_rejects_user_outside_bundle(self, mini_corpus, tmp_path,
                                                    capsys, users):
@@ -353,6 +382,13 @@ class TestCliPipeline:
         assert main(["gradcheck", "--seed", "0", "--models", "2"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "max rel err" in out
+
+    @pytest.mark.parametrize("models", ["0", "-2"])
+    def test_gradcheck_rejects_no_models(self, capsys, models):
+        assert main(["gradcheck", "--models", models]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n_models must be at least 1, got {models}\n"
 
     def test_ablate_command_on_bundle(self, mini_corpus, capsys):
         root = mini_corpus

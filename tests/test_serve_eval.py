@@ -46,6 +46,12 @@ class TestMetrics:
         with pytest.raises(ValueError):
             metrics(["a"], set(), 1)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_cutoff_below_one_rejected(self, n):
+        # the ideal DCG over no slots is 0
+        with pytest.raises(ValueError, match=f"cutoff must be at least 1, got {n}"):
+            metrics(["a"], {"a"}, n)
+
     def test_matches_oracle_on_random_cases(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
@@ -376,3 +382,17 @@ class TestBaselines:
         assert isinstance(report, MetricsReport)
         assert report.user_count == len(seqs)
         assert 0.0 <= report.per_n[4].recall <= 1.0
+
+    @pytest.mark.parametrize("n_list", [(0,), (5, 0), (-3,), ()])
+    def test_cutoffs_below_one_rejected_before_any_work(self, n_list):
+        seqs, params, a_norm = build_model(7)
+        users = np.arange(len(seqs))
+
+        def never_called(*_):
+            raise AssertionError("ranked before the cutoffs were checked")
+
+        got = ", ".join(map(str, n_list))
+        with pytest.raises(ValueError, match=f"cutoffs must be at least 1, got {got}$"):
+            evaluate_ranker(seqs, users, never_called, n_list=n_list)
+        with pytest.raises(ValueError, match=f"cutoffs must be at least 1, got {got}$"):
+            evaluate(seqs, users, None, a_norm, n_list=n_list)
