@@ -115,7 +115,6 @@ class TestMultiHeadAttention:
         assert probs.min() >= 0.0 and abs(probs.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(out.data[0], probs @ tokens.data[0], atol=1e-12)
 
-
     @staticmethod
     def _inputs(rng, n, t, d, masked):
         projs = AttnProjs(*(tensor(rng, d, d) for _ in range(4)))
@@ -146,8 +145,8 @@ class TestMultiHeadAttention:
                                       projs.wv, projs.wo)]
             return [out.data] + grads, draws.bit_generator.state
 
-        (new, new_state) = run(multi_head_attention)
-        (old, old_state) = run(multi_head_attention_projected_tokens)
+        new, new_state = run(multi_head_attention)
+        old, old_state = run(multi_head_attention_projected_tokens)
         for got, expect in zip(new, old):
             assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
         # the dropout mask has the same shape, so the stream is not moved
