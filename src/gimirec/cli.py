@@ -23,6 +23,7 @@ from .global_context import (global_embeddings, read_adjacency, write_adjacency,
                              write_global_embeddings)
 from .ingest import load_bundle, prepare
 from .model import ModelDims, ModelParams, cast_adjacency, load_checkpoint
+from .recent import flatten
 from .serve_eval import (_batched_interests, compute_global_table, evaluate,
                          top_n_rows)
 from .synthetic import PlantedConfig, planted_cluster_records, write_log
@@ -176,8 +177,8 @@ def cmd_recommend(args) -> int:
     e_global = compute_global_table(params, a_norm)
     vocab = bundle.split.item_vocab
     seqs = [bundle.sequences[u] for u in users]
-    vectors = _batched_interests(seqs, [len(s) for s in seqs], params, a_norm,
-                                 hp.time_unit_seconds, hp.residual)
+    vectors = _batched_interests(flatten(seqs), [len(s) for s in seqs], params,
+                                 a_norm, hp.time_unit_seconds, hp.residual)
     excludes = [set(s.items.tolist()) for s in seqs]
     # a short list means too few candidates, reported when that user is
     # reached, so the users before it are still printed

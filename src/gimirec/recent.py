@@ -28,21 +28,46 @@ class RecentWindow:
 def make_window(seq: UserSequence, end_pos: int, l_rec: int) -> RecentWindow:
     """Window of up to ``l_rec`` items strictly before 1-based ``end_pos``.
 
-    ``end_pos`` may be len(seq)+1 to window the full history (serving).
+    The one-window case of ``cut_windows``.
+    """
+    items, timestamps, mask = cut_windows(*flatten([seq]), [end_pos], l_rec)
+    return RecentWindow(items[0], timestamps[0], mask[0])
+
+
+def flatten(sequences: list[UserSequence]):
+    """(items, timestamps, starts, lengths): the sequences as flat columns."""
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    items = np.concatenate([np.empty(0, np.int64)] + [s.items for s in sequences])
+    timestamps = np.concatenate([np.empty(0, np.int64)]
+                                + [s.timestamps for s in sequences])
+    return items, timestamps, np.cumsum(lengths) - lengths, lengths
+
+
+def cut_windows(items: np.ndarray, timestamps: np.ndarray, starts: np.ndarray,
+                lengths: np.ndarray, ends, l_rec: int):
+    """Window of row r's sequence ``items[starts[r]:][:lengths[r]]`` before
+    1-based ``ends[r]``, for every row at once: (items, timestamps, mask),
+    each (B, l_rec).
+
+    An end may be lengths[r]+1 to window the full history (serving).
     Left-pads with item index 0; padding slots carry the earliest real
     timestamp in the window so every pad-involving interval clamps the same
-    way.
+    way, and 0 in a window with no item.
     """
-    if end_pos < 1 or end_pos > len(seq) + 1:
-        raise ValueError(f"end_pos {end_pos} outside 1..{len(seq) + 1}")
-    hist_items = seq.items[:end_pos - 1][-l_rec:]
-    hist_ts = seq.timestamps[:end_pos - 1][-l_rec:]
-    n_pad = l_rec - len(hist_items)
-    pad_ts = int(hist_ts[0]) if len(hist_ts) else 0
-    items = np.concatenate([np.zeros(n_pad, dtype=np.int64), hist_items])
-    ts = np.concatenate([np.full(n_pad, pad_ts, dtype=np.int64), hist_ts])
-    mask = np.concatenate([np.zeros(n_pad, dtype=bool), np.ones(len(hist_items), dtype=bool)])
-    return RecentWindow(items, ts, mask)
+    ends = np.asarray(ends, dtype=np.int64)
+    bad = (ends < 1) | (ends > lengths + 1)
+    if bad.any():
+        r = np.argmax(bad)
+        raise ValueError(f"end_pos {ends[r]} outside 1..{lengths[r] + 1}")
+    offset = ends[:, None] - 1 - l_rec + np.arange(l_rec)
+    mask = offset >= 0
+    if not items.size:  # every end is 1
+        return np.zeros(mask.shape, np.int64), np.zeros(mask.shape, np.int64), mask
+    # a pad slot reads the sequence's first item, whose timestamp pads; an
+    # empty window reads a clamped slot it then discards
+    at = np.minimum(starts[:, None] + np.maximum(offset, 0), items.size - 1)
+    return (np.where(mask, items[at], 0),
+            np.where(mask[:, -1:], timestamps[at], 0), mask)
 
 
 def interval_matrix(window: RecentWindow, l_time: float,

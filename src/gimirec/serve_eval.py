@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .global_context import global_embeddings
 from .ingest import UserSequence
 from .model import ModelParams, forward_interests
-from .recent import make_window, stack_windows
+from .recent import cut_windows, flatten, window_buckets
 
 _EVAL_CHUNK = 256
 # cap on one block's (users·K, V) score product in top_n_rows
@@ -48,24 +48,60 @@ class MetricsReport:
 
 
 def metrics(recommended, ground_truth: set, n: int) -> tuple[float, float, float]:
-    """(recall, ndcg, hit) for one ranked list against a non-empty truth set.
+    """(recall, ndcg, hit) for one ranked list against a non-empty truth set:
+    the one-row case of ``_metric_rows``.
 
     Binary relevance; ideal DCG runs over min(n, |truth|) slots; ranks are
-    1-based.
+    1-based. A list that repeats an item among its first n is rejected.
     """
     if not ground_truth:
         raise ValueError("ground truth must be non-empty")
     if n < 1:
         raise ValueError(f"cutoff must be at least 1, got {n}")
     recommended = list(recommended)[:n]
-    hit_ranks = [r for r, item in enumerate(recommended, start=1)
-                 if item in ground_truth]
-    recall = len(hit_ranks) / len(ground_truth)
-    hit = 1.0 if hit_ranks else 0.0
-    dcg = sum(1.0 / np.log2(r + 1) for r in hit_ranks)
-    idcg = sum(1.0 / np.log2(r + 1)
-               for r in range(1, min(n, len(ground_truth)) + 1))
-    return recall, dcg / idcg, hit
+    if len(set(recommended)) < len(recommended):
+        raise ValueError("a ranked list must not repeat an item")
+    hits = np.zeros((1, n), dtype=bool)
+    hits[0, :len(recommended)] = [item in ground_truth for item in recommended]
+    row = _metric_rows(hits, np.array([len(ground_truth)]), (n,))[n][0]
+    return tuple(row.tolist())
+
+
+def _metric_rows(hits: np.ndarray, truth_sizes: np.ndarray,
+                 n_list) -> dict[int, np.ndarray]:
+    """(users, 3) recall, ndcg and hit for each N from one (users, max N)
+    hit matrix.
+
+    A rank's discount is the scalar 1 / log2(rank + 1) and DCG sums left to
+    right, so each value equals a per-user loop's.
+    """
+    discount = np.array([1.0 / np.log2(r + 1) for r in range(1, hits.shape[1] + 1)])
+    found = np.cumsum(hits, axis=1)
+    dcg = np.cumsum(hits * discount, axis=1)
+    ideal = np.cumsum(discount)
+    return {n: np.stack([found[:, n - 1] / truth_sizes,
+                         dcg[:, n - 1] / ideal[np.minimum(n, truth_sizes) - 1],
+                         (found[:, n - 1] > 0).astype(np.float64)], axis=1)
+            for n in n_list}
+
+
+def _hit_matrix(ranked: np.ndarray, truth: tuple) -> np.ndarray:
+    """Whether each ranked item is in its row's truth, as (users, width).
+
+    ``ranked`` holds each row's list left-aligned and -1 after it; truth is
+    unique (row, item) pairs sorted by row, then item. A row that repeats an
+    item is rejected.
+    """
+    ordered = np.sort(ranked, axis=1)
+    if ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any():
+        raise ValueError("a ranked list must not repeat an item")
+    rows, items = truth
+    # -1 keys as the previous row's item width-1, which no truth item reaches
+    width = int(max(ranked.max(initial=0), items.max(initial=0))) + 2
+    keys = np.arange(len(ranked))[:, None] * width + ranked
+    truth_keys = rows * width + items
+    at = np.minimum(np.searchsorted(truth_keys, keys), truth_keys.size - 1)
+    return truth_keys[at] == keys
 
 
 def top_n(interest_vectors: np.ndarray, e_global: np.ndarray, n: int,
@@ -85,39 +121,51 @@ def top_n_rows(interests: np.ndarray, e_global: np.ndarray, n,
     rank the smaller index first and NaN scores rank last. Users are scored
     in blocks whose (users·K, V) product fits ``_SCORE_BLOCK_BYTES``.
     """
-    return _rank_rows(interests, e_global.T, n, excludes)
+    sizes = [len(ex) for ex in excludes]
+    exclude = (np.repeat(np.arange(len(excludes)), sizes),
+               np.fromiter(chain.from_iterable(excludes), np.int64, sum(sizes)))
+    ranked = _rank_rows(interests, e_global.T, n, exclude)
+    return [row[:m] for row, m in zip(ranked, np.asarray(n).tolist())]
 
 
-def _rank_rows(interests, items_t, n, excludes) -> list[np.ndarray]:
+def _rank_rows(interests, items_t, n, exclude: tuple) -> np.ndarray:
     """``top_n_rows`` against the item table laid out as (d, V).
 
-    BLAS multiplies a C-contiguous (d, V) table about twice as fast as the
-    transposed view of the (V, d) one, so ``evaluate`` copies the table once
-    per call; the one-row ``top_n`` keeps the view, which costs less than
-    the copy.
+    ``exclude`` is (row, item) pairs sorted by row. Row u's ranking fills
+    ``out[u, :n[u]]`` of a (U, max n) matrix padded with -1. BLAS multiplies
+    a C-contiguous (d, V) table about twice as fast as the transposed view
+    of the (V, d) one, so ``evaluate`` copies the table once per call; the
+    one-row ``top_n`` keeps the view, which costs less than the copy.
     """
     interests = np.asarray(interests)
     n = np.asarray(n, dtype=np.int64)
+    out = np.full((len(n), int(n.max(initial=0))), -1, dtype=np.int64)
     itemsize = np.result_type(interests, items_t).itemsize
     block = max(1, _SCORE_BLOCK_BYTES
                 // (interests.shape[1] * items_t.shape[1] * itemsize))
-    ranked = []
     for lo in range(0, len(interests), block):
         hi = lo + block
-        ranked += _rank_block(interests[lo:hi], items_t, n[lo:hi], excludes[lo:hi])
-    return ranked
+        _rank_block(interests[lo:hi], items_t, n[lo:hi],
+                    _pairs_in(exclude, lo, hi), out[lo:hi])
+    return out
 
 
-def _rank_block(interests, items_t, n, excludes) -> list[np.ndarray]:
+def _pairs_in(pairs: tuple, lo: int, hi: int) -> tuple:
+    """The (row, item) pairs, sorted by row, of rows lo..hi-1, renumbered
+    from 0."""
+    rows, items = pairs
+    a, b = np.searchsorted(rows, [lo, hi])
+    return rows[a:b] - lo, items[a:b]
+
+
+def _rank_block(interests, items_t, n, exclude, out) -> None:
     u, k, d = interests.shape
     v = items_t.shape[1]
     order = -(interests.reshape(u * k, d) @ items_t).reshape(u, k, v).max(axis=1)
     # selection key: NaN scores tie with -inf ones, and padding and excluded
     # items are NaN, which sorts after every candidate
     key = np.fmin(order, np.inf)
-    sizes = [len(ex) for ex in excludes]
-    key[np.repeat(np.arange(u), sizes),
-        np.fromiter(chain.from_iterable(excludes), np.int64, sum(sizes))] = np.nan
+    key[exclude] = np.nan
     key[:, 0] = np.nan
     kth = np.maximum(np.minimum(n, v), 1) - 1
     thresh = np.partition(key, sorted(set(kth.tolist())), axis=1)[np.arange(u), kth]
@@ -127,14 +175,15 @@ def _rank_block(interests, items_t, n, excludes) -> list[np.ndarray]:
     # and pools nothing.
     rows, items = np.divmod(np.flatnonzero(key <= thresh[:, None]), v)
     items = items[np.lexsort((order[rows, items], rows))]
-    bounds = np.searchsorted(rows, np.arange(u + 1)).tolist()
-    ranked = []
-    for r, m in enumerate(n.tolist()):
-        if not 0 <= m <= bounds[r + 1] - bounds[r]:
-            raise ValueError(f"cannot rank {m} items from "
-                             f"{np.count_nonzero(~np.isnan(key[r]))} candidates")
-        ranked.append(items[bounds[r]:bounds[r] + m])
-    return ranked
+    pooled = np.bincount(rows, minlength=u)
+    short = (n < 0) | (n > pooled)
+    if short.any():
+        r = np.argmax(short)
+        raise ValueError(f"cannot rank {n[r]} items from "
+                         f"{np.count_nonzero(~np.isnan(key[r]))} candidates")
+    slots = np.arange(out.shape[1])
+    head = slots < n[:, None]
+    out[head] = items[((np.cumsum(pooled) - pooled)[:, None] + slots)[head]]
 
 
 def compute_global_table(params: ModelParams, a_norm: sp.csr_matrix) -> np.ndarray:
@@ -151,39 +200,67 @@ def infer_interests(seq: UserSequence, prefix_len: int, params: ModelParams,
     """Interest matrix for one user from the first ``prefix_len`` interactions."""
     if prefix_len < 1:
         raise ValueError("prefix must contain at least one interaction")
-    return _batched_interests([seq], [prefix_len], params, a_norm,
+    return _batched_interests(flatten([seq]), [prefix_len], params, a_norm,
                               time_unit_seconds, residual)[0]
 
 
-def _batched_interests(seqs: list[UserSequence], prefix_lens: list[int],
-                       params: ModelParams, a_norm: sp.csr_matrix,
-                       time_unit_seconds: int, residual: bool) -> np.ndarray:
+def _batched_interests(columns: tuple, prefix_lens, params: ModelParams,
+                       a_norm: sp.csr_matrix, time_unit_seconds: int,
+                       residual: bool) -> np.ndarray:
+    """Interests of each row of ``columns`` (``recent.flatten``'s (items,
+    timestamps, starts, lengths)) from its first ``prefix_lens`` items."""
     dims = params.dims
-    windows = [make_window(s, p + 1, dims.l_rec)
-               for s, p in zip(seqs, prefix_lens)]
-    items, buckets, mask = stack_windows(windows, dims.l_time, time_unit_seconds)
+    items, timestamps, mask = cut_windows(*columns, np.asarray(prefix_lens) + 1,
+                                          dims.l_rec)
+    buckets = window_buckets(timestamps, mask, dims.l_time, time_unit_seconds)
     with ad.no_grad():
         interests, _ = forward_interests(params, a_norm, items, buckets, mask,
                                          residual=residual)
     return interests.data
 
 
-def _holdout_jobs(sequences: list[UserSequence],
-                  user_indices: np.ndarray) -> list[tuple]:
-    """(sequence, prefix length, truth set, excluded items) per scored user.
+@dataclass
+class Holdout:
+    """The scored users' 80/20 split as flat columns: row r's sequence is
+    ``lengths[r]`` items from ``starts[r]``, and its first ``prefix[r]`` are
+    the input. ``exclude`` and ``truth`` are the unique (row, item) pairs of
+    the prefixes and of the held-out rests, sorted by row, then item."""
+
+    items: np.ndarray
+    timestamps: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    prefix: np.ndarray
+    exclude: tuple[np.ndarray, np.ndarray]
+    truth: tuple[np.ndarray, np.ndarray]
+
+
+def holdout_split(sequences: list[UserSequence], user_indices) -> Holdout:
+    """The 80/20 split of the given users, one row per listing, in order.
 
     Prefix = first floor(0.8 N) interactions (integer arithmetic), ground
-    truth = the rest; users with an empty prefix or truth are skipped.
+    truth = the rest; a user with an empty prefix (N < 2) is skipped, and
+    with a prefix the truth is never empty.
     """
-    jobs = []
-    for u in user_indices:
-        seq = sequences[int(u)]
-        prefix = (8 * len(seq)) // 10
-        truth = set(seq.items[prefix:].tolist())
-        if prefix < 1 or not truth:
-            continue
-        jobs.append((seq, prefix, truth, set(seq.items[:prefix].tolist())))
-    return jobs
+    users = np.asarray(user_indices, dtype=np.int64).reshape(-1)
+    bad = np.flatnonzero((users < 0) | (users >= len(sequences)))
+    if bad.size:
+        raise ValueError(f"user index {users[bad[0]]} outside "
+                         f"0..{len(sequences) - 1}")
+    items, timestamps, starts, lengths = flatten(
+        [sequences[u] for u in users.tolist() if len(sequences[u]) >= 2])
+    prefix = (8 * lengths) // 10
+    row = np.repeat(np.arange(lengths.size), lengths)
+    in_prefix = np.arange(items.size) - starts[row] < prefix[row]
+    width = int(items.max(initial=0)) + 1
+
+    def pairs(keep):
+        # sort and drop repeats: plain np.unique hashes first, several times slower
+        keys = np.sort(row[keep] * width + items[keep])
+        return np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], width)
+
+    return Holdout(items, timestamps, starts, lengths, prefix,
+                   pairs(in_prefix), pairs(~in_prefix))
 
 
 def _check_cutoffs(n_list: tuple[int, ...]) -> None:
@@ -191,54 +268,56 @@ def _check_cutoffs(n_list: tuple[int, ...]) -> None:
         raise ValueError(f"cutoffs must be at least 1, got {', '.join(map(str, n_list))}")
 
 
-def _mean_report(per_user: list[dict], n_list: tuple[int, ...]) -> MetricsReport:
-    """Average each N's (recall, ndcg, hit) over users; zeros when none."""
-    if not per_user:
+def _score(split: Holdout, ranked: np.ndarray, n_list: tuple[int, ...]) -> MetricsReport:
+    """Average each N's (recall, ndcg, hit) over the split's users, one
+    ``ranked`` row each; zeros when there are none."""
+    count = split.lengths.size
+    if not count:
         return MetricsReport({n: MetricRow(0.0, 0.0, 0.0) for n in n_list}, 0)
-    report = {}
-    for n in n_list:
-        triples = np.array([row[n] for row in per_user], dtype=np.float64)
-        report[n] = MetricRow(*(float(x) for x in triples.mean(axis=0)))
-    return MetricsReport(report, len(per_user))
+    rows = _metric_rows(_hit_matrix(ranked, split.truth),
+                        np.bincount(split.truth[0], minlength=count), n_list)
+    return MetricsReport({n: MetricRow(*(float(x) for x in rows[n].mean(axis=0)))
+                          for n in n_list}, count)
 
 
 def evaluate(sequences: list[UserSequence], user_indices: np.ndarray,
              params: ModelParams, a_norm: sp.csr_matrix,
              n_list: tuple[int, ...] = (20, 50), time_unit_seconds: int = 86400,
              residual: bool = False, threads: int = 1) -> MetricsReport:
-    """80/20 protocol over the given users (see ``_holdout_jobs``).
+    """80/20 protocol over the given users (see ``holdout_split``).
 
     Prefix items are excluded from the candidate pool; a user with fewer
     candidates than max(n_list) is scored on the shorter ranked list.
     """
     _check_cutoffs(n_list)
-    jobs = _holdout_jobs(sequences, user_indices)
-    if not jobs:
-        return _mean_report([], n_list)
+    split = holdout_split(sequences, user_indices)
+    count, n_max = split.lengths.size, max(n_list)
+    ranked = np.full((count, n_max), -1, dtype=np.int64)
+    if not count:
+        return _score(split, ranked, n_list)
 
     e_global = compute_global_table(params, a_norm)
     items_t = np.ascontiguousarray(e_global.T)
-    n_max = max(n_list)
-    chunks = [jobs[i:i + _EVAL_CHUNK] for i in range(0, len(jobs), _EVAL_CHUNK)]
+    n = np.minimum(n_max, items_t.shape[1] - 1
+                   - np.bincount(split.exclude[0], minlength=count))
 
-    def run_chunk(chunk):
+    def run_chunk(lo):
+        hi = lo + _EVAL_CHUNK
         interests = _batched_interests(
-            [j[0] for j in chunk], [j[1] for j in chunk], params, a_norm,
-            time_unit_seconds, residual)
-        excludes = [j[3] for j in chunk]
-        ranked = _rank_rows(
-            interests, items_t,
-            [min(n_max, items_t.shape[1] - 1 - len(ex)) for ex in excludes],
-            excludes)
-        return [{n: metrics(items, j[2], n) for n in n_list}
-                for j, items in zip(chunk, ranked)]
+            (split.items, split.timestamps, split.starts[lo:hi], split.lengths[lo:hi]),
+            split.prefix[lo:hi], params, a_norm, time_unit_seconds, residual)
+        block = _rank_rows(interests, items_t, n[lo:hi],
+                           _pairs_in(split.exclude, lo, hi))
+        ranked[lo:hi, :block.shape[1]] = block
 
+    chunks = range(0, count, _EVAL_CHUNK)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_user = [row for rows in pool.map(run_chunk, chunks) for row in rows]
+            list(pool.map(run_chunk, chunks))
     else:
-        per_user = [row for chunk in chunks for row in run_chunk(chunk)]
-    return _mean_report(per_user, n_list)
+        for lo in chunks:
+            run_chunk(lo)
+    return _score(split, ranked, n_list)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +359,13 @@ def evaluate_ranker(sequences: list[UserSequence], user_indices: np.ndarray,
     rank_fn(n, exclude) -> ranked item indices, at most n of them.
     """
     _check_cutoffs(n_list)
-    per_user = []
-    for _, _, truth, exclude in _holdout_jobs(sequences, user_indices):
-        ranked = rank_fn(max(n_list), exclude)
-        per_user.append({n: metrics(ranked, truth, n) for n in n_list})
-    return _mean_report(per_user, n_list)
+    split = holdout_split(sequences, user_indices)
+    count, n_max = split.lengths.size, max(n_list)
+    ranked = np.full((count, n_max), -1, dtype=np.int64)
+    rows, items = split.exclude
+    bounds = np.searchsorted(rows, np.arange(count + 1)).tolist()
+    for r in range(count):
+        exclude = set(items[bounds[r]:bounds[r + 1]].tolist())
+        row = np.asarray(rank_fn(n_max, exclude))[:n_max]
+        ranked[r, :len(row)] = row
+    return _score(split, ranked, n_list)

@@ -21,7 +21,7 @@ from .config import HyperParams
 from .global_context import AblationVariant, build_weighted_adjacency, extract_hop_pairs
 from .ingest import DatasetBundle, UserSequence
 from .model import ModelDims, ModelParams, cast_adjacency, forward_interests, save_checkpoint
-from .recent import RecentWindow, stack_windows, window_buckets
+from .recent import RecentWindow, cut_windows, flatten, stack_windows, window_buckets
 from .interests import select_training_interest
 
 
@@ -83,15 +83,14 @@ class ExampleSampler:
         users = np.asarray(train_users, dtype=np.int64)
         if users.size == 0:
             raise ValueError("the train split is empty: no examples to draw")
-        lengths = np.array([len(sequences[u]) for u in users], dtype=np.int64)
-        short = np.flatnonzero(lengths < 2)
+        self.users = users
+        self.items, self.timestamps, self.starts, self.lengths = flatten(
+            [sequences[u] for u in users])
+        short = np.flatnonzero(self.lengths < 2)
         if short.size:
-            raise ValueError(f"train user {users[short[0]]} has {lengths[short[0]]} "
-                             "interaction(s); a training example needs at least 2")
-        self.users, self.lengths = users, lengths
-        self.starts = np.cumsum(lengths) - lengths
-        self.items = np.concatenate([sequences[u].items for u in users])
-        self.timestamps = np.concatenate([sequences[u].timestamps for u in users])
+            raise ValueError(f"train user {users[short[0]]} has "
+                             f"{self.lengths[short[0]]} interaction(s); a "
+                             "training example needs at least 2")
         self.l_rec, self.n_real_items = l_rec, n_real_items
         self.distribution = distribution
         self.n_neg = max(min(n_neg, n_real_items - 1), 0)
@@ -103,11 +102,9 @@ class ExampleSampler:
         u = rng.random((n, 2 + self.n_draws))
         row = (u[:, 0] * len(self.users)).astype(np.int64)
         target_at = 1 + (u[:, 1] * (self.lengths[row] - 1)).astype(np.int64)
-        offset = target_at[:, None] - self.l_rec + np.arange(self.l_rec)
-        mask = offset >= 0
-        # a pad slot reads the sequence's first item, whose timestamp pads
-        at = self.starts[row, None] + np.maximum(offset, 0)
-        items = np.where(mask, self.items[at], 0)
+        items, timestamps, mask = cut_windows(
+            self.items, self.timestamps, self.starts[row], self.lengths[row],
+            target_at + 1, self.l_rec)
         targets = self.items[self.starts[row] + target_at]
         negatives = self._negatives(u[:, 2:], targets)
         ordered = np.sort(negatives, axis=1)
@@ -115,7 +112,7 @@ class ExampleSampler:
                 or (ordered[:, 1:] == ordered[:, :-1]).any()):
             raise ValueError("negatives must exclude the target and padding "
                              "and hold no repeat")
-        return self.users[row], items, self.timestamps[at], mask, targets, negatives
+        return self.users[row], items, timestamps, mask, targets, negatives
 
     def _negatives(self, u: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Negatives from the (n, n_draws) draws: picks in 0..n_real_items-2

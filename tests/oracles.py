@@ -280,15 +280,20 @@ def full_loss_oracle(named_params, a_norm_dense, dims, window_items,
 # ranking metrics
 
 def metrics_oracle(recommended, ground_truth, n):
-    """Loop/log2 recomputation of (recall, ndcg, hit)."""
+    """Loop/log2 recomputation of (recall, ndcg, hit).
+
+    Each discount is the scalar ``1.0 / np.log2(rank + 1)`` (``math.log2``
+    differs from it in the last bit at some ranks) and DCG sums left to
+    right, so the values are bit-equal to ``serve_eval``'s.
+    """
     recommended = list(recommended)[:n]
     hits = 0
     dcg = 0.0
     for rank, item in enumerate(recommended, start=1):
         if item in ground_truth:
             hits += 1
-            dcg += 1.0 / math.log2(rank + 1)
-    idcg = sum(1.0 / math.log2(r + 1)
+            dcg += 1.0 / np.log2(rank + 1)
+    idcg = sum(1.0 / np.log2(r + 1)
                for r in range(1, min(n, len(ground_truth)) + 1))
     recall = hits / len(ground_truth)
     hit = 1.0 if hits else 0.0
@@ -488,7 +493,7 @@ def spmm_full_table(a_sparse, x, rows):
 
 
 # ---------------------------------------------------------------------------
-# replaced retrieval and optimiser formulations
+# replaced window, retrieval and optimiser formulations
 
 def top_n_per_user(interest_vectors, e_global, n, exclude=None):
     """``serve_eval.top_n`` as one user's own (V, d) x (d, K) scan, the
@@ -509,36 +514,65 @@ def top_n_per_user(interest_vectors, e_global, n, exclude=None):
     return candidates[pool[np.argsort(order[pool], kind="stable")[:n]]]
 
 
-def evaluate_per_user(sequences, user_indices, params, a_norm, n_list=(20, 50),
-                      time_unit_seconds=86400, residual=False, threads=1):
-    """``serve_eval.evaluate`` ranking each user with ``top_n_per_user``."""
-    from concurrent.futures import ThreadPoolExecutor
+def make_window_slices(seq, end_pos, l_rec):
+    """``recent.make_window`` as one slice and concatenation per window, the
+    formulation the shared window cutter replaced: (items, timestamps,
+    mask)."""
+    if end_pos < 1 or end_pos > len(seq) + 1:
+        raise ValueError(f"end_pos {end_pos} outside 1..{len(seq) + 1}")
+    hist_items = seq.items[:end_pos - 1][-l_rec:]
+    hist_ts = seq.timestamps[:end_pos - 1][-l_rec:]
+    n_pad = l_rec - len(hist_items)
+    pad_ts = int(hist_ts[0]) if len(hist_ts) else 0
+    return (np.concatenate([np.zeros(n_pad, dtype=np.int64), hist_items]),
+            np.concatenate([np.full(n_pad, pad_ts, dtype=np.int64), hist_ts]),
+            np.concatenate([np.zeros(n_pad, dtype=bool),
+                            np.ones(len(hist_items), dtype=bool)]))
 
+
+def evaluate_per_user(sequences, user_indices, params, a_norm, n_list=(20, 50),
+                      time_unit_seconds=86400, residual=False):
+    """``serve_eval.evaluate`` as one loop over users: a per-user 80/20
+    split, ``make_window`` windows, ``top_n_per_user`` and ``metrics_oracle``
+    per user and cutoff, averaged over a (users, 3) array.
+
+    Users are fed to the forward pass in the same ``_EVAL_CHUNK`` batches,
+    so BLAS sees the same shapes.
+    """
     from gimirec import serve_eval as se
-    jobs = se._holdout_jobs(sequences, user_indices)
+    from gimirec.model import forward_interests
+    from gimirec.recent import make_window, stack_windows
+
+    jobs = []
+    for u in user_indices:
+        seq = sequences[int(u)]
+        prefix = (8 * len(seq)) // 10
+        truth = set(seq.items[prefix:].tolist())
+        if prefix >= 1 and truth:
+            jobs.append((seq, prefix, truth, set(seq.items[:prefix].tolist())))
     if not jobs:
-        return se._mean_report([], n_list)
+        return se.MetricsReport({n: se.MetricRow(0.0, 0.0, 0.0) for n in n_list}, 0)
     e_global = se.compute_global_table(params, a_norm)
     n_max = max(n_list)
-    chunks = [jobs[i:i + se._EVAL_CHUNK] for i in range(0, len(jobs), se._EVAL_CHUNK)]
-
-    def run_chunk(chunk):
-        interests = se._batched_interests(
-            [j[0] for j in chunk], [j[1] for j in chunk], params, a_norm,
-            time_unit_seconds, residual)
-        rows = []
-        for (seq, prefix, truth, exclude), vecs in zip(chunk, interests):
+    rows = []
+    for i in range(0, len(jobs), se._EVAL_CHUNK):
+        chunk = jobs[i:i + se._EVAL_CHUNK]
+        windows = [make_window(seq, prefix + 1, params.dims.l_rec)
+                   for seq, prefix, _, _ in chunk]
+        items, buckets, mask = stack_windows(windows, params.dims.l_time,
+                                             time_unit_seconds)
+        with ad.no_grad():
+            interests, _ = forward_interests(params, a_norm, items, buckets, mask,
+                                             residual=residual)
+        for (seq, prefix, truth, exclude), vecs in zip(chunk, interests.data):
             candidates = e_global.shape[0] - 1 - len(exclude)
             ranked = top_n_per_user(vecs, e_global, min(n_max, candidates), exclude)
-            rows.append({n: se.metrics(ranked, truth, n) for n in n_list})
-        return rows
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_user = [row for rows in pool.map(run_chunk, chunks) for row in rows]
-    else:
-        per_user = [row for chunk in chunks for row in run_chunk(chunk)]
-    return se._mean_report(per_user, n_list)
+            rows.append({n: metrics_oracle(ranked.tolist(), truth, n) for n in n_list})
+    report = {}
+    for n in n_list:
+        means = np.array([row[n] for row in rows], dtype=np.float64).mean(axis=0)
+        report[n] = se.MetricRow(*(float(x) for x in means))
+    return se.MetricsReport(report, len(rows))
 
 
 def adam_step_out_of_place(params, grads, state):

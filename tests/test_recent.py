@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from gimirec import autodiff as ad
 from gimirec.ingest import UserSequence
-from gimirec.recent import (bucketize, interval_attention, interval_matrix,
-                            make_window, stack_windows)
+from gimirec.recent import (bucketize, cut_windows, flatten, interval_attention,
+                            interval_matrix, make_window, stack_windows)
 
-from oracles import interval_attention_oracle
+from oracles import interval_attention_oracle, make_window_slices
 
 
 def seq(items, ts):
@@ -43,6 +43,35 @@ class TestMakeWindow:
     def test_end_pos_beyond_rejected(self):
         with pytest.raises(ValueError):
             make_window(seq([1, 2], [1, 2]), end_pos=4, l_rec=2)
+
+
+class TestCutWindows:
+    @given(st.lists(st.integers(0, 7), min_size=1, max_size=5),
+           st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_make_window_for_every_end(self, lengths, l_rec, seed):
+        # ends run to len+1 (serving) and lengths to 7 around l_rec 1..6, so
+        # both full and shorter-than-l_rec windows occur
+        rng = np.random.default_rng(seed)
+        seqs = [seq(rng.integers(1, 50, n), np.sort(rng.integers(1, 10**6, n)))
+                for n in lengths]
+        items, timestamps, starts, lens = flatten(seqs)
+        rows = np.repeat(np.arange(len(seqs)), [len(s) + 1 for s in seqs])
+        ends = np.concatenate([np.arange(1, len(s) + 2) for s in seqs])
+        got = cut_windows(items, timestamps, starts[rows], lens[rows], ends, l_rec)
+        for i, (r, end) in enumerate(zip(rows, ends)):
+            expect = make_window_slices(seqs[r], end, l_rec)
+            window = make_window(seqs[r], end, l_rec)
+            for cut, single, want in zip(got, (window.items, window.timestamps,
+                                               window.mask), expect):
+                np.testing.assert_array_equal(cut[i], want)
+                np.testing.assert_array_equal(single, want)
+        # an end of 0 or len+2 would read a neighbour's items: rejected
+        for r, s in enumerate(seqs):
+            for end in (0, len(s) + 2):
+                with pytest.raises(ValueError,
+                                   match=f"end_pos {end} outside 1..{len(s) + 1}$"):
+                    cut_windows(items, timestamps, starts[[r]], lens[[r]], [end], l_rec)
 
 
 class TestIntervalMatrix:

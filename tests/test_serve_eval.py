@@ -9,7 +9,7 @@ from gimirec import serve_eval
 from gimirec.config import HyperParams
 from gimirec.ingest import UserSequence, prepare
 from gimirec.model import ModelDims, ModelParams, cast_adjacency, forward_interests
-from gimirec.recent import make_window, stack_windows
+from gimirec.recent import flatten, make_window, stack_windows
 from gimirec.serve_eval import (MetricRow, MetricsReport, _batched_interests,
                                 compute_global_table,
                                 evaluate, evaluate_ranker, infer_interests,
@@ -51,6 +51,12 @@ class TestMetrics:
         # the ideal DCG over no slots is 0
         with pytest.raises(ValueError, match=f"cutoff must be at least 1, got {n}"):
             metrics(["a"], {"a"}, n)
+
+    def test_repeated_item_rejected(self):
+        with pytest.raises(ValueError, match="must not repeat an item"):
+            metrics([1, 1, 2], {1}, 3)
+        # only the first n items are scored
+        assert metrics([1, 2, 1], {1}, 2) == (1.0, 1.0, 1.0)
 
     def test_matches_oracle_on_random_cases(self):
         rng = np.random.default_rng(0)
@@ -214,6 +220,31 @@ def build_model(seed, n_items=12, d=8, k=2, l_rec=4, l_time=5):
     return seqs, params, cast_adjacency(adj.a_norm, np.float64)
 
 
+def planted_model(tmp_path):
+    """(sequences, params, a_norm, users): a planted-cluster bundle's users
+    plus one whose prefix leaves fewer than 20 unseen items, and a float32
+    model; users are the test and valid splits and that extra user."""
+    cfg = PlantedConfig(n_clusters=3, items_per_cluster=12, n_users=60,
+                        n_hot_items=8, n_tail_items=50)
+    write_log(tmp_path / "log.csv", planted_cluster_records(cfg, seed=4))
+    bundle, _ = prepare(tmp_path / "log.csv", tmp_path / "bundle", seed=4)
+    hp = HyperParams(d=16, k=3, l_rec=8, l_time=8, n_heads=2, n_layers=1)
+    a_norm = cast_adjacency(build_adjacency_from_bundle(bundle, hp).a_norm,
+                            np.float32)
+    v = bundle.split.item_vocab.size
+    dims = ModelDims(v, hp.d, hp.k, hp.l_rec, hp.l_time, hp.n_heads, hp.n_layers)
+    params = ModelParams.init(dims, np.random.default_rng(4), dtype=np.float32)
+    extra = 0
+    while v - 1 - (8 * (v - 1 + extra)) // 10 >= 20:
+        extra += 1
+    items = np.r_[np.arange(1, v), np.arange(1, 1 + extra)]
+    sequences = bundle.sequences + [
+        UserSequence(len(bundle.sequences), items, np.arange(1, items.size + 1))]
+    users = np.r_[bundle.split.test_users, bundle.split.valid_users,
+                  len(bundle.sequences)]
+    return sequences, params, a_norm, users
+
+
 class TestInferAndEvaluate:
     def test_infer_deterministic(self):
         seqs, params, a_norm = build_model(0)
@@ -241,8 +272,9 @@ class TestInferAndEvaluate:
 
         def run():
             with pytest.raises(ValueError, match="no center"):
-                _batched_interests(picks[:1], [0], params, a_norm, 1, False)
-            return _batched_interests(picks, prefixes, params, a_norm, 1, False)
+                _batched_interests(flatten(picks[:1]), [0], params, a_norm, 1, False)
+            return _batched_interests(flatten(picks), prefixes, params, a_norm, 1,
+                                      False)
 
         new = run()
         monkeypatch.setattr(ad, "spmm_rows", oracles.spmm_full_table)
@@ -317,34 +349,51 @@ class TestInferAndEvaluate:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_matches_per_user_evaluation(self, tmp_path, monkeypatch, threads):
-        cfg = PlantedConfig(n_clusters=3, items_per_cluster=12, n_users=60,
-                            n_hot_items=8, n_tail_items=50)
-        write_log(tmp_path / "log.csv", planted_cluster_records(cfg, seed=4))
-        bundle, _ = prepare(tmp_path / "log.csv", tmp_path / "bundle", seed=4)
-        hp = HyperParams(d=16, k=3, l_rec=8, l_time=8, n_heads=2, n_layers=1)
-        a_norm = cast_adjacency(build_adjacency_from_bundle(bundle, hp).a_norm,
-                                np.float32)
-        v = bundle.split.item_vocab.size
-        dims = ModelDims(v, hp.d, hp.k, hp.l_rec, hp.l_time, hp.n_heads, hp.n_layers)
-        params = ModelParams.init(dims, np.random.default_rng(4), dtype=np.float32)
-        # a user whose prefix leaves fewer than 20 unseen items
-        extra = 0
-        while v - 1 - (8 * (v - 1 + extra)) // 10 >= 20:
-            extra += 1
-        items = np.r_[np.arange(1, v), np.arange(1, 1 + extra)]
-        sequences = bundle.sequences + [
-            UserSequence(len(bundle.sequences), items, np.arange(1, items.size + 1))]
-        users = np.r_[bundle.split.test_users, bundle.split.valid_users,
-                      len(bundle.sequences)]
+        sequences, params, a_norm, users = planted_model(tmp_path)
         # several chunks per thread and several score blocks per chunk
         monkeypatch.setattr(serve_eval, "_EVAL_CHUNK", 5)
-        monkeypatch.setattr(serve_eval, "_SCORE_BLOCK_BYTES", 2 * hp.k * v * 4)
+        monkeypatch.setattr(serve_eval, "_SCORE_BLOCK_BYTES",
+                            2 * params.dims.k * params.dims.n_items * 4)
         got = evaluate(sequences, users, params, a_norm, n_list=(5, 20),
                        threads=threads)
         expect = oracles.evaluate_per_user(sequences, users, params, a_norm,
-                                           n_list=(5, 20), threads=threads)
+                                           n_list=(5, 20))
         assert got.user_count == users.size
         assert got == expect
+
+    def test_matches_per_user_evaluation_on_split_edge_cases(self, tmp_path,
+                                                            monkeypatch):
+        sequences, params, a_norm, users = planted_model(tmp_path)
+        base = len(sequences)
+        ts = np.arange(1, 11)
+        sequences = sequences + [
+            # held-out item 2 repeats a prefix item: never ranked, still in |truth|
+            UserSequence(base, np.r_[1:9, 2, 9], ts),
+            # held-out items repeat: |truth| = 1
+            UserSequence(base + 1, np.r_[1:9, 9, 9], ts),
+            # skipped: an empty prefix, then an empty prefix and truth
+            UserSequence(base + 2, np.array([3]), np.array([5])),
+            UserSequence(base + 3, np.empty(0, np.int64), np.empty(0, np.int64)),
+        ]
+        # duplicate and unsorted user indices, skipped users among them
+        users = np.r_[base + 1, users[::-1], base + 2, base, base + 3, users[:7],
+                      base + 1, base]
+        monkeypatch.setattr(serve_eval, "_EVAL_CHUNK", 7)
+        got = evaluate(sequences, users, params, a_norm, n_list=(20, 5))
+        expect = oracles.evaluate_per_user(sequences, users, params, a_norm,
+                                           n_list=(20, 5))
+        assert got.user_count == users.size - 2
+        assert got == expect
+        assert list(got.per_n) == [20, 5]
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_user_index_outside_sequences_rejected(self, bad):
+        seqs, params, a_norm = build_model(5)
+        with pytest.raises(ValueError, match=f"user index {bad} outside 0..5$"):
+            evaluate(seqs, np.array([0, bad]), params, a_norm, n_list=(4,),
+                     time_unit_seconds=1)
+        with pytest.raises(ValueError, match=f"user index {bad} outside 0..5$"):
+            evaluate_ranker(seqs, [bad], lambda n, ex: [])
 
     def test_report_dict_shape(self):
         seqs, params, a_norm = build_model(6)
@@ -382,6 +431,12 @@ class TestBaselines:
         assert isinstance(report, MetricsReport)
         assert report.user_count == len(seqs)
         assert 0.0 <= report.per_n[4].recall <= 1.0
+
+    def test_ranker_repeating_an_item_rejected(self):
+        seqs, _, _ = build_model(7)
+        with pytest.raises(ValueError, match="must not repeat an item"):
+            evaluate_ranker(seqs, np.arange(len(seqs)), lambda n, ex: [12, 11, 12],
+                            n_list=(4,))
 
     @pytest.mark.parametrize("n_list", [(0,), (5, 0), (-3,), ()])
     def test_cutoffs_below_one_rejected_before_any_work(self, n_list):
