@@ -178,7 +178,7 @@ def cmd_recommend(args) -> int:
     vocab = bundle.split.item_vocab
     seqs = [bundle.sequences[u] for u in users]
     vectors = _batched_interests(flatten(seqs), [len(s) for s in seqs], params,
-                                 a_norm, hp.time_unit_seconds, hp.residual)
+                                 e_global, hp.time_unit_seconds, hp.residual)
     excludes = [set(s.items.tolist()) for s in seqs]
     # a short list means too few candidates, reported when that user is
     # reached, so the users before it are still printed

@@ -1,9 +1,10 @@
 """Model parameters, the shared forward pass and checkpoint serialization.
 
 The same forward path serves training and inference: global embeddings via
-the fixed normalized adjacency (only the rows a batch reads), interval
-attention over the recent window, layered aggregation with the virtual
-center node, then K-interest extraction.
+the fixed normalized adjacency (only the rows a batch reads, or the full
+table evaluation ranks against), interval attention over the recent window,
+layered aggregation with the virtual center node, then K-interest
+extraction.
 """
 
 from __future__ import annotations
@@ -114,36 +115,56 @@ def cast_adjacency(a_norm: sp.csr_matrix, dtype) -> sp.csr_matrix:
     return cast
 
 
+def check_adjacency_shape(params: ModelParams, a_norm: sp.csr_matrix) -> None:
+    n_items = params.item_table.shape[0]
+    if a_norm.shape != (n_items, n_items):
+        raise ValueError(f"adjacency shape {a_norm.shape} does not match "
+                         f"the item table's {n_items} rows")
+
+
 def forward_interests(params: ModelParams, a_norm: sp.csr_matrix,
                       item_idx: np.ndarray, buckets: np.ndarray,
                       mask: np.ndarray, dropout_rate: float = 0.0,
                       rng: np.random.Generator | None = None,
                       residual: bool = False,
                       extra_rows: tuple[np.ndarray, ...] = ()) -> tuple[ad.Tensor, dict]:
-    """Window batch -> (interests (B, K, d), aux tensors).
+    """Window batch -> (interests (B, K, d), aux tensors): the global rows a
+    batch reads (``ad.spmm_rows``), then ``forward_from_table``.
 
     aux carries the global table, the per-item matrix and the interest
     attention. The global table has all V rows but only those the caller
     reads are computed: the window items and the indices in ``extra_rows``
     (a loss passes its targets and negatives); every other row is zero.
     """
-    dims = params.dims
-    n_items = params.item_table.shape[0]
-    if a_norm.shape != (n_items, n_items):
-        raise ValueError(f"adjacency shape {a_norm.shape} does not match "
-                         f"the item table's {n_items} rows")
-    read = np.zeros(n_items, dtype=bool)
+    check_adjacency_shape(params, a_norm)
+    read = np.zeros(params.item_table.shape[0], dtype=bool)
     read[item_idx] = True
     for idx in extra_rows:
         read[idx] = True
     e_global = ad.spmm_rows(a_norm, params.item_table,
                             np.flatnonzero(read))                  # (V, d)
+    return forward_from_table(params, e_global, item_idx, buckets, mask,
+                              dropout_rate, rng, residual)
+
+
+def forward_from_table(params: ModelParams, e_global: ad.Tensor,
+                       item_idx: np.ndarray, buckets: np.ndarray,
+                       mask: np.ndarray, dropout_rate: float = 0.0,
+                       rng: np.random.Generator | None = None,
+                       residual: bool = False) -> tuple[ad.Tensor, dict]:
+    """``forward_interests`` after the sparse product: the window batch's
+    interests from a (V, d) global table whose ``item_idx`` rows are set.
+
+    Evaluation passes the full table it ranks against; SciPy sums each CSR
+    row in the same order whether or not the matrix is sliced, so the result
+    is bit-equal to ``forward_interests``.
+    """
     global_rows = ad.gather(e_global, item_idx)                   # (B, L, d)
     e_time = interval_attention(buckets, params.interval_table,
                                 params.interval_score_w, mask)
     hybrid = hybrid_embeddings(global_rows, e_time, mask)
     e_user = aggregate_layers(
-        hybrid, global_rows, params.layers, dims.n_heads, mask,
+        hybrid, global_rows, params.layers, params.dims.n_heads, mask,
         dropout_rate=dropout_rate, rng=rng, residual=residual)
     interests, attn = extract_interests(
         e_user, params.interest_hidden_w, params.interest_query_w, mask)

@@ -18,7 +18,8 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .global_context import global_embeddings
 from .ingest import UserSequence
-from .model import ModelParams, forward_interests
+from .model import (ModelDims, ModelParams, check_adjacency_shape, forward_from_table,
+                    forward_interests)
 from .recent import cut_windows, flatten, window_buckets
 
 _EVAL_CHUNK = 256
@@ -119,11 +120,15 @@ def top_n_rows(interests: np.ndarray, e_global: np.ndarray, n,
     score is the max over the row's K interests. Only candidates are ranked,
     so padding and ``excludes[u]`` never appear whatever the scores; ties
     rank the smaller index first and NaN scores rank last. Users are scored
-    in blocks whose (users·K, V) product fits ``_SCORE_BLOCK_BYTES``.
+    in blocks whose (users·K, V) product fits ``_SCORE_BLOCK_BYTES``. An
+    excluded item outside 0..V-1 is rejected.
     """
     sizes = [len(ex) for ex in excludes]
     exclude = (np.repeat(np.arange(len(excludes)), sizes),
                np.fromiter(chain.from_iterable(excludes), np.int64, sum(sizes)))
+    bad = exclude[1][(exclude[1] < 0) | (exclude[1] >= e_global.shape[0])]
+    if bad.size:
+        raise ValueError(f"excluded item {bad[0]} outside 0..{e_global.shape[0] - 1}")
     ranked = _rank_rows(interests, e_global.T, n, exclude)
     return [row[:m] for row, m in zip(ranked, np.asarray(n).tolist())]
 
@@ -132,10 +137,16 @@ def _rank_rows(interests, items_t, n, exclude: tuple) -> np.ndarray:
     """``top_n_rows`` against the item table laid out as (d, V).
 
     ``exclude`` is (row, item) pairs sorted by row. Row u's ranking fills
-    ``out[u, :n[u]]`` of a (U, max n) matrix padded with -1. BLAS multiplies
-    a C-contiguous (d, V) table about twice as fast as the transposed view
-    of the (V, d) one, so ``evaluate`` copies the table once per call; the
-    one-row ``top_n`` keeps the view, which costs less than the copy.
+    ``out[u, :n[u]]`` of a (U, max n) matrix padded with -1. A block takes
+    the product and the max over K, then selects each row's top n without
+    partitioning all V scores: the n-th best of about 4·max n chunk bests is
+    a lower bound, and only the scores that reach it are sorted (block
+    max-pruning, as in Block-Max WAND, Ding & Suel, SIGIR 2011).
+
+    BLAS multiplies a C-contiguous (d, V) table about twice as fast as the
+    transposed view of the (V, d) one, so ``evaluate`` copies the table once
+    per call; the one-row ``top_n`` keeps the view, which costs less than
+    the copy.
     """
     interests = np.asarray(interests)
     n = np.asarray(n, dtype=np.int64)
@@ -161,20 +172,29 @@ def _pairs_in(pairs: tuple, lo: int, hi: int) -> tuple:
 def _rank_block(interests, items_t, n, exclude, out) -> None:
     u, k, d = interests.shape
     v = items_t.shape[1]
-    order = -(interests.reshape(u * k, d) @ items_t).reshape(u, k, v).max(axis=1)
-    # selection key: NaN scores tie with -inf ones, and padding and excluded
-    # items are NaN, which sorts after every candidate
-    key = np.fmin(order, np.inf)
+    score = (interests.reshape(u * k, d) @ items_t).reshape(u, k, v).max(axis=1)
+    # selection key, larger first: NaN scores tie with -inf ones, and padding
+    # and excluded items are NaN, which no comparison selects
+    key = np.fmax(score, -np.inf)
     key[exclude] = np.nan
     key[:, 0] = np.nan
-    kth = np.maximum(np.minimum(n, v), 1) - 1
-    thresh = np.partition(key, sorted(set(kth.tolist())), axis=1)[np.arange(u), kth]
-    # every candidate keyed at most a row's N-th best, sorted by row, then
-    # score with NaN last, then index: the head of each row's full stable
-    # sort. Padding is NaN, so a row short of candidates has a NaN N-th best
-    # and pools nothing.
-    rows, items = np.divmod(np.flatnonzero(key <= thresh[:, None]), v)
-    items = items[np.lexsort((order[rows, items], rows))]
+    # the n-th best of the per-chunk bests bounds a row's n-th best key from
+    # below: any n chunk bests are n distinct candidates. Chunk j holds the
+    # c items j, j + m, j + 2m, ..., so the bests are c elementwise passes
+    # over m keys. The last v - c·m items belong to no chunk, which keeps
+    # the bound a lower bound; the pool below still reads them.
+    c = max(1, v // (4 * max(out.shape[1], 1)))
+    m = v // c
+    best = np.fmax.reduce(key[:, :c * m].reshape(u, c, m), axis=1)
+    kth = np.minimum(np.maximum(n, 1), m) - 1
+    # NaN (no candidate) sorts last: a row with fewer than n chunks holding
+    # a candidate reads NaN, and its bound -inf pools every candidate
+    bound = np.fmax(-np.partition(-best, sorted(set(kth.tolist())), axis=1)
+                    [np.arange(u), kth], -np.inf)
+    # the pool holds each row's top n; sort it by row, then score with NaN
+    # last, then index: the head of each row's full stable sort
+    rows, items = np.divmod(np.flatnonzero(key >= bound[:, None]), v)
+    items = items[np.lexsort((-score[rows, items], rows))]
     pooled = np.bincount(rows, minlength=u)
     short = (n < 0) | (n > pooled)
     if short.any():
@@ -191,31 +211,48 @@ def compute_global_table(params: ModelParams, a_norm: sp.csr_matrix) -> np.ndarr
 
     The one full product: scoring the whole catalog reads every row.
     """
+    check_adjacency_shape(params, a_norm)
     return global_embeddings(a_norm, params.item_table.data)
 
 
 def infer_interests(seq: UserSequence, prefix_len: int, params: ModelParams,
                     a_norm: sp.csr_matrix, time_unit_seconds: int = 86400,
                     residual: bool = False) -> np.ndarray:
-    """Interest matrix for one user from the first ``prefix_len`` interactions."""
+    """Interest matrix for one user from the first ``prefix_len`` interactions.
+
+    Only the window's global rows are computed (``forward_interests``).
+    """
     if prefix_len < 1:
         raise ValueError("prefix must contain at least one interaction")
-    return _batched_interests(flatten([seq]), [prefix_len], params, a_norm,
-                              time_unit_seconds, residual)[0]
-
-
-def _batched_interests(columns: tuple, prefix_lens, params: ModelParams,
-                       a_norm: sp.csr_matrix, time_unit_seconds: int,
-                       residual: bool) -> np.ndarray:
-    """Interests of each row of ``columns`` (``recent.flatten``'s (items,
-    timestamps, starts, lengths)) from its first ``prefix_lens`` items."""
-    dims = params.dims
-    items, timestamps, mask = cut_windows(*columns, np.asarray(prefix_lens) + 1,
-                                          dims.l_rec)
-    buckets = window_buckets(timestamps, mask, dims.l_time, time_unit_seconds)
+    items, buckets, mask = _windows(flatten([seq]), [prefix_len], params.dims,
+                                    time_unit_seconds)
     with ad.no_grad():
         interests, _ = forward_interests(params, a_norm, items, buckets, mask,
                                          residual=residual)
+    return interests.data[0]
+
+
+def _windows(columns: tuple, prefix_lens, dims: ModelDims,
+             time_unit_seconds: int) -> tuple:
+    """(items, buckets, mask) windows of each row of ``columns``
+    (``recent.flatten``'s (items, timestamps, starts, lengths)) over its
+    first ``prefix_lens`` items."""
+    items, timestamps, mask = cut_windows(*columns, np.asarray(prefix_lens) + 1,
+                                          dims.l_rec)
+    return items, window_buckets(timestamps, mask, dims.l_time,
+                                 time_unit_seconds), mask
+
+
+def _batched_interests(columns: tuple, prefix_lens, params: ModelParams,
+                       e_global: np.ndarray, time_unit_seconds: int,
+                       residual: bool) -> np.ndarray:
+    """Interests of each row of ``columns`` from its first ``prefix_lens``
+    items, reading the window rows of the full (V, d) global table."""
+    with ad.no_grad():
+        interests, _ = forward_from_table(
+            params, ad.Tensor(e_global),
+            *_windows(columns, prefix_lens, params.dims, time_unit_seconds),
+            residual=residual)
     return interests.data
 
 
@@ -305,7 +342,7 @@ def evaluate(sequences: list[UserSequence], user_indices: np.ndarray,
         hi = lo + _EVAL_CHUNK
         interests = _batched_interests(
             (split.items, split.timestamps, split.starts[lo:hi], split.lengths[lo:hi]),
-            split.prefix[lo:hi], params, a_norm, time_unit_seconds, residual)
+            split.prefix[lo:hi], params, e_global, time_unit_seconds, residual)
         block = _rank_rows(interests, items_t, n[lo:hi],
                            _pairs_in(split.exclude, lo, hi))
         ranked[lo:hi, :block.shape[1]] = block

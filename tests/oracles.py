@@ -514,6 +514,35 @@ def top_n_per_user(interest_vectors, e_global, n, exclude=None):
     return candidates[pool[np.argsort(order[pool], kind="stable")[:n]]]
 
 
+def rank_rows_full_partition(interests, items_t, n, exclude):
+    """``serve_eval._rank_rows`` as one block that partitions every row's V
+    keys, the formulation the chunk-bound selection replaced: a (U, max n)
+    matrix of each row's top n, padded with -1."""
+    u, k, d = interests.shape
+    v = items_t.shape[1]
+    out = np.full((u, int(n.max(initial=0))), -1, dtype=np.int64)
+    order = -(interests.reshape(u * k, d) @ items_t).reshape(u, k, v).max(axis=1)
+    # selection key: NaN scores tie with -inf ones, and padding and excluded
+    # items are NaN, which sorts after every candidate
+    key = np.fmin(order, np.inf)
+    key[exclude] = np.nan
+    key[:, 0] = np.nan
+    kth = np.maximum(np.minimum(n, v), 1) - 1
+    thresh = np.partition(key, sorted(set(kth.tolist())), axis=1)[np.arange(u), kth]
+    rows, items = np.divmod(np.flatnonzero(key <= thresh[:, None]), v)
+    items = items[np.lexsort((order[rows, items], rows))]
+    pooled = np.bincount(rows, minlength=u)
+    short = (n < 0) | (n > pooled)
+    if short.any():
+        r = np.argmax(short)
+        raise ValueError(f"cannot rank {n[r]} items from "
+                         f"{np.count_nonzero(~np.isnan(key[r]))} candidates")
+    slots = np.arange(out.shape[1])
+    head = slots < n[:, None]
+    out[head] = items[((np.cumsum(pooled) - pooled)[:, None] + slots)[head]]
+    return out
+
+
 def make_window_slices(seq, end_pos, l_rec):
     """``recent.make_window`` as one slice and concatenation per window, the
     formulation the shared window cutter replaced: (items, timestamps,

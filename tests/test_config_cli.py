@@ -9,11 +9,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from gimirec import autodiff as ad
 from gimirec.cli import main
 from gimirec.config import ConfigError, HyperParams, PRESETS, load_config
-from gimirec.global_context import AblationVariant, read_adjacency, write_adjacency
+from gimirec.global_context import (AblationVariant, global_embeddings, read_adjacency,
+                                    write_adjacency)
 from gimirec.ingest import load_bundle
+from gimirec.model import cast_adjacency, forward_interests, load_checkpoint
+from gimirec.recent import make_window, stack_windows
 from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
+
+import oracles
 
 
 class TestConfig:
@@ -221,6 +227,43 @@ class TestCliPipeline:
         assert middle[0] == 1
         assert "cannot rank" in middle[2]
         assert run(users, n) == (1, first[1], middle[2])
+
+    def test_recommend_prints_the_per_row_forward_lines(self, mini_corpus, tmp_path,
+                                                        capsys):
+        # recommend reads its window rows from the table it ranks against;
+        # the lines equal those of the adjacency-row forward pass and a
+        # per-user scan
+        bundle = tmp_path / "bundle"
+        assert main(["prepare", "--input", str(mini_corpus / "log.csv"),
+                     "--out", str(bundle), "--set", "seed=5"]) == 0
+        assert main(["gce", "--bundle", str(bundle), "--out", str(bundle),
+                     *SMALL]) == 0
+        assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path),
+                     *SMALL]) == 0
+        users = [3, 0, 17]
+        capsys.readouterr()
+        assert main(["recommend", "--bundle", str(bundle),
+                     "--checkpoint", str(tmp_path / "checkpoint.bin"),
+                     "--users", ",".join(map(str, users)), "-n", "5", *SMALL]) == 0
+        out = capsys.readouterr().out
+
+        loaded = load_bundle(bundle)
+        params = load_checkpoint(tmp_path / "checkpoint.bin")
+        a_norm = cast_adjacency(read_adjacency(bundle / "adjacency.bin"), params.dtype)
+        e_global = global_embeddings(a_norm, params.item_table.data)
+        expect = []
+        for u in users:
+            seq = loaded.sequences[u]
+            items, buckets, mask = stack_windows(
+                [make_window(seq, len(seq) + 1, 6)], 4,
+                HyperParams().time_unit_seconds)
+            with ad.no_grad():
+                vectors = forward_interests(params, a_norm, items, buckets, mask)[0]
+            ranked = oracles.top_n_per_user(vectors.data[0], e_global, 5,
+                                            set(seq.items.tolist()))
+            names = [loaded.split.item_vocab.index_to_raw[int(i)] for i in ranked]
+            expect.append(f"user {u} ({loaded.user_ids[u]}): {' '.join(names)}\n")
+        assert out == "".join(expect)
 
     @pytest.mark.parametrize("cutoffs, named", [("0", "0"), ("5,0", "5, 0"),
                                                 ("-3", "-3")])

@@ -1,5 +1,7 @@
 """Metrics, exact retrieval and the 80/20 evaluation protocol."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +144,17 @@ class TestTopN:
         with pytest.raises(ValueError):
             top_n(np.ones((1, 2)), np.zeros((4, 2)), 4)
 
+    @pytest.mark.parametrize("bad", [-1, 6, 9])
+    def test_exclusion_outside_catalog_rejected(self, bad):
+        # item 5 scores best: -1 used to drop it in silence, 9 to raise a
+        # bare IndexError
+        e_global = np.arange(12.0).reshape(6, 2)
+        np.testing.assert_array_equal(top_n(np.ones((1, 2)), e_global, 3), [5, 4, 3])
+        with pytest.raises(ValueError, match=f"^excluded item {bad} outside 0..5$"):
+            top_n(np.ones((1, 2)), e_global, 3, exclude={bad})
+        with pytest.raises(ValueError, match=f"^excluded item {bad} outside 0..5$"):
+            top_n_rows(np.ones((2, 1, 2)), e_global, [3, 3], [{2}, {1, bad}])
+
 
 def _edge_case_rows(rng):
     """Tie-heavy integer scores with NaN and ±inf rows: (interests (U, K, 2),
@@ -206,6 +219,101 @@ class TestTopNRows:
                 row, oracles.top_n_per_user(vecs, e_global, 50, ex))
 
 
+CHUNK_CASES = ["chunks_excluded", "few_candidate_chunks", "few_items",
+               "special_scores", "ties"]
+
+
+def _chunk_bound_case(rng, case):
+    """(interests (U, K, 2), items_t (2, V), n, exclude pairs) for one edge
+    case of ``_rank_block``'s chunk-bound selection, with tie-heavy integer
+    scores. Row ``anchor`` asks for max n and excludes nothing, so the chunk
+    layout follows from ``n_max``."""
+    users, k = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    n_max = int(rng.integers(1, 9))
+    v = int(rng.integers(2, 4 * n_max + 1) if case == "few_items"
+            else rng.integers(4 * n_max, 30 * n_max))
+    table = rng.integers(-2, 3, size=(v, 2)).astype(np.float64)
+    interests = rng.integers(-2, 3, size=(users, k, 2)).astype(np.float64)
+    if case == "ties":
+        # three score levels, so equal scores sit in many chunks
+        table = rng.integers(0, 2, size=(v, 2)).astype(np.float64)
+        interests = np.ones((users, k, 2))
+    if case == "special_scores":
+        for special in (np.nan, np.inf, -np.inf):
+            table[rng.integers(v, size=rng.integers(1, 4)), rng.integers(2)] = special
+        interests[rng.integers(users)] = np.nan   # every score of a row NaN
+    # _rank_block's chunks: chunk j holds items j, j + m, ...; the items past
+    # c·m belong to none, and are excluded here as one more group
+    c = max(1, v // (4 * min(n_max, v - 1)))
+    m = v // c
+    chunks = [np.arange(j, c * m, m) for j in range(m)] + [np.arange(c * m, v)]
+    anchor = int(rng.integers(users))
+    excludes, n = [], []
+    for r in range(users):
+        ex = set(rng.integers(1, v, size=rng.integers(0, 4)).tolist())
+        picked = np.concatenate([chunks[j] for j in rng.permutation(len(chunks))
+                                 [:rng.integers(1, n_max + 1)]]).tolist()
+        if r == anchor:
+            ex = set()
+        elif case == "chunks_excluded":
+            ex.update(picked)
+        elif case == "few_candidate_chunks":
+            ex = set(range(1, v)).difference(picked)
+        count = v - 1 - len(ex - {0})
+        if r == anchor:
+            n.append(min(n_max, count))
+        elif count < n_max and rng.random() < 0.2:
+            n.append(count + 1)   # one more than its candidates: rejected
+        else:
+            n.append(min(int(rng.integers(0, n_max + 1)), count))
+        excludes.append(sorted(ex))
+    pairs = (np.repeat(np.arange(users), [len(ex) for ex in excludes]),
+             np.array([i for ex in excludes for i in ex], dtype=np.int64))
+    return interests, np.ascontiguousarray(table.T), np.array(n), pairs
+
+
+def _assert_ranks_like_full_partition(interests, items_t, n, pairs):
+    try:
+        expect = oracles.rank_rows_full_partition(interests, items_t, n, pairs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            serve_eval._rank_rows(interests, items_t, n, pairs)
+        return
+    got = serve_eval._rank_rows(interests, items_t, n, pairs)
+    assert got.dtype == expect.dtype
+    np.testing.assert_array_equal(got, expect)
+
+
+class TestChunkBoundSelection:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(CHUNK_CASES))
+    @settings(max_examples=400, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+    def test_matches_full_row_partition(self, seed, case):
+        rng = np.random.default_rng(seed)
+        interests, items_t, n, pairs = _chunk_bound_case(rng, case)
+        # blocks of 1-3 users, so one call spans several of them
+        per_block = interests.shape[1] * items_t.shape[1] * 8
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serve_eval, "_SCORE_BLOCK_BYTES",
+                       int(rng.integers(1, 4)) * per_block)
+            _assert_ranks_like_full_partition(interests, items_t, n, pairs)
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_float32_matches_full_row_partition(self, monkeypatch, decimals):
+        rng = np.random.default_rng(5)
+        table = rng.normal(size=(5003, 16))
+        if decimals is not None:   # coarse scores: ties across chunks
+            table = np.round(table, decimals)
+        interests = rng.normal(size=(40, 4, 16)).astype(np.float32)
+        n = np.r_[50, rng.integers(0, 51, size=39)]
+        excludes = [np.unique(rng.integers(0, 5003, size=30)) for _ in range(40)]
+        pairs = (np.repeat(np.arange(40), [ex.size for ex in excludes]),
+                 np.concatenate(excludes))
+        items_t = np.ascontiguousarray(table.T.astype(np.float32))
+        monkeypatch.setattr(serve_eval, "_SCORE_BLOCK_BYTES", 7 * 4 * 5003 * 4)
+        _assert_ranks_like_full_partition(interests, items_t, n, pairs)
+
+
 def build_model(seed, n_items=12, d=8, k=2, l_rec=4, l_time=5):
     from helpers import random_sequences
     from gimirec.global_context import AblationVariant, build_weighted_adjacency, extract_hop_pairs
@@ -264,23 +372,53 @@ class TestInferAndEvaluate:
         np.testing.assert_array_equal(got, expect.data[0])
 
     def test_batched_interests_match_full_global_table(self, monkeypatch):
-        seqs, params, a_norm = build_model(6)
-        params, a_norm = params.astype(np.float32), a_norm.astype(np.float32)
+        seqs, base_params, base_a_norm = build_model(6)
         # single-item, partial and full windows (l_rec = 4); a fully padded
-        # one is rejected the same way by both
+        # one is rejected the same way by every path
         picks, prefixes = seqs[:3], [1, 2, 6]
-
-        def run():
+        for dtype in (np.float32, np.float64):
+            params, a_norm = base_params.astype(dtype), base_a_norm.astype(dtype)
+            e_global = compute_global_table(params, a_norm)
             with pytest.raises(ValueError, match="no center"):
-                _batched_interests(flatten(picks[:1]), [0], params, a_norm, 1, False)
-            return _batched_interests(flatten(picks), prefixes, params, a_norm, 1,
-                                      False)
+                _batched_interests(flatten(picks[:1]), [0], params, e_global, 1, False)
+            got = _batched_interests(flatten(picks), prefixes, params, e_global, 1,
+                                     False)
 
-        new = run()
-        monkeypatch.setattr(ad, "spmm_rows", oracles.spmm_full_table)
-        old = run()
-        assert new.dtype == np.float32
-        np.testing.assert_array_equal(new, old)
+            def from_adjacency(columns, prefix_lens):
+                windows = serve_eval._windows(columns, prefix_lens, params.dims, 1)
+                with ad.no_grad():
+                    return forward_interests(params, a_norm, *windows)[0].data
+
+            with pytest.raises(ValueError, match="no center"):
+                from_adjacency(flatten(picks[:1]), [0])
+            rows = from_adjacency(flatten(picks), prefixes)
+            with monkeypatch.context() as mp:
+                mp.setattr(ad, "spmm_rows", oracles.spmm_full_table)
+                full = from_adjacency(flatten(picks), prefixes)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, rows)
+            np.testing.assert_array_equal(got, full)
+
+    def test_evaluate_computes_the_global_product_once(self, tmp_path, monkeypatch):
+        sequences, params, a_norm, users = planted_model(tmp_path)
+        monkeypatch.setattr(serve_eval, "_EVAL_CHUNK", 5)
+        expect = oracles.evaluate_per_user(sequences, users, params, a_norm,
+                                           n_list=(5, 20))
+        calls = []
+        table = serve_eval.compute_global_table
+
+        def counted(*args):
+            calls.append(args)
+            return table(*args)
+
+        def never(*_):
+            raise AssertionError("evaluate recomputed global rows")
+
+        monkeypatch.setattr(serve_eval, "compute_global_table", counted)
+        monkeypatch.setattr(ad, "spmm_rows", never)
+        got = evaluate(sequences, users, params, a_norm, n_list=(5, 20), threads=2)
+        assert len(calls) == 1
+        assert got == expect
 
     def test_prefix_floor_rule(self):
         # 5 interactions -> prefix 4, ground truth 1
