@@ -1,11 +1,13 @@
 """Interaction-log ingestion.
 
-Parses delimited logs into user, item and timestamp columns, drops
-non-positive timestamps, applies the iterative 5-interaction user/item
-filter, assigns dense indices (item index 0 is the padding slot), splits
-users 8:1:1 and reads/writes the on-disk dataset bundle (vocab.tsv /
-users.tsv / sequences.bin / split.json). ``InteractionRecord`` lists are an
-interface for callers; ``prepare`` never builds one.
+Parses delimited logs from their bytes into first-appearance user and item
+codes and int64 timestamps (array operations, and one per-line rule for the
+lines they do not cover), drops non-positive timestamps, applies the
+iterative 5-interaction user/item filter, assigns dense indices (item index
+0 is the padding slot), splits users 8:1:1 and reads/writes the on-disk
+dataset bundle (vocab.tsv / users.tsv / sequences.bin / split.json).
+``InteractionRecord`` lists are an interface for callers; ``prepare`` never
+builds one.
 ``BinaryReader`` is the bounded reader every binary container (bundle,
 adjacency, checkpoint) loads through.
 """
@@ -123,49 +125,163 @@ def parse_log(path: str | Path, delimiter: str = ",") -> ParseResult:
     an int64 integer) are skipped and counted; blank lines are ignored. An
     unreadable file or one that is not UTF-8 raises.
     """
-    users, items, timestamps, rejects = _parse_columns(path, delimiter)
-    return ParseResult(list(map(InteractionRecord, users, items, timestamps.tolist())),
-                       rejects)
+    cols = _read_columns(path, delimiter)
+    users = np.array(cols.user_ids, dtype=object)[cols.users].tolist()
+    items = np.array(cols.item_ids, dtype=object)[cols.items].tolist()
+    return ParseResult(list(map(InteractionRecord, users, items, cols.timestamps.tolist())),
+                       cols.rejects)
 
 
-def _parse_columns(path: str | Path, delimiter: str
-                   ) -> tuple[list[str], list[str], np.ndarray, int]:
-    """``parse_log`` as three columns: (users, items, int64 timestamps, rejects)."""
-    users: list[str] = []
-    items: list[str] = []
-    timestamps: list[int] = []
+@dataclass
+class LogColumns:
+    """The kept lines of a log: ids coded 0.. by first appearance, int64
+    timestamps and 1-based line numbers, in line order."""
+
+    users: np.ndarray
+    user_ids: list[str]
+    items: np.ndarray
+    item_ids: list[str]
+    timestamps: np.ndarray
+    lines: np.ndarray
+    rejects: int
+
+
+def _parse_line(line: str, delimiter: str) -> tuple[str, str, int] | tuple[()] | None:
+    """One log line, without its line break, as (user, item, timestamp).
+
+    ``()`` for a blank line (Unicode whitespace only), ``None`` for a
+    malformed one.
+    """
+    if not line.strip():
+        return ()
+    parts = line.split(delimiter)
+    if len(parts) != 3 or not parts[0] or not parts[1]:
+        return None
+    try:
+        ts = int(parts[2])
+    except ValueError:
+        return None
+    return (parts[0], parts[1], ts) if -2**63 <= ts < 2**63 else None
+
+
+def _read_columns(path: str | Path, delimiter: str) -> LogColumns:
+    """``parse_log`` as coded columns, parsed from the file's bytes.
+
+    A line is parsed with array operations when the delimiter is one ASCII
+    byte, the line holds exactly two of it, both ids are non-empty and the
+    timestamp is an optional ``-`` and 1-18 ASCII digits. Every other line
+    goes through ``_parse_line`` at its own position, so both routes agree.
+    """
+    if not delimiter or "\n" in delimiter or "\r" in delimiter:
+        raise ValueError(f"delimiter {delimiter!r} must be non-empty and hold no "
+                         "line break")
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not raw.endswith(b"\n") and raw:
+        ends = np.append(ends, len(raw))
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+
+    n = len(ends)
+    user_len, item_start, item_len, timestamps = np.zeros((4, n), np.int64)
+    fast = np.zeros(n, dtype=bool)
+    sep = delimiter.encode("utf-8", "surrogatepass")
+    if len(sep) == 1 and sep[0] < 128:
+        at = np.flatnonzero(buf == sep[0])
+        first = np.searchsorted(at, starts)
+        rows = np.flatnonzero(np.searchsorted(at, ends) - first == 2)
+        first, second = at[first[rows]], at[first[rows] + 1]
+        negative = buf[np.minimum(second + 1, len(raw) - 1)] == ord("-")
+        ts_start = second + 1 + negative
+        digits = ends[rows] - ts_start
+        ok = (first > starts[rows]) & (second > first + 1) & (digits >= 1) & (digits <= 18)
+        ts = np.zeros(len(rows), np.int64)
+        for j in range(int(digits[ok].max(initial=0))):
+            has = ok & (digits > j)
+            digit = buf[np.where(has, ts_start + j, 0)] - np.uint8(ord("0"))
+            ok &= ~has | (digit <= 9)
+            ts = np.where(has, ts * 10 + digit, ts)
+        rows, first, second = rows[ok], first[ok], second[ok]
+        fast[rows] = True
+        user_len[rows] = first - starts[rows]
+        item_start[rows] = first + 1
+        item_len[rows] = second - first - 1
+        timestamps[rows] = np.where(negative[ok], -ts[ok], ts[ok])
+
+    kept = fast.copy()
     rejects = 0
-    for line in _text_lines(path):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
-        parts = line.split(delimiter)
-        if len(parts) != 3 or not parts[0] or not parts[1]:
+    for k in np.flatnonzero(~fast).tolist():
+        parsed = _parse_line(raw[starts[k]:ends[k]].decode("utf-8"), delimiter)
+        if parsed is None:
             rejects += 1
-            continue
-        try:
-            ts = int(parts[2])
-        except ValueError:
-            ts = None
-        if ts is None or not -2**63 <= ts < 2**63:
-            rejects += 1
-            continue
-        users.append(parts[0])
-        items.append(parts[1])
-        timestamps.append(ts)
-    return users, items, np.array(timestamps, dtype=np.int64), rejects
+        elif parsed:
+            user, item, timestamps[k] = parsed
+            kept[k] = True
+            user_len[k] = len(user.encode("utf-8"))
+            item_start[k] = starts[k] + user_len[k] + len(sep)
+            item_len[k] = len(item.encode("utf-8"))
+
+    kept = np.flatnonzero(kept)
+    users, user_ids = _code_by_first_appearance(raw, starts[kept], user_len[kept])
+    items, item_ids = _code_by_first_appearance(raw, item_start[kept], item_len[kept])
+    return LogColumns(users, user_ids, items, item_ids, timestamps[kept], kept + 1, rejects)
 
 
-def _code_by_first_appearance(keys: list[str]) -> tuple[np.ndarray, list[str]]:
-    """Code 0.. for each key in order of first appearance; also the distinct keys."""
-    distinct = list(dict.fromkeys(keys))
-    index = dict(zip(distinct, range(len(distinct))))
-    return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys)), distinct
+# byte k..7 of a little-endian word set to 0xFF, a byte no UTF-8 text holds
+_PAD_FROM = np.array([~((1 << 8 * k) - 1) & (2**64 - 1) for k in range(9)], dtype=np.uint64)
+
+
+def _code_by_first_appearance(raw: bytes, starts: np.ndarray, lengths: np.ndarray
+                              ) -> tuple[np.ndarray, list[str]]:
+    """Code 0.. the UTF-8 strings ``raw[s:s + n]`` in order of first
+    appearance; also the distinct strings, decoded once each.
+
+    A string is read as little-endian uint64 words padded with 0xFF, so two
+    strings are equal exactly when their words are. Strings of one word
+    count are grouped by one argsort (a lexsort beyond one word), and each
+    group's first row is its least.
+    """
+    # word_at[i] is the little-endian uint64 of the 8 bytes from offset i
+    word_at = np.ndarray((len(raw) + 1,), "<u8", raw + bytes(8), strides=(1,))
+    first = np.empty(len(starts), np.int64)  # the row of each row's first equal string
+    n_words = np.maximum((lengths + 7) >> 3, 1)  # "" reads as one word of 0xFF
+    for count in np.flatnonzero(np.bincount(n_words)).tolist():
+        rows = np.flatnonzero(n_words == count)
+        words = [word_at[starts[rows] + 8 * w] | _PAD_FROM[np.clip(lengths[rows] - 8 * w, 0, 8)]
+                 for w in range(count)]
+        order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
+        new = np.zeros(len(rows), dtype=bool)
+        new[0] = True
+        for word in words:
+            new[1:] |= word[order[1:]] != word[order[:-1]]
+        heads = np.flatnonzero(new)
+        rows = rows[order]
+        first[rows] = np.repeat(np.minimum.reduceat(rows, heads),
+                                np.diff(heads, append=len(rows)))
+    distinct = np.flatnonzero(first == np.arange(len(first)))
+    rank = np.zeros(len(first), np.int64)
+    rank[distinct] = np.arange(len(distinct))
+    return rank[first], [raw[s:s + n].decode("utf-8", "surrogatepass") for s, n in
+                         zip(starts[distinct].tolist(), lengths[distinct].tolist())]
+
+
+def _code_strings(keys: list[str]) -> tuple[np.ndarray, list[str]]:
+    """``_code_by_first_appearance`` of a list of strings."""
+    encoded = [key.encode("utf-8", "surrogatepass") for key in keys]
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    return _code_by_first_appearance(b"".join(encoded), np.cumsum(lengths) - lengths, lengths)
 
 
 def _recode_by_first_appearance(codes: np.ndarray, keys: list[str]
                                 ) -> tuple[np.ndarray, list[str]]:
-    """``_code_by_first_appearance`` of ``[keys[c] for c in codes]``, from the codes."""
+    """First-appearance codes of ``[keys[c] for c in codes]``, from the codes."""
     present, first = np.unique(codes, return_index=True)
     present = present[np.argsort(first)]
     rank = np.empty(len(keys), dtype=np.int64)
@@ -182,15 +298,27 @@ def filter_and_index(records: list[InteractionRecord]) -> tuple[list[UserSequenc
     ties kept in input order.
     """
     live = [r for r in records if r.timestamp > 0]
-    return _index_columns([r.user for r in live], [r.item for r in live],
+    return _index_columns(*_code_strings([r.user for r in live]),
+                          *_code_strings([r.item for r in live]),
                           np.fromiter((r.timestamp for r in live), np.int64, len(live)))
 
 
-def _index_columns(users: list[str], items: list[str], timestamps: np.ndarray
+def _user_time_order(users: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
+    """``np.lexsort((timestamps, users))`` for user codes >= 0: one stable
+    argsort of ``user * span + (timestamp - min)`` when that fits in int64."""
+    if not len(users):
+        return np.zeros(0, np.int64)
+    low = int(timestamps.min())
+    span = int(timestamps.max()) - low + 1
+    if (int(users.max()) + 1) * span > 2**63:
+        return np.lexsort((timestamps, users))
+    return np.argsort(users * span + (timestamps - low), kind="stable")
+
+
+def _index_columns(users: np.ndarray, user_ids: list[str], items: np.ndarray,
+                   item_raw: list[str], timestamps: np.ndarray
                    ) -> tuple[list[UserSequence], Vocab, list[str]]:
-    """``filter_and_index`` over the columns of ``_parse_columns``."""
-    users, user_ids = _code_by_first_appearance(users)
-    items, item_raw = _code_by_first_appearance(items)
+    """``filter_and_index`` over first-appearance codes and their distinct ids."""
     keep = timestamps > 0
     while True:
         user_ok = np.bincount(users[keep], minlength=len(user_ids)) >= MIN_INTERACTIONS
@@ -206,7 +334,7 @@ def _index_columns(users: list[str], items: list[str], timestamps: np.ndarray
     users, user_ids = _recode_by_first_appearance(users[keep], user_ids)
     items, item_raw = _recode_by_first_appearance(items[keep], item_raw)
     timestamps = timestamps[keep]
-    order = np.lexsort((timestamps, users))  # stable: timestamp ties keep input order
+    order = _user_time_order(users, timestamps)  # timestamp ties keep input order
     cuts = np.cumsum(np.bincount(users))[:-1]
     sequences = [UserSequence(u, seq_items, seq_ts) for u, (seq_items, seq_ts) in enumerate(
         zip(np.split(items[order] + 1, cuts), np.split(timestamps[order], cuts)))]
@@ -376,17 +504,17 @@ def prepare(log_path: str | Path, out_dir: str | Path, delimiter: str = ",",
     A kept user or item id that holds a tab raises, naming the first log
     line that holds it: the bundle's TSV files could not store it.
     """
-    users, items, timestamps, rejects = _parse_columns(log_path, delimiter)
-    sequences, vocab, user_ids = _index_columns(users, items, timestamps)
-    for field, ids in enumerate((user_ids, vocab.index_to_raw)):
-        bad = next((raw for raw in ids if "\t" in raw), None)
-        if bad is None:
-            continue
-        for line_no, line in enumerate(_text_lines(log_path), 1):
-            if line.rstrip("\n").split(delimiter)[field:field + 1] == [bad]:
-                raise ValueError(f"{log_path}: line {line_no}: {('user', 'item')[field]} "
-                                 f"id {bad!r} holds a tab, which the bundle cannot store")
+    cols = _read_columns(log_path, delimiter)
+    sequences, vocab, user_ids = _index_columns(cols.users, cols.user_ids, cols.items,
+                                                cols.item_ids, cols.timestamps)
+    for field, codes, ids, kept in (("user", cols.users, cols.user_ids, user_ids),
+                                    ("item", cols.items, cols.item_ids, vocab.index_to_raw)):
+        bad = next((raw for raw in kept if "\t" in raw), None)
+        if bad is not None:
+            line_no = cols.lines[np.argmax(codes == ids.index(bad))]
+            raise ValueError(f"{log_path}: line {line_no}: {field} id {bad!r} holds "
+                             "a tab, which the bundle cannot store")
     split = split_users(sequences, seed, vocab)
     bundle = DatasetBundle(sequences, split, user_ids)
     save_bundle(out_dir, bundle)
-    return bundle, rejects
+    return bundle, cols.rejects

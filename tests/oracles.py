@@ -16,11 +16,51 @@ import scipy.sparse as sp
 
 from gimirec import autodiff as ad
 from gimirec.aggregate import init_center, multi_head_attention
-from gimirec.ingest import MIN_INTERACTIONS, UserSequence, Vocab
+from gimirec.ingest import MIN_INTERACTIONS, UserSequence, Vocab, _text_lines
 
 
 # ---------------------------------------------------------------------------
 # ingestion
+
+def parse_columns_per_line(path, delimiter):
+    """``ingest._read_columns`` as the per-line text loop it replaced:
+    (users, items, int64 timestamps, 1-based line numbers, rejects), with
+    the ids as strings."""
+    users: list[str] = []
+    items: list[str] = []
+    timestamps: list[int] = []
+    lines: list[int] = []
+    rejects = 0
+    for line_no, line in enumerate(_text_lines(path), 1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        parts = line.split(delimiter)
+        if len(parts) != 3 or not parts[0] or not parts[1]:
+            rejects += 1
+            continue
+        try:
+            ts = int(parts[2])
+        except ValueError:
+            ts = None
+        if ts is None or not -2**63 <= ts < 2**63:
+            rejects += 1
+            continue
+        users.append(parts[0])
+        items.append(parts[1])
+        timestamps.append(ts)
+        lines.append(line_no)
+    return (users, items, np.array(timestamps, dtype=np.int64),
+            np.array(lines, dtype=np.int64), rejects)
+
+
+def code_by_first_appearance_dict(keys):
+    """Code 0.. for each key in order of first appearance, through a dict;
+    also the distinct keys."""
+    distinct = list(dict.fromkeys(keys))
+    index = dict(zip(distinct, range(len(distinct))))
+    return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys)), distinct
+
 
 def filter_and_index_reference(records):
     """``ingest.filter_and_index`` as dict counts per 5-core round and one

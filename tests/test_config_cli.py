@@ -415,6 +415,15 @@ class TestCliPipeline:
         assert code == 1
         assert "gimirec gce" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delimiter", ["", "\n", "\r"], ids=["empty", "lf", "cr"])
+    def test_prepare_rejects_empty_or_line_break_delimiter(self, mini_corpus, tmp_path,
+                                                           capsys, delimiter):
+        code = main(["prepare", "--input", str(mini_corpus / "log.csv"),
+                     "--out", str(tmp_path / "bundle"), "--delimiter", delimiter])
+        assert code == 1
+        assert f"delimiter {delimiter!r}" in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
+
     def test_bad_config_is_reported(self, mini_corpus, capsys):
         code = main(["prepare", "--input", str(mini_corpus / "log.csv"),
                      "--out", str(mini_corpus / "x"), "--set", "a=0.9"])

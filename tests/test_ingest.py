@@ -12,7 +12,9 @@ from gimirec import ingest
 from gimirec.ingest import (DatasetBundle, InteractionRecord, UserSequence,
                             filter_and_index, load_bundle, parse_log, prepare,
                             save_bundle, split_users)
-from oracles import filter_and_index_reference
+from gimirec.synthetic import PlantedConfig, planted_cluster_records
+from oracles import (code_by_first_appearance_dict, filter_and_index_reference,
+                     parse_columns_per_line)
 
 
 def rec(u, i, t):
@@ -76,6 +78,12 @@ class TestParseLog:
         path.write_bytes(b"u1,i9,1000\nu\xff,i9,1001\n")
         with pytest.raises(ValueError, match=r"log\.csv: not UTF-8"):
             parse_log(path)
+
+    @pytest.mark.parametrize("delimiter", ["", "\n", "\r"], ids=["empty", "lf", "cr"])
+    def test_empty_or_line_break_delimiter_rejected_before_reading(self, tmp_path,
+                                                                   delimiter):
+        with pytest.raises(ValueError, match=re.escape(f"delimiter {delimiter!r}")):
+            parse_log(tmp_path / "missing.csv", delimiter)
 
 
 def five_of(u, items, t0=100):
@@ -183,12 +191,16 @@ class TestFilterAndIndex:
 
     # 30-80 records over six users and six items: most logs survive, with
     # cascades and counts at the 5-core boundary; six positive timestamps
-    # force ties, and -1 and 0 are dropped
+    # force ties, and -1 and 0 are dropped. Names run up to 20 characters
+    # over NUL, "a" and a two-byte letter: empty ids, trailing NULs, equal
+    # names and ids of one, two and three uint64 words
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
-                              st.integers(-1, 6)), min_size=30, max_size=80))
+                              st.integers(-1, 6)), min_size=30, max_size=80),
+           st.lists(st.text(st.sampled_from("\x00aé"), max_size=20), min_size=12,
+                    max_size=12))
     @settings(max_examples=300, deadline=None)
-    def test_matches_dict_and_sort_reference(self, triples):
-        records = [rec(f"u{u}", f"i{i}", t) for u, i, t in triples]
+    def test_matches_dict_and_sort_reference(self, triples, names):
+        records = [rec(names[u], names[6 + i], t) for u, i, t in triples]
         try:
             want_seqs, want_vocab, want_users = filter_and_index_reference(records)
         except ValueError:
@@ -216,8 +228,116 @@ ODD_LINES = ["u1,i2", "u1,i2,3,4", ",i2,3", "u1,,3", "u1,i2,x", "u1,i2,",
              "u1,i2, 4", "u2,i3,+5", "u3,i1,1_0", "u4,i0,-0"]
 
 
+def assert_parse_matches_per_line_oracle(path, delimiter):
+    """``_read_columns`` equals the per-line text loop with dict coding; the
+    oracle's (users, items, timestamps, rejects)."""
+    users, items, timestamps, lines, rejects = parse_columns_per_line(path, delimiter)
+    got = ingest._read_columns(path, delimiter)
+    for codes, ids, want in ((got.users, got.user_ids, users),
+                             (got.items, got.item_ids, items)):
+        want_codes, want_ids = code_by_first_appearance_dict(want)
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, want_codes)
+        assert ids == want_ids
+    assert got.timestamps.dtype == np.int64
+    np.testing.assert_array_equal(got.timestamps, timestamps)
+    np.testing.assert_array_equal(got.lines, lines)
+    assert got.rejects == rejects
+    return users, items, timestamps, rejects
+
+
+# Log pieces the byte parse must read as the per-line text loop does: ids
+# holding NUL, spaces, a vertical tab, a BOM or multi-byte UTF-8; timestamps
+# at the 18/19/20-digit and int64 edges and ones only int() accepts; lines
+# that are Unicode whitespace only.
+ID_PREFIXES = ["", "a b", "n\x00", "\x00", "é", "日本", "\ufeff", "v\x0b"]
+TIMESTAMPS = ["1", "3", "6", "0", "-0", "-4", "007", "9" * 18, "-" + "9" * 18,
+              str(2**63 - 1), str(-2**63), str(2**63), str(-2**63 - 1), "0" * 18 + "5",
+              "1" + "0" * 19, " 4", "+5", "1_0", "٣", "", "x", "4 ", "--1", "-"]
+BLANKS = ["", " ", "\t", "\x0b", "\x1c", "\x85", "\u3000"]
+
+
+@st.composite
+def log_lines(draw, delimiter):
+    user = draw(st.sampled_from(ID_PREFIXES)) + draw(st.sampled_from(["u1", "u1\x00", ""]))
+    item = draw(st.sampled_from(ID_PREFIXES)) + draw(st.sampled_from(["i1", "i1\x00", ""]))
+    ts = draw(st.sampled_from(TIMESTAMPS))
+    fields = draw(st.sampled_from([[user, item, ts], [user, item], [user, item, ts, ts]]))
+    return draw(st.one_of(st.just(delimiter.join(fields)), st.sampled_from(BLANKS)))
+
+
 class TestPrepareColumns:
     """``prepare`` runs on columns; the record path is its oracle."""
+
+    # optional base lines (ten users with five items each, ids under a drawn
+    # prefix, so odd ids reach the bundle) mixed with drawn lines; endings
+    # LF, CRLF or lone CR, with or without a final one and a leading BOM
+    @given(data=st.data(), delimiter=st.sampled_from([",", "\t", " ", "::", "é"]),
+           prefix=st.sampled_from(ID_PREFIXES),
+           base=st.sampled_from([True, True, False]), bom=st.booleans(),
+           final=st.booleans(), seed=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_byte_parse_matches_per_line_oracle(self, tmp_path, data, delimiter, prefix,
+                                                base, bom, final, seed):
+        lines = [delimiter.join([f"{prefix}u{u}", f"{prefix}i{i}", str(1 + (u + i) % 6)])
+                 for u in range(10) for i in range(5)] if base else []
+        extra = data.draw(st.lists(log_lines(delimiter), max_size=40))
+        lines = data.draw(st.permutations(lines + extra))
+        endings = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                                     min_size=len(lines), max_size=len(lines)))
+        if endings and not final:
+            endings[-1] = ""
+        text = ("\ufeff" if bom else "") + "".join(map(str.__add__, lines, endings))
+        log = tmp_path / "log.csv"
+        log.write_bytes(text.encode("utf-8"))
+        users, items, timestamps, rejects = assert_parse_matches_per_line_oracle(
+            log, delimiter)
+
+        records = list(map(InteractionRecord, users, items, timestamps.tolist()))
+        try:
+            sequences, vocab, user_ids = filter_and_index_reference(records)
+            want = DatasetBundle(sequences, split_users(sequences, seed, vocab), user_ids)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                prepare(log, tmp_path / "got", delimiter, seed)
+            return
+        save_bundle(tmp_path / "want", want)
+        _, got_rejects = prepare(log, tmp_path / "got", delimiter, seed)
+        assert got_rejects == rejects
+        for name in BUNDLE_FILES:
+            assert ((tmp_path / "got" / name).read_bytes()
+                    == (tmp_path / "want" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("raw", [
+        b"", b"\n", b"\n \n\t\r\n\x0b\n\x1c\r\xe3\x80\x80\n\xc2\x85", b"\xef\xbb\xbf",
+        b"\xef\xbb\xbfu1,i1,5\n", b"u1,i1,5\ru2,i2,6\r\ru3,i3,7", b"u1,i1,5\nu2,i2,6",
+        b"u1,i1,5\nu2,i2,", b"u1,i1,5\r\r\nu2,i2,-", b"u1,i1,-5\n,,\n,i,1\nu,,1",
+    ], ids=["empty", "one_break", "blank_lines", "bom_only", "bom_line", "lone_cr",
+            "no_final_break", "empty_last_timestamp", "cr_then_crlf", "signs_and_empty_ids"])
+    def test_edge_files_match_per_line_oracle(self, tmp_path, raw):
+        log = tmp_path / "log.csv"
+        log.write_bytes(raw)
+        assert_parse_matches_per_line_oracle(log, ",")
+
+    def test_per_line_rule_runs_only_on_odd_lines(self, tmp_path, monkeypatch):
+        cfg = PlantedConfig(n_clusters=3, items_per_cluster=10, n_users=40,
+                            n_hot_items=6, n_tail_items=40)
+        lines = [f"{r.user},{r.item},{r.timestamp}"
+                 for r in planted_cluster_records(cfg, seed=3)]
+        odd = ["", "   ", "\x0b", "u1,i2", "u1,i2,3,4", ",i2,3", "u1,,3", "u1,i2,x",
+               "u1,i2, 4", "u2,i3,+5", "u3,i1,1_0", "u4,i2," + "1" * 19]
+        mixed = list(lines)
+        for k, line in enumerate(odd):
+            mixed.insert(k * len(lines) // len(odd), line)
+        calls = []
+        rule = ingest._parse_line
+        monkeypatch.setattr(ingest, "_parse_line",
+                            lambda line, delimiter: calls.append(line) or rule(line, delimiter))
+        prepare(make_log(tmp_path, lines), tmp_path / "clean", seed=1)
+        assert calls == []
+        prepare(make_log(tmp_path, mixed), tmp_path / "mixed", seed=1)
+        assert calls == odd
 
     # ten users with five items each always survive, so the split has
     # users; the drawn lines add users u10-u11 and item i5 at the 5-core
@@ -277,6 +397,43 @@ class TestPrepareColumns:
         with pytest.raises(ValueError, match=re.escape(f"{log}: {expect} holds a tab")):
             prepare(log, tmp_path / "bundle", seed=1)
         assert not (tmp_path / "bundle").exists()
+
+    def test_id_holding_a_tab_named_at_its_first_parsed_line(self, tmp_path):
+        # rejected lines holding the id come first; the first parsed one is named
+        lines = [f"u{u},i{i},{100 + i}".replace("u3,", "u3\tx,")
+                 for u in range(12) for i in range(6)]
+        log = make_log(tmp_path, ["u3\tx,i1", "u3\tx,i1,5,6"] + lines)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{log}: line 21: user id 'u3\\tx' holds a tab")):
+            prepare(log, tmp_path / "bundle", seed=1)
+
+class TestUserTimeOrder:
+    """The composite-key argsort is ``np.lexsort((timestamps, users))``."""
+
+    # few timestamps force ties; the wide ones span about +-2**62, where the
+    # key overflows and the lexsort branch runs
+    @given(st.lists(st.tuples(st.integers(0, 6), st.one_of(
+        st.integers(-3, 3), st.integers(-2**62, 2**62))), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lexsort(self, pairs):
+        users = np.array([u for u, _ in pairs], dtype=np.int64)
+        timestamps = np.array([t for _, t in pairs], dtype=np.int64)
+        np.testing.assert_array_equal(ingest._user_time_order(users, timestamps),
+                                      np.lexsort((timestamps, users)))
+
+    @pytest.mark.parametrize("low, high, lexsorts", [(1, 50, 0), (-2**62, 2**62, 1)],
+                             ids=["key", "overflow"])
+    def test_shuffled_ties_and_branch(self, monkeypatch, low, high, lexsorts):
+        rng = np.random.default_rng(0)
+        users = rng.integers(0, 40, 3000)
+        timestamps = rng.choice(np.array([low, (low + high) // 2, high]), 3000)
+        want = np.lexsort((timestamps, users))
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        np.testing.assert_array_equal(ingest._user_time_order(users, timestamps), want)
+        assert len(calls) == lexsorts
+
 
 def dummy_sequences(n):
     return [UserSequence(u, np.array([1, 2, 3, 4, 5]),
