@@ -10,19 +10,17 @@ import numpy as np
 from gimirec.global_context import (AblationVariant, build_weighted_adjacency,
                                     extract_hop_pairs, global_embeddings,
                                     occurrence_weight)
-from gimirec.ingest import UserSequence
+from gimirec.ingest import Sequences
 
 DAY = 86400
 
-# three users, five items; user B interacts with [2, 5, 1, 4]
-sequences = [
-    UserSequence(0, np.array([1, 2, 3, 2, 5]),
-                 np.array([0, 1, 2, 40, 41]) * DAY + 1),
-    UserSequence(1, np.array([2, 5, 1, 4]),
-                 np.array([10, 11, 12, 13]) * DAY + 1),
-    UserSequence(2, np.array([3, 4, 5]),
-                 np.array([20, 20, 90]) * DAY + 1),
-]
+# three users, five items, as flat columns: user A interacts with
+# [1, 2, 3, 2, 5], user B with [2, 5, 1, 4] and user C with [3, 4, 5]
+sequences = Sequences(
+    items=[1, 2, 3, 2, 5, 2, 5, 1, 4, 3, 4, 5],
+    timestamps=np.array([0, 1, 2, 40, 41, 10, 11, 12, 13, 20, 20, 90]) * DAY + 1,
+    lengths=[5, 4, 3],
+)
 
 print("interval weight at dt=0 days:", occurrence_weight(0.0, 0.65, 0.35, 64))
 print("interval weight at dt=64 days:", occurrence_weight(64.0, 0.65, 0.35, 64))

@@ -10,17 +10,17 @@ threshold.
 import numpy as np
 
 from gimirec.global_context import AblationVariant, extract_hop_pairs
-from gimirec.ingest import UserSequence
+from gimirec.ingest import Sequences
 
 DAY = 86400
 
-# user 0 buys (1, 2) twice in quick succession and (1, 3) across a long gap
-sequences = [
-    UserSequence(0, np.array([1, 2, 1, 2]),
-                 np.array([0 * DAY, 1 * DAY, 10 * DAY, 30 * DAY]) + 1),
-    UserSequence(1, np.array([1, 3]),
-                 np.array([0 * DAY, 10 * DAY]) + 1),
-]
+# user 0 buys (1, 2) twice in quick succession and (1, 3) across a long gap;
+# user 1 buys (1, 3) ten days apart (flat columns, 4 then 2 interactions)
+sequences = Sequences(
+    items=[1, 2, 1, 2, 1, 3],
+    timestamps=np.array([0, 1, 10, 30, 0, 10]) * DAY + 1,
+    lengths=[4, 2],
+)
 
 pairs = [(1, 2), (2, 1), (1, 3)]
 header = f"{'variant':<8}" + "".join(f"  q{p}" for p in pairs)

@@ -9,23 +9,23 @@ from .global_context import (AblationVariant, HopPairAccumulator,
                              extract_hop_pairs, global_embeddings,
                              occurrence_weight)
 from .ingest import (DatasetBundle, DatasetSplit, InteractionRecord,
-                     UserSequence, Vocab, filter_and_index, load_bundle,
+                     Sequences, Vocab, filter_and_index, load_bundle,
                      parse_log, prepare, split_users)
 from .model import ModelDims, ModelParams, load_checkpoint, save_checkpoint
 from .recent import RecentWindow, interval_matrix, make_window
 from .serve_eval import MetricsReport, evaluate, infer_interests, metrics, top_n
 from .train import (AdamState, TrainingExample, adam_step, gradient_check,
-                    gradients, loss, run_gradient_checks, train_loop)
+                    run_gradient_checks, train_loop)
 
 __all__ = [
     "AblationVariant", "AdamState", "DatasetBundle", "DatasetSplit",
     "HopPairAccumulator", "HyperParams", "InteractionRecord", "MetricsReport",
     "ModelDims", "ModelParams", "NormalizedAdjacency", "PRESETS",
-    "RecentWindow", "TrainingExample", "UserSequence", "Vocab", "adam_step",
+    "RecentWindow", "Sequences", "TrainingExample", "Vocab", "adam_step",
     "build_weighted_adjacency", "evaluate", "extract_hop_pairs",
-    "filter_and_index", "global_embeddings", "gradient_check", "gradients",
+    "filter_and_index", "global_embeddings", "gradient_check",
     "infer_interests", "interval_matrix", "load_bundle", "load_checkpoint",
-    "load_config", "loss", "make_window", "metrics", "occurrence_weight",
+    "load_config", "make_window", "metrics", "occurrence_weight",
     "parse_log", "prepare", "run_gradient_checks", "save_checkpoint",
     "split_users", "top_n", "train_loop",
 ]

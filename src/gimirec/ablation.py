@@ -38,12 +38,10 @@ def compare_variant_matrices(bundle: DatasetBundle, hp: HyperParams) -> dict:
     Returns a report dict; every boolean in it must be True for the variants
     to be considered wired correctly.
     """
-    accs = {
-        v: extract_hop_pairs(bundle.train_sequences(), v, hp.a, hp.b,
-                             float(hp.l_time), hp.time_unit_seconds,
-                             hp.allow_self_pairs)
-        for v in VARIANT_ORDER
-    }
+    train = bundle.train_sequences()
+    accs = {v: extract_hop_pairs(train, v, hp.a, hp.b, float(hp.l_time),
+                                 hp.time_unit_seconds, hp.allow_self_pairs)
+            for v in VARIANT_ORDER}
     report: dict[str, bool] = {}
     for k in (1, 2, 3):
         full, no_i, no_in, no_int = (accs[v].hops[k] for v in VARIANT_ORDER)
@@ -70,9 +68,7 @@ def run_ablation(bundle: DatasetBundle, hp: HyperParams, seeds: list[int],
     out = Path(out_dir)
     results = []
     for variant in VARIANT_ORDER:
-        per_seed = []
-        ndcgs = []
-        hits = []
+        rows = []
         for seed in seeds:
             hp_v = replace(hp, variant=variant, seed=seed).validate()
             adj = build_adjacency_from_bundle(bundle, hp_v)
@@ -83,19 +79,12 @@ def run_ablation(bundle: DatasetBundle, hp: HyperParams, seeds: list[int],
                               adj.a_norm.astype(params.dtype), n_list=(n_eval,),
                               time_unit_seconds=hp_v.time_unit_seconds,
                               residual=hp_v.residual, threads=hp_v.threads)
-            row = report.per_n[n_eval]
-            per_seed.append(row.recall)
-            ndcgs.append(row.ndcg)
-            hits.append(row.hit_rate)
+            rows.append(report.per_n[n_eval])
             if log_fn is not None:
-                log_fn(f"{variant.value} seed={seed} recall@{n_eval}={row.recall:.4f}")
-        results.append(VariantResult(
-            variant=variant,
-            recall=float(np.mean(per_seed)),
-            ndcg=float(np.mean(ndcgs)),
-            hit_rate=float(np.mean(hits)),
-            per_seed_recall=per_seed,
-        ))
+                log_fn(f"{variant.value} seed={seed} recall@{n_eval}={rows[-1].recall:.4f}")
+        means = (float(np.mean([getattr(r, f) for r in rows]))
+                 for f in ("recall", "ndcg", "hit_rate"))
+        results.append(VariantResult(variant, *means, [r.recall for r in rows]))
     return results
 
 

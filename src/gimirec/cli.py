@@ -23,7 +23,6 @@ from .global_context import (global_embeddings, read_adjacency, write_adjacency,
                              write_global_embeddings)
 from .ingest import load_bundle, prepare
 from .model import ModelDims, ModelParams, cast_adjacency, load_checkpoint
-from .recent import flatten
 from .serve_eval import (_batched_interests, compute_global_table, evaluate,
                          top_n_rows)
 from .synthetic import PlantedConfig, planted_cluster_records, write_log
@@ -94,10 +93,9 @@ def cmd_prepare(args) -> int:
     hp = _resolve_config(args)
     bundle, rejects = prepare(args.input, args.out, args.delimiter, hp.seed)
     vocab = bundle.split.item_vocab
-    total = sum(len(s) for s in bundle.sequences)
     print(f"bundle written to {args.out}")
     print(f"users={len(bundle.sequences)} items={vocab.num_real} "
-          f"interactions={total} rejects={rejects}")
+          f"interactions={bundle.sequences.items.size} rejects={rejects}")
     print(f"split: train={len(bundle.split.train_users)} "
           f"valid={len(bundle.split.valid_users)} "
           f"test={len(bundle.split.test_users)}")
@@ -169,17 +167,20 @@ def cmd_recommend(args) -> int:
         raise ValueError(f"-n must be at least 1, got {args.n}")
     hp = _resolve_config(args)
     bundle, a_norm, params = _load_model_inputs(args)
+    seqs = bundle.sequences
     users = [int(raw_u) for raw_u in args.users.split(",")]
     for u in users:
-        if not 0 <= u < len(bundle.sequences):
-            raise ValueError(f"user index {u} outside 0..{len(bundle.sequences) - 1} "
-                             f"of {args.bundle}")
+        if not 0 <= u < len(seqs):
+            raise ValueError(f"user index {u} outside 0..{len(seqs) - 1} of {args.bundle}")
+        if not seqs.lengths[u]:
+            raise ValueError(f"user index {u} of {args.bundle} has no interactions to "
+                             "recommend from")
     e_global = compute_global_table(params, a_norm)
     vocab = bundle.split.item_vocab
-    seqs = [bundle.sequences[u] for u in users]
-    vectors = _batched_interests(flatten(seqs), [len(s) for s in seqs], params,
-                                 e_global, hp.time_unit_seconds, hp.residual)
-    excludes = [set(s.items.tolist()) for s in seqs]
+    vectors = _batched_interests(
+        (seqs.items, seqs.timestamps, seqs.starts[users], seqs.lengths[users]),
+        seqs.lengths[users], params, e_global, hp.time_unit_seconds, hp.residual)
+    excludes = [set(seqs[u].items.tolist()) for u in users]
     # a short list means too few candidates, reported when that user is
     # reached, so the users before it are still printed
     ranked = top_n_rows(vectors, e_global,

@@ -62,14 +62,9 @@ class HyperParams:
         if self.d < 1 or self.n_heads < 1 or self.d % self.n_heads != 0:
             raise ConfigError(f"d={self.d} must be a positive multiple of "
                               f"n_heads={self.n_heads}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.l_time < 1:
-            raise ConfigError(f"l_time must be >= 1, got {self.l_time}")
-        if self.l_rec < 1:
-            raise ConfigError(f"l_rec must be >= 1, got {self.l_rec}")
-        if self.n_layers < 1:
-            raise ConfigError(f"n_layers must be >= 1, got {self.n_layers}")
+        for key in ("k", "l_time", "l_rec", "n_layers"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.dtype not in ("float32", "float64"):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .ingest import BinaryReader, UserSequence
+from .ingest import BinaryReader, Sequences
 
 HOPS = (1, 2, 3)
 
@@ -70,7 +70,7 @@ def occurrence_weight(delta_t, a: float, b: float, l_time: float):
     return float(out) if np.isscalar(delta_t) else out
 
 
-def extract_hop_pairs(sequences: list[UserSequence], variant: AblationVariant,
+def extract_hop_pairs(sequences: Sequences, variant: AblationVariant,
                       a: float, b: float, l_time: float,
                       time_unit_seconds: int = 86400,
                       allow_self_pairs: bool = True) -> HopPairAccumulator:
@@ -83,11 +83,8 @@ def extract_hop_pairs(sequences: list[UserSequence], variant: AblationVariant,
     """
     if a < 0 or b < 0 or abs(a + b - 1.0) > 1e-9:
         raise ValueError(f"interval weights need a+b=1, a,b>=0 (a={a}, b={b})")
-    empty = [np.zeros(0, dtype=np.int64)]
-    items = np.concatenate(empty + [s.items for s in sequences])
-    ts = np.concatenate(empty + [s.timestamps for s in sequences])
-    user = np.repeat(np.arange(len(sequences)),
-                     np.array([len(s) for s in sequences], dtype=np.int64))
+    items, ts = sequences.items, sequences.timestamps
+    user = np.repeat(np.arange(len(sequences)), sequences.lengths)
     # pair key mu * base + nu, exact in int64 for catalogs below 3e9 items
     base = int(items.max(initial=0)) + 1
     hops = {}

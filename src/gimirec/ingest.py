@@ -7,7 +7,8 @@ iterative 5-interaction user/item filter, assigns dense indices (item index
 0 is the padding slot), splits users 8:1:1 and reads/writes the on-disk
 dataset bundle (vocab.tsv / users.tsv / sequences.bin / split.json).
 ``InteractionRecord`` lists are an interface for callers; ``prepare`` never
-builds one.
+builds one. The dataset in memory is one ``Sequences``: every user's
+interactions as flat columns.
 ``BinaryReader`` is the bounded reader every binary container (bundle,
 adjacency, checkpoint) loads through.
 """
@@ -15,6 +16,7 @@ adjacency, checkpoint) loads through.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,24 +38,50 @@ class ParseResult:
     rejects: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class UserSequence:
-    """One user's chronologically ordered interactions (dense indices)."""
+    """One user's interactions: read-only views into ``Sequences``' columns."""
 
-    user_index: int
     items: np.ndarray
     timestamps: np.ndarray
 
-    def __post_init__(self):
-        self.items = np.asarray(self.items, dtype=np.int64)
-        self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
-        if self.items.shape != self.timestamps.shape:
-            raise ValueError("items and timestamps must have equal length")
-        if np.any(np.diff(self.timestamps) < 0):
-            raise ValueError("timestamps must be non-decreasing")
+    def __len__(self) -> int:
+        return self.items.size
+
+
+class Sequences:
+    """Every user's chronologically ordered interactions as flat int64
+    columns: user u's item indices are ``items[starts[u]:][:lengths[u]]``,
+    with their timestamps at the same positions."""
+
+    def __init__(self, items, timestamps, lengths):
+        self.items, self.timestamps, self.lengths = (
+            np.array(col, dtype=np.int64) for col in (items, timestamps, lengths))
+        if not (self.items.ndim == self.lengths.ndim == 1 and self.lengths.min(initial=0) >= 0
+                and self.items.shape == self.timestamps.shape == (self.lengths.sum(),)):
+            raise ValueError("items and timestamps must be equal 1-D columns "
+                             "that the lengths partition")
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        for col in (self.items, self.timestamps, self.lengths, self.starts):
+            col.flags.writeable = False
 
     def __len__(self) -> int:
-        return int(self.items.shape[0])
+        return self.lengths.size
+
+    def __getitem__(self, u) -> UserSequence:
+        at = slice(self.starts[u], self.starts[u] + self.lengths[u])
+        return UserSequence(self.items[at], self.timestamps[at])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def subset(self, users) -> Sequences:
+        """The listed users' sequences, in list order, as new columns."""
+        users = np.asarray(users, dtype=np.int64)
+        lengths = self.lengths[users]
+        at = (np.repeat(self.starts[users] - (np.cumsum(lengths) - lengths), lengths)
+              + np.arange(lengths.sum()))
+        return Sequences(self.items[at], self.timestamps[at], lengths)
 
 
 @dataclass
@@ -89,21 +117,19 @@ class DatasetSplit:
     item_vocab: Vocab
 
     def __post_init__(self):
-        sets = [set(self.train_users.tolist()), set(self.valid_users.tolist()),
-                set(self.test_users.tolist())]
-        total = len(sets[0]) + len(sets[1]) + len(sets[2])
-        if len(sets[0] | sets[1] | sets[2]) != total:
+        sets = [set(s.tolist()) for s in (self.train_users, self.valid_users, self.test_users)]
+        if len(set().union(*sets)) != sum(map(len, sets)):
             raise ValueError("split sets must be pairwise disjoint")
 
 
 @dataclass
 class DatasetBundle:
-    sequences: list[UserSequence]
+    sequences: Sequences
     split: DatasetSplit
     user_ids: list[str]
 
-    def train_sequences(self) -> list[UserSequence]:
-        return [self.sequences[u] for u in self.split.train_users]
+    def train_sequences(self) -> Sequences:
+        return self.sequences.subset(self.split.train_users)
 
 
 def _text_lines(path: str | Path, newline: str | None = None):
@@ -289,7 +315,7 @@ def _recode_by_first_appearance(codes: np.ndarray, keys: list[str]
     return rank[codes], [keys[c] for c in present.tolist()]
 
 
-def filter_and_index(records: list[InteractionRecord]) -> tuple[list[UserSequence], Vocab, list[str]]:
+def filter_and_index(records: list[InteractionRecord]) -> tuple[Sequences, Vocab, list[str]]:
     """Drop illegal timestamps, 5-core filter to a fixed point, index densely.
 
     Users and items with fewer than 5 surviving interactions are removed,
@@ -317,7 +343,7 @@ def _user_time_order(users: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
 
 def _index_columns(users: np.ndarray, user_ids: list[str], items: np.ndarray,
                    item_raw: list[str], timestamps: np.ndarray
-                   ) -> tuple[list[UserSequence], Vocab, list[str]]:
+                   ) -> tuple[Sequences, Vocab, list[str]]:
     """``filter_and_index`` over first-appearance codes and their distinct ids."""
     keep = timestamps > 0
     while True:
@@ -335,14 +361,12 @@ def _index_columns(users: np.ndarray, user_ids: list[str], items: np.ndarray,
     items, item_raw = _recode_by_first_appearance(items[keep], item_raw)
     timestamps = timestamps[keep]
     order = _user_time_order(users, timestamps)  # timestamp ties keep input order
-    cuts = np.cumsum(np.bincount(users))[:-1]
-    sequences = [UserSequence(u, seq_items, seq_ts) for u, (seq_items, seq_ts) in enumerate(
-        zip(np.split(items[order] + 1, cuts), np.split(timestamps[order], cuts)))]
+    sequences = Sequences(items[order] + 1, timestamps[order], np.bincount(users))
     vocab = Vocab(["", *item_raw], {raw: i for i, raw in enumerate(item_raw, 1)})
     return sequences, vocab, user_ids
 
 
-def split_users(sequences: list[UserSequence], seed: int, item_vocab: Vocab) -> DatasetSplit:
+def split_users(sequences: Sequences, seed: int, item_vocab: Vocab) -> DatasetSplit:
     """Deterministic shuffled 8:1:1 user split, rounding toward train.
 
     n_train = ceil(0.8 n); validation gets the floor half of the remainder,
@@ -374,13 +398,17 @@ class BinaryReader:
         self.pos = len(magic)
 
     def read(self, dtype: str, count: int, what: str) -> np.ndarray:
-        end = self.pos + np.dtype(dtype).itemsize * count
-        if count < 0 or end > len(self.raw):
+        return np.frombuffer(self.raw, dtype=dtype, count=count,
+                             offset=self.skip(np.dtype(dtype).itemsize * count, what))
+
+    def skip(self, nbytes: int, what: str) -> int:
+        """Step over ``nbytes``; returns the offset they start at."""
+        start, end = self.pos, self.pos + nbytes
+        if nbytes < 0 or end > len(self.raw):
             raise ValueError(f"{self.path}: truncated in {what} (needs {end} "
                              f"bytes, file has {len(self.raw)})")
-        arr = np.frombuffer(self.raw, dtype=dtype, count=count, offset=self.pos)
         self.pos = end
-        return arr
+        return start
 
     def finish(self) -> None:
         if self.pos != len(self.raw):
@@ -407,15 +435,12 @@ def save_bundle(out_dir: str | Path, bundle: DatasetBundle) -> None:
             fh.write(f"{idx}\t{raw}\n")
     with open(out / "sequences.bin", "wb") as fh:
         fh.write(np.uint64(len(bundle.sequences)).astype("<u8").tobytes())
-        for seq in bundle.sequences:
-            fh.write(np.array([seq.user_index, len(seq)], dtype="<u8").tobytes())
+        for u, seq in enumerate(bundle.sequences):
+            fh.write(np.array([u, len(seq)], dtype="<u8").tobytes())
             fh.write(seq.items.astype("<u4").tobytes())
             fh.write(seq.timestamps.astype("<i8").tobytes())
-    manifest = {
-        "train_users": bundle.split.train_users.tolist(),
-        "valid_users": bundle.split.valid_users.tolist(),
-        "test_users": bundle.split.test_users.tolist(),
-    }
+    manifest = {key: getattr(bundle.split, key).tolist()
+                for key in ("train_users", "valid_users", "test_users")}
     with open(out / "split.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -438,6 +463,52 @@ def _read_tsv(path: Path) -> list[tuple[int, str]]:
     return rows
 
 
+def _gather(raw: bytes, dtype: str, offsets: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ``counts[j]`` values of ``dtype`` stored from byte ``offsets[j]``,
+    for every j in turn, as one int64 column."""
+    size = np.dtype(dtype).itemsize
+    value_at = np.ndarray((max(len(raw) - size + 1, 0),), dtype, raw, strides=(1,))
+    return value_at[np.repeat(offsets - size * (np.cumsum(counts) - counts), counts)
+                    + size * np.arange(counts.sum())].astype(np.int64)
+
+
+def _read_sequences(path: Path, num_items: int) -> Sequences:
+    """``sequences.bin``'s columns: the user headers are walked, then the
+    items and timestamps are gathered and checked as columns. A defect is
+    reported as a per-user read meets it first: by user, and within one the
+    index, the items, their range, the timestamps, their order."""
+    reader = BinaryReader(path)
+    at, lengths, complete, failure = [], [], 0, None  # complete: users with timestamps
+    try:
+        for u in range(int(reader.read("<u8", 1, "header")[0])):
+            got, n = struct.unpack_from("<QQ", reader.raw, reader.skip(16, "user header"))
+            if got != u:
+                raise ValueError(f"{path}: user index {got} where {u} belongs "
+                                 "(indices must run 0..user_count-1)")
+            at.append(reader.skip(4 * n, f"user {u}"))
+            lengths.append(n)
+            reader.skip(8 * n, f"user {u}")
+            complete += 1
+    except ValueError as exc:
+        failure = exc
+    at, lengths = np.array(at, dtype=np.int64), np.array(lengths, dtype=np.int64)
+    items = _gather(reader.raw, "<u4", at, lengths)
+    timestamps = _gather(reader.raw, "<i8", (at + 4 * lengths)[:complete], lengths[:complete])
+    user = np.repeat(np.arange(lengths.size), lengths)
+    bad_item = user[(items < 1) | (items > num_items)]
+    user = user[:timestamps.size]
+    bad_order = user[1:][(user[1:] == user[:-1]) & (timestamps[1:] < timestamps[:-1])]
+    if bad_item.size and (not bad_order.size or bad_item[0] <= bad_order[0]):
+        raise ValueError(f"{path}: user {bad_item[0]} has an item index outside "
+                         f"1..{num_items}")
+    if bad_order.size:
+        raise ValueError(f"{path}: user {bad_order[0]}: timestamps must be non-decreasing")
+    if failure is not None:
+        raise failure
+    reader.finish()
+    return Sequences(items, timestamps, lengths)
+
+
 def load_bundle(in_dir: str | Path) -> DatasetBundle:
     src = Path(in_dir)
     for name in ("vocab.tsv", "users.tsv", "sequences.bin", "split.json"):
@@ -457,24 +528,8 @@ def load_bundle(in_dir: str | Path) -> DatasetBundle:
             raise ValueError(f"{users_path}: indices are not dense from 0")
         user_ids.append(raw)
     seq_path = src / "sequences.bin"
-    reader = BinaryReader(seq_path)
-    n_users = int(reader.read("<u8", 1, "header")[0])
-    sequences = []
-    for expected in range(n_users):
-        u, n = (int(x) for x in reader.read("<u8", 2, "user header"))
-        if u != expected:
-            raise ValueError(f"{seq_path}: user index {u} where {expected} "
-                             "belongs (indices must run 0..user_count-1)")
-        items = reader.read("<u4", n, f"user {u}").astype(np.int64)
-        if n and (items.min() < 1 or items.max() > vocab.num_real):
-            raise ValueError(f"{seq_path}: user {u} has an item index outside "
-                             f"1..{vocab.num_real}")
-        ts = reader.read("<i8", n, f"user {u}").astype(np.int64)
-        try:
-            sequences.append(UserSequence(u, items, ts))
-        except ValueError as exc:
-            raise ValueError(f"{seq_path}: user {u}: {exc}") from exc
-    reader.finish()
+    sequences = _read_sequences(seq_path, vocab.num_real)
+    n_users = len(sequences)
     if len(user_ids) != n_users:
         raise ValueError(f"{users_path} has {len(user_ids)} lines but {seq_path} "
                          f"has {n_users} users")

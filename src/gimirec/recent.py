@@ -30,17 +30,9 @@ def make_window(seq: UserSequence, end_pos: int, l_rec: int) -> RecentWindow:
 
     The one-window case of ``cut_windows``.
     """
-    items, timestamps, mask = cut_windows(*flatten([seq]), [end_pos], l_rec)
+    items, timestamps, mask = cut_windows(seq.items, seq.timestamps, [0], [len(seq)],
+                                          [end_pos], l_rec)
     return RecentWindow(items[0], timestamps[0], mask[0])
-
-
-def flatten(sequences: list[UserSequence]):
-    """(items, timestamps, starts, lengths): the sequences as flat columns."""
-    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
-    items = np.concatenate([np.empty(0, np.int64)] + [s.items for s in sequences])
-    timestamps = np.concatenate([np.empty(0, np.int64)]
-                                + [s.timestamps for s in sequences])
-    return items, timestamps, np.cumsum(lengths) - lengths, lengths
 
 
 def cut_windows(items: np.ndarray, timestamps: np.ndarray, starts: np.ndarray,
@@ -54,7 +46,7 @@ def cut_windows(items: np.ndarray, timestamps: np.ndarray, starts: np.ndarray,
     timestamp in the window so every pad-involving interval clamps the same
     way, and 0 in a window with no item.
     """
-    ends = np.asarray(ends, dtype=np.int64)
+    starts, lengths, ends = (np.asarray(a, dtype=np.int64) for a in (starts, lengths, ends))
     bad = (ends < 1) | (ends > lengths + 1)
     if bad.any():
         r = np.argmax(bad)

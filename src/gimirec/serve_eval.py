@@ -17,10 +17,10 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .global_context import global_embeddings
-from .ingest import UserSequence
+from .ingest import Sequences, UserSequence
 from .model import (ModelDims, ModelParams, check_adjacency_shape, forward_from_table,
                     forward_interests)
-from .recent import cut_windows, flatten, window_buckets
+from .recent import cut_windows, window_buckets
 
 _EVAL_CHUNK = 256
 # cap on one block's (users·K, V) score product in top_n_rows
@@ -224,8 +224,8 @@ def infer_interests(seq: UserSequence, prefix_len: int, params: ModelParams,
     """
     if prefix_len < 1:
         raise ValueError("prefix must contain at least one interaction")
-    items, buckets, mask = _windows(flatten([seq]), [prefix_len], params.dims,
-                                    time_unit_seconds)
+    items, buckets, mask = _windows((seq.items, seq.timestamps, [0], [len(seq)]),
+                                    [prefix_len], params.dims, time_unit_seconds)
     with ad.no_grad():
         interests, _ = forward_interests(params, a_norm, items, buckets, mask,
                                          residual=residual)
@@ -235,8 +235,8 @@ def infer_interests(seq: UserSequence, prefix_len: int, params: ModelParams,
 def _windows(columns: tuple, prefix_lens, dims: ModelDims,
              time_unit_seconds: int) -> tuple:
     """(items, buckets, mask) windows of each row of ``columns``
-    (``recent.flatten``'s (items, timestamps, starts, lengths)) over its
-    first ``prefix_lens`` items."""
+    (``cut_windows``' items, timestamps, starts and lengths) over its first
+    ``prefix_lens`` items."""
     items, timestamps, mask = cut_windows(*columns, np.asarray(prefix_lens) + 1,
                                           dims.l_rec)
     return items, window_buckets(timestamps, mask, dims.l_time,
@@ -258,21 +258,18 @@ def _batched_interests(columns: tuple, prefix_lens, params: ModelParams,
 
 @dataclass
 class Holdout:
-    """The scored users' 80/20 split as flat columns: row r's sequence is
-    ``lengths[r]`` items from ``starts[r]``, and its first ``prefix[r]`` are
-    the input. ``exclude`` and ``truth`` are the unique (row, item) pairs of
-    the prefixes and of the held-out rests, sorted by row, then item."""
+    """The scored users' 80/20 split: row r is ``sequences[r]``, and its first
+    ``prefix[r]`` items are the input. ``exclude`` and ``truth`` are the
+    unique (row, item) pairs of the prefixes and of the held-out rests,
+    sorted by row, then item."""
 
-    items: np.ndarray
-    timestamps: np.ndarray
-    starts: np.ndarray
-    lengths: np.ndarray
+    sequences: Sequences
     prefix: np.ndarray
     exclude: tuple[np.ndarray, np.ndarray]
     truth: tuple[np.ndarray, np.ndarray]
 
 
-def holdout_split(sequences: list[UserSequence], user_indices) -> Holdout:
+def holdout_split(sequences: Sequences, user_indices) -> Holdout:
     """The 80/20 split of the given users, one row per listing, in order.
 
     Prefix = first floor(0.8 N) interactions (integer arithmetic), ground
@@ -284,11 +281,11 @@ def holdout_split(sequences: list[UserSequence], user_indices) -> Holdout:
     if bad.size:
         raise ValueError(f"user index {users[bad[0]]} outside "
                          f"0..{len(sequences) - 1}")
-    items, timestamps, starts, lengths = flatten(
-        [sequences[u] for u in users.tolist() if len(sequences[u]) >= 2])
+    scored = sequences.subset(users[sequences.lengths[users] >= 2])
+    items, lengths = scored.items, scored.lengths
     prefix = (8 * lengths) // 10
     row = np.repeat(np.arange(lengths.size), lengths)
-    in_prefix = np.arange(items.size) - starts[row] < prefix[row]
+    in_prefix = np.arange(items.size) - scored.starts[row] < prefix[row]
     width = int(items.max(initial=0)) + 1
 
     def pairs(keep):
@@ -296,8 +293,7 @@ def holdout_split(sequences: list[UserSequence], user_indices) -> Holdout:
         keys = np.sort(row[keep] * width + items[keep])
         return np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], width)
 
-    return Holdout(items, timestamps, starts, lengths, prefix,
-                   pairs(in_prefix), pairs(~in_prefix))
+    return Holdout(scored, prefix, pairs(in_prefix), pairs(~in_prefix))
 
 
 def _check_cutoffs(n_list: tuple[int, ...]) -> None:
@@ -308,7 +304,7 @@ def _check_cutoffs(n_list: tuple[int, ...]) -> None:
 def _score(split: Holdout, ranked: np.ndarray, n_list: tuple[int, ...]) -> MetricsReport:
     """Average each N's (recall, ndcg, hit) over the split's users, one
     ``ranked`` row each; zeros when there are none."""
-    count = split.lengths.size
+    count = len(split.sequences)
     if not count:
         return MetricsReport({n: MetricRow(0.0, 0.0, 0.0) for n in n_list}, 0)
     rows = _metric_rows(_hit_matrix(ranked, split.truth),
@@ -317,7 +313,7 @@ def _score(split: Holdout, ranked: np.ndarray, n_list: tuple[int, ...]) -> Metri
                           for n in n_list}, count)
 
 
-def evaluate(sequences: list[UserSequence], user_indices: np.ndarray,
+def evaluate(sequences: Sequences, user_indices: np.ndarray,
              params: ModelParams, a_norm: sp.csr_matrix,
              n_list: tuple[int, ...] = (20, 50), time_unit_seconds: int = 86400,
              residual: bool = False, threads: int = 1) -> MetricsReport:
@@ -328,7 +324,7 @@ def evaluate(sequences: list[UserSequence], user_indices: np.ndarray,
     """
     _check_cutoffs(n_list)
     split = holdout_split(sequences, user_indices)
-    count, n_max = split.lengths.size, max(n_list)
+    count, n_max = len(split.sequences), max(n_list)
     ranked = np.full((count, n_max), -1, dtype=np.int64)
     if not count:
         return _score(split, ranked, n_list)
@@ -340,8 +336,9 @@ def evaluate(sequences: list[UserSequence], user_indices: np.ndarray,
 
     def run_chunk(lo):
         hi = lo + _EVAL_CHUNK
+        seqs = split.sequences
         interests = _batched_interests(
-            (split.items, split.timestamps, split.starts[lo:hi], split.lengths[lo:hi]),
+            (seqs.items, seqs.timestamps, seqs.starts[lo:hi], seqs.lengths[lo:hi]),
             split.prefix[lo:hi], params, e_global, time_unit_seconds, residual)
         block = _rank_rows(interests, items_t, n[lo:hi],
                            _pairs_in(split.exclude, lo, hi))
@@ -360,10 +357,8 @@ def evaluate(sequences: list[UserSequence], user_indices: np.ndarray,
 # ---------------------------------------------------------------------------
 # reference rankers used as baselines in experiments
 
-def popularity_counts(train_sequences: list[UserSequence], vocab_size: int) -> np.ndarray:
-    items = np.concatenate([np.empty(0, dtype=np.int64)]
-                           + [seq.items for seq in train_sequences])
-    counts = np.bincount(items, minlength=vocab_size)
+def popularity_counts(train_sequences: Sequences, vocab_size: int) -> np.ndarray:
+    counts = np.bincount(train_sequences.items, minlength=vocab_size)
     if counts.size > vocab_size:
         raise IndexError(f"item index {counts.size - 1} outside a vocabulary "
                          f"of {vocab_size}")
@@ -389,7 +384,7 @@ def random_top_n(rng: np.random.Generator, vocab_size: int, n: int,
     return rng.permutation(pool)[:n]
 
 
-def evaluate_ranker(sequences: list[UserSequence], user_indices: np.ndarray,
+def evaluate_ranker(sequences: Sequences, user_indices: np.ndarray,
                     rank_fn, n_list: tuple[int, ...] = (20,)) -> MetricsReport:
     """Same 80/20 protocol for a plain ranking function (baselines).
 
@@ -397,7 +392,7 @@ def evaluate_ranker(sequences: list[UserSequence], user_indices: np.ndarray,
     """
     _check_cutoffs(n_list)
     split = holdout_split(sequences, user_indices)
-    count, n_max = split.lengths.size, max(n_list)
+    count, n_max = len(split.sequences), max(n_list)
     ranked = np.full((count, n_max), -1, dtype=np.int64)
     rows, items = split.exclude
     bounds = np.searchsorted(rows, np.arange(count + 1)).tolist()

@@ -19,9 +19,9 @@ from . import autodiff as ad
 from . import serve_eval
 from .config import HyperParams
 from .global_context import AblationVariant, build_weighted_adjacency, extract_hop_pairs
-from .ingest import DatasetBundle, UserSequence
+from .ingest import DatasetBundle, Sequences
 from .model import ModelDims, ModelParams, cast_adjacency, forward_interests, save_checkpoint
-from .recent import RecentWindow, cut_windows, flatten, stack_windows, window_buckets
+from .recent import RecentWindow, cut_windows, stack_windows, window_buckets
 from .interests import select_training_interest
 
 
@@ -75,17 +75,16 @@ class ExampleSampler:
     exactly as n single draws do.
     """
 
-    def __init__(self, train_users: np.ndarray, sequences: list[UserSequence],
+    def __init__(self, train_users: np.ndarray, sequences: Sequences,
                  l_rec: int, n_neg: int, n_real_items: int,
                  distribution: str = "uniform"):
         if distribution not in ("uniform", "log_uniform"):
             raise ValueError(f"unknown negative distribution {distribution!r}")
-        users = np.asarray(train_users, dtype=np.int64)
+        self.users = users = np.asarray(train_users, dtype=np.int64)
         if users.size == 0:
             raise ValueError("the train split is empty: no examples to draw")
-        self.users = users
-        self.items, self.timestamps, self.starts, self.lengths = flatten(
-            [sequences[u] for u in users])
+        self.items, self.timestamps = sequences.items, sequences.timestamps
+        self.starts, self.lengths = sequences.starts[users], sequences.lengths[users]
         short = np.flatnonzero(self.lengths < 2)
         if short.size:
             raise ValueError(f"train user {users[short[0]]} has "
@@ -149,7 +148,7 @@ class ExampleSampler:
                      mask, targets, negatives)
 
 
-def make_examples(train_users: np.ndarray, sequences: list[UserSequence],
+def make_examples(train_users: np.ndarray, sequences: Sequences,
                   l_rec: int, n_neg: int, n_real_items: int,
                   rng: np.random.Generator, distribution: str = "uniform"):
     """Endless stream of single ``ExampleSampler`` draws: n of them consume
@@ -198,32 +197,6 @@ def batch_loss(params: ModelParams, a_norm: sp.csr_matrix, batch: Batch,
     total = ad.scale(ad.sumt(nll), 1.0 / batch.item_idx.shape[0])
     aux["chosen_interest"] = chosen
     return total, aux
-
-
-def loss(example: TrainingExample, params: ModelParams, a_norm: sp.csr_matrix,
-         time_unit_seconds: int = 86400, residual: bool = False) -> float:
-    """Single-example loss with dropout off; returns a plain float."""
-    batch = build_batch([example], params.dims.l_time, time_unit_seconds)
-    with ad.no_grad():
-        value, _ = batch_loss(params, a_norm, batch, residual=residual)
-    return value.item()
-
-
-def gradients(example: TrainingExample, params: ModelParams,
-              a_norm: sp.csr_matrix, time_unit_seconds: int = 86400,
-              residual: bool = False) -> dict[str, np.ndarray]:
-    """Exact reverse-mode gradients of the single-example loss."""
-    params.zero_grad()
-    batch = build_batch([example], params.dims.l_time, time_unit_seconds)
-    value, _ = batch_loss(params, a_norm, batch, residual=residual)
-    value.backward()
-    grads = {}
-    for name, tensor in params.named().items():
-        g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        if not np.all(np.isfinite(g)):
-            raise RuntimeError(f"non-finite gradient in parameter {name!r}")
-        grads[name] = g
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +371,8 @@ class GradCheckResult:
 
 def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(1e-4, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float((np.abs(analytic - numeric) / denom).max())
+    err = np.abs(analytic - numeric) / denom
+    return float(np.where(np.isnan(err), np.inf, err).max())  # a NaN never passes
 
 
 def gradient_check(seed: int, n_items: int = 8, d: int = 4, k: int = 2,
@@ -412,13 +386,12 @@ def gradient_check(seed: int, n_items: int = 8, d: int = 4, k: int = 2,
     adjacency and the checked example.
     """
     rng = np.random.default_rng(seed)
-    sequences = []
-    for u in range(4):
-        n = int(rng.integers(5, 9))
-        items = rng.integers(1, n_items + 1, size=n).astype(np.int64)
-        gaps = rng.integers(0, l_time + 3, size=n).astype(np.int64)
-        ts = 1 + np.cumsum(gaps)
-        sequences.append(UserSequence(u, items, ts))
+    items, timestamps, lengths = [], [], []
+    for _ in range(4):
+        lengths.append(int(rng.integers(5, 9)))
+        items.append(rng.integers(1, n_items + 1, size=lengths[-1]))
+        timestamps.append(1 + np.cumsum(rng.integers(0, l_time + 3, size=lengths[-1])))
+    sequences = Sequences(np.concatenate(items), np.concatenate(timestamps), lengths)
     acc = extract_hop_pairs(sequences, AblationVariant.FULL,
                             a=0.5, b=0.5, l_time=float(l_time), time_unit_seconds=1)
     adj = build_weighted_adjacency(acc, 3.0, 2.0, 1.0, n_items)
@@ -427,11 +400,12 @@ def gradient_check(seed: int, n_items: int = 8, d: int = 4, k: int = 2,
     dims = ModelDims(n_items=n_items + 1, d=d, k=k, l_rec=l_rec,
                      l_time=l_time, n_heads=n_heads, n_layers=n_layers)
     params = ModelParams.init(dims, rng, dtype=np.float64)
-    example = next(make_examples(np.arange(len(sequences)), sequences, l_rec,
-                                 n_neg, n_items, rng))
-    batch = build_batch([example], l_time, time_unit_seconds=1)
-
-    analytic = gradients(example, params, a_norm, time_unit_seconds=1)
+    batch = ExampleSampler(np.arange(len(sequences)), sequences, l_rec, n_neg,
+                           n_items).batch(1, rng, l_time, time_unit_seconds=1)
+    value, _ = batch_loss(params, a_norm, batch)
+    value.backward()
+    analytic = {n: t.grad if t.grad is not None else np.zeros_like(t.data)
+                for n, t in params.named().items()}
 
     def forward() -> float:
         with ad.no_grad():

@@ -4,20 +4,28 @@ import numpy as np
 
 from gimirec import autodiff as ad
 from gimirec.global_context import HopPairAccumulator, HopPairs
-from gimirec.ingest import UserSequence
+from gimirec.ingest import Sequences
+
+
+def sequences_of(*pairs) -> Sequences:
+    """One user per (items, timestamps) pair, in order."""
+    cols = [[np.asarray(col, dtype=np.int64).reshape(-1) for col in pair] for pair in pairs]
+    empty = np.zeros(0, dtype=np.int64)
+    return Sequences(np.concatenate([empty, *(i for i, _ in cols)]),
+                     np.concatenate([empty, *(t for _, t in cols)]),
+                     [i.size for i, _ in cols])
 
 
 def random_sequences(rng: np.random.Generator, n_users: int = 5,
                      n_items: int = 10, max_len: int = 12,
-                     min_len: int = 5, max_gap: int = 5) -> list[UserSequence]:
+                     min_len: int = 5, max_gap: int = 5) -> Sequences:
     """Random dense-indexed user sequences with unit-second timestamps."""
-    seqs = []
-    for u in range(n_users):
+    pairs = []
+    for _ in range(n_users):
         n = int(rng.integers(min_len, max_len + 1))
-        items = rng.integers(1, n_items + 1, size=n).astype(np.int64)
-        ts = 1 + np.cumsum(rng.integers(0, max_gap + 1, size=n)).astype(np.int64)
-        seqs.append(UserSequence(u, items, ts))
-    return seqs
+        items = rng.integers(1, n_items + 1, size=n)
+        pairs.append((items, 1 + np.cumsum(rng.integers(0, max_gap + 1, size=n))))
+    return sequences_of(*pairs)
 
 
 def hop_dicts(acc: HopPairAccumulator) -> dict:

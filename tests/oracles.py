@@ -16,7 +16,8 @@ import scipy.sparse as sp
 
 from gimirec import autodiff as ad
 from gimirec.aggregate import init_center, multi_head_attention
-from gimirec.ingest import MIN_INTERACTIONS, UserSequence, Vocab, _text_lines
+from gimirec.ingest import (MIN_INTERACTIONS, BinaryReader, Sequences, Vocab,
+                            _recode_by_first_appearance, _text_lines, _user_time_order)
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +96,58 @@ def filter_and_index_reference(records):
         i = item_vocab.add(r.item)
         per_user[u].append((r.timestamp, order, i))
 
-    sequences = []
-    for u in range(len(user_ids)):
-        rows = sorted(per_user[u], key=lambda t: (t[0], t[1]))
-        sequences.append(UserSequence(
-            user_index=u,
-            items=np.array([i for _, _, i in rows], dtype=np.int64),
-            timestamps=np.array([ts for ts, _, _ in rows], dtype=np.int64),
-        ))
+    rows = [sorted(per_user[u], key=lambda t: (t[0], t[1])) for u in range(len(user_ids))]
+    sequences = Sequences(np.array([i for user in rows for _, _, i in user], dtype=np.int64),
+                          np.array([ts for user in rows for ts, _, _ in user], dtype=np.int64),
+                          [len(user) for user in rows])
     return sequences, item_vocab, user_ids
+
+
+def index_columns_split(users, user_ids, items, item_raw, timestamps):
+    """``ingest._index_columns`` as it was before it returned columns: the
+    same filter and order, then one (items, timestamps) pair per user, cut
+    with ``np.split``; also the item ids (index 1 up) and the user ids."""
+    keep = timestamps > 0
+    while True:
+        user_ok = np.bincount(users[keep], minlength=len(user_ids)) >= MIN_INTERACTIONS
+        item_ok = np.bincount(items[keep], minlength=len(item_raw)) >= MIN_INTERACTIONS
+        kept = keep & user_ok[users] & item_ok[items]
+        if np.array_equal(kept, keep):
+            break
+        keep = kept
+    if not keep.any():
+        raise ValueError("dataset too sparse: nothing survives the 5-interaction filter")
+    users, user_ids = _recode_by_first_appearance(users[keep], user_ids)
+    items, item_raw = _recode_by_first_appearance(items[keep], item_raw)
+    timestamps = timestamps[keep]
+    order = _user_time_order(users, timestamps)
+    cuts = np.cumsum(np.bincount(users))[:-1]
+    return (list(zip(np.split(items[order] + 1, cuts), np.split(timestamps[order], cuts))),
+            item_raw, user_ids)
+
+
+def read_sequences_per_user(path, num_items):
+    """``sequences.bin`` read one user at a time, as ``load_bundle`` read it
+    before its columnar reader: (items, timestamps, lengths) columns, or the
+    ``ValueError`` of the first defect."""
+    reader = BinaryReader(path)
+    n_users = int(reader.read("<u8", 1, "header")[0])
+    items, timestamps = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for expected in range(n_users):
+        u, n = (int(x) for x in reader.read("<u8", 2, "user header"))
+        if u != expected:
+            raise ValueError(f"{path}: user index {u} where {expected} belongs "
+                             "(indices must run 0..user_count-1)")
+        items.append(reader.read("<u4", n, f"user {u}").astype(np.int64))
+        if n and (items[-1].min() < 1 or items[-1].max() > num_items):
+            raise ValueError(f"{path}: user {u} has an item index outside "
+                             f"1..{num_items}")
+        timestamps.append(reader.read("<i8", n, f"user {u}").astype(np.int64))
+        if np.any(np.diff(timestamps[-1]) < 0):
+            raise ValueError(f"{path}: user {u}: timestamps must be non-decreasing")
+    reader.finish()
+    return (np.concatenate(items), np.concatenate(timestamps),
+            np.array([len(i) for i in items[1:]], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 from gimirec.train import (build_adjacency_from_bundle, run_gradient_checks,
                            train_loop)
 
-from helpers import acc_from_dicts, hop_dicts, random_sequences
+from helpers import acc_from_dicts, hop_dicts, random_sequences, sequences_of
 from oracles import hop_pairs_oracle, metrics_oracle
 
 FULL = AblationVariant.FULL
@@ -67,7 +67,7 @@ def test_criterion_1_pair_extraction_oracle():
 
 def test_criterion_2_gce_algebra():
     # empty accumulator: identity adjacency, bit-exact passthrough
-    empty = extract_hop_pairs([], FULL, 0.5, 0.5, 8.0, 1)
+    empty = extract_hop_pairs(sequences_of(), FULL, 0.5, 0.5, 8.0, 1)
     adj = build_weighted_adjacency(empty, 1.0, 0.5, 0.25, 6)
     table = np.random.default_rng(0).normal(size=(7, 5))
     assert np.array_equal(global_embeddings(adj.a_norm, table), table)

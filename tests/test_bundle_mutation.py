@@ -1,0 +1,87 @@
+"""Seeded mutations of the four bundle files that ``eval`` and ``recommend``
+read (vocab.tsv, users.tsv, sequences.bin, split.json): each command either
+succeeds or exits 1 with an ``error:`` line, and never warns or prints a
+NaN."""
+
+import json
+import math
+import shutil
+import warnings
+
+import numpy as np
+import pytest
+
+from gimirec.cli import main
+from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
+
+SMALL = ["--set", "d=8", "--set", "k=2", "--set", "l_rec=6", "--set", "l_time=4",
+         "--set", "n_layers=1", "--set", "n_heads=2", "--set", "batch=8",
+         "--set", "eval_every=2", "--set", "neg_samples=4", "--set", "seed=5"]
+FILES = ("vocab.tsv", "users.tsv", "sequences.bin", "split.json")
+KINDS = ("flip", b"\x00", b"\xff", b"\n", b"\t", b"-", "truncate", "insert",
+         "duplicate")
+PER_KIND = 6
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """A planted bundle, its adjacency and a 2-step checkpoint; also the
+    bundle's user count."""
+    root = tmp_path_factory.mktemp("mutation")
+    cfg = PlantedConfig(n_clusters=2, items_per_cluster=8, n_users=30,
+                        n_hot_items=4, n_tail_items=20)
+    write_log(root / "log.csv", planted_cluster_records(cfg, seed=11))
+    assert main(["prepare", "--input", str(root / "log.csv"),
+                 "--out", str(root / "bundle"), "--set", "seed=5"]) == 0
+    assert main(["gce", "--bundle", str(root / "bundle"), "--out", str(root),
+                 *SMALL]) == 0
+    assert main(["train", "--bundle", str(root / "bundle"),
+                 "--adjacency", str(root / "adjacency.bin"), "--out", str(root),
+                 *SMALL, "--set", "max_steps=2"]) == 0
+    return root, (root / "bundle" / "users.tsv").read_text().count("\n")
+
+
+def mutate(raw: bytes, kind, rng: np.random.Generator) -> bytes:
+    """``raw`` with one mutation of the given kind at a seeded position."""
+    at = int(rng.integers(len(raw)))
+    if kind == "flip":
+        return raw[:at] + bytes([raw[at] ^ 1 << int(rng.integers(8))]) + raw[at + 1:]
+    if kind == "truncate":
+        return raw[:at]
+    if kind == "insert":
+        return raw[:at] + rng.bytes(int(rng.integers(1, 9))) + raw[at:]
+    if kind == "duplicate":
+        span = raw[at:at + int(rng.integers(1, 33))]
+        return raw[:at] + span + raw[at:]
+    return raw[:at] + kind + raw[at + 1:]
+
+
+@pytest.mark.parametrize("case", range(len(KINDS) * PER_KIND))
+@pytest.mark.parametrize("name", FILES)
+def test_mutated_bundle_is_read_or_rejected(pipeline, tmp_path, capsys, name, case):
+    root, n_users = pipeline
+    kind = KINDS[case % len(KINDS)]
+    rng = np.random.default_rng([FILES.index(name), case])
+    bundle = tmp_path / "bundle"
+    shutil.copytree(root / "bundle", bundle)
+    path = bundle / name
+    path.write_bytes(mutate(path.read_bytes(), kind, rng))
+    common = ["--bundle", str(bundle), "--checkpoint", str(root / "checkpoint.bin"),
+              "--adjacency", str(root / "adjacency.bin"), *SMALL]
+    # every user is recommended for, so each sequence is read
+    for argv in (["eval", "--n", "3,5", *common],
+                 ["recommend", "--users", ",".join(map(str, range(n_users))), "-n", "3",
+                  *common]):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1), (argv[0], kind)
+        if code:
+            assert err.startswith("error: "), (argv[0], kind, err)
+            continue
+        assert "NaN" not in out, (argv[0], kind, out)
+        if argv[0] == "eval":
+            metrics = json.loads(out)["metrics"].values()
+            assert all(math.isfinite(v) for row in metrics for v in row.values())

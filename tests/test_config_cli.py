@@ -14,7 +14,7 @@ from gimirec.cli import main
 from gimirec.config import ConfigError, HyperParams, PRESETS, load_config
 from gimirec.global_context import (AblationVariant, global_embeddings, read_adjacency,
                                     write_adjacency)
-from gimirec.ingest import load_bundle
+from gimirec.ingest import DatasetBundle, Sequences, load_bundle, save_bundle
 from gimirec.model import cast_adjacency, forward_interests, load_checkpoint
 from gimirec.recent import make_window, stack_windows
 from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
@@ -313,6 +313,31 @@ class TestCliPipeline:
         bad = users.split(",")[-1]
         assert re.search(f"user index {bad} outside 0\\.\\.39 of "
                          f"{re.escape(str(bundle))}", captured.err), captured.err
+
+    def test_recommend_rejects_user_without_interactions(self, mini_corpus, tmp_path,
+                                                         capsys):
+        # a bundle may hold a user with no interactions; prepare never
+        # writes one, so user 0's are removed by hand
+        bundle = tmp_path / "bundle"
+        assert main(["prepare", "--input", str(mini_corpus / "log.csv"),
+                     "--out", str(bundle), "--set", "seed=5"]) == 0
+        assert main(["gce", "--bundle", str(bundle), "--out", str(bundle),
+                     *SMALL]) == 0
+        assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path),
+                     *SMALL, "--set", "max_steps=0"]) == 0
+        loaded = load_bundle(bundle)
+        seqs, cut = loaded.sequences, loaded.sequences.lengths[0]
+        emptied = Sequences(seqs.items[cut:], seqs.timestamps[cut:],
+                            np.r_[0, seqs.lengths[1:]])
+        save_bundle(bundle, DatasetBundle(emptied, loaded.split, loaded.user_ids))
+        capsys.readouterr()
+        assert main(["recommend", "--bundle", str(bundle),
+                     "--checkpoint", str(tmp_path / "checkpoint.bin"),
+                     "--users", "1,0", "-n", "3", *SMALL]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: user index 0 of {bundle} has no interactions "
+                                "to recommend from\n")
 
     @pytest.mark.parametrize("command", ["eval", "recommend"])
     def test_bundle_not_matching_checkpoint_rejected(self, mini_corpus, tmp_path,

@@ -10,52 +10,67 @@ from gimirec.global_context import (AblationVariant, build_weighted_adjacency,
                                     extract_hop_pairs, global_embeddings,
                                     occurrence_weight, read_adjacency,
                                     write_adjacency, write_global_embeddings)
-from gimirec.ingest import UserSequence
 from gimirec.model import cast_adjacency
 
-from helpers import acc_from_dicts, hop_dicts, random_sequences
+from helpers import acc_from_dicts, hop_dicts, random_sequences, sequences_of
 from oracles import (hop_pairs_oracle, normalized_adjacency_oracle,
                      weighted_adjacency_dict_reference)
 
 FULL = AblationVariant.FULL
 
 
-def seq(items, ts, u=0):
-    return UserSequence(u, np.asarray(items), np.asarray(ts))
+def seq(items, ts):
+    return sequences_of((items, ts))
 
 
 class TestExtractHopPairs:
     def test_four_item_sequence_pairs(self):
         # [i2, i5, i1, i4]: 1-hop (2,5),(5,1),(1,4); 2-hop (2,1),(5,4); 3-hop (2,4)
         s = seq([2, 5, 1, 4], [10, 20, 30, 40])
-        acc = extract_hop_pairs([s], FULL, 0.5, 0.5, l_time=1000.0,
+        acc = extract_hop_pairs(s, FULL, 0.5, 0.5, l_time=1000.0,
                                 time_unit_seconds=1)
         assert set(hop_dicts(acc)[1]) == {(2, 5), (5, 1), (1, 4)}
         assert set(hop_dicts(acc)[2]) == {(2, 1), (5, 4)}
         assert set(hop_dicts(acc)[3]) == {(2, 4)}
 
     def test_single_item_sequence_no_pairs(self):
-        acc = extract_hop_pairs([seq([3], [5])], FULL, 0.5, 0.5, 10.0, 1)
+        acc = extract_hop_pairs(seq([3], [5]), FULL, 0.5, 0.5, 10.0, 1)
         assert all(not d for d in hop_dicts(acc).values())
 
     def test_threshold_filters_pairs(self):
         s = seq([1, 2, 3], [0 + 1, 1 + 1, 100 + 1])
-        acc = extract_hop_pairs([s], FULL, 0.5, 0.5, l_time=10.0,
+        acc = extract_hop_pairs(s, FULL, 0.5, 0.5, l_time=10.0,
                                 time_unit_seconds=1)
         assert set(hop_dicts(acc)[1]) == {(1, 2)}
         assert not hop_dicts(acc)[2]
 
     def test_no_int_variant_ignores_threshold(self):
         s = seq([1, 2, 3], [1, 2, 102])
-        acc = extract_hop_pairs([s], AblationVariant.NO_INT, 0.5, 0.5, 10.0, 1)
+        acc = extract_hop_pairs(s, AblationVariant.NO_INT, 0.5, 0.5, 10.0, 1)
         assert set(hop_dicts(acc)[1]) == {(1, 2), (2, 3)}
         assert set(hop_dicts(acc)[2]) == {(1, 3)}
 
+    def test_column_subset_equals_per_user_concatenation(self):
+        # the adjacency reads the train users as a column subset; the
+        # formulation it replaced concatenated each listed user's arrays
+        rng = np.random.default_rng(31)
+        seqs = random_sequences(rng, n_users=12, n_items=10, max_len=15, min_len=1)
+        users = rng.permutation(12)[:8]
+        concatenated = sequences_of(*((seqs[u].items, seqs[u].timestamps) for u in users))
+        for variant in AblationVariant:
+            got = extract_hop_pairs(seqs.subset(users), variant, 0.65, 0.35, 4.0, 1)
+            want = extract_hop_pairs(concatenated, variant, 0.65, 0.35, 4.0, 1)
+            assert (got.occurrences, got.total_interactions) == (
+                want.occurrences, want.total_interactions)
+            for k in got.hops:
+                for a, b in zip(got.hops[k], want.hops[k]):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_self_pairs_counted_and_flag(self):
         s = seq([7, 7], [1, 2])
-        acc = extract_hop_pairs([s], FULL, 0.5, 0.5, 10.0, 1)
+        acc = extract_hop_pairs(s, FULL, 0.5, 0.5, 10.0, 1)
         assert (7, 7) in hop_dicts(acc)[1]
-        acc2 = extract_hop_pairs([s], FULL, 0.5, 0.5, 10.0, 1,
+        acc2 = extract_hop_pairs(s, FULL, 0.5, 0.5, 10.0, 1,
                                  allow_self_pairs=False)
         assert (7, 7) not in hop_dicts(acc2)[1]
 

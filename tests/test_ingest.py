@@ -9,12 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gimirec import ingest
-from gimirec.ingest import (DatasetBundle, InteractionRecord, UserSequence,
+from gimirec.ingest import (DatasetBundle, InteractionRecord, Sequences,
                             filter_and_index, load_bundle, parse_log, prepare,
                             save_bundle, split_users)
 from gimirec.synthetic import PlantedConfig, planted_cluster_records
 from oracles import (code_by_first_appearance_dict, filter_and_index_reference,
-                     parse_columns_per_line)
+                     index_columns_split, parse_columns_per_line,
+                     read_sequences_per_user)
 
 
 def rec(u, i, t):
@@ -211,12 +212,35 @@ class TestFilterAndIndex:
         assert users == want_users
         assert vocab.index_to_raw == want_vocab.index_to_raw
         assert vocab.raw_to_index == want_vocab.raw_to_index
-        assert len(seqs) == len(want_seqs)
-        for got, want in zip(seqs, want_seqs):
-            assert got.user_index == want.user_index
-            assert got.items.dtype == got.timestamps.dtype == np.int64
-            np.testing.assert_array_equal(got.items, want.items)
-            np.testing.assert_array_equal(got.timestamps, want.timestamps)
+        for got, want in ((seqs.items, want_seqs.items),
+                          (seqs.timestamps, want_seqs.timestamps),
+                          (seqs.lengths, want_seqs.lengths)):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    # coded columns over six users and six items with ties, dropped
+    # timestamps and 5-core cascades
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                              st.integers(-1, 6)), min_size=30, max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_columns_equal_the_per_user_split(self, triples):
+        users, items, timestamps = (np.array(col, dtype=np.int64).reshape(-1)
+                                    for col in zip(*triples))
+        user_ids, item_ids = [f"u{u}" for u in range(6)], [f"i{i}" for i in range(6)]
+        try:
+            want, want_items, want_users = index_columns_split(
+                users, user_ids, items, item_ids, timestamps)
+        except ValueError:
+            with pytest.raises(ValueError, match="too sparse"):
+                ingest._index_columns(users, user_ids, items, item_ids, timestamps)
+            return
+        seqs, vocab, got_users = ingest._index_columns(users, user_ids, items,
+                                                       item_ids, timestamps)
+        assert (got_users, vocab.index_to_raw[1:]) == (want_users, want_items)
+        assert len(seqs) == len(want)
+        for got, (want_items, want_ts) in zip(seqs, want):
+            np.testing.assert_array_equal(got.items, want_items)
+            np.testing.assert_array_equal(got.timestamps, want_ts)
 
 
 BUNDLE_FILES = ("vocab.tsv", "users.tsv", "sequences.bin", "split.json")
@@ -436,8 +460,41 @@ class TestUserTimeOrder:
 
 
 def dummy_sequences(n):
-    return [UserSequence(u, np.array([1, 2, 3, 4, 5]),
-                         np.arange(1, 6)) for u in range(n)]
+    return Sequences(np.tile([1, 2, 3, 4, 5], n), np.tile(np.arange(1, 6), n), [5] * n)
+
+
+class TestSequences:
+    def test_views_iteration_and_subset(self):
+        seqs = Sequences([4, 5, 6, 7, 8, 9], [1, 2, 2, 3, 5, 8], [2, 0, 3, 1])
+        assert len(seqs) == 4
+        np.testing.assert_array_equal(seqs.starts, [0, 2, 2, 5])
+        assert [s.items.tolist() for s in seqs] == [[4, 5], [], [6, 7, 8], [9]]
+        assert [len(s) for s in seqs] == [2, 0, 3, 1]
+        np.testing.assert_array_equal(seqs[2].timestamps, [2, 3, 5])
+        np.testing.assert_array_equal(seqs[-1].items, [9])
+        part = seqs.subset([3, 0, 3, 1])
+        np.testing.assert_array_equal(part.items, [9, 4, 5, 9])
+        np.testing.assert_array_equal(part.timestamps, [8, 1, 2, 8])
+        np.testing.assert_array_equal(part.lengths, [1, 2, 1, 0])
+        assert len(seqs.subset([])) == 0
+
+    def test_columns_and_views_are_read_only(self):
+        items = np.array([1, 2, 3])
+        seqs = Sequences(items, [1, 2, 3], [3])
+        for col in (seqs.items, seqs.timestamps, seqs.lengths, seqs.starts, seqs[0].items,
+                    seqs[0].timestamps):
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 7
+        items[0] = 7  # the caller's array stays writeable; the columns are a copy
+        assert seqs[0].items[0] == 1
+
+    @pytest.mark.parametrize("items, timestamps, lengths", [
+        ([1, 2], [1], [2]), ([1, 2], [1, 2], [1]), ([1, 2], [1, 2], [3, -1]),
+        ([[1, 2]], [[1, 2]], [2]),
+    ], ids=["unequal_columns", "short_lengths", "negative_length", "two_dimensional"])
+    def test_inconsistent_columns_rejected(self, items, timestamps, lengths):
+        with pytest.raises(ValueError, match="lengths partition"):
+            Sequences(items, timestamps, lengths)
 
 
 class TestSplitUsers:
@@ -629,6 +686,59 @@ class TestBundle:
         got = (loaded.split.item_vocab.index_to_raw[1:] if name == "vocab.tsv"
                else loaded.user_ids)
         assert got == ids
+
+    # up to six users of up to six items over a 9-item catalog, then up to
+    # three of the per-user reader's rejection cases, anywhere: a cut, bytes
+    # after the last user, an item outside 1..9, a user index out of order, a
+    # wrong user count and a timestamp below its predecessor. Several
+    # defects check that the first, by user and then by the per-user
+    # reader's order within a user, is the one reported
+    @given(data=st.data(), lengths=st.lists(st.integers(0, 6), max_size=6),
+           defects=st.lists(st.sampled_from(["cut", "trailing", "item", "user_index",
+                                             "user_count", "decreasing"]), max_size=3))
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_columnar_read_equals_the_per_user_reader(self, tmp_path, data, lengths,
+                                                      defects):
+        n_items = 9
+        users = [[u, data.draw(st.lists(st.integers(1, n_items), min_size=n, max_size=n)),
+                  sorted(data.draw(st.lists(st.integers(-2**62, 2**62), min_size=n,
+                                            max_size=n)))]
+                 for u, n in enumerate(lengths)]
+        with_items = [u for u, n in enumerate(lengths) if n]
+        for defect in defects:
+            if defect == "item" and with_items:
+                u = data.draw(st.sampled_from(with_items))
+                users[u][1][data.draw(st.integers(0, lengths[u] - 1))] = data.draw(
+                    st.sampled_from([0, n_items + 1, 2**32 - 1]))
+            elif defect == "user_index" and users:
+                users[data.draw(st.integers(0, len(users) - 1))][0] = data.draw(
+                    st.integers(0, 2**64 - 1))
+            elif defect == "decreasing" and any(n >= 2 for n in lengths):
+                u = data.draw(st.sampled_from([u for u, n in enumerate(lengths) if n >= 2]))
+                users[u][2][-1] = users[u][2][0] - 1
+        raw = np.array([len(users)], "<u8").tobytes() + b"".join(
+            np.array([u, len(items)], "<u8").tobytes() + np.array(items, "<u4").tobytes()
+            + np.array(ts, "<i8").tobytes() for u, items, ts in users)
+        if "user_count" in defects:
+            raw = np.array([data.draw(st.integers(0, 2**64 - 1))], "<u8").tobytes() + raw[8:]
+        if "cut" in defects:
+            raw = raw[:data.draw(st.integers(0, len(raw)))]
+        if "trailing" in defects:
+            raw += data.draw(st.binary(min_size=1, max_size=20))
+        path = tmp_path / "sequences.bin"
+        path.write_bytes(raw)
+        try:
+            want = read_sequences_per_user(path, n_items)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                ingest._read_sequences(path, n_items)
+            assert str(got.value) == str(exc)
+            return
+        got = ingest._read_sequences(path, n_items)
+        for col, expect in zip((got.items, got.timestamps, got.lengths), want):
+            assert col.dtype == np.int64
+            np.testing.assert_array_equal(col, expect)
 
     @given(cut=st.integers(0, 2**20),
            flips=st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 255)),

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gimirec import autodiff as ad
-from gimirec.ingest import UserSequence
-from gimirec.recent import (bucketize, cut_windows, flatten, interval_attention,
+from gimirec.recent import (bucketize, cut_windows, interval_attention,
                             interval_matrix, make_window, stack_windows)
 
+from helpers import sequences_of
 from oracles import interval_attention_oracle, make_window_slices
 
 
 def seq(items, ts):
-    return UserSequence(0, np.asarray(items), np.asarray(ts))
+    return sequences_of((items, ts))[0]
 
 
 class TestMakeWindow:
@@ -53,9 +53,9 @@ class TestCutWindows:
         # ends run to len+1 (serving) and lengths to 7 around l_rec 1..6, so
         # both full and shorter-than-l_rec windows occur
         rng = np.random.default_rng(seed)
-        seqs = [seq(rng.integers(1, 50, n), np.sort(rng.integers(1, 10**6, n)))
-                for n in lengths]
-        items, timestamps, starts, lens = flatten(seqs)
+        seqs = sequences_of(*[(rng.integers(1, 50, n), np.sort(rng.integers(1, 10**6, n)))
+                              for n in lengths])
+        items, timestamps, starts, lens = seqs.items, seqs.timestamps, seqs.starts, seqs.lengths
         rows = np.repeat(np.arange(len(seqs)), [len(s) + 1 for s in seqs])
         ends = np.concatenate([np.arange(1, len(s) + 2) for s in seqs])
         got = cut_windows(items, timestamps, starts[rows], lens[rows], ends, l_rec)

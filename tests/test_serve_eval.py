@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from gimirec import autodiff as ad
 from gimirec import serve_eval
 from gimirec.config import HyperParams
-from gimirec.ingest import UserSequence, prepare
+from gimirec.ingest import prepare
 from gimirec.model import ModelDims, ModelParams, cast_adjacency, forward_interests
-from gimirec.recent import flatten, make_window, stack_windows
+from gimirec.recent import make_window, stack_windows
 from gimirec.serve_eval import (MetricRow, MetricsReport, _batched_interests,
                                 compute_global_table,
                                 evaluate, evaluate_ranker, infer_interests,
@@ -21,6 +21,7 @@ from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 from gimirec.train import build_adjacency_from_bundle
 
 import oracles
+from helpers import sequences_of
 from oracles import metrics_oracle
 
 
@@ -346,8 +347,8 @@ def planted_model(tmp_path):
     while v - 1 - (8 * (v - 1 + extra)) // 10 >= 20:
         extra += 1
     items = np.r_[np.arange(1, v), np.arange(1, 1 + extra)]
-    sequences = bundle.sequences + [
-        UserSequence(len(bundle.sequences), items, np.arange(1, items.size + 1))]
+    sequences = sequences_of(*((s.items, s.timestamps) for s in bundle.sequences),
+                             (items, np.arange(1, items.size + 1)))
     users = np.r_[bundle.split.test_users, bundle.split.valid_users,
                   len(bundle.sequences)]
     return sequences, params, a_norm, users
@@ -375,13 +376,18 @@ class TestInferAndEvaluate:
         seqs, base_params, base_a_norm = build_model(6)
         # single-item, partial and full windows (l_rec = 4); a fully padded
         # one is rejected the same way by every path
-        picks, prefixes = seqs[:3], [1, 2, 6]
+        picks, prefixes = seqs.subset([0, 1, 2]), [1, 2, 6]
+        first = seqs.subset([0])
+
+        def columns(s):
+            return s.items, s.timestamps, s.starts, s.lengths
+
         for dtype in (np.float32, np.float64):
             params, a_norm = base_params.astype(dtype), base_a_norm.astype(dtype)
             e_global = compute_global_table(params, a_norm)
             with pytest.raises(ValueError, match="no center"):
-                _batched_interests(flatten(picks[:1]), [0], params, e_global, 1, False)
-            got = _batched_interests(flatten(picks), prefixes, params, e_global, 1,
+                _batched_interests(columns(first), [0], params, e_global, 1, False)
+            got = _batched_interests(columns(picks), prefixes, params, e_global, 1,
                                      False)
 
             def from_adjacency(columns, prefix_lens):
@@ -390,11 +396,11 @@ class TestInferAndEvaluate:
                     return forward_interests(params, a_norm, *windows)[0].data
 
             with pytest.raises(ValueError, match="no center"):
-                from_adjacency(flatten(picks[:1]), [0])
-            rows = from_adjacency(flatten(picks), prefixes)
+                from_adjacency(columns(first), [0])
+            rows = from_adjacency(columns(picks), prefixes)
             with monkeypatch.context() as mp:
                 mp.setattr(ad, "spmm_rows", oracles.spmm_full_table)
-                full = from_adjacency(flatten(picks), prefixes)
+                full = from_adjacency(columns(picks), prefixes)
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, rows)
             np.testing.assert_array_equal(got, full)
@@ -423,18 +429,17 @@ class TestInferAndEvaluate:
     def test_prefix_floor_rule(self):
         # 5 interactions -> prefix 4, ground truth 1
         seqs, params, a_norm = build_model(2)
-        seq = UserSequence(0, np.array([1, 2, 3, 4, 5]), np.arange(1, 6))
-        report = evaluate([seq], np.array([0]), params, a_norm, n_list=(3,),
+        seq = sequences_of(([1, 2, 3, 4, 5], np.arange(1, 6)))
+        report = evaluate(seq, np.array([0]), params, a_norm, n_list=(3,),
                           time_unit_seconds=1)
         assert report.user_count == 1
 
     def test_identical_users_mean_equals_single(self):
         seqs, params, a_norm = build_model(3)
-        seq = seqs[0]
-        twin = UserSequence(1, seq.items.copy(), seq.timestamps.copy())
-        solo = evaluate([seq], np.array([0]), params, a_norm, n_list=(4,),
+        pair = seqs[0].items, seqs[0].timestamps
+        solo = evaluate(sequences_of(pair), np.array([0]), params, a_norm, n_list=(4,),
                         time_unit_seconds=1)
-        both = evaluate([seq, twin], np.array([0, 1]), params, a_norm,
+        both = evaluate(sequences_of(pair, pair), np.array([0, 1]), params, a_norm,
                         n_list=(4,), time_unit_seconds=1)
         assert both.user_count == 2
         assert both.per_n[4] == solo.per_n[4]
@@ -462,14 +467,16 @@ class TestInferAndEvaluate:
     def test_user_with_fewer_candidates_than_n_scores_shorter_list(self):
         # 12 items, prefix excludes 8 of them: 4 candidates for N up to 6
         seqs, params, a_norm = build_model(8)
-        seq = UserSequence(0, np.arange(1, 11), np.arange(1, 11))
-        report = evaluate([seqs[0], seq], np.array([0, 1]), params, a_norm,
-                          n_list=(3, 6), time_unit_seconds=1)
+        pair = np.arange(1, 11), np.arange(1, 11)
+        report = evaluate(sequences_of((seqs[0].items, seqs[0].timestamps), pair),
+                          np.array([0, 1]), params, a_norm, n_list=(3, 6),
+                          time_unit_seconds=1)
         assert report.user_count == 2
-        solo = evaluate([seq], np.array([0]), params, a_norm, n_list=(3, 6),
+        seq = sequences_of(pair)
+        solo = evaluate(seq, np.array([0]), params, a_norm, n_list=(3, 6),
                         time_unit_seconds=1)
         assert (solo.per_n[6].recall, solo.per_n[6].hit_rate) == (1.0, 1.0)
-        vecs = infer_interests(seq, 8, params, a_norm, time_unit_seconds=1)
+        vecs = infer_interests(seq[0], 8, params, a_norm, time_unit_seconds=1)
         ranked = top_n(vecs, compute_global_table(params, a_norm), 4,
                        set(range(1, 9)))
         for n in (3, 6):
@@ -504,15 +511,16 @@ class TestInferAndEvaluate:
         sequences, params, a_norm, users = planted_model(tmp_path)
         base = len(sequences)
         ts = np.arange(1, 11)
-        sequences = sequences + [
+        sequences = sequences_of(
+            *((s.items, s.timestamps) for s in sequences),
             # held-out item 2 repeats a prefix item: never ranked, still in |truth|
-            UserSequence(base, np.r_[1:9, 2, 9], ts),
+            (np.r_[1:9, 2, 9], ts),
             # held-out items repeat: |truth| = 1
-            UserSequence(base + 1, np.r_[1:9, 9, 9], ts),
+            (np.r_[1:9, 9, 9], ts),
             # skipped: an empty prefix, then an empty prefix and truth
-            UserSequence(base + 2, np.array([3]), np.array([5])),
-            UserSequence(base + 3, np.empty(0, np.int64), np.empty(0, np.int64)),
-        ]
+            ([3], [5]),
+            ([], []),
+        )
         # duplicate and unsorted user indices, skipped users among them
         users = np.r_[base + 1, users[::-1], base + 2, base, base + 3, users[:7],
                       base + 1, base]
@@ -544,8 +552,7 @@ class TestInferAndEvaluate:
 
 class TestBaselines:
     def test_popularity_ranks_by_count(self):
-        seqs = [UserSequence(0, np.array([1, 1, 2, 3, 3, 3]),
-                             np.arange(1, 7))]
+        seqs = sequences_of(([1, 1, 2, 3, 3, 3], np.arange(1, 7)))
         counts = popularity_counts(seqs, 5)
         np.testing.assert_array_equal(counts, [0, 2, 1, 3, 0])
         np.testing.assert_array_equal(popularity_top_n(counts, 3), [3, 1, 2])
