@@ -13,7 +13,8 @@ from .ingest import (DatasetBundle, DatasetSplit, InteractionRecord,
                      parse_log, prepare, split_users)
 from .model import ModelDims, ModelParams, load_checkpoint, save_checkpoint
 from .recent import RecentWindow, interval_matrix, make_window
-from .serve_eval import MetricsReport, evaluate, infer_interests, metrics, top_n
+from .serve_eval import (MetricsReport, evaluate, infer_interests, metrics, recommend,
+                         top_n)
 from .train import (AdamState, TrainingExample, adam_step, gradient_check,
                     run_gradient_checks, train_loop)
 
@@ -26,6 +27,6 @@ __all__ = [
     "filter_and_index", "global_embeddings", "gradient_check",
     "infer_interests", "interval_matrix", "load_bundle", "load_checkpoint",
     "load_config", "make_window", "metrics", "occurrence_weight",
-    "parse_log", "prepare", "run_gradient_checks", "save_checkpoint",
+    "parse_log", "prepare", "recommend", "run_gradient_checks", "save_checkpoint",
     "split_users", "top_n", "train_loop",
 ]

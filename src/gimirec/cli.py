@@ -23,8 +23,7 @@ from .global_context import (global_embeddings, read_adjacency, write_adjacency,
                              write_global_embeddings)
 from .ingest import load_bundle, prepare
 from .model import ModelDims, ModelParams, cast_adjacency, load_checkpoint
-from .serve_eval import (_batched_interests, compute_global_table, evaluate,
-                         top_n_rows)
+from .serve_eval import evaluate, recommend
 from .synthetic import PlantedConfig, planted_cluster_records, write_log
 from .train import build_adjacency_from_bundle, run_gradient_checks, train_loop
 
@@ -55,6 +54,13 @@ def _build_info() -> dict:
     except (OSError, subprocess.TimeoutExpired):
         commit = "unknown"
     return {"package": "gimirec", "version": __version__, "git": commit}
+
+
+def _int_list(flag: str, raw: str) -> list[int]:
+    try:
+        return [int(x) for x in raw.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {raw!r}") from None
 
 
 def _require(path: Path, hint: str) -> Path:
@@ -142,10 +148,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     hp = _resolve_config(args)
+    n_list = tuple(_int_list("--n", args.n))
     bundle, a_norm, params = _load_model_inputs(args)
     users = (bundle.split.test_users if args.split == "test"
              else bundle.split.valid_users)
-    n_list = tuple(int(x) for x in args.n.split(","))
     report = evaluate(bundle.sequences, users, params, a_norm, n_list=n_list,
                       time_unit_seconds=hp.time_unit_seconds,
                       residual=hp.residual, threads=hp.threads)
@@ -165,28 +171,23 @@ def cmd_eval(args) -> int:
 def cmd_recommend(args) -> int:
     if args.n < 1:
         raise ValueError(f"-n must be at least 1, got {args.n}")
+    users = _int_list("--users", args.users)
     hp = _resolve_config(args)
     bundle, a_norm, params = _load_model_inputs(args)
     seqs = bundle.sequences
-    users = [int(raw_u) for raw_u in args.users.split(",")]
     for u in users:
         if not 0 <= u < len(seqs):
             raise ValueError(f"user index {u} outside 0..{len(seqs) - 1} of {args.bundle}")
         if not seqs.lengths[u]:
             raise ValueError(f"user index {u} of {args.bundle} has no interactions to "
                              "recommend from")
-    e_global = compute_global_table(params, a_norm)
+    ranked = recommend(params, a_norm, seqs.subset(users), args.n, hp.time_unit_seconds,
+                       hp.residual, hp.threads)
     vocab = bundle.split.item_vocab
-    vectors = _batched_interests(
-        (seqs.items, seqs.timestamps, seqs.starts[users], seqs.lengths[users]),
-        seqs.lengths[users], params, e_global, hp.time_unit_seconds, hp.residual)
-    excludes = [set(seqs[u].items.tolist()) for u in users]
-    # a short list means too few candidates, reported when that user is
-    # reached, so the users before it are still printed
-    ranked = top_n_rows(vectors, e_global,
-                        [min(args.n, e_global.shape[0] - 1 - len(ex)) for ex in excludes],
-                        excludes)
-    for u, items in zip(users, ranked):
+    for u, row in zip(users, ranked):
+        # a short list means too few candidates, reported when that user is
+        # reached, so the users before it are still printed
+        items = row[row >= 0]
         if len(items) < args.n:
             raise ValueError(f"cannot rank {args.n} items from {len(items)} candidates")
         names = [vocab.index_to_raw[int(i)] for i in items]
@@ -207,6 +208,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    seeds = _int_list("--seeds", args.seeds)
     hp = _resolve_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -223,7 +225,6 @@ def cmd_ablate(args) -> int:
     for key, ok in sorted(matrix_report.items()):
         if not ok:
             print(f"  {key}: FAILED")
-    seeds = [int(s) for s in args.seeds.split(",")]
     results = run_ablation(bundle, hp, seeds, out / "runs", log_fn=print)
     print(f"{'variant':<8} {'recall@20':>10} {'ndcg@20':>10} {'hit@20':>10}")
     for row in results:

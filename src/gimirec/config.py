@@ -62,7 +62,7 @@ class HyperParams:
         if self.d < 1 or self.n_heads < 1 or self.d % self.n_heads != 0:
             raise ConfigError(f"d={self.d} must be a positive multiple of "
                               f"n_heads={self.n_heads}")
-        for key in ("k", "l_time", "l_rec", "n_layers"):
+        for key in ("k", "l_time", "l_rec", "n_layers", "threads"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0.0 <= self.dropout < 1.0:
@@ -73,6 +73,8 @@ class HyperParams:
             raise ConfigError(f"unknown neg_distribution {self.neg_distribution}")
         if self.neg_samples < 1 or self.batch < 1 or self.max_steps < 0:
             raise ConfigError("neg_samples/batch must be >= 1 and max_steps >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.eval_every < 1 or self.time_unit_seconds < 1:
             raise ConfigError("eval_every and time_unit_seconds must be >= 1 "
                               f"(got {self.eval_every}, {self.time_unit_seconds})")
@@ -148,9 +150,12 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
     env_seed = os.environ.get("GIMI_SEED")
     if env_seed is not None:
         try:
-            hp = replace(hp, seed=int(env_seed))
-        except ValueError as exc:
-            raise ConfigError(f"GIMI_SEED must be an integer, got {env_seed!r}") from exc
+            seed = int(env_seed)
+        except ValueError:
+            seed = None
+        if seed is None or seed < 0:
+            raise ConfigError(f"GIMI_SEED must be a non-negative integer, got {env_seed!r}")
+        hp = replace(hp, seed=seed)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")

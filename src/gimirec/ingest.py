@@ -151,7 +151,7 @@ def parse_log(path: str | Path, delimiter: str = ",") -> ParseResult:
     an int64 integer) are skipped and counted; blank lines are ignored. An
     unreadable file or one that is not UTF-8 raises.
     """
-    cols = _read_columns(path, delimiter)
+    cols = read_columns(path, delimiter)
     users = np.array(cols.user_ids, dtype=object)[cols.users].tolist()
     items = np.array(cols.item_ids, dtype=object)[cols.items].tolist()
     return ParseResult(list(map(InteractionRecord, users, items, cols.timestamps.tolist())),
@@ -190,7 +190,7 @@ def _parse_line(line: str, delimiter: str) -> tuple[str, str, int] | tuple[()] |
     return (parts[0], parts[1], ts) if -2**63 <= ts < 2**63 else None
 
 
-def _read_columns(path: str | Path, delimiter: str) -> LogColumns:
+def read_columns(path: str | Path, delimiter: str) -> LogColumns:
     """``parse_log`` as coded columns, parsed from the file's bytes.
 
     A line is parsed with array operations when the delimiter is one ASCII
@@ -324,9 +324,9 @@ def filter_and_index(records: list[InteractionRecord]) -> tuple[Sequences, Vocab
     ties kept in input order.
     """
     live = [r for r in records if r.timestamp > 0]
-    return _index_columns(*_code_strings([r.user for r in live]),
-                          *_code_strings([r.item for r in live]),
-                          np.fromiter((r.timestamp for r in live), np.int64, len(live)))
+    return index_columns(*_code_strings([r.user for r in live]),
+                         *_code_strings([r.item for r in live]),
+                         np.fromiter((r.timestamp for r in live), np.int64, len(live)))
 
 
 def _user_time_order(users: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
@@ -341,9 +341,9 @@ def _user_time_order(users: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
     return np.argsort(users * span + (timestamps - low), kind="stable")
 
 
-def _index_columns(users: np.ndarray, user_ids: list[str], items: np.ndarray,
-                   item_raw: list[str], timestamps: np.ndarray
-                   ) -> tuple[Sequences, Vocab, list[str]]:
+def index_columns(users: np.ndarray, user_ids: list[str], items: np.ndarray,
+                  item_raw: list[str], timestamps: np.ndarray
+                  ) -> tuple[Sequences, Vocab, list[str]]:
     """``filter_and_index`` over first-appearance codes and their distinct ids."""
     keep = timestamps > 0
     while True:
@@ -446,8 +446,9 @@ def save_bundle(out_dir: str | Path, bundle: DatasetBundle) -> None:
         fh.write("\n")
 
 
-def _read_tsv(path: Path) -> list[tuple[int, str]]:
-    """The (index, id) lines of a two-column TSV; a malformed line raises.
+def _read_ids(path: Path, first: int) -> list[str]:
+    """The ids of a two-column ``<index><TAB><id>`` TSV whose indices run
+    densely from ``first``; a malformed line, then a gap, raises.
 
     Only LF ends a line, as ``save_bundle`` writes it, so an id keeps any CR
     it holds.
@@ -460,7 +461,9 @@ def _read_tsv(path: Path) -> list[tuple[int, str]]:
         except ValueError:
             raise ValueError(f"{path}: line {line_no} is not "
                              "'<index><TAB><id>'") from None
-    return rows
+    if [idx for idx, _ in rows] != list(range(first, first + len(rows))):
+        raise ValueError(f"{path}: indices are not dense from {first}")
+    return [raw for _, raw in rows]
 
 
 def _gather(raw: bytes, dtype: str, offsets: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -515,18 +518,14 @@ def load_bundle(in_dir: str | Path) -> DatasetBundle:
         if not (src / name).exists():
             raise FileNotFoundError(f"dataset bundle incomplete: missing {src / name}")
     vocab_path = src / "vocab.tsv"
-    vocab = Vocab()
-    for idx, raw in _read_tsv(vocab_path):
-        if idx != vocab.size:
-            raise ValueError(f"{vocab_path}: indices are not dense from 1")
-        if vocab.add(raw) != idx:
+    item_ids = _read_ids(vocab_path, 1)
+    raw_to_index = {}
+    for idx, raw in enumerate(item_ids, 1):
+        if raw_to_index.setdefault(raw, idx) != idx:
             raise ValueError(f"{vocab_path}: item id {raw!r} appears twice")
+    vocab = Vocab(["", *item_ids], raw_to_index)
     users_path = src / "users.tsv"
-    user_ids = []
-    for idx, raw in _read_tsv(users_path):
-        if idx != len(user_ids):
-            raise ValueError(f"{users_path}: indices are not dense from 0")
-        user_ids.append(raw)
+    user_ids = _read_ids(users_path, 0)
     seq_path = src / "sequences.bin"
     sequences = _read_sequences(seq_path, vocab.num_real)
     n_users = len(sequences)
@@ -559,9 +558,9 @@ def prepare(log_path: str | Path, out_dir: str | Path, delimiter: str = ",",
     A kept user or item id that holds a tab raises, naming the first log
     line that holds it: the bundle's TSV files could not store it.
     """
-    cols = _read_columns(log_path, delimiter)
-    sequences, vocab, user_ids = _index_columns(cols.users, cols.user_ids, cols.items,
-                                                cols.item_ids, cols.timestamps)
+    cols = read_columns(log_path, delimiter)
+    sequences, vocab, user_ids = index_columns(cols.users, cols.user_ids, cols.items,
+                                               cols.item_ids, cols.timestamps)
     for field, codes, ids, kept in (("user", cols.users, cols.user_ids, user_ids),
                                     ("item", cols.items, cols.item_ids, vocab.index_to_raw)):
         bad = next((raw for raw in kept if "\t" in raw), None)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,7 +22,7 @@ from .model import (ModelDims, ModelParams, check_adjacency_shape, forward_from_
 from .recent import cut_windows, window_buckets
 
 _EVAL_CHUNK = 256
-# cap on one block's (users·K, V) score product in top_n_rows
+# cap on one block's (rows·K, V) score product in _rank_rows
 _SCORE_BLOCK_BYTES = 4 << 20
 
 
@@ -107,44 +106,36 @@ def _hit_matrix(ranked: np.ndarray, truth: tuple) -> np.ndarray:
 
 def top_n(interest_vectors: np.ndarray, e_global: np.ndarray, n: int,
           exclude: set | None = None) -> np.ndarray:
-    """Exact top-N for one user: the one-row case of ``top_n_rows``."""
-    return top_n_rows(np.atleast_2d(interest_vectors)[None], e_global, [n],
-                      [exclude or ()])[0]
+    """Exact top-N for one user: the one-row case of ``_rank_rows``.
 
-
-def top_n_rows(interests: np.ndarray, e_global: np.ndarray, n,
-               excludes: list) -> list[np.ndarray]:
-    """Exact max-inner-product scan over all items for each user.
-
-    interests (U, K, d); row u ranks its best ``n[u]`` items. Each item's
-    score is the max over the row's K interests. Only candidates are ranked,
-    so padding and ``excludes[u]`` never appear whatever the scores; ties
-    rank the smaller index first and NaN scores rank last. Users are scored
-    in blocks whose (users·K, V) product fits ``_SCORE_BLOCK_BYTES``. An
-    excluded item outside 0..V-1 is rejected.
+    An excluded item outside 0..V-1 is rejected.
     """
-    sizes = [len(ex) for ex in excludes]
-    exclude = (np.repeat(np.arange(len(excludes)), sizes),
-               np.fromiter(chain.from_iterable(excludes), np.int64, sum(sizes)))
-    bad = exclude[1][(exclude[1] < 0) | (exclude[1] >= e_global.shape[0])]
+    items = np.fromiter(exclude or (), np.int64)
+    bad = items[(items < 0) | (items >= e_global.shape[0])]
     if bad.size:
         raise ValueError(f"excluded item {bad[0]} outside 0..{e_global.shape[0] - 1}")
-    ranked = _rank_rows(interests, e_global.T, n, exclude)
-    return [row[:m] for row, m in zip(ranked, np.asarray(n).tolist())]
+    return _rank_rows(np.atleast_2d(interest_vectors)[None], e_global.T, [n],
+                      (np.zeros(items.size, np.int64), items))[0, :n]
 
 
 def _rank_rows(interests, items_t, n, exclude: tuple) -> np.ndarray:
-    """``top_n_rows`` against the item table laid out as (d, V).
+    """Exact max-inner-product scan over all items for each row of
+    ``interests`` (U, K, d), against the item table laid out as (d, V).
 
-    ``exclude`` is (row, item) pairs sorted by row. Row u's ranking fills
-    ``out[u, :n[u]]`` of a (U, max n) matrix padded with -1. A block takes
+    Each item's score is the max over the row's K interests. ``exclude`` is
+    (row, item) pairs sorted by row. Row u's best ``n[u]`` items fill
+    ``out[u, :n[u]]`` of a (U, max n) matrix padded with -1. Only candidates
+    are ranked, so padding and excluded items never appear whatever the
+    scores; ties rank the smaller index first and NaN scores rank last.
+    Rows are scored in blocks whose (rows·K, V) product fits
+    ``_SCORE_BLOCK_BYTES``. A block takes
     the product and the max over K, then selects each row's top n without
     partitioning all V scores: the n-th best of about 4·max n chunk bests is
     a lower bound, and only the scores that reach it are sorted (block
     max-pruning, as in Block-Max WAND, Ding & Suel, SIGIR 2011).
 
     BLAS multiplies a C-contiguous (d, V) table about twice as fast as the
-    transposed view of the (V, d) one, so ``evaluate`` copies the table once
+    transposed view of the (V, d) one, so ``recommend`` copies the table once
     per call; the one-row ``top_n`` keeps the view, which costs less than
     the copy.
     """
@@ -243,29 +234,64 @@ def _windows(columns: tuple, prefix_lens, dims: ModelDims,
                                  time_unit_seconds), mask
 
 
-def _batched_interests(columns: tuple, prefix_lens, params: ModelParams,
-                       e_global: np.ndarray, time_unit_seconds: int,
-                       residual: bool) -> np.ndarray:
-    """Interests of each row of ``columns`` from its first ``prefix_lens``
-    items, reading the window rows of the full (V, d) global table."""
-    with ad.no_grad():
-        interests, _ = forward_from_table(
-            params, ad.Tensor(e_global),
-            *_windows(columns, prefix_lens, params.dims, time_unit_seconds),
-            residual=residual)
-    return interests.data
+def _unique_pairs(rows: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (row, item) pairs, sorted by row, then item."""
+    width = int(items.max(initial=0)) + 1
+    # sort and drop repeats: plain np.unique hashes first, several times slower
+    keys = np.sort(rows * width + items)
+    return np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], width)
+
+
+def recommend(params: ModelParams, a_norm: sp.csr_matrix, sequences: Sequences, n: int,
+              time_unit_seconds: int = 86400, residual: bool = False,
+              threads: int = 1) -> np.ndarray:
+    """Each row's ranked list, as a (rows, n) int64 matrix.
+
+    Row r ranks the exact top n (``_rank_rows``) for the interests of its
+    window over all of ``sequences[r]``, and never an item that row holds.
+    A row with fewer than n candidates lists them all, left-aligned, and
+    -1 after them. One global table serves every row; rows are fed to the
+    forward pass ``_EVAL_CHUNK`` at a time, on ``threads`` threads.
+    """
+    count = len(sequences)
+    ranked = np.full((count, n), -1, dtype=np.int64)
+    if not count:
+        return ranked
+    e_global = compute_global_table(params, a_norm)
+    items_t = np.ascontiguousarray(e_global.T)
+    exclude = _unique_pairs(np.repeat(np.arange(count), sequences.lengths),
+                            sequences.items)
+    lengths = np.minimum(n, items_t.shape[1] - 1 - np.bincount(exclude[0], minlength=count))
+
+    def run_chunk(lo):
+        hi = lo + _EVAL_CHUNK
+        windows = _windows((sequences.items, sequences.timestamps, sequences.starts[lo:hi],
+                            sequences.lengths[lo:hi]),
+                           sequences.lengths[lo:hi], params.dims, time_unit_seconds)
+        with ad.no_grad():
+            interests, _ = forward_from_table(params, ad.Tensor(e_global), *windows,
+                                              residual=residual)
+        block = _rank_rows(interests.data, items_t, lengths[lo:hi],
+                           _pairs_in(exclude, lo, hi))
+        ranked[lo:hi, :block.shape[1]] = block
+
+    chunks = range(0, count, _EVAL_CHUNK)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_chunk, chunks))
+    else:
+        for lo in chunks:
+            run_chunk(lo)
+    return ranked
 
 
 @dataclass
 class Holdout:
-    """The scored users' 80/20 split: row r is ``sequences[r]``, and its first
-    ``prefix[r]`` items are the input. ``exclude`` and ``truth`` are the
-    unique (row, item) pairs of the prefixes and of the held-out rests,
-    sorted by row, then item."""
+    """The scored users' 80/20 split: row r of ``prefixes`` is a scored
+    user's input, and ``truth`` is the unique (row, item) pairs of the
+    held-out rests, sorted by row, then item."""
 
-    sequences: Sequences
-    prefix: np.ndarray
-    exclude: tuple[np.ndarray, np.ndarray]
+    prefixes: Sequences
     truth: tuple[np.ndarray, np.ndarray]
 
 
@@ -286,14 +312,8 @@ def holdout_split(sequences: Sequences, user_indices) -> Holdout:
     prefix = (8 * lengths) // 10
     row = np.repeat(np.arange(lengths.size), lengths)
     in_prefix = np.arange(items.size) - scored.starts[row] < prefix[row]
-    width = int(items.max(initial=0)) + 1
-
-    def pairs(keep):
-        # sort and drop repeats: plain np.unique hashes first, several times slower
-        keys = np.sort(row[keep] * width + items[keep])
-        return np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], width)
-
-    return Holdout(scored, prefix, pairs(in_prefix), pairs(~in_prefix))
+    return Holdout(Sequences(items[in_prefix], scored.timestamps[in_prefix], prefix),
+                   _unique_pairs(row[~in_prefix], items[~in_prefix]))
 
 
 def _check_cutoffs(n_list: tuple[int, ...]) -> None:
@@ -304,7 +324,7 @@ def _check_cutoffs(n_list: tuple[int, ...]) -> None:
 def _score(split: Holdout, ranked: np.ndarray, n_list: tuple[int, ...]) -> MetricsReport:
     """Average each N's (recall, ndcg, hit) over the split's users, one
     ``ranked`` row each; zeros when there are none."""
-    count = len(split.sequences)
+    count = len(split.prefixes)
     if not count:
         return MetricsReport({n: MetricRow(0.0, 0.0, 0.0) for n in n_list}, 0)
     rows = _metric_rows(_hit_matrix(ranked, split.truth),
@@ -317,41 +337,16 @@ def evaluate(sequences: Sequences, user_indices: np.ndarray,
              params: ModelParams, a_norm: sp.csr_matrix,
              n_list: tuple[int, ...] = (20, 50), time_unit_seconds: int = 86400,
              residual: bool = False, threads: int = 1) -> MetricsReport:
-    """80/20 protocol over the given users (see ``holdout_split``).
+    """80/20 protocol over the given users (see ``holdout_split``): each
+    prefix's ``recommend`` list against its held-out rest.
 
     Prefix items are excluded from the candidate pool; a user with fewer
     candidates than max(n_list) is scored on the shorter ranked list.
     """
     _check_cutoffs(n_list)
     split = holdout_split(sequences, user_indices)
-    count, n_max = len(split.sequences), max(n_list)
-    ranked = np.full((count, n_max), -1, dtype=np.int64)
-    if not count:
-        return _score(split, ranked, n_list)
-
-    e_global = compute_global_table(params, a_norm)
-    items_t = np.ascontiguousarray(e_global.T)
-    n = np.minimum(n_max, items_t.shape[1] - 1
-                   - np.bincount(split.exclude[0], minlength=count))
-
-    def run_chunk(lo):
-        hi = lo + _EVAL_CHUNK
-        seqs = split.sequences
-        interests = _batched_interests(
-            (seqs.items, seqs.timestamps, seqs.starts[lo:hi], seqs.lengths[lo:hi]),
-            split.prefix[lo:hi], params, e_global, time_unit_seconds, residual)
-        block = _rank_rows(interests, items_t, n[lo:hi],
-                           _pairs_in(split.exclude, lo, hi))
-        ranked[lo:hi, :block.shape[1]] = block
-
-    chunks = range(0, count, _EVAL_CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, chunks))
-    else:
-        for lo in chunks:
-            run_chunk(lo)
-    return _score(split, ranked, n_list)
+    return _score(split, recommend(params, a_norm, split.prefixes, max(n_list),
+                                   time_unit_seconds, residual, threads), n_list)
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +387,9 @@ def evaluate_ranker(sequences: Sequences, user_indices: np.ndarray,
     """
     _check_cutoffs(n_list)
     split = holdout_split(sequences, user_indices)
-    count, n_max = len(split.sequences), max(n_list)
+    count, n_max = len(split.prefixes), max(n_list)
     ranked = np.full((count, n_max), -1, dtype=np.int64)
-    rows, items = split.exclude
-    bounds = np.searchsorted(rows, np.arange(count + 1)).tolist()
     for r in range(count):
-        exclude = set(items[bounds[r]:bounds[r + 1]].tolist())
-        row = np.asarray(rank_fn(n_max, exclude))[:n_max]
+        row = np.asarray(rank_fn(n_max, set(split.prefixes[r].items.tolist())))[:n_max]
         ranked[r, :len(row)] = row
     return _score(split, ranked, n_list)

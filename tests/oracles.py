@@ -24,7 +24,7 @@ from gimirec.ingest import (MIN_INTERACTIONS, BinaryReader, Sequences, Vocab,
 # ingestion
 
 def parse_columns_per_line(path, delimiter):
-    """``ingest._read_columns`` as the per-line text loop it replaced:
+    """``ingest.read_columns`` as the per-line text loop it replaced:
     (users, items, int64 timestamps, 1-based line numbers, rejects), with
     the ids as strings."""
     users: list[str] = []
@@ -104,7 +104,7 @@ def filter_and_index_reference(records):
 
 
 def index_columns_split(users, user_ids, items, item_raw, timestamps):
-    """``ingest._index_columns`` as it was before it returned columns: the
+    """``ingest.index_columns`` as it was before it returned columns: the
     same filter and order, then one (items, timestamps) pair per user, cut
     with ``np.split``; also the item ids (index 1 up) and the user ids."""
     keep = timestamps > 0

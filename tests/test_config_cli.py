@@ -72,6 +72,19 @@ class TestConfig:
         # explicit key=value override still wins
         assert load_config(overrides=["seed=5"]).seed == 5
 
+    @pytest.mark.parametrize("override", ["seed=-1", "threads=0", "threads=-3"])
+    def test_negative_seed_and_threads_below_one_rejected(self, override):
+        key, value = override.split("=")
+        with pytest.raises(ConfigError, match=f"^{key} must be >= ., got {value}$"):
+            load_config(overrides=[override])
+
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_env_seed_must_be_a_non_negative_integer(self, monkeypatch, value):
+        monkeypatch.setenv("GIMI_SEED", value)
+        with pytest.raises(ConfigError, match=f"^GIMI_SEED must be a non-negative "
+                                              f"integer, got '{value}'$"):
+            load_config()
+
     def test_variant_parsing(self):
         hp = load_config(overrides=["variant=no_IN"])
         assert hp.variant is AblationVariant.NO_IN
@@ -293,6 +306,40 @@ class TestCliPipeline:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: -n must be at least 1, got {n}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["prepare", "--input", "log.csv", "--out", "bundle"],
+        ["train", "--bundle", "bundle", "--out", "run"],
+        ["eval", "--bundle", "bundle", "--checkpoint", "checkpoint.bin"]])
+    @pytest.mark.parametrize("override, env", [("seed=-1", None), ("threads=0", None),
+                                               ("threads=-3", None), (None, "-1")])
+    def test_negative_seed_and_threads_below_one_rejected(self, tmp_path, capsys,
+                                                          monkeypatch, command,
+                                                          override, env):
+        # rejected before any file is read
+        monkeypatch.chdir(tmp_path)
+        if env is not None:
+            monkeypatch.setenv("GIMI_SEED", env)
+        assert main([*command, *(["--set", override] if override else [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        key = override.split("=")[0] if override else "GIMI_SEED"
+        assert captured.err.startswith(f"error: {key} must be ")
+
+    @pytest.mark.parametrize("command, flag, raw", [
+        (["recommend", "--checkpoint", "checkpoint.bin", "-n", "3"], "--users", "1,,2"),
+        (["eval", "--checkpoint", "checkpoint.bin"], "--n", "20,x"),
+        (["ablate", "--out", "ablate"], "--seeds", "0,1.5")])
+    def test_list_flag_not_integers_rejected(self, tmp_path, capsys, monkeypatch,
+                                             command, flag, raw):
+        # rejected before any file is read or written
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--bundle", "no_bundle", flag, raw]) == 1
+        assert list(tmp_path.iterdir()) == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {flag} must be comma-separated integers, "
+                                f"got {raw!r}\n")
 
     @pytest.mark.parametrize("users", ["-1", "0,40"])
     def test_recommend_rejects_user_outside_bundle(self, mini_corpus, tmp_path,

@@ -232,10 +232,10 @@ class TestFilterAndIndex:
                 users, user_ids, items, item_ids, timestamps)
         except ValueError:
             with pytest.raises(ValueError, match="too sparse"):
-                ingest._index_columns(users, user_ids, items, item_ids, timestamps)
+                ingest.index_columns(users, user_ids, items, item_ids, timestamps)
             return
-        seqs, vocab, got_users = ingest._index_columns(users, user_ids, items,
-                                                       item_ids, timestamps)
+        seqs, vocab, got_users = ingest.index_columns(users, user_ids, items,
+                                                      item_ids, timestamps)
         assert (got_users, vocab.index_to_raw[1:]) == (want_users, want_items)
         assert len(seqs) == len(want)
         for got, (want_items, want_ts) in zip(seqs, want):
@@ -253,10 +253,10 @@ ODD_LINES = ["u1,i2", "u1,i2,3,4", ",i2,3", "u1,,3", "u1,i2,x", "u1,i2,",
 
 
 def assert_parse_matches_per_line_oracle(path, delimiter):
-    """``_read_columns`` equals the per-line text loop with dict coding; the
+    """``read_columns`` equals the per-line text loop with dict coding; the
     oracle's (users, items, timestamps, rejects)."""
     users, items, timestamps, lines, rejects = parse_columns_per_line(path, delimiter)
-    got = ingest._read_columns(path, delimiter)
+    got = ingest.read_columns(path, delimiter)
     for codes, ids, want in ((got.users, got.user_ids, users),
                              (got.items, got.item_ids, items)):
         want_codes, want_ids = code_by_first_appearance_dict(want)

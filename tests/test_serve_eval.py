@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from gimirec import autodiff as ad
 from gimirec import serve_eval
 from gimirec.config import HyperParams
-from gimirec.ingest import prepare
-from gimirec.model import ModelDims, ModelParams, cast_adjacency, forward_interests
+from gimirec.ingest import Sequences, prepare
+from gimirec.model import (ModelDims, ModelParams, cast_adjacency, forward_from_table,
+                           forward_interests)
 from gimirec.recent import make_window, stack_windows
-from gimirec.serve_eval import (MetricRow, MetricsReport, _batched_interests,
-                                compute_global_table,
+from gimirec.serve_eval import (MetricRow, MetricsReport, compute_global_table,
                                 evaluate, evaluate_ranker, infer_interests,
                                 metrics, popularity_counts, popularity_top_n,
-                                random_top_n, top_n, top_n_rows)
+                                random_top_n, recommend, top_n)
 from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 from gimirec.train import build_adjacency_from_bundle
 
@@ -154,7 +154,7 @@ class TestTopN:
         with pytest.raises(ValueError, match=f"^excluded item {bad} outside 0..5$"):
             top_n(np.ones((1, 2)), e_global, 3, exclude={bad})
         with pytest.raises(ValueError, match=f"^excluded item {bad} outside 0..5$"):
-            top_n_rows(np.ones((2, 1, 2)), e_global, [3, 3], [{2}, {1, bad}])
+            top_n(np.ones((1, 2)), e_global, 3, exclude={1, bad})
 
 
 def _edge_case_rows(rng):
@@ -173,7 +173,22 @@ def _edge_case_rows(rng):
     return interests, e_global, excludes
 
 
-class TestTopNRows:
+def _pairs(excludes) -> tuple:
+    """One exclusion set per row as (row, item) pairs, sorted by row."""
+    return (np.repeat(np.arange(len(excludes)), [len(ex) for ex in excludes]),
+            np.array([i for ex in excludes for i in sorted(ex)], dtype=np.int64))
+
+
+def _assert_rows_match_per_user_scan(ranked, interests, e_global, ns, excludes):
+    """Row r holds ``top_n_per_user``'s ns[r] items, then -1."""
+    assert ranked.shape == (len(excludes), max(ns, default=0))
+    for vecs, m, ex, row in zip(interests, ns, excludes, ranked):
+        expect = oracles.top_n_per_user(vecs, e_global, m, ex)
+        np.testing.assert_array_equal(row[:m], expect)
+        assert (row[m:] == -1).all()
+
+
+class TestRankRows:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
@@ -188,12 +203,9 @@ class TestTopNRows:
                        int(rng.integers(1, 4)) * per_block)
             for n in range(max(counts) + 1):
                 ns = np.minimum(n, counts)
-                got = top_n_rows(interests, e_global, ns, excludes)
-                assert len(got) == len(excludes)
-                for vecs, m, ex, row in zip(interests, ns, excludes, got):
-                    expect = oracles.top_n_per_user(vecs, e_global, m, ex)
-                    assert row.dtype == expect.dtype
-                    np.testing.assert_array_equal(row, expect)
+                got = serve_eval._rank_rows(interests, e_global.T, ns, _pairs(excludes))
+                assert got.dtype == np.int64
+                _assert_rows_match_per_user_scan(got, interests, e_global, ns, excludes)
             # a row asked for more than its candidates fails as top_n does
             short = int(np.argmin(counts))
             ns = np.minimum(max(counts), counts)
@@ -202,11 +214,12 @@ class TestTopNRows:
                 oracles.top_n_per_user(interests[short], e_global, ns[short],
                                        excludes[short])
             with pytest.raises(ValueError, match=f"^{expected.value}$"):
-                top_n_rows(interests, e_global, ns, excludes)
+                serve_eval._rank_rows(interests, e_global.T, ns, _pairs(excludes))
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError, match="cannot rank -1 items"):
-            top_n_rows(np.ones((2, 1, 2)), np.ones((5, 2)), [3, -1], [set(), set()])
+            serve_eval._rank_rows(np.ones((2, 1, 2)), np.ones((2, 5)), [3, -1],
+                                  _pairs([set(), set()]))
 
     def test_float32_rows_match_per_user_scan(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -214,10 +227,9 @@ class TestTopNRows:
         interests = rng.normal(size=(37, 4, 16)).astype(np.float32)
         excludes = [set(rng.integers(1, 400, size=30).tolist()) for _ in range(37)]
         monkeypatch.setattr(serve_eval, "_SCORE_BLOCK_BYTES", 5 * 4 * 400 * 4)
-        got = top_n_rows(interests, e_global, [50] * 37, excludes)
-        for vecs, ex, row in zip(interests, excludes, got):
-            np.testing.assert_array_equal(
-                row, oracles.top_n_per_user(vecs, e_global, 50, ex))
+        got = serve_eval._rank_rows(interests, np.ascontiguousarray(e_global.T),
+                                    [50] * 37, _pairs(excludes))
+        _assert_rows_match_per_user_scan(got, interests, e_global, [50] * 37, excludes)
 
 
 CHUNK_CASES = ["chunks_excluded", "few_candidate_chunks", "few_items",
@@ -267,10 +279,8 @@ def _chunk_bound_case(rng, case):
             n.append(count + 1)   # one more than its candidates: rejected
         else:
             n.append(min(int(rng.integers(0, n_max + 1)), count))
-        excludes.append(sorted(ex))
-    pairs = (np.repeat(np.arange(users), [len(ex) for ex in excludes]),
-             np.array([i for ex in excludes for i in ex], dtype=np.int64))
-    return interests, np.ascontiguousarray(table.T), np.array(n), pairs
+        excludes.append(ex)
+    return interests, np.ascontiguousarray(table.T), np.array(n), _pairs(excludes)
 
 
 def _assert_ranks_like_full_partition(interests, items_t, n, pairs):
@@ -372,7 +382,7 @@ class TestInferAndEvaluate:
         expect, _ = forward_interests(params, a_norm, items, buckets, mask)
         np.testing.assert_array_equal(got, expect.data[0])
 
-    def test_batched_interests_match_full_global_table(self, monkeypatch):
+    def test_table_forward_matches_adjacency_rows(self, monkeypatch):
         seqs, base_params, base_a_norm = build_model(6)
         # single-item, partial and full windows (l_rec = 4); a fully padded
         # one is rejected the same way by every path
@@ -384,23 +394,23 @@ class TestInferAndEvaluate:
 
         for dtype in (np.float32, np.float64):
             params, a_norm = base_params.astype(dtype), base_a_norm.astype(dtype)
-            e_global = compute_global_table(params, a_norm)
-            with pytest.raises(ValueError, match="no center"):
-                _batched_interests(columns(first), [0], params, e_global, 1, False)
-            got = _batched_interests(columns(picks), prefixes, params, e_global, 1,
-                                     False)
+            e_global = ad.Tensor(compute_global_table(params, a_norm))
 
-            def from_adjacency(columns, prefix_lens):
+            def forward(columns, prefix_lens, from_table):
                 windows = serve_eval._windows(columns, prefix_lens, params.dims, 1)
                 with ad.no_grad():
+                    if from_table:
+                        return forward_from_table(params, e_global, *windows)[0].data
                     return forward_interests(params, a_norm, *windows)[0].data
 
-            with pytest.raises(ValueError, match="no center"):
-                from_adjacency(columns(first), [0])
-            rows = from_adjacency(columns(picks), prefixes)
+            for from_table in (True, False):
+                with pytest.raises(ValueError, match="no center"):
+                    forward(columns(first), [0], from_table)
+            got = forward(columns(picks), prefixes, True)
+            rows = forward(columns(picks), prefixes, False)
             with monkeypatch.context() as mp:
                 mp.setattr(ad, "spmm_rows", oracles.spmm_full_table)
-                full = from_adjacency(columns(picks), prefixes)
+                full = forward(columns(picks), prefixes, False)
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, rows)
             np.testing.assert_array_equal(got, full)
@@ -548,6 +558,37 @@ class TestInferAndEvaluate:
         payload = report.to_dict()
         assert set(payload["metrics"]) == {"2", "4"}
         assert set(payload["metrics"]["2"]) == {"recall", "ndcg", "hit_rate"}
+
+
+class TestRecommend:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_match_per_user_scan(self, monkeypatch, threads):
+        seqs, params, a_norm = build_model(9)
+        # a repeated user, and one holding 10 of the 12 items: 2 candidates
+        sequences = seqs.subset([0, 3, 0, 5, 1, 2, 4])
+        sequences = sequences_of(*((s.items, s.timestamps) for s in sequences),
+                                 (np.r_[1:11], np.arange(1, 11)))
+        monkeypatch.setattr(serve_eval, "_EVAL_CHUNK", 3)
+        n = 4
+        got = recommend(params, a_norm, sequences, n, 1, threads=threads)
+        assert got.dtype == np.int64
+        e_global = compute_global_table(params, a_norm)
+        excludes = [set(s.items.tolist()) for s in sequences]
+        interests = [infer_interests(s, len(s), params, a_norm, 1) for s in sequences]
+        ns = [min(n, e_global.shape[0] - 1 - len(ex)) for ex in excludes]
+        assert ns[-1] == 2
+        _assert_rows_match_per_user_scan(got, interests, e_global, ns, excludes)
+        np.testing.assert_array_equal(got[0], got[2])
+
+    def test_empty_sequences_skip_the_global_table(self, monkeypatch):
+        _, params, a_norm = build_model(9)
+
+        def never(*_):
+            raise AssertionError("computed the global table for no rows")
+
+        monkeypatch.setattr(serve_eval, "compute_global_table", never)
+        got = recommend(params, a_norm, Sequences([], [], []), 5)
+        assert got.shape == (0, 5) and got.dtype == np.int64
 
 
 class TestBaselines:
