@@ -24,6 +24,8 @@ from .recent import cut_windows, window_buckets
 _EVAL_CHUNK = 256
 # cap on one block's (rows·K, V) score product in _rank_rows
 _SCORE_BLOCK_BYTES = 4 << 20
+# _norm_head: T = max(V // 16, 8·n) items, and no head when T + 1 > V // 4
+_HEAD_SHARE, _HEAD_PER_N, _HEAD_CAP = 16, 8, 4
 
 
 @dataclass
@@ -118,38 +120,90 @@ def top_n(interest_vectors: np.ndarray, e_global: np.ndarray, n: int,
                       (np.zeros(items.size, np.int64), items))[0, :n]
 
 
-def _rank_rows(interests, items_t, n, exclude: tuple) -> np.ndarray:
-    """Exact max-inner-product scan over all items for each row of
-    ``interests`` (U, K, d), against the item table laid out as (d, V).
+def _rank_rows(interests, items_t, n, exclude: tuple, head=None) -> np.ndarray:
+    """Exact max-inner-product scan for each row of ``interests`` (U, K, d)
+    against the item table laid out as (d, V).
 
-    Each item's score is the max over the row's K interests. ``exclude`` is
-    (row, item) pairs sorted by row. Row u's best ``n[u]`` items fill
-    ``out[u, :n[u]]`` of a (U, max n) matrix padded with -1. Only candidates
-    are ranked, so padding and excluded items never appear whatever the
-    scores; ties rank the smaller index first and NaN scores rank last.
-    Rows are scored in blocks whose (rows·K, V) product fits
-    ``_SCORE_BLOCK_BYTES``. A block takes
-    the product and the max over K, then selects each row's top n without
-    partitioning all V scores: the n-th best of about 4·max n chunk bests is
-    a lower bound, and only the scores that reach it are sorted (block
-    max-pruning, as in Block-Max WAND, Ding & Suel, SIGIR 2011).
-
-    BLAS multiplies a C-contiguous (d, V) table about twice as fast as the
-    transposed view of the (V, d) one, so ``recommend`` copies the table once
-    per call; the one-row ``top_n`` keeps the view, which costs less than
-    the copy.
+    Each item scores the max over the row's K interests, and row u's best
+    ``n[u]`` items fill ``out[u, :n[u]]`` of a (U, max n) matrix padded with
+    -1. ``exclude`` is (row, item) pairs sorted by row. Only candidates are
+    ranked, so padding and excluded items never appear whatever the scores;
+    ties rank the smaller index first and NaN scores rank last. Rows are
+    ranked in blocks whose (rows·K, V) product fits ``_SCORE_BLOCK_BYTES``
+    (``_rank_block``); given a ``head`` (``_norm_head``), only the rows
+    ``_settle_in_head`` leaves open. BLAS multiplies ``recommend``'s
+    C-contiguous copy twice as fast as the (V, d) table's transposed view,
+    which the one-row ``top_n`` keeps: it costs less than the copy.
     """
     interests = np.asarray(interests)
     n = np.asarray(n, dtype=np.int64)
     out = np.full((len(n), int(n.max(initial=0))), -1, dtype=np.int64)
-    itemsize = np.result_type(interests, items_t).itemsize
-    block = max(1, _SCORE_BLOCK_BYTES
-                // (interests.shape[1] * items_t.shape[1] * itemsize))
-    for lo in range(0, len(interests), block):
-        hi = lo + block
-        _rank_block(interests[lo:hi], items_t, n[lo:hi],
-                    _pairs_in(exclude, lo, hi), out[lo:hi])
+    if head is not None and out.shape[1]:
+        open_rows = _settle_in_head(interests, n, exclude, head, out)
+        if not open_rows.all():
+            rows, items = (column[open_rows[exclude[0]]] for column in exclude)
+            ranked = _rank_rows(interests[open_rows], items_t, n[open_rows],
+                                (np.cumsum(open_rows)[rows] - 1, items))
+            out[open_rows, :ranked.shape[1]] = ranked
+            return out
+    for lo, block in _blocks(interests, items_t):
+        _rank_block(block, n[lo:lo + len(block)],
+                    _pairs_in(exclude, lo, lo + len(block)), out[lo:lo + len(block)])
     return out
+
+
+def _blocks(interests, items_t):
+    """(first row, max-over-K scores) per block of ``_SCORE_BLOCK_BYTES``."""
+    u, k, d = interests.shape
+    itemsize = np.result_type(interests, items_t).itemsize
+    rows = max(1, _SCORE_BLOCK_BYTES // (k * items_t.shape[1] * itemsize))
+    for lo in range(0, u, rows):
+        block = interests[lo:lo + rows]
+        yield lo, (block.reshape(-1, d) @ items_t).reshape(len(block), k, -1).max(axis=1)
+
+
+def _norm_head(e_global: np.ndarray, n: int):
+    """Padding row 0 plus the T = max(V // 16, 8·n) largest-norm items in
+    index order: (items, their (d, T+1) table, each item's position or 0, R =
+    the largest row norm outside); None if T + 1 > V // 4 or a norm is not finite."""
+    v, x = e_global.shape[0], e_global.astype(np.float64)
+    t = max(v // _HEAD_SHARE, _HEAD_PER_N * n)
+    norms = np.sqrt(np.einsum("vd,vd->v", x, x))
+    if t + 1 > v // _HEAD_CAP or not np.isfinite(norms).all():
+        return None
+    order = np.argpartition(norms[1:], v - 1 - t) + 1
+    items = np.r_[0, np.sort(order[v - 1 - t:])]
+    position = np.zeros(v, dtype=np.int64)
+    position[items] = np.arange(t + 1)
+    return items, e_global[items].T.copy(), position, norms[order[:v - 1 - t]].max()
+
+
+def _settle_in_head(interests, n, exclude, head, out) -> np.ndarray:
+    """Rank the rows against the head, fill ``out`` from it, and return the
+    mask of the rows it does not settle (norm-ordered search with a
+    Cauchy-Schwarz stop: LEMP, Teflioudi et al., SIGMOD 2015). No outside
+    item scores above max_k ‖q_k‖ · R, and a d-term dot product rounds up by
+    less than a factor 1 + 2·d·ε (ε: the dtype's machine epsilon) plus d·η
+    of underflow (η: its smallest subnormal). So a row whose n-th head score
+    is finite and beats that bound has its top n in the head, and no outside
+    item ties it; NaN or inf interests fail the test."""
+    items, head_t, position, outside = head
+    d, finfo = interests.shape[2], np.finfo(np.result_type(interests, head_t))
+    bound = ((1 + 2 * d * finfo.eps) * outside * np.sqrt(np.einsum(
+        "ukd,ukd->uk", interests, interests, dtype=np.float64)).max(axis=1)
+        + d * finfo.smallest_subnormal)
+    score = np.concatenate([block for _, block in _blocks(interests, head_t)])
+    # excluded items score -inf, which fails the test; off-head ones hit padding
+    score[exclude[0], position[exclude[1]]] = -np.inf
+    # a row settles only if n head scores beat the bound: try its best first
+    hope = (n > 0) & (score.max(axis=1) > bound)
+    hope[hope] = (score[hope] > bound[hope, None]).sum(axis=1) >= n[hope]
+    ranked = np.full((np.count_nonzero(hope), out.shape[1]), -1)
+    _rank_block(score[hope], n[hope], ([], []), ranked)
+    out[hope] = np.where(ranked >= 0, items[ranked], -1)
+    nth = score[hope][np.arange(len(ranked)), ranked[np.arange(len(ranked)), n[hope] - 1]]
+    hope[hope] = (bound[hope] < nth) & np.isfinite(nth)
+    return (n != 0) & ~hope
 
 
 def _pairs_in(pairs: tuple, lo: int, hi: int) -> tuple:
@@ -160,17 +214,16 @@ def _pairs_in(pairs: tuple, lo: int, hi: int) -> tuple:
     return rows[a:b] - lo, items[a:b]
 
 
-def _rank_block(interests, items_t, n, exclude, out) -> None:
-    u, k, d = interests.shape
-    v = items_t.shape[1]
-    score = (interests.reshape(u * k, d) @ items_t).reshape(u, k, v).max(axis=1)
+def _rank_block(score, n, exclude, out) -> None:
+    u, v = score.shape
     # selection key, larger first: NaN scores tie with -inf ones, and padding
     # and excluded items are NaN, which no comparison selects
     key = np.fmax(score, -np.inf)
     key[exclude] = np.nan
     key[:, 0] = np.nan
     # the n-th best of the per-chunk bests bounds a row's n-th best key from
-    # below: any n chunk bests are n distinct candidates. Chunk j holds the
+    # below (block max-pruning, as in Block-Max WAND, Ding & Suel, SIGIR
+    # 2011): any n chunk bests are n distinct candidates. Chunk j holds the
     # c items j, j + m, j + 2m, ..., so the bests are c elementwise passes
     # over m keys. The last v - c·m items belong to no chunk, which keeps
     # the bound a lower bound; the pool below still reads them.
@@ -180,7 +233,7 @@ def _rank_block(interests, items_t, n, exclude, out) -> None:
     kth = np.minimum(np.maximum(n, 1), m) - 1
     # NaN (no candidate) sorts last: a row with fewer than n chunks holding
     # a candidate reads NaN, and its bound -inf pools every candidate
-    bound = np.fmax(-np.partition(-best, sorted(set(kth.tolist())), axis=1)
+    bound = np.fmax(-np.partition(-best, np.unique(kth), axis=1)
                     [np.arange(u), kth], -np.inf)
     # the pool holds each row's top n; sort it by row, then score with NaN
     # last, then index: the head of each row's full stable sort
@@ -253,12 +306,19 @@ def recommend(params: ModelParams, a_norm: sp.csr_matrix, sequences: Sequences, 
     -1 after them. One global table serves every row; rows are fed to the
     forward pass ``_EVAL_CHUNK`` at a time, on ``threads`` threads.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    last = params.dims.n_items - 1
+    bad = sequences.items[(sequences.items < 1) | (sequences.items > last)]
+    if bad.size:
+        raise ValueError(f"item {bad[0]} outside 1..{last}")
     count = len(sequences)
     ranked = np.full((count, n), -1, dtype=np.int64)
     if not count:
         return ranked
     e_global = compute_global_table(params, a_norm)
     items_t = np.ascontiguousarray(e_global.T)
+    head = _norm_head(e_global, n)
     exclude = _unique_pairs(np.repeat(np.arange(count), sequences.lengths),
                             sequences.items)
     lengths = np.minimum(n, items_t.shape[1] - 1 - np.bincount(exclude[0], minlength=count))
@@ -272,7 +332,7 @@ def recommend(params: ModelParams, a_norm: sp.csr_matrix, sequences: Sequences, 
             interests, _ = forward_from_table(params, ad.Tensor(e_global), *windows,
                                               residual=residual)
         block = _rank_rows(interests.data, items_t, lengths[lo:hi],
-                           _pairs_in(exclude, lo, hi))
+                           _pairs_in(exclude, lo, hi), head)
         ranked[lo:hi, :block.shape[1]] = block
 
     chunks = range(0, count, _EVAL_CHUNK)

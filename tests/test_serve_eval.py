@@ -325,6 +325,97 @@ class TestChunkBoundSelection:
         _assert_ranks_like_full_partition(interests, items_t, n, pairs)
 
 
+HEAD_CASES = ["hubs", "ties", "special", "head_excluded", "few_in_head"]
+
+
+def _head_case(rng, case):
+    """(interests (U, K, d), table (V, d), n, exclude pairs, n_max) for
+    ``_rank_rows``' head path, with n_max = max n. A few table rows are hubs,
+    scaled ×5-50, and V is large enough for ``_norm_head`` to build a head.
+    Integer cases (every "ties" one) keep every score exact."""
+    n_max = int(rng.integers(1, 4))
+    v = int(rng.integers(36 * n_max, 36 * n_max + 150))
+    d, users, k = (int(x) for x in rng.integers(1, [5, 9, 4]))
+    dtype = (np.float32, np.float64)[rng.integers(2)]
+    if case == "ties" or rng.random() < 0.5:
+        table = rng.integers(-2, 3, size=(v, d)).astype(np.float64)
+        interests = rng.integers(-2, 3, size=(users, k, d)).astype(np.float64)
+    else:
+        table, interests = rng.normal(size=(v, d)), rng.normal(size=(users, k, d))
+    hubs = rng.integers(1, v, size=rng.integers(1, 3 * 8 * n_max))
+    table[hubs] *= rng.integers(5, 51, size=(hubs.size, 1))
+    if case == "special":
+        special = rng.choice([np.nan, np.inf, -np.inf], size=2)
+        if rng.random() < 0.5:   # no head is built
+            table[rng.integers(v, size=2), rng.integers(d, size=2)] = special
+        else:
+            interests[rng.integers(users, size=2), rng.integers(k, size=2),
+                      rng.integers(d, size=2)] = special
+    head = serve_eval._norm_head(table.astype(dtype), n_max)
+    excludes = []
+    for _ in range(users):
+        ex = set(rng.integers(1, v, size=rng.integers(0, 6)).tolist())
+        if head is not None and case in ("head_excluded", "few_in_head") \
+                and rng.random() < 0.5:
+            # every head item, or all but fewer than n_max of them
+            keep = 0 if case == "head_excluded" else int(rng.integers(n_max))
+            ex.update(rng.permutation(head[0][1:])[keep:].tolist())
+        excludes.append(ex)
+    n = np.r_[n_max, rng.integers(0, n_max + 1, size=users - 1)]
+    return (interests.astype(dtype), table.astype(dtype), rng.permutation(n),
+            _pairs(excludes), n_max)
+
+
+class TestNormHead:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(HEAD_CASES))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_matches_full_row_partition(self, seed, case):
+        rng = np.random.default_rng(seed)
+        interests, table, n, pairs, n_max = _head_case(rng, case)
+        head = serve_eval._norm_head(table, n_max)
+        assert (head is None) == (case == "special" and not np.isfinite(table).all())
+        items_t = np.ascontiguousarray(table.T)
+        expect = oracles.rank_rows_full_partition(interests, items_t, n, pairs)
+        # blocks of 1-3 users, so one call spans several of them
+        per_block = interests.shape[1] * table.shape[0] * table.itemsize
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serve_eval, "_SCORE_BLOCK_BYTES",
+                       int(rng.integers(1, 4)) * per_block)
+            got = serve_eval._rank_rows(interests, items_t, n, pairs, head)
+        np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("a, b", [(1.3, 0.7), (1.6 * 2.0**-70, 2.0**-79),
+                                      (1e20, 1e19)])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    def test_outside_score_equal_to_nth_falls_back(self, monkeypatch, a, b):
+        # items 10-25 hold the 16 largest norms, so the head for n = 2 is
+        # them plus padding. Item 1 outside it computes the same float32
+        # score a·b as items 11-25: rounded up past the exact ‖q‖·R, also
+        # to a subnormal, or overflowed to inf. The row must fall back, and
+        # item 1 win the tie with item 11
+        table = np.tile(np.float32([b / 2, 0.0]), (128, 1))
+        table[1] = [b, 0.0]
+        table[10:26] = [b, 10 * b]
+        table[10, 0] = 2 * b
+        q = np.float32([[[a, 0.0]]])
+        assert (q @ table[1])[0, 0] > np.float64(q[0, 0, 0]) * np.float64(table[1, 0])
+        head = serve_eval._norm_head(table, 2)
+        np.testing.assert_array_equal(head[0], np.r_[0, 10:26])
+        assert head[3] == np.float32(b)
+        widths = []
+        rank_block = serve_eval._rank_block
+        monkeypatch.setattr(serve_eval, "_rank_block", lambda score, *args: (
+            widths.append(score.shape[1]), rank_block(score, *args))[1])
+        items_t = table.T.copy()
+        got = serve_eval._rank_rows(q, items_t, [2], _pairs([set()]), head)
+        assert widths == [17, 128]   # ranked in the head, then fell back
+        np.testing.assert_array_equal(got, oracles.rank_rows_full_partition(
+            q, items_t, np.array([2]), _pairs([set()])))
+        if a < 2:   # finite scores
+            np.testing.assert_array_equal(got, [[10, 1]])
+
+
 def build_model(seed, n_items=12, d=8, k=2, l_rec=4, l_time=5):
     from helpers import random_sequences
     from gimirec.global_context import AblationVariant, build_weighted_adjacency, extract_hop_pairs
@@ -362,6 +453,67 @@ def planted_model(tmp_path):
     users = np.r_[bundle.split.test_users, bundle.split.valid_users,
                   len(bundle.sequences)]
     return sequences, params, a_norm, users
+
+
+def hub_model(tmp_path):
+    """(sequences, params, a_norm, users): a planted-cluster bundle of ~400
+    items and a float32 model whose item table has five hub rows scaled
+    ×50; users are the test and valid splits."""
+    cfg = PlantedConfig(n_clusters=30, items_per_cluster=12, n_users=200,
+                        n_hot_items=8, n_tail_items=50)
+    write_log(tmp_path / "log.csv", planted_cluster_records(cfg, seed=4))
+    bundle, _ = prepare(tmp_path / "log.csv", tmp_path / "bundle", seed=4)
+    hp = HyperParams(d=16, k=3, l_rec=8, l_time=8, n_heads=2, n_layers=1)
+    a_norm = cast_adjacency(build_adjacency_from_bundle(bundle, hp).a_norm,
+                            np.float32)
+    v = bundle.split.item_vocab.size
+    dims = ModelDims(v, hp.d, hp.k, hp.l_rec, hp.l_time, hp.n_heads, hp.n_layers)
+    params = ModelParams.init(dims, np.random.default_rng(4), dtype=np.float32)
+    hubs = np.random.default_rng(0).choice(np.arange(1, v), 5, replace=False)
+    params.item_table.data[hubs] *= 50
+    users = np.r_[bundle.split.test_users, bundle.split.valid_users]
+    return bundle.sequences, params, a_norm, users
+
+
+class TestHeadInEvaluation:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_settled_rows_skip_the_full_scan(self, tmp_path, monkeypatch, threads):
+        sequences, params, a_norm, users = hub_model(tmp_path)
+        v = params.dims.n_items
+        full_rows = []
+        rank_block = serve_eval._rank_block
+
+        def counted(score, *args):
+            if score.shape[1] == v:
+                full_rows.append(len(score))
+            return rank_block(score, *args)
+
+        monkeypatch.setattr(serve_eval, "_rank_block", counted)
+        monkeypatch.setattr(serve_eval, "_EVAL_CHUNK", 16)
+        got = evaluate(sequences, users, params, a_norm, n_list=(5, 10), threads=threads)
+        with_head = sum(full_rows)
+        full_rows.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(serve_eval, "_norm_head", lambda *_: None)
+            expect = evaluate(sequences, users, params, a_norm, n_list=(5, 10),
+                              threads=threads)
+        assert got == expect
+        assert sum(full_rows) == got.user_count == users.size
+        assert 0 < with_head < users.size
+
+    def test_top_n_builds_no_head(self, tmp_path, monkeypatch):
+        sequences, params, a_norm, _ = hub_model(tmp_path)
+        e_global = compute_global_table(params, a_norm)
+        vectors = infer_interests(sequences[0], len(sequences[0]), params, a_norm)
+        assert serve_eval._norm_head(e_global, 10) is not None
+
+        def never(*_):
+            raise AssertionError("top_n built a head")
+
+        monkeypatch.setattr(serve_eval, "_norm_head", never)
+        monkeypatch.setattr(serve_eval, "_settle_in_head", never)
+        expect = oracles.top_n_per_user(vectors, e_global, 10, set())
+        np.testing.assert_array_equal(top_n(vectors, e_global, 10), expect)
 
 
 class TestInferAndEvaluate:
@@ -579,6 +731,23 @@ class TestRecommend:
         assert ns[-1] == 2
         _assert_rows_match_per_user_scan(got, interests, e_global, ns, excludes)
         np.testing.assert_array_equal(got[0], got[2])
+
+    @pytest.mark.parametrize("n, item, message", [
+        (-1, 5, "n must be at least 1, got -1"), (0, 5, "n must be at least 1, got 0"),
+        (4, 99, "item 99 outside 1..12"), (4, -1, "item -1 outside 1..12"),
+        (4, 0, "item 0 outside 1..12"), (4, 13, "item 13 outside 1..12")])
+    def test_bad_input_rejected_before_the_global_table(self, monkeypatch, n, item,
+                                                        message):
+        seqs, params, a_norm = build_model(9)
+        sequences = sequences_of((seqs[0].items, seqs[0].timestamps),
+                                 ([3, item, 4], [1, 2, 3]))
+
+        def never(*_):
+            raise AssertionError("computed the global table before the checks")
+
+        monkeypatch.setattr(serve_eval, "compute_global_table", never)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            recommend(params, a_norm, sequences, n)
 
     def test_empty_sequences_skip_the_global_table(self, monkeypatch):
         _, params, a_norm = build_model(9)
