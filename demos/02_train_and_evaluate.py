@@ -18,8 +18,8 @@ from gimirec.ingest import prepare
 from gimirec.model import load_checkpoint
 from gimirec.serve_eval import (compute_global_table, evaluate,
                                 evaluate_ranker, infer_interests,
-                                popularity_counts, popularity_top_n,
-                                random_top_n, top_n)
+                                popularity_counts, popularity_lists,
+                                random_lists, top_n)
 from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 from gimirec.train import build_adjacency_from_bundle, train_loop
 
@@ -47,11 +47,11 @@ with tempfile.TemporaryDirectory(prefix="gimirec-demo-") as tmp:
                      n_list=(20,)).per_n[20].recall
     counts = popularity_counts(bundle.train_sequences(), vocab.size)
     pop = evaluate_ranker(bundle.sequences, bundle.split.test_users,
-                          lambda n, ex: popularity_top_n(counts, n, ex),
+                          lambda prefixes, n: popularity_lists(counts, prefixes, n),
                           n_list=(20,)).per_n[20].recall
     rng = np.random.default_rng(0)
     rnd = evaluate_ranker(bundle.sequences, bundle.split.test_users,
-                          lambda n, ex: random_top_n(rng, vocab.size, n, ex),
+                          lambda prefixes, n: random_lists(rng, vocab.size, prefixes, n),
                           n_list=(20,)).per_n[20].recall
     print(f"\ntest recall@20:  model {model:.3f}  popularity {pop:.3f}  "
           f"random {rnd:.3f}")

@@ -80,19 +80,26 @@ def _load_bundle_checkpoint(args):
     return bundle, ckpt_path, params
 
 
-def _load_model_inputs(args):
-    bundle, ckpt_path, params = _load_bundle_checkpoint(args)
+def _load_adjacency(args, owner, n_items: int, dtype):
+    """``--adjacency`` (default: <bundle>/adjacency.bin) cast to ``dtype``;
+    it must have the ``n_items`` rows of ``owner`` (a checkpoint or bundle),
+    and every error names the file."""
     adj_path = Path(args.adjacency) if args.adjacency else Path(args.bundle) / "adjacency.bin"
     _require(adj_path, "run `gimirec gce --bundle ... --out ...` first")
     a_norm = read_adjacency(adj_path)
-    if a_norm.shape[0] != params.dims.n_items:
-        raise ValueError(f"{adj_path} has {a_norm.shape[0]} rows but {ckpt_path} "
-                         f"has {params.dims.n_items} items")
+    if a_norm.shape[0] != n_items:
+        raise ValueError(f"{adj_path} has {a_norm.shape[0]} rows but {owner} "
+                         f"has {n_items} items")
     try:
-        a_norm = cast_adjacency(a_norm, params.dtype)
+        return cast_adjacency(a_norm, dtype)
     except ValueError as exc:
-        raise ValueError(f"{adj_path} (for {ckpt_path}): {exc}") from exc
-    return bundle, a_norm, params
+        raise ValueError(f"{adj_path} (for {owner}): {exc}") from exc
+
+
+def _load_model_inputs(args):
+    bundle, ckpt_path, params = _load_bundle_checkpoint(args)
+    return bundle, _load_adjacency(args, ckpt_path, params.dims.n_items,
+                                   params.dtype), params
 
 
 def cmd_prepare(args) -> int:
@@ -133,16 +140,15 @@ def cmd_gce(args) -> int:
 def cmd_train(args) -> int:
     hp = _resolve_config(args)
     bundle = load_bundle(args.bundle)
-    adj_path = Path(args.adjacency) if args.adjacency else Path(args.bundle) / "adjacency.bin"
-    _require(adj_path, "run `gimirec gce --bundle ... --out ...` first")
-    a_norm = read_adjacency(adj_path)
+    a_norm = _load_adjacency(args, args.bundle, bundle.split.item_vocab.size, hp.dtype)
     result = train_loop(hp, bundle, a_norm, args.out, log_fn=print)
     if result.diverged:
         print("training diverged; last good checkpoint retained", file=sys.stderr)
         return 1
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"log: {result.log_path}")
-    print(f"best validation recall@20: {result.best_recall:.6f}")
+    print("best validation recall@20: "
+          + (f"{result.best_recall:.6f}" if result.history else "none (no validation ran)"))
     return 0
 
 

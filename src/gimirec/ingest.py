@@ -86,18 +86,9 @@ class Sequences:
 
 @dataclass
 class Vocab:
-    """Bidirectional raw-id/dense-index map; index 0 maps to no real item."""
+    """Dense-index to raw-id map; index 0 maps to no real item."""
 
     index_to_raw: list[str] = field(default_factory=lambda: [""])
-    raw_to_index: dict[str, int] = field(default_factory=dict)
-
-    def add(self, raw: str) -> int:
-        idx = self.raw_to_index.get(raw)
-        if idx is None:
-            idx = len(self.index_to_raw)
-            self.index_to_raw.append(raw)
-            self.raw_to_index[raw] = idx
-        return idx
 
     @property
     def num_real(self) -> int:
@@ -362,8 +353,7 @@ def index_columns(users: np.ndarray, user_ids: list[str], items: np.ndarray,
     timestamps = timestamps[keep]
     order = _user_time_order(users, timestamps)  # timestamp ties keep input order
     sequences = Sequences(items[order] + 1, timestamps[order], np.bincount(users))
-    vocab = Vocab(["", *item_raw], {raw: i for i, raw in enumerate(item_raw, 1)})
-    return sequences, vocab, user_ids
+    return sequences, Vocab(["", *item_raw]), user_ids
 
 
 def split_users(sequences: Sequences, seed: int, item_vocab: Vocab) -> DatasetSplit:
@@ -519,11 +509,11 @@ def load_bundle(in_dir: str | Path) -> DatasetBundle:
             raise FileNotFoundError(f"dataset bundle incomplete: missing {src / name}")
     vocab_path = src / "vocab.tsv"
     item_ids = _read_ids(vocab_path, 1)
-    raw_to_index = {}
+    seen = {}
     for idx, raw in enumerate(item_ids, 1):
-        if raw_to_index.setdefault(raw, idx) != idx:
+        if seen.setdefault(raw, idx) != idx:
             raise ValueError(f"{vocab_path}: item id {raw!r} appears twice")
-    vocab = Vocab(["", *item_ids], raw_to_index)
+    vocab = Vocab(["", *item_ids])
     users_path = src / "users.tsv"
     user_ids = _read_ids(users_path, 0)
     seq_path = src / "sequences.bin"

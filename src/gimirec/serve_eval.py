@@ -292,7 +292,25 @@ def _unique_pairs(rows: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.n
     width = int(items.max(initial=0)) + 1
     # sort and drop repeats: plain np.unique hashes first, several times slower
     keys = np.sort(rows * width + items)
-    return np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], width)
+    return np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]][:keys.size]], width)
+
+
+def _lists(sequences: Sequences, n: int, vocab_size: int) -> tuple:
+    """Every ranker's contract: row r of a (rows, n) int64 matrix lists
+    min(n, candidates) items left-aligned, then -1, and never an item row r
+    holds. Returns the exclusions (unique (row, item) pairs sorted by row),
+    the list lengths and that matrix, all -1."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    last = vocab_size - 1
+    bad = sequences.items[(sequences.items < 1) | (sequences.items > last)]
+    if bad.size:
+        raise ValueError(f"item {bad[0]} outside 1..{last}")
+    count = len(sequences)
+    exclude = _unique_pairs(np.repeat(np.arange(count), sequences.lengths),
+                            sequences.items)
+    lengths = np.minimum(n, last - np.bincount(exclude[0], minlength=count))
+    return exclude, lengths, np.full((count, n), -1, dtype=np.int64)
 
 
 def recommend(params: ModelParams, a_norm: sp.csr_matrix, sequences: Sequences, n: int,
@@ -301,27 +319,16 @@ def recommend(params: ModelParams, a_norm: sp.csr_matrix, sequences: Sequences, 
     """Each row's ranked list, as a (rows, n) int64 matrix.
 
     Row r ranks the exact top n (``_rank_rows``) for the interests of its
-    window over all of ``sequences[r]``, and never an item that row holds.
-    A row with fewer than n candidates lists them all, left-aligned, and
-    -1 after them. One global table serves every row; rows are fed to the
+    window over all of ``sequences[r]``, under every ranker's contract
+    (``_lists``). One global table serves every row; rows are fed to the
     forward pass ``_EVAL_CHUNK`` at a time, on ``threads`` threads.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    last = params.dims.n_items - 1
-    bad = sequences.items[(sequences.items < 1) | (sequences.items > last)]
-    if bad.size:
-        raise ValueError(f"item {bad[0]} outside 1..{last}")
-    count = len(sequences)
-    ranked = np.full((count, n), -1, dtype=np.int64)
-    if not count:
+    exclude, lengths, ranked = _lists(sequences, n, params.dims.n_items)
+    if not len(ranked):
         return ranked
     e_global = compute_global_table(params, a_norm)
     items_t = np.ascontiguousarray(e_global.T)
     head = _norm_head(e_global, n)
-    exclude = _unique_pairs(np.repeat(np.arange(count), sequences.lengths),
-                            sequences.items)
-    lengths = np.minimum(n, items_t.shape[1] - 1 - np.bincount(exclude[0], minlength=count))
 
     def run_chunk(lo):
         hi = lo + _EVAL_CHUNK
@@ -335,7 +342,7 @@ def recommend(params: ModelParams, a_norm: sp.csr_matrix, sequences: Sequences, 
                            _pairs_in(exclude, lo, hi), head)
         ranked[lo:hi, :block.shape[1]] = block
 
-    chunks = range(0, count, _EVAL_CHUNK)
+    chunks = range(0, len(ranked), _EVAL_CHUNK)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_chunk, chunks))
@@ -393,20 +400,24 @@ def _score(split: Holdout, ranked: np.ndarray, n_list: tuple[int, ...]) -> Metri
                           for n in n_list}, count)
 
 
+def evaluate_ranker(sequences: Sequences, user_indices, rank,
+                    n_list: tuple[int, ...] = (20,)) -> MetricsReport:
+    """The 80/20 protocol over the given users (see ``holdout_split``) for
+    any ranker: ``rank(prefixes, max(n_list))`` returns each prefix's list
+    under the rankers' contract (``_lists``), scored against its held-out
+    rest; a user with fewer candidates is scored on the shorter list."""
+    _check_cutoffs(n_list)
+    split = holdout_split(sequences, user_indices)
+    return _score(split, rank(split.prefixes, max(n_list)), n_list)
+
+
 def evaluate(sequences: Sequences, user_indices: np.ndarray,
              params: ModelParams, a_norm: sp.csr_matrix,
              n_list: tuple[int, ...] = (20, 50), time_unit_seconds: int = 86400,
              residual: bool = False, threads: int = 1) -> MetricsReport:
-    """80/20 protocol over the given users (see ``holdout_split``): each
-    prefix's ``recommend`` list against its held-out rest.
-
-    Prefix items are excluded from the candidate pool; a user with fewer
-    candidates than max(n_list) is scored on the shorter ranked list.
-    """
-    _check_cutoffs(n_list)
-    split = holdout_split(sequences, user_indices)
-    return _score(split, recommend(params, a_norm, split.prefixes, max(n_list),
-                                   time_unit_seconds, residual, threads), n_list)
+    """``evaluate_ranker`` over the model's ``recommend`` lists."""
+    return evaluate_ranker(sequences, user_indices, lambda prefixes, n: recommend(
+        params, a_norm, prefixes, n, time_unit_seconds, residual, threads), n_list)
 
 
 # ---------------------------------------------------------------------------
@@ -421,35 +432,24 @@ def popularity_counts(train_sequences: Sequences, vocab_size: int) -> np.ndarray
     return counts
 
 
-def popularity_top_n(counts: np.ndarray, n: int, exclude: set | None = None) -> np.ndarray:
-    """Most frequent candidates first (ties: smaller index); never padding or
-    excluded items, so fewer than n when fewer candidates remain."""
-    scores = counts.astype(np.float64)
-    scores[0] = -np.inf
-    if exclude:
-        scores[np.fromiter(exclude, dtype=np.int64)] = -np.inf
-    ranked = np.argsort(-scores, kind="stable")
-    return ranked[:min(n, int(np.isfinite(scores).sum()))]
+def popularity_lists(counts: np.ndarray, sequences: Sequences, n: int) -> np.ndarray:
+    """Each row's most frequent candidates (``_lists``' contract):
+    ``_rank_rows`` of all-ones interests against the (1, V) count row, so
+    ties rank the smaller index first."""
+    exclude, lengths, ranked = _lists(sequences, n, counts.size)
+    block = _rank_rows(np.ones((len(sequences), 1, 1)), counts[None].astype(np.float64),
+                       lengths, exclude)
+    ranked[:, :block.shape[1]] = block
+    return ranked
 
 
-def random_top_n(rng: np.random.Generator, vocab_size: int, n: int,
-                 exclude: set | None = None) -> np.ndarray:
-    pool = np.setdiff1d(np.arange(1, vocab_size),
-                        np.fromiter(exclude or (), dtype=np.int64))
-    return rng.permutation(pool)[:n]
-
-
-def evaluate_ranker(sequences: Sequences, user_indices: np.ndarray,
-                    rank_fn, n_list: tuple[int, ...] = (20,)) -> MetricsReport:
-    """Same 80/20 protocol for a plain ranking function (baselines).
-
-    rank_fn(n, exclude) -> ranked item indices, at most n of them.
-    """
-    _check_cutoffs(n_list)
-    split = holdout_split(sequences, user_indices)
-    count, n_max = len(split.prefixes), max(n_list)
-    ranked = np.full((count, n_max), -1, dtype=np.int64)
-    for r in range(count):
-        row = np.asarray(rank_fn(n_max, set(split.prefixes[r].items.tolist())))[:n_max]
-        ranked[r, :len(row)] = row
-    return _score(split, ranked, n_list)
+def random_lists(rng: np.random.Generator, vocab_size: int, sequences: Sequences,
+                 n: int) -> np.ndarray:
+    """Each row's candidates in random order (``_lists``' contract): one
+    ``rng.permutation`` of the row's sorted candidates per row, in row
+    order."""
+    exclude, lengths, ranked = _lists(sequences, n, vocab_size)
+    for r, length in enumerate(lengths):
+        pool = np.setdiff1d(np.arange(1, vocab_size), _pairs_in(exclude, r, r + 1)[1])
+        ranked[r, :length] = rng.permutation(pool)[:length]
+    return ranked

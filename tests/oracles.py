@@ -82,7 +82,7 @@ def filter_and_index_reference(records):
     if not live:
         raise ValueError("dataset too sparse: nothing survives the 5-interaction filter")
 
-    item_vocab = Vocab()
+    item_index: dict[str, int] = {}
     user_index: dict[str, int] = {}
     user_ids: list[str] = []
     per_user: dict[int, list[tuple[int, int, int]]] = {}
@@ -93,14 +93,14 @@ def filter_and_index_reference(records):
             user_index[r.user] = u
             user_ids.append(r.user)
             per_user[u] = []
-        i = item_vocab.add(r.item)
+        i = item_index.setdefault(r.item, len(item_index) + 1)
         per_user[u].append((r.timestamp, order, i))
 
     rows = [sorted(per_user[u], key=lambda t: (t[0], t[1])) for u in range(len(user_ids))]
     sequences = Sequences(np.array([i for user in rows for _, _, i in user], dtype=np.int64),
                           np.array([ts for user in rows for ts, _, _ in user], dtype=np.int64),
                           [len(user) for user in rows])
-    return sequences, item_vocab, user_ids
+    return sequences, Vocab(["", *item_index]), user_ids
 
 
 def index_columns_split(users, user_ids, items, item_raw, timestamps):
@@ -686,6 +686,43 @@ def evaluate_per_user(sequences, user_indices, params, a_norm, n_list=(20, 50),
         means = np.array([row[n] for row in rows], dtype=np.float64).mean(axis=0)
         report[n] = se.MetricRow(*(float(x) for x in means))
     return se.MetricsReport(report, len(rows))
+
+
+def popularity_top_n(counts, n, exclude=None):
+    """One user's ``serve_eval.popularity_lists`` row as a stable argsort of
+    the counts, the per-user formulation it replaced: most frequent
+    candidates first (ties: smaller index); never padding or excluded
+    items, so fewer than n when fewer candidates remain."""
+    scores = counts.astype(np.float64)
+    scores[0] = -np.inf
+    if exclude:
+        scores[np.fromiter(exclude, dtype=np.int64)] = -np.inf
+    ranked = np.argsort(-scores, kind="stable")
+    return ranked[:min(n, int(np.isfinite(scores).sum()))]
+
+
+def random_top_n(rng, vocab_size, n, exclude=None):
+    """One user's ``serve_eval.random_lists`` row, the per-user formulation
+    it replaced."""
+    pool = np.setdiff1d(np.arange(1, vocab_size),
+                        np.fromiter(exclude or (), dtype=np.int64))
+    return rng.permutation(pool)[:n]
+
+
+def evaluate_ranker_per_user(sequences, user_indices, rank_fn, n_list=(20,)):
+    """``serve_eval.evaluate_ranker`` as one ``rank_fn(n, exclude)`` call per
+    scored user (at most n ranked items from a set of excluded ones), the
+    formulation the ranked-list contract replaced."""
+    from gimirec import serve_eval as se
+
+    se._check_cutoffs(n_list)
+    split = se.holdout_split(sequences, user_indices)
+    count, n_max = len(split.prefixes), max(n_list)
+    ranked = np.full((count, n_max), -1, dtype=np.int64)
+    for r in range(count):
+        row = np.asarray(rank_fn(n_max, set(split.prefixes[r].items.tolist())))[:n_max]
+        ranked[r, :len(row)] = row
+    return se._score(split, ranked, n_list)
 
 
 def adam_step_out_of_place(params, grads, state):

@@ -19,8 +19,8 @@ from gimirec.ingest import prepare
 from gimirec.model import ModelDims, ModelParams, cast_adjacency, forward_interests, load_checkpoint
 from gimirec.recent import interval_matrix, make_window, stack_windows
 from gimirec.serve_eval import (evaluate, evaluate_ranker, metrics,
-                                popularity_counts, popularity_top_n,
-                                random_top_n, top_n)
+                                popularity_counts, popularity_lists,
+                                random_lists, top_n)
 from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 from gimirec.train import (build_adjacency_from_bundle, run_gradient_checks,
                            train_loop)
@@ -197,11 +197,11 @@ def test_criterion_6_end_to_end_smoke(planted_bundle):
 
     counts = popularity_counts(bundle.train_sequences(), vocab.size)
     pop = evaluate_ranker(bundle.sequences, bundle.split.test_users,
-                          lambda n, ex: popularity_top_n(counts, n, ex),
+                          lambda prefixes, n: popularity_lists(counts, prefixes, n),
                           n_list=(20,)).per_n[20].recall
     rng = np.random.default_rng(123)
     rnd = evaluate_ranker(bundle.sequences, bundle.split.test_users,
-                          lambda n, ex: random_top_n(rng, vocab.size, n, ex),
+                          lambda prefixes, n: random_lists(rng, vocab.size, prefixes, n),
                           n_list=(20,)).per_n[20].recall
     elapsed = time.perf_counter() - start
     assert model >= 5.0 * pop, f"model {model:.4f} vs popularity {pop:.4f}"

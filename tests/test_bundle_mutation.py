@@ -1,5 +1,6 @@
-"""Seeded mutations of the four bundle files that ``eval`` and ``recommend``
-read (vocab.tsv, users.tsv, sequences.bin, split.json): each command either
+"""Seeded mutations of every file that ``eval`` and ``recommend`` read: the
+four bundle files (vocab.tsv, users.tsv, sequences.bin, split.json), the
+adjacency, the checkpoint and a ``--config`` file. Each command either
 succeeds or exits 1 with an ``error:`` line, and never warns or prints a
 NaN."""
 
@@ -18,15 +19,20 @@ SMALL = ["--set", "d=8", "--set", "k=2", "--set", "l_rec=6", "--set", "l_time=4"
          "--set", "n_layers=1", "--set", "n_heads=2", "--set", "batch=8",
          "--set", "eval_every=2", "--set", "neg_samples=4", "--set", "seed=5"]
 FILES = ("vocab.tsv", "users.tsv", "sequences.bin", "split.json")
+MODEL_FILES = ("adjacency.bin", "checkpoint.bin", "run.cfg")
 KINDS = ("flip", b"\x00", b"\xff", b"\n", b"\t", b"-", "truncate", "insert",
          "duplicate")
 PER_KIND = 6
+# the keys a config file may set for eval and recommend; no thread count, so
+# a mutated digit cannot ask for many threads
+CONFIG = ("d = 8\nk = 2\nl_rec = 6\nl_time = 4\nn_layers = 1\nn_heads = 2\n"
+          "time_unit_seconds = 86400\nresidual = false\nseed = 5\n")
 
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """A planted bundle, its adjacency and a 2-step checkpoint; also the
-    bundle's user count."""
+    """A planted bundle, its adjacency, a 2-step checkpoint and a config
+    file; also the bundle's user count."""
     root = tmp_path_factory.mktemp("mutation")
     cfg = PlantedConfig(n_clusters=2, items_per_cluster=8, n_users=30,
                         n_hot_items=4, n_tail_items=20)
@@ -38,6 +44,7 @@ def pipeline(tmp_path_factory):
     assert main(["train", "--bundle", str(root / "bundle"),
                  "--adjacency", str(root / "adjacency.bin"), "--out", str(root),
                  *SMALL, "--set", "max_steps=2"]) == 0
+    (root / "run.cfg").write_text(CONFIG, encoding="utf-8")
     return root, (root / "bundle" / "users.tsv").read_text().count("\n")
 
 
@@ -56,19 +63,11 @@ def mutate(raw: bytes, kind, rng: np.random.Generator) -> bytes:
     return raw[:at] + kind + raw[at + 1:]
 
 
-@pytest.mark.parametrize("case", range(len(KINDS) * PER_KIND))
-@pytest.mark.parametrize("name", FILES)
-def test_mutated_bundle_is_read_or_rejected(pipeline, tmp_path, capsys, name, case):
-    root, n_users = pipeline
-    kind = KINDS[case % len(KINDS)]
-    rng = np.random.default_rng([FILES.index(name), case])
-    bundle = tmp_path / "bundle"
-    shutil.copytree(root / "bundle", bundle)
-    path = bundle / name
-    path.write_bytes(mutate(path.read_bytes(), kind, rng))
-    common = ["--bundle", str(bundle), "--checkpoint", str(root / "checkpoint.bin"),
-              "--adjacency", str(root / "adjacency.bin"), *SMALL]
-    # every user is recommended for, so each sequence is read
+def read_or_reject(capsys, bundle, n_users, model_files, kind, extra=()):
+    """Run eval and recommend (every user, so each sequence is read) and
+    hold each outcome to exit 0 or exit 1 with an ``error:`` line."""
+    common = ["--bundle", str(bundle), "--checkpoint", str(model_files / "checkpoint.bin"),
+              "--adjacency", str(model_files / "adjacency.bin"), *extra, *SMALL]
     for argv in (["eval", "--n", "3,5", *common],
                  ["recommend", "--users", ",".join(map(str, range(n_users))), "-n", "3",
                   *common]):
@@ -85,3 +84,31 @@ def test_mutated_bundle_is_read_or_rejected(pipeline, tmp_path, capsys, name, ca
         if argv[0] == "eval":
             metrics = json.loads(out)["metrics"].values()
             assert all(math.isfinite(v) for row in metrics for v in row.values())
+
+
+@pytest.mark.parametrize("case", range(len(KINDS) * PER_KIND))
+@pytest.mark.parametrize("name", FILES)
+def test_mutated_bundle_is_read_or_rejected(pipeline, tmp_path, capsys, name, case):
+    root, n_users = pipeline
+    kind = KINDS[case % len(KINDS)]
+    rng = np.random.default_rng([FILES.index(name), case])
+    bundle = tmp_path / "bundle"
+    shutil.copytree(root / "bundle", bundle)
+    path = bundle / name
+    path.write_bytes(mutate(path.read_bytes(), kind, rng))
+    read_or_reject(capsys, bundle, n_users, root, kind)
+
+
+@pytest.mark.parametrize("case", range(len(KINDS) * PER_KIND))
+@pytest.mark.parametrize("name", MODEL_FILES)
+def test_mutated_model_input_is_read_or_rejected(pipeline, tmp_path, capsys, name,
+                                                 case):
+    root, n_users = pipeline
+    kind = KINDS[case % len(KINDS)]
+    rng = np.random.default_rng([len(FILES) + MODEL_FILES.index(name), case])
+    for original in MODEL_FILES:
+        shutil.copy(root / original, tmp_path / original)
+    path = tmp_path / name
+    path.write_bytes(mutate(path.read_bytes(), kind, rng))
+    read_or_reject(capsys, root / "bundle", n_users, tmp_path, kind,
+                   ["--config", str(tmp_path / "run.cfg")])

@@ -527,3 +527,82 @@ class TestCliPipeline:
         assert "variant wiring checks: ok" in out
         for variant in ("full", "no_I", "no_IN", "no_INT"):
             assert variant in out
+
+
+def prepared_bundle(mini_corpus, tmp_path):
+    """A bundle of the mini corpus holding its own adjacency.bin."""
+    bundle = tmp_path / "bundle"
+    assert main(["prepare", "--input", str(mini_corpus / "log.csv"),
+                 "--out", str(bundle), "--set", "seed=5"]) == 0
+    assert main(["gce", "--bundle", str(bundle), "--out", str(bundle), *SMALL]) == 0
+    return bundle
+
+
+class TestCliEdgeCases:
+    def _empty_split(self, bundle):
+        """Leave every user in train: the valid and test lists are empty."""
+        path = bundle / "split.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest.update(valid_users=[], test_users=[])
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+
+    def test_train_on_an_empty_validation_split_keeps_a_checkpoint(
+            self, mini_corpus, tmp_path, capsys):
+        bundle = prepared_bundle(mini_corpus, tmp_path)
+        self._empty_split(bundle)
+        capsys.readouterr()
+        assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path / "run"),
+                     *SMALL, "--set", "max_steps=2", "--set", "eval_every=2"]) == 0
+        out = capsys.readouterr().out
+        assert "best validation recall@20: 0.000000" in out
+        load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    def test_eval_on_an_empty_split_reports_zero_users(self, mini_corpus, tmp_path,
+                                                       capsys, split):
+        bundle = prepared_bundle(mini_corpus, tmp_path)
+        assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path),
+                     *SMALL, "--set", "max_steps=0"]) == 0
+        self._empty_split(bundle)
+        capsys.readouterr()
+        assert main(["eval", "--bundle", str(bundle), "--split", split, "--n", "3,5",
+                     "--checkpoint", str(tmp_path / "checkpoint.bin"), *SMALL]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["user_count"] == 0
+        assert payload["metrics"] == {n: {"recall": 0.0, "ndcg": 0.0, "hit_rate": 0.0}
+                                      for n in ("3", "5")}
+
+    def test_train_without_validation_says_none_ran(self, mini_corpus, tmp_path, capsys):
+        bundle = prepared_bundle(mini_corpus, tmp_path)
+        capsys.readouterr()
+        assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path / "run"),
+                     *SMALL, "--set", "max_steps=0"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "best validation recall@20: none (no validation ran)"
+        load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+
+    @pytest.mark.parametrize("defect, match", [
+        ("asymmetric", "{adj} \\(for {bundle}\\): normalized adjacency must be symmetric"),
+        ("extra_row", "{adj} has 42 rows but {bundle} has 41 items"),
+    ], ids=["asymmetric", "extra_row"])
+    def test_train_rejects_adjacency_before_writing(self, mini_corpus, tmp_path,
+                                                    capsys, defect, match):
+        bundle = prepared_bundle(mini_corpus, tmp_path)
+        good = read_adjacency(bundle / "adjacency.bin")
+        if defect == "asymmetric":
+            bad = good.copy()
+            rows = np.repeat(np.arange(good.shape[0]), np.diff(good.indptr))
+            bad.data[np.flatnonzero(rows != good.indices)[0]] *= 2.0
+        else:  # another catalog's adjacency
+            bad = sp.block_diag([good, sp.identity(1)]).tocsr()
+        adj = tmp_path / f"{defect}.bin"
+        write_adjacency(adj, SimpleNamespace(a_norm=bad))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--bundle", str(bundle), "--adjacency", str(adj),
+                     "--out", str(out), *SMALL]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch("error: " + match.format(adj=re.escape(str(adj)),
+                                                     bundle=re.escape(str(bundle))) + "\n",
+                            err), err
+        assert not out.exists()

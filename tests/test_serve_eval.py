@@ -14,9 +14,9 @@ from gimirec.model import (ModelDims, ModelParams, cast_adjacency, forward_from_
                            forward_interests)
 from gimirec.recent import make_window, stack_windows
 from gimirec.serve_eval import (MetricRow, MetricsReport, compute_global_table,
-                                evaluate, evaluate_ranker, infer_interests,
-                                metrics, popularity_counts, popularity_top_n,
-                                random_top_n, recommend, top_n)
+                                evaluate, evaluate_ranker, holdout_split,
+                                infer_interests, metrics, popularity_counts,
+                                popularity_lists, random_lists, recommend, top_n)
 from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 from gimirec.train import build_adjacency_from_bundle
 
@@ -701,7 +701,7 @@ class TestInferAndEvaluate:
             evaluate(seqs, np.array([0, bad]), params, a_norm, n_list=(4,),
                      time_unit_seconds=1)
         with pytest.raises(ValueError, match=f"user index {bad} outside 0..5$"):
-            evaluate_ranker(seqs, [bad], lambda n, ex: [])
+            evaluate_ranker(seqs, [bad], no_lists)
 
     def test_report_dict_shape(self):
         seqs, params, a_norm = build_model(6)
@@ -760,29 +760,97 @@ class TestRecommend:
         assert got.shape == (0, 5) and got.dtype == np.int64
 
 
+def no_lists(prefixes, n):
+    return np.full((len(prefixes), n), -1, dtype=np.int64)
+
+
+class TestEmptySplit:
+    """No scored user: an empty user list, or users with fewer than 2
+    interactions, give empty pairs and a zero report."""
+
+    def test_holdout_split_of_no_users(self):
+        seqs, _, _ = build_model(5)
+        split = holdout_split(seqs, [])
+        assert len(split.prefixes) == 0
+        assert all(column.size == 0 for column in split.truth)
+
+    def test_evaluate_ranker_on_users_too_short_to_split(self):
+        seqs = sequences_of(([3], [1]), ([], []), ([4, 5, 6], [1, 2, 3]))
+        report = evaluate_ranker(seqs, [0, 1, 0], no_lists, n_list=(5, 2))
+        assert report == MetricsReport({5: MetricRow(0.0, 0.0, 0.0),
+                                        2: MetricRow(0.0, 0.0, 0.0)}, 0)
+
+    def test_evaluate_of_no_users(self):
+        seqs, params, a_norm = build_model(5)
+        report = evaluate(seqs, [], params, a_norm, n_list=(4,))
+        assert report.user_count == 0 and report.per_n[4] == MetricRow(0.0, 0.0, 0.0)
+
+
 class TestBaselines:
     def test_popularity_ranks_by_count(self):
         seqs = sequences_of(([1, 1, 2, 3, 3, 3], np.arange(1, 7)))
         counts = popularity_counts(seqs, 5)
         np.testing.assert_array_equal(counts, [0, 2, 1, 3, 0])
-        np.testing.assert_array_equal(popularity_top_n(counts, 3), [3, 1, 2])
-        np.testing.assert_array_equal(popularity_top_n(counts, 2, {3}), [1, 2])
-        # only candidates: never the padding row or an excluded item
+        rows = sequences_of(([], []), ([3], [1]))
+        np.testing.assert_array_equal(popularity_lists(counts, rows, 3),
+                                      [[3, 1, 2], [1, 2, 4]])
+        # only candidates: never the padding row or an item the row holds
         np.testing.assert_array_equal(
-            popularity_top_n(np.array([0, 5, 3, 9, 1]), 4, {3, 1}), [2, 4])
+            popularity_lists(np.array([0, 5, 3, 9, 1]), sequences_of(([3, 1, 3], [1, 2, 3])),
+                             4), [[2, 4, -1, -1]])
 
     def test_random_ranker_excludes_and_covers(self):
         rng = np.random.default_rng(0)
-        ranked = random_top_n(rng, 20, 10, {5, 6})
-        assert len(ranked) == 10
-        assert not {0, 5, 6} & set(ranked.tolist())
+        # the second row holds 17 of the 19 items: 2 candidates
+        ranked = random_lists(rng, 20, sequences_of(([5, 6], [1, 2]),
+                                                    (np.r_[1:18], np.arange(17))), 10)
+        assert ranked.shape == (2, 10) and ranked.dtype == np.int64
+        assert len(set(ranked[0].tolist())) == 10
+        assert not {-1, 0, 5, 6} & set(ranked[0].tolist())
+        assert sorted(ranked[1, :2].tolist()) == [18, 19]
+        np.testing.assert_array_equal(ranked[1, 2:], -1)
+
+    @pytest.mark.parametrize("ranker", ["popularity", "random"])
+    def test_bad_input_rejected(self, ranker):
+        rank = {"popularity": lambda s, n: popularity_lists(np.arange(6), s, n),
+                "random": lambda s, n: random_lists(np.random.default_rng(0), 6, s, n)}
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+            rank[ranker](sequences_of(([1], [1])), 0)
+        with pytest.raises(ValueError, match="^item 6 outside 1..5$"):
+            rank[ranker](sequences_of(([6], [1])), 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_reports_match_per_user_oracles(self, data):
+        """Count ties and zero counts, rows with fewer candidates than n, and
+        repeated and skipped users."""
+        vocab = data.draw(st.integers(2, 10), label="vocab")
+        rows = data.draw(st.lists(st.lists(st.integers(1, vocab - 1), max_size=12),
+                                  min_size=1, max_size=8), label="rows")
+        seqs = sequences_of(*((r, np.arange(len(r))) for r in rows))
+        counts = np.array(data.draw(st.lists(st.integers(0, 3), min_size=vocab,
+                                             max_size=vocab), label="counts"))
+        users = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=12), label="users")
+        n_list = tuple(data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=3),
+                                 label="n_list"))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        got = evaluate_ranker(seqs, users, lambda p, n: popularity_lists(counts, p, n),
+                              n_list)
+        assert got == oracles.evaluate_ranker_per_user(
+            seqs, users, lambda n, ex: oracles.popularity_top_n(counts, n, ex), n_list)
+        rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = evaluate_ranker(seqs, users, lambda p, n: random_lists(rng, vocab, p, n),
+                              n_list)
+        assert got == oracles.evaluate_ranker_per_user(
+            seqs, users, lambda n, ex: oracles.random_top_n(rng_oracle, vocab, n, ex),
+            n_list)
 
     def test_evaluate_ranker_protocol_matches_evaluate_shape(self):
         seqs, params, a_norm = build_model(7)
         users = np.arange(len(seqs))
-        report = evaluate_ranker(
-            seqs, users, lambda n, ex: popularity_top_n(
-                popularity_counts(seqs, 13), n, ex), n_list=(4,))
+        counts = popularity_counts(seqs, 13)
+        report = evaluate_ranker(seqs, users, lambda prefixes, n: popularity_lists(
+            counts, prefixes, n), n_list=(4,))
         assert isinstance(report, MetricsReport)
         assert report.user_count == len(seqs)
         assert 0.0 <= report.per_n[4].recall <= 1.0
@@ -790,7 +858,8 @@ class TestBaselines:
     def test_ranker_repeating_an_item_rejected(self):
         seqs, _, _ = build_model(7)
         with pytest.raises(ValueError, match="must not repeat an item"):
-            evaluate_ranker(seqs, np.arange(len(seqs)), lambda n, ex: [12, 11, 12],
+            evaluate_ranker(seqs, np.arange(len(seqs)),
+                            lambda prefixes, n: np.tile([12, 11, 12, -1], (len(prefixes), 1)),
                             n_list=(4,))
 
     @pytest.mark.parametrize("n_list", [(0,), (5, 0), (-3,), ()])

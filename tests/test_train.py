@@ -462,9 +462,7 @@ def make_bundle(seed=0, n_users=14, n_items=20):
     rng = np.random.default_rng(seed)
     seqs = random_sequences(rng, n_users=n_users, n_items=n_items,
                             max_len=9, min_len=6)
-    vocab = Vocab()
-    for i in range(n_items):
-        vocab.add(f"item{i}")
+    vocab = Vocab(["", *(f"item{i}" for i in range(n_items))])
     from gimirec.ingest import split_users
     split = split_users(seqs, seed, vocab)
     return DatasetBundle(seqs, split, [f"user{u}" for u in range(n_users)])
