@@ -104,14 +104,18 @@ class ModelParams:
         return ModelParams(self.dims, tensors)
 
 
+class AdjacencyError(ValueError):
+    """An adjacency that ``cast_adjacency`` rejects."""
+
+
 def cast_adjacency(a_norm: sp.csr_matrix, dtype) -> sp.csr_matrix:
     """Adjacency in the model dtype; must be symmetric and stay finite (checked)."""
     if (a_norm != a_norm.T).nnz != 0:
-        raise ValueError("normalized adjacency must be symmetric")
+        raise AdjacencyError("normalized adjacency must be symmetric")
     with np.errstate(over="ignore"):
         cast = a_norm.astype(dtype)
     if not np.all(np.isfinite(cast.data)):
-        raise ValueError(f"adjacency value overflows {np.dtype(dtype)}")
+        raise AdjacencyError(f"adjacency value overflows {np.dtype(dtype)}")
     return cast
 
 

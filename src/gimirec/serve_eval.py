@@ -9,6 +9,7 @@ remaining 20% as ground truth.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ from .recent import cut_windows, window_buckets
 _EVAL_CHUNK = 256
 # cap on one block's (rows·K, V) score product in _rank_rows
 _SCORE_BLOCK_BYTES = 4 << 20
-# _norm_head: T = max(V // 16, 8·n) items, and no head when T + 1 > V // 4
-_HEAD_SHARE, _HEAD_PER_N, _HEAD_CAP = 16, 8, 4
+# _rank_by_norm: a first head of 8·n items, and none larger than V // 4 - 1
+_HEAD_PER_N, _HEAD_CAP = 8, 4
 
 
 @dataclass
@@ -120,7 +121,7 @@ def top_n(interest_vectors: np.ndarray, e_global: np.ndarray, n: int,
                       (np.zeros(items.size, np.int64), items))[0, :n]
 
 
-def _rank_rows(interests, items_t, n, exclude: tuple, head=None) -> np.ndarray:
+def _rank_rows(interests, items_t, n, exclude: tuple) -> np.ndarray:
     """Exact max-inner-product scan for each row of ``interests`` (U, K, d)
     against the item table laid out as (d, V).
 
@@ -130,22 +131,13 @@ def _rank_rows(interests, items_t, n, exclude: tuple, head=None) -> np.ndarray:
     ranked, so padding and excluded items never appear whatever the scores;
     ties rank the smaller index first and NaN scores rank last. Rows are
     ranked in blocks whose (rows·K, V) product fits ``_SCORE_BLOCK_BYTES``
-    (``_rank_block``); given a ``head`` (``_norm_head``), only the rows
-    ``_settle_in_head`` leaves open. BLAS multiplies ``recommend``'s
-    C-contiguous copy twice as fast as the (V, d) table's transposed view,
-    which the one-row ``top_n`` keeps: it costs less than the copy.
+    (``_rank_block``). BLAS multiplies ``_rank_by_norm``'s C-contiguous copy
+    twice as fast as the (V, d) table's transposed view, which the one-row
+    ``top_n`` keeps: it costs less than the copy.
     """
     interests = np.asarray(interests)
     n = np.asarray(n, dtype=np.int64)
     out = np.full((len(n), int(n.max(initial=0))), -1, dtype=np.int64)
-    if head is not None and out.shape[1]:
-        open_rows = _settle_in_head(interests, n, exclude, head, out)
-        if not open_rows.all():
-            rows, items = (column[open_rows[exclude[0]]] for column in exclude)
-            ranked = _rank_rows(interests[open_rows], items_t, n[open_rows],
-                                (np.cumsum(open_rows)[rows] - 1, items))
-            out[open_rows, :ranked.shape[1]] = ranked
-            return out
     for lo, block in _blocks(interests, items_t):
         _rank_block(block, n[lo:lo + len(block)],
                     _pairs_in(exclude, lo, lo + len(block)), out[lo:lo + len(block)])
@@ -162,48 +154,104 @@ def _blocks(interests, items_t):
         yield lo, (block.reshape(-1, d) @ items_t).reshape(len(block), k, -1).max(axis=1)
 
 
-def _norm_head(e_global: np.ndarray, n: int):
-    """Padding row 0 plus the T = max(V // 16, 8·n) largest-norm items in
-    index order: (items, their (d, T+1) table, each item's position or 0, R =
-    the largest row norm outside); None if T + 1 > V // 4 or a norm is not finite."""
-    v, x = e_global.shape[0], e_global.astype(np.float64)
-    t = max(v // _HEAD_SHARE, _HEAD_PER_N * n)
-    norms = np.sqrt(np.einsum("vd,vd->v", x, x))
-    if t + 1 > v // _HEAD_CAP or not np.isfinite(norms).all():
-        return None
-    order = np.argpartition(norms[1:], v - 1 - t) + 1
-    items = np.r_[0, np.sort(order[v - 1 - t:])]
-    position = np.zeros(v, dtype=np.int64)
-    position[items] = np.arange(t + 1)
-    return items, e_global[items].T.copy(), position, norms[order[:v - 1 - t]].max()
+def _row_norms(table: np.ndarray) -> np.ndarray:
+    """Each row's norm, accumulated in float64 from the table's own dtype."""
+    return np.sqrt(np.einsum("vd,vd->v", table, table, dtype=np.float64))
 
 
-def _settle_in_head(interests, n, exclude, head, out) -> np.ndarray:
-    """Rank the rows against the head, fill ``out`` from it, and return the
-    mask of the rows it does not settle (norm-ordered search with a
-    Cauchy-Schwarz stop: LEMP, Teflioudi et al., SIGMOD 2015). No outside
-    item scores above max_k ‖q_k‖ · R, and a d-term dot product rounds up by
-    less than a factor 1 + 2·d·ε (ε: the dtype's machine epsilon) plus d·η
-    of underflow (η: its smallest subnormal). So a row whose n-th head score
-    is finite and beats that bound has its top n in the head, and no outside
-    item ties it; NaN or inf interests fail the test."""
-    items, head_t, position, outside = head
+def _rank_by_norm(interests, e_global, n, exclude: tuple, each=map) -> np.ndarray:
+    """``_rank_rows`` of the (V, d) table, through heads of its largest-norm
+    items (norm-ordered search, LEMP: Teflioudi et al., SIGMOD 2015).
+
+    Every row first tries a head of 8·n items (``_settle_in_head``). A row
+    it leaves open learns how many items a head needs to settle it, and one
+    second head, sized to the largest such need, tries those rows again.
+    No head holds more than V // 4 - 1 items, and none is built if a norm is
+    not finite. The rows left open, and those whose need is past the cap,
+    take the full scan against one C-contiguous (d, V) copy of the table,
+    ``_EVAL_CHUNK`` rows per ``each`` call.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    out = np.full((len(n), int(n.max(initial=0))), -1, dtype=np.int64)
+    v, cap = len(e_global), len(e_global) // _HEAD_CAP - 1
+    norms = _row_norms(e_global)
+    order = np.argsort(norms[1:]) + 1   # real items by rising norm
+    rising = norms[order]
+    # the head size each row needs; above the cap, the full scan
+    need = np.where(n > 0, _HEAD_PER_N * out.shape[1] if np.isfinite(norms).all()
+                    else v, 0)
+    for _ in range(2):
+        rows = (need > 0) & (need <= cap)
+        if not rows.any():
+            break
+        t = int(need[rows].max())
+        head = (np.r_[0, np.sort(order[v - 1 - t:])], rising[v - 2 - t])
+        ranked, settled, limit = _settle_in_head(interests[rows], n[rows],
+                                                 _pairs_of(exclude, rows), e_global, head)
+        out[rows, :ranked.shape[1]] = ranked
+        # a larger head's n-th score is at least this one, so it settles the
+        # row once it holds every item whose norm reaches the limit
+        count = v - 1 - np.searchsorted(rising, limit)
+        need[rows] = np.where(settled, 0, np.maximum(count, t + 1))
+    rows = need > 0
+    if rows.any():
+        items_t = np.ascontiguousarray(e_global.T)
+        interests, n, exclude = interests[rows], n[rows], _pairs_of(exclude, rows)
+        ranked = np.full((len(n), out.shape[1]), -1, dtype=np.int64)
+
+        def scan(lo):
+            hi = lo + _EVAL_CHUNK
+            block = _rank_rows(interests[lo:hi], items_t, n[lo:hi], _pairs_in(exclude, lo, hi))
+            ranked[lo:hi, :block.shape[1]] = block
+
+        list(each(scan, range(0, len(n), _EVAL_CHUNK)))
+        out[rows] = ranked
+    return out
+
+
+def _settle_in_head(interests, n, exclude, e_global, head) -> tuple:
+    """Rank the rows, each with n >= 1, against ``head`` (the padding row
+    and T items in index order, and R, the largest norm outside it).
+
+    No outside item scores above max_k ‖q_k‖ · R, and a d-term dot product
+    rounds up by less than a factor 1 + 2·d·ε (ε: the dtype's machine
+    epsilon) plus d·η of underflow (η: its smallest subnormal). So a row
+    whose n-th head score is finite and beats that bound has its top n in
+    the head, and no outside item ties it; NaN or inf interests fail the
+    test. Returns each row's list (all -1 if it is not settled), whether it
+    settled, and the norm below which every outside item must lie for the
+    test to hold (-inf when no head can settle the row).
+    """
+    items, outside = head
+    head_t = e_global[items].T.copy()
     d, finfo = interests.shape[2], np.finfo(np.result_type(interests, head_t))
-    bound = ((1 + 2 * d * finfo.eps) * outside * np.sqrt(np.einsum(
-        "ukd,ukd->uk", interests, interests, dtype=np.float64)).max(axis=1)
-        + d * finfo.smallest_subnormal)
+    slack, tiny = 1 + 2 * d * finfo.eps, d * finfo.smallest_subnormal
+    q_norm = np.sqrt(np.einsum("ukd,ukd->uk", interests, interests,
+                              dtype=np.float64)).max(axis=1)
     score = np.concatenate([block for _, block in _blocks(interests, head_t)])
-    # excluded items score -inf, which fails the test; off-head ones hit padding
+    # excluded and padding items score -inf, which fails the test
+    position = np.zeros(len(e_global), dtype=np.int64)
+    position[items] = np.arange(len(items))
     score[exclude[0], position[exclude[1]]] = -np.inf
-    # a row settles only if n head scores beat the bound: try its best first
-    hope = (n > 0) & (score.max(axis=1) > bound)
-    hope[hope] = (score[hope] > bound[hope, None]).sum(axis=1) >= n[hope]
-    ranked = np.full((np.count_nonzero(hope), out.shape[1]), -1)
-    _rank_block(score[hope], n[hope], ([], []), ranked)
-    out[hope] = np.where(ranked >= 0, items[ranked], -1)
-    nth = score[hope][np.arange(len(ranked)), ranked[np.arange(len(ranked)), n[hope] - 1]]
-    hope[hope] = (bound[hope] < nth) & np.isfinite(nth)
-    return (n != 0) & ~hope
+    score[:, 0] = -np.inf
+    # the n-th largest score, NaN below -inf, as the ranking orders them
+    nth = -np.partition(-score, np.unique(n - 1), axis=1)[np.arange(len(n)), n - 1]
+    settled = np.isfinite(nth) & (nth > slack * outside * q_norm + tiny)
+    ranked = np.full((len(n), int(n.max())), -1, dtype=np.int64)
+    done = ranked[settled]
+    _rank_block(score[settled], n[settled], ([], []), done)
+    ranked[settled] = np.where(done >= 0, items[done], -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        limit = (nth - tiny) / (slack * q_norm)
+    return ranked, settled, np.where(np.isfinite(limit), limit, -np.inf)
+
+
+def _pairs_of(pairs: tuple, rows: np.ndarray) -> tuple:
+    """The (row, item) pairs, sorted by row, of the rows where the mask
+    ``rows`` is set, renumbered in order."""
+    at = np.cumsum(rows) - 1
+    keep = rows[pairs[0]]
+    return at[pairs[0][keep]], pairs[1][keep]
 
 
 def _pairs_in(pairs: tuple, lo: int, hi: int) -> tuple:
@@ -318,7 +366,7 @@ def recommend(params: ModelParams, a_norm: sp.csr_matrix, sequences: Sequences, 
               threads: int = 1) -> np.ndarray:
     """Each row's ranked list, as a (rows, n) int64 matrix.
 
-    Row r ranks the exact top n (``_rank_rows``) for the interests of its
+    Row r ranks the exact top n (``_rank_by_norm``) for the interests of its
     window over all of ``sequences[r]``, under every ranker's contract
     (``_lists``). One global table serves every row; rows are fed to the
     forward pass ``_EVAL_CHUNK`` at a time, on ``threads`` threads.
@@ -327,10 +375,8 @@ def recommend(params: ModelParams, a_norm: sp.csr_matrix, sequences: Sequences, 
     if not len(ranked):
         return ranked
     e_global = compute_global_table(params, a_norm)
-    items_t = np.ascontiguousarray(e_global.T)
-    head = _norm_head(e_global, n)
 
-    def run_chunk(lo):
+    def interests_of(lo):
         hi = lo + _EVAL_CHUNK
         windows = _windows((sequences.items, sequences.timestamps, sequences.starts[lo:hi],
                             sequences.lengths[lo:hi]),
@@ -338,17 +384,14 @@ def recommend(params: ModelParams, a_norm: sp.csr_matrix, sequences: Sequences, 
         with ad.no_grad():
             interests, _ = forward_from_table(params, ad.Tensor(e_global), *windows,
                                               residual=residual)
-        block = _rank_rows(interests.data, items_t, lengths[lo:hi],
-                           _pairs_in(exclude, lo, hi), head)
-        ranked[lo:hi, :block.shape[1]] = block
+        return interests.data
 
     chunks = range(0, len(ranked), _EVAL_CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, chunks))
-    else:
-        for lo in chunks:
-            run_chunk(lo)
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        each = pool.map if pool else map
+        block = _rank_by_norm(np.concatenate(list(each(interests_of, chunks))), e_global,
+                              lengths, exclude, each)
+    ranked[:, :block.shape[1]] = block
     return ranked
 
 

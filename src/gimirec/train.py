@@ -279,15 +279,15 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
     drives example sampling, negative draws and dropout in a fixed order,
     and evaluation consumes no randomness.
     """
+    dtype = np.float64 if hp.dtype == "float64" else np.float32
+    adj = cast_adjacency(a_norm, dtype)   # before anything is written
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dtype = np.float64 if hp.dtype == "float64" else np.float32
     vocab = bundle.split.item_vocab
     dims = ModelDims(n_items=vocab.size, d=hp.d, k=hp.k, l_rec=hp.l_rec,
                      l_time=hp.l_time, n_heads=hp.n_heads, n_layers=hp.n_layers)
     rng = np.random.default_rng(hp.seed)
     params = ModelParams.init(dims, rng, dtype=dtype)
-    adj = cast_adjacency(a_norm, dtype)
     sampler = ExampleSampler(bundle.split.train_users, bundle.sequences,
                              hp.l_rec, hp.neg_samples, vocab.num_real,
                              hp.neg_distribution)

@@ -1,8 +1,9 @@
-"""Seeded mutations of every file that ``eval`` and ``recommend`` read: the
-four bundle files (vocab.tsv, users.tsv, sequences.bin, split.json), the
-adjacency, the checkpoint and a ``--config`` file. Each command either
-succeeds or exits 1 with an ``error:`` line, and never warns or prints a
-NaN."""
+"""Seeded mutations of every file that ``prepare``, ``eval`` and
+``recommend`` read: the interaction log, the four bundle files (vocab.tsv,
+users.tsv, sequences.bin, split.json), the adjacency, the checkpoint and a
+``--config`` file. Each command either succeeds or exits 1 with an
+``error:`` line, and never warns or prints a NaN; a bundle that ``prepare``
+writes loads."""
 
 import json
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from gimirec.cli import main
+from gimirec.ingest import load_bundle
 from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 
 SMALL = ["--set", "d=8", "--set", "k=2", "--set", "l_rec=6", "--set", "l_time=4",
@@ -112,3 +114,24 @@ def test_mutated_model_input_is_read_or_rejected(pipeline, tmp_path, capsys, nam
     path.write_bytes(mutate(path.read_bytes(), kind, rng))
     read_or_reject(capsys, root / "bundle", n_users, tmp_path, kind,
                    ["--config", str(tmp_path / "run.cfg")])
+
+
+# prepare takes ~10 ms, so the log gets four times the mutations
+@pytest.mark.parametrize("case", range(len(KINDS) * 4 * PER_KIND))
+def test_mutated_log_is_prepared_or_rejected(pipeline, tmp_path, capsys, case):
+    root, _ = pipeline
+    kind = KINDS[case % len(KINDS)]
+    rng = np.random.default_rng([len(FILES) + len(MODEL_FILES), case])
+    log = tmp_path / "log.csv"
+    log.write_bytes(mutate((root / "log.csv").read_bytes(), kind, rng))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["prepare", "--input", str(log), "--out", str(tmp_path / "bundle"),
+                     "--set", "seed=5"])
+    err = capsys.readouterr().err
+    assert code in (0, 1), kind
+    if code:
+        assert err.startswith("error: "), (kind, err)
+    else:
+        load_bundle(tmp_path / "bundle")

@@ -584,15 +584,18 @@ class TestCliEdgeCases:
     @pytest.mark.parametrize("defect, match", [
         ("asymmetric", "{adj} \\(for {bundle}\\): normalized adjacency must be symmetric"),
         ("extra_row", "{adj} has 42 rows but {bundle} has 41 items"),
-    ], ids=["asymmetric", "extra_row"])
+        ("overflow", "{adj} \\(for {bundle}\\): adjacency value overflows float32"),
+    ], ids=["asymmetric", "extra_row", "overflow"])
     def test_train_rejects_adjacency_before_writing(self, mini_corpus, tmp_path,
                                                     capsys, defect, match):
         bundle = prepared_bundle(mini_corpus, tmp_path)
         good = read_adjacency(bundle / "adjacency.bin")
+        rows = np.repeat(np.arange(good.shape[0]), np.diff(good.indptr))
+        bad = good.copy()
         if defect == "asymmetric":
-            bad = good.copy()
-            rows = np.repeat(np.arange(good.shape[0]), np.diff(good.indptr))
             bad.data[np.flatnonzero(rows != good.indices)[0]] *= 2.0
+        elif defect == "overflow":  # finite in f64, inf once cast to f32
+            bad.data[np.flatnonzero(rows == good.indices)[1]] = 1e300
         else:  # another catalog's adjacency
             bad = sp.block_diag([good, sp.identity(1)]).tocsr()
         adj = tmp_path / f"{defect}.bin"
@@ -606,3 +609,19 @@ class TestCliEdgeCases:
                                                      bundle=re.escape(str(bundle))) + "\n",
                             err), err
         assert not out.exists()
+
+    def test_train_tests_the_adjacency_symmetry_once(self, mini_corpus, tmp_path,
+                                                     monkeypatch):
+        bundle = prepared_bundle(mini_corpus, tmp_path)
+        tests = []
+        not_equal = sp.csr_matrix.__ne__
+
+        def counted(a, b):
+            tests.append(a.shape)
+            return not_equal(a, b)
+
+        monkeypatch.setattr(sp.csr_matrix, "__ne__", counted)
+        assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path / "run"),
+                     *SMALL, "--set", "max_steps=2"]) == 0
+        n_rows = read_adjacency(bundle / "adjacency.bin").shape[0]
+        assert tests == [(n_rows, n_rows)]

@@ -325,17 +325,28 @@ class TestChunkBoundSelection:
         _assert_ranks_like_full_partition(interests, items_t, n, pairs)
 
 
-HEAD_CASES = ["hubs", "ties", "special", "head_excluded", "few_in_head"]
+HEAD_CASES = ["hubs", "ties", "special", "head_excluded", "few_in_head",
+              "second_level", "over_cap"]
+
+
+def _first_head(table, n_max):
+    """The real items of ``_rank_by_norm``'s first head: the 8·n_max
+    largest norms."""
+    order = np.argsort(serve_eval._row_norms(table)[1:]) + 1
+    return order[order.size - serve_eval._HEAD_PER_N * n_max:]
 
 
 def _head_case(rng, case):
-    """(interests (U, K, d), table (V, d), n, exclude pairs, n_max) for
-    ``_rank_rows``' head path, with n_max = max n. A few table rows are hubs,
-    scaled ×5-50, and V is large enough for ``_norm_head`` to build a head.
-    Integer cases (every "ties" one) keep every score exact."""
+    """(interests (U, K, d), table (V, d), n, exclude pairs) for
+    ``_rank_by_norm``, with n_max = max n. A few table rows are hubs, scaled
+    ×5-50, and V is large enough for a first head of 8·n_max items. Integer
+    cases (every "ties" one) keep every score exact. Row 0 asks for n_max
+    and excludes nothing. In "second_level" it settles only at the second
+    level, and in "over_cap" no head can settle it."""
     n_max = int(rng.integers(1, 4))
-    v = int(rng.integers(36 * n_max, 36 * n_max + 150))
-    d, users, k = (int(x) for x in rng.integers(1, [5, 9, 4]))
+    v = int(rng.integers(36 * n_max + 4, 36 * n_max + 150))
+    d_min = 2 if case == "second_level" else 1   # it needs two axes
+    d, users, k = (int(x) for x in rng.integers([d_min, 1, 1], [5, 9, 4]))
     dtype = (np.float32, np.float64)[rng.integers(2)]
     if case == "ties" or rng.random() < 0.5:
         table = rng.integers(-2, 3, size=(v, d)).astype(np.float64)
@@ -351,30 +362,76 @@ def _head_case(rng, case):
         else:
             interests[rng.integers(users, size=2), rng.integers(k, size=2),
                       rng.integers(d, size=2)] = special
-    head = serve_eval._norm_head(table.astype(dtype), n_max)
-    excludes = []
-    for _ in range(users):
+    if case == "second_level":
+        # row 0 points along axis 0. The 8·n_max largest norms (10) score
+        # 5 per unit of it, so the first head's bound (the mid norms, 6-9)
+        # fails, and the need it predicts, every norm of 5 or more, holds
+        # the mid items, which score 6-9 and leave norms of at most 1 outside
+        table /= np.maximum(1, np.linalg.norm(table, axis=1, keepdims=True))
+        picked = rng.permutation(np.arange(1, v))
+        t1, cap = 8 * n_max, v // 4 - 1
+        table[picked[:t1]] = 0
+        table[picked[:t1], :2] = [5, np.sqrt(75)]
+        mid = picked[t1:t1 + int(rng.integers(n_max, cap - t1 + 1))]
+        table[mid] = 0
+        table[mid, 0] = rng.uniform(6, 9, size=mid.size)
+        interests[0] = 0
+        interests[0, :, 0] = rng.uniform(0.5, 2, size=k)
+    if case == "over_cap":
+        # every norm equal, or row 0's interests zero or inf along axis 0
+        kind = rng.integers(3)
+        if kind == 0:
+            table = rng.normal(size=(v, d))
+            table /= np.linalg.norm(table, axis=1, keepdims=True)
+        else:
+            interests[0] = 0
+            interests[0, :, 0] = 0 if kind == 1 else np.inf
+    if rng.random() < 0.5:   # the padding row, never listed, may score highest
+        table[0] = 50 * rng.integers(-2, 3, size=d)
+    # no other row's interests equal row 0's, which tells its calls apart
+    interests[1:, 0, 0] += (interests[1:] == interests[0]).all(axis=(1, 2))
+    excludes = [set()]
+    head = _first_head(table.astype(dtype), n_max)
+    for _ in range(users - 1):
         ex = set(rng.integers(1, v, size=rng.integers(0, 6)).tolist())
-        if head is not None and case in ("head_excluded", "few_in_head") \
-                and rng.random() < 0.5:
+        if case in ("head_excluded", "few_in_head") and rng.random() < 0.5:
             # every head item, or all but fewer than n_max of them
             keep = 0 if case == "head_excluded" else int(rng.integers(n_max))
-            ex.update(rng.permutation(head[0][1:])[keep:].tolist())
+            ex.update(rng.permutation(head)[keep:].tolist())
         excludes.append(ex)
-    n = np.r_[n_max, rng.integers(0, n_max + 1, size=users - 1)]
-    return (interests.astype(dtype), table.astype(dtype), rng.permutation(n),
-            _pairs(excludes), n_max)
+    n = np.r_[n_max, rng.permutation(rng.integers(0, n_max + 1, size=users - 1))]
+    return interests.astype(dtype), table.astype(dtype), n, _pairs(excludes)
+
+
+def _watch_levels(monkeypatch) -> list:
+    """Log each ``_settle_in_head`` call as ("head", T, its first row's
+    interests, whether that row settled) and each full-scan block as
+    ("scan", V, its first row's interests)."""
+    log = []
+    settle, rank_rows = serve_eval._settle_in_head, serve_eval._rank_rows
+
+    def settle_spy(interests, n, exclude, e_global, head):
+        result = settle(interests, n, exclude, e_global, head)
+        log.append(("head", len(head[0]) - 1, interests[0].copy(), bool(result[1][0])))
+        return result
+
+    def rank_rows_spy(interests, items_t, *args):
+        log.append(("scan", items_t.shape[1], interests[0].copy()))
+        return rank_rows(interests, items_t, *args)
+
+    monkeypatch.setattr(serve_eval, "_settle_in_head", settle_spy)
+    monkeypatch.setattr(serve_eval, "_rank_rows", rank_rows_spy)
+    return log
 
 
 class TestNormHead:
     @given(st.integers(0, 2**32 - 1), st.sampled_from(HEAD_CASES))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_matches_full_row_partition(self, seed, case):
         rng = np.random.default_rng(seed)
-        interests, table, n, pairs, n_max = _head_case(rng, case)
-        head = serve_eval._norm_head(table, n_max)
-        assert (head is None) == (case == "special" and not np.isfinite(table).all())
+        interests, table, n, pairs = _head_case(rng, case)
         items_t = np.ascontiguousarray(table.T)
         expect = oracles.rank_rows_full_partition(interests, items_t, n, pairs)
         # blocks of 1-3 users, so one call spans several of them
@@ -382,38 +439,65 @@ class TestNormHead:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(serve_eval, "_SCORE_BLOCK_BYTES",
                        int(rng.integers(1, 4)) * per_block)
-            got = serve_eval._rank_rows(interests, items_t, n, pairs, head)
+            log = _watch_levels(mp)
+            got = serve_eval._rank_by_norm(interests, table, n, pairs)
         np.testing.assert_array_equal(got, expect)
+        heads = [entry for entry in log if entry[0] == "head"]
+        # no head when a norm is not finite; else a first head of 8·n_max
+        assert (not heads) == (not np.isfinite(table).all())
+        assert not heads or heads[0][1] == 8 * n[0]
+        assert len(heads) <= 2 and all(t < table.shape[0] // 4 for _, t, *_ in heads)
+        if case in ("second_level", "over_cap"):
+            # row 0 fails the first head; the second settles it, or it is
+            # the first row of the full scan
+            assert not heads[0][3]
+            at_row_0 = [entry for entry in log[1:]
+                        if np.array_equal(entry[2], interests[0])]
+            assert at_row_0[0][0] == ("head" if case == "second_level" else "scan")
+            assert case == "over_cap" or at_row_0[0][3]
 
     @pytest.mark.parametrize("a, b", [(1.3, 0.7), (1.6 * 2.0**-70, 2.0**-79),
                                       (1e20, 1e19)])
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
     def test_outside_score_equal_to_nth_falls_back(self, monkeypatch, a, b):
-        # items 10-25 hold the 16 largest norms, so the head for n = 2 is
-        # them plus padding. Item 1 outside it computes the same float32
+        # items 10-25 hold the 16 largest norms, so the first head for n = 2
+        # is them plus padding. Item 1 outside it computes the same float32
         # score a·b as items 11-25: rounded up past the exact ‖q‖·R, also
-        # to a subnormal, or overflowed to inf. The row must fall back, and
-        # item 1 win the tie with item 11
+        # to a subnormal, or overflowed to inf. The first head must not
+        # settle the row, and item 1 must win the tie with item 11: in a
+        # second head that holds item 1, or in the full scan
         table = np.tile(np.float32([b / 2, 0.0]), (128, 1))
         table[1] = [b, 0.0]
         table[10:26] = [b, 10 * b]
         table[10, 0] = 2 * b
         q = np.float32([[[a, 0.0]]])
         assert (q @ table[1])[0, 0] > np.float64(q[0, 0, 0]) * np.float64(table[1, 0])
-        head = serve_eval._norm_head(table, 2)
-        np.testing.assert_array_equal(head[0], np.r_[0, 10:26])
-        assert head[3] == np.float32(b)
-        widths = []
+        np.testing.assert_array_equal(np.sort(_first_head(table, 2)), np.r_[10:26])
+        ranked = []
         rank_block = serve_eval._rank_block
         monkeypatch.setattr(serve_eval, "_rank_block", lambda score, *args: (
-            widths.append(score.shape[1]), rank_block(score, *args))[1])
-        items_t = table.T.copy()
-        got = serve_eval._rank_rows(q, items_t, [2], _pairs([set()]), head)
-        assert widths == [17, 128]   # ranked in the head, then fell back
+            ranked.append(score.shape), rank_block(score, *args))[1])
+        got = serve_eval._rank_by_norm(q, table, [2], _pairs([set()]))
+        # the first head ranks no row. A normal score predicts a second head
+        # of 17 items, item 1 among them; a subnormal or infinite one sends
+        # the row to the full scan
+        normal = float(np.finfo(np.float32).tiny) < a * b < float(np.finfo(np.float32).max)
+        assert [width for rows, width in ranked if rows] == ([18] if normal else [128])
         np.testing.assert_array_equal(got, oracles.rank_rows_full_partition(
-            q, items_t, np.array([2]), _pairs([set()])))
+            q, table.T.copy(), np.array([2]), _pairs([set()])))
         if a < 2:   # finite scores
             np.testing.assert_array_equal(got, [[10, 1]])
+
+    @pytest.mark.parametrize("d", [1, 3, 16, 32, 33, 64, 100, 512])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_norms_equal_float64_copy_norms(self, d, dtype):
+        rng = np.random.default_rng(d)
+        table = (rng.normal(size=(3001, d))
+                 * rng.lognormal(0, 4, size=(3001, 1))).astype(dtype)
+        wide = table.astype(np.float64)
+        expect = np.sqrt(np.einsum("vd,vd->v", wide, wide))
+        np.testing.assert_array_equal(serve_eval._row_norms(table), expect)
+        np.testing.assert_array_equal(serve_eval._row_norms(table[::7]), expect[::7])
 
 
 def build_model(seed, n_items=12, d=8, k=2, l_rec=4, l_time=5):
@@ -494,23 +578,58 @@ class TestHeadInEvaluation:
         with_head = sum(full_rows)
         full_rows.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(serve_eval, "_norm_head", lambda *_: None)
+            mp.setattr(serve_eval, "_HEAD_CAP", v + 1)   # no head fits the cap
             expect = evaluate(sequences, users, params, a_norm, n_list=(5, 10),
                               threads=threads)
         assert got == expect
         assert sum(full_rows) == got.user_count == users.size
         assert 0 < with_head < users.size
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_table_copied_once_and_only_for_the_full_scan(self, tmp_path, monkeypatch,
+                                                          threads):
+        sequences, params, a_norm, users = hub_model(tmp_path)
+        prefixes = holdout_split(sequences, users).prefixes
+        shape = (params.dims.d, params.dims.n_items)
+        log = _watch_levels(monkeypatch)
+        copies, first_level = [], []
+        ascontiguousarray, settle = np.ascontiguousarray, serve_eval._settle_in_head
+
+        def copy_spy(a, *args, **kwargs):
+            copies.append(np.shape(a) == shape)
+            return ascontiguousarray(a, *args, **kwargs)
+
+        def settle_spy(interests, n, exclude, e_global, head):
+            result = settle(interests, n, exclude, e_global, head)
+            first_level.append(result[1])
+            return result
+
+        monkeypatch.setattr(serve_eval, "_settle_in_head", settle_spy)
+        monkeypatch.setattr(np, "ascontiguousarray", copy_spy)
+        monkeypatch.setattr(serve_eval, "_EVAL_CHUNK", 8)
+        ranked = recommend(params, a_norm, prefixes, 10, threads=threads)
+        # some rows reach the full scan, in several blocks, from one copy
+        assert sum(entry[0] == "scan" for entry in log) > 1
+        assert sum(copies) == 1
+        settled = np.flatnonzero(first_level[0])
+        assert 8 < settled.size < len(prefixes)
+        copies.clear()
+        log.clear()
+        again = recommend(params, a_norm, prefixes.subset(settled), 10, threads=threads)
+        assert [entry[0] for entry in log] == ["head"] and sum(copies) == 0
+        np.testing.assert_array_equal(again, ranked[settled])
+
     def test_top_n_builds_no_head(self, tmp_path, monkeypatch):
         sequences, params, a_norm, _ = hub_model(tmp_path)
         e_global = compute_global_table(params, a_norm)
         vectors = infer_interests(sequences[0], len(sequences[0]), params, a_norm)
-        assert serve_eval._norm_head(e_global, 10) is not None
+        # recommend would try a first head of 8·10 items under the V // 4 cap
+        assert serve_eval._HEAD_PER_N * 10 < len(e_global) // serve_eval._HEAD_CAP
 
         def never(*_):
             raise AssertionError("top_n built a head")
 
-        monkeypatch.setattr(serve_eval, "_norm_head", never)
+        monkeypatch.setattr(serve_eval, "_row_norms", never)
         monkeypatch.setattr(serve_eval, "_settle_in_head", never)
         expect = oracles.top_n_per_user(vectors, e_global, 10, set())
         np.testing.assert_array_equal(top_n(vectors, e_global, 10), expect)
