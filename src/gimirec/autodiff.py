@@ -258,16 +258,18 @@ def gather(table: Tensor, idx: np.ndarray) -> Tensor:
     The backward pass multiplies the output gradient by a sparse (V, size(S))
     one-hot matrix in CSC form; its product visits the columns, i.e. the
     lookups, in index order, so repeated rows accumulate in the same order
-    as a sequential scatter.
+    as a sequential scatter. Indices follow NumPy's rules: -V..V-1, else
+    ``IndexError``.
     """
     idx = np.asarray(idx)
-    data = table.data[idx]
+    data = np.take(table.data, idx, axis=0)   # fancy indexing's copy, faster
 
     def bwd(g):
-        n = idx.size
-        one_hot = sp.csc_matrix(
-            (np.ones(n, dtype=g.dtype), idx.ravel(), np.arange(n + 1)),
-            shape=(table.data.shape[0], n))
+        n, v = idx.size, table.data.shape[0]
+        # the product trusts the row indices: a negative one writes outside
+        rows = idx.ravel() % v if idx.min(initial=0) < 0 else idx.ravel()
+        one_hot = sp.csc_matrix((np.ones(n, dtype=g.dtype), rows, np.arange(n + 1)),
+                                shape=(v, n))
         width = int(np.prod(table.data.shape[1:]))
         _accum(table, (one_hot @ g.reshape(n, width)).reshape(table.data.shape))
 
@@ -282,15 +284,36 @@ def bucket_sum(x: Tensor, idx: np.ndarray, n_buckets: int) -> Tensor:
     """
     idx = np.asarray(idx)
     n_rows = int(np.prod(idx.shape[:-1]))
-    offsets = (np.arange(n_rows) * n_buckets).reshape(idx.shape[:-1] + (1,))
-    data = np.bincount((idx + offsets).ravel(), weights=x.data.ravel(),
-                       minlength=n_rows * n_buckets)
+    # each slot's bucket as an index into the flat (rows·n_buckets,) output
+    flat = idx + (np.arange(n_rows) * n_buckets).reshape(idx.shape[:-1] + (1,))
+    data = np.bincount(flat.ravel(), weights=x.data.ravel(), minlength=n_rows * n_buckets)
     data = data.astype(x.data.dtype, copy=False).reshape(idx.shape[:-1] + (n_buckets,))
 
     def bwd(g):
-        _accum(x, np.take_along_axis(g, idx, axis=-1))
+        _accum(x, g.reshape(-1)[flat])
 
     return _node(data, (x,), bwd)
+
+
+# NumPy adds fewer than 8 terms left to right, from +0.0, and 8 or more
+# pairwise in 8 lanes: its pairwise-summation block
+_PAIRWISE_BLOCK = 8
+
+
+def _reduce_last(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1, keepdims=True)`` for ``np.add`` or
+    ``np.maximum``, bit for bit.
+
+    On an axis of 1-7 slots it is one elementwise pass per slot, not one
+    inner-loop call per row; longer axes keep NumPy's reduction.
+    """
+    if not 0 < x.shape[-1] < _PAIRWISE_BLOCK:
+        return ufunc.reduce(x, axis=-1, keepdims=True)
+    # max(-inf, x) is x and NaN stays NaN; 0.0 + x is x, and +0.0 for -0.0
+    out = ufunc(x[..., :1], 0.0 if ufunc is np.add else -np.inf)
+    for j in range(1, x.shape[-1]):
+        ufunc(out, x[..., j:j + 1], out=out)
+    return out
 
 
 def masked_softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -300,19 +323,19 @@ def masked_softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """
     xd = x.data
     if mask is None:
-        m = xd.max(axis=-1, keepdims=True)
+        m = _reduce_last(np.maximum, xd)
         e = np.exp(xd - m)
     else:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), xd.shape)
         neg = np.where(mask, xd, -np.inf)
-        m = neg.max(axis=-1, keepdims=True)
+        m = _reduce_last(np.maximum, neg)
         m_safe = np.where(np.isfinite(m), m, 0.0)
         e = np.exp(neg - m_safe)  # masked keys: exp(-inf) = 0, no overflow
-    s = e.sum(axis=-1, keepdims=True)
+    s = _reduce_last(np.add, e)
     p = e / np.where(s == 0.0, 1.0, s)
 
     def bwd(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
+        dot = _reduce_last(np.add, g * p)
         _accum(x, p * (g - dot))
 
     return _node(p, (x,), bwd)

@@ -237,10 +237,18 @@ def _settle_in_head(interests, n, exclude, e_global, head) -> tuple:
     # the n-th largest score, NaN below -inf, as the ranking orders them
     nth = -np.partition(-score, np.unique(n - 1), axis=1)[np.arange(len(n)), n - 1]
     settled = np.isfinite(nth) & (nth > slack * outside * q_norm + tiny)
-    ranked = np.full((len(n), int(n.max())), -1, dtype=np.int64)
-    done = ranked[settled]
-    _rank_block(score[settled], n[settled], ([], []), done)
-    ranked[settled] = np.where(done >= 0, items[done], -1)
+    # a settled row's top n are its pool, the head scores at or above the
+    # n-th: left-aligned in index order, then sorted by score stably, so
+    # ties rank the smaller index first, as in ``_rank_block``
+    rows, at = np.nonzero((score >= nth[:, None]) & settled[:, None])
+    col = np.arange(rows.size) - np.searchsorted(rows, rows)
+    n_max = int(n.max())
+    key = np.full((len(n), max(n_max, col.max(initial=0) + 1)), np.inf, dtype=score.dtype)
+    key[rows, col] = -score[rows, at]
+    pool = np.zeros(key.shape, dtype=np.int64)
+    pool[rows, col] = items[at]
+    top = np.take_along_axis(pool, np.argsort(key, axis=1, kind="stable")[:, :n_max], axis=1)
+    ranked = np.where((np.arange(n_max) < n[:, None]) & settled[:, None], top, -1)
     with np.errstate(divide="ignore", invalid="ignore"):
         limit = (nth - tiny) / (slack * q_norm)
     return ranked, settled, np.where(np.isfinite(limit), limit, -np.inf)

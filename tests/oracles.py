@@ -395,13 +395,52 @@ def scatter_add_reference(shape, idx, g):
 
 
 def gather_add_at(table, idx):
-    """``ad.gather`` with the ``np.add.at`` backward it replaced."""
+    """``ad.gather`` with the fancy-indexing forward and the ``np.add.at``
+    backward it replaced."""
     idx = np.asarray(idx)
 
     def bwd(g):
         ad._accum(table, scatter_add_reference(table.data.shape, idx, g))
 
     return ad._node(table.data[idx], (table,), bwd)
+
+
+def bucket_sum_take_along_axis(x, idx, n_buckets):
+    """``ad.bucket_sum`` with the ``np.take_along_axis`` backward it replaced."""
+    idx = np.asarray(idx)
+    n_rows = int(np.prod(idx.shape[:-1]))
+    offsets = (np.arange(n_rows) * n_buckets).reshape(idx.shape[:-1] + (1,))
+    data = np.bincount((idx + offsets).ravel(), weights=x.data.ravel(),
+                       minlength=n_rows * n_buckets)
+    data = data.astype(x.data.dtype, copy=False).reshape(idx.shape[:-1] + (n_buckets,))
+
+    def bwd(g):
+        ad._accum(x, np.take_along_axis(g, idx, axis=-1))
+
+    return ad._node(data, (x,), bwd)
+
+
+def masked_softmax_reductions(x, mask=None):
+    """``ad.masked_softmax`` with NumPy's max and sum reductions over the
+    last axis at every length, as it was before its short-axis passes."""
+    xd = x.data
+    if mask is None:
+        m = xd.max(axis=-1, keepdims=True)
+        e = np.exp(xd - m)
+    else:
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), xd.shape)
+        neg = np.where(mask, xd, -np.inf)
+        m = neg.max(axis=-1, keepdims=True)
+        m_safe = np.where(np.isfinite(m), m, 0.0)
+        e = np.exp(neg - m_safe)
+    s = e.sum(axis=-1, keepdims=True)
+    p = e / np.where(s == 0.0, 1.0, s)
+
+    def bwd(g):
+        dot = (g * p).sum(axis=-1, keepdims=True)
+        ad._accum(x, p * (g - dot))
+
+    return ad._node(p, (x,), bwd)
 
 
 def select_rows_add_at(x, idx):

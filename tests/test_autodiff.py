@@ -5,12 +5,14 @@ import threading
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from gimirec import autodiff as ad
 from gimirec.interests import select_training_interest
 
 from helpers import fd_check
-from oracles import matmul_stacked, scatter_add_reference, select_rows_add_at
+from oracles import (bucket_sum_take_along_axis, gather_add_at, masked_softmax_reductions,
+                     matmul_stacked, scatter_add_reference, select_rows_add_at)
 
 
 def leaf(rng, *shape):
@@ -257,3 +259,124 @@ def test_float32_dtype_preserved():
     assert out.dtype == np.float32
     ad.sumt(out).backward()
     assert x.grad.dtype == np.float32 and w.grad.dtype == np.float32
+
+
+# ---------------------------------------------------------------------------
+# the rewritten primitives against the formulations they replaced, bit for bit
+
+SEEDS = st.integers(0, 2**32 - 1)
+DTYPES = st.sampled_from([np.float32, np.float64])
+# leading (row) shapes: one row, and many
+LEADS = st.sampled_from([(1,), (1, 1), (37,), (5, 3), (3, 4, 2)])
+
+
+def bit_equal(got: np.ndarray, want: np.ndarray) -> bool:
+    """Same dtype, shape and NaN positions, and the same bits elsewhere, so
+    -0.0 and 0.0 differ."""
+    nan = np.isnan(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint8), want[~nan].view(np.uint8)))
+
+
+def value_and_grad(op, data, g, *args):
+    """``op(x, *args)`` and the gradient of sum(op(x) · g) by x."""
+    x = ad.Tensor(data.copy(), requires_grad=True)
+    out = op(x, *args)
+    ad.sumt(ad.mul(out, ad.Tensor(g))).backward()
+    return out.data, x.grad
+
+
+def scores(rng, shape, dtype, special=0.1):
+    """Scores of mixed scale, a share of them +inf, -inf or NaN."""
+    x = rng.normal(size=shape) * rng.choice([0.1, 3.0, 30.0, 300.0], size=shape[:-1] + (1,))
+    odd = rng.random(shape) < special
+    x[odd] = rng.choice([np.inf, -np.inf, np.nan], size=np.count_nonzero(odd))
+    return x.astype(dtype)
+
+
+@given(SEEDS, st.integers(1, 12), LEADS, DTYPES, st.sampled_from(["none", "full", "keys"]))
+@settings(max_examples=400, deadline=None)
+def test_masked_softmax_equals_numpy_reductions(seed, length, lead, dtype, masking):
+    """Last axes of 1-12 slots, on both sides of the 8-slot cutoff, with
+    all-masked rows and ±inf and NaN scores."""
+    rng = np.random.default_rng(seed)
+    shape = lead + (length,)
+    x = scores(rng, shape, dtype, special=rng.choice([0.0, 0.1]))
+    mask = None
+    if masking == "full":
+        mask = rng.random(shape) < 0.7
+        mask[rng.random(lead) < 0.2] = False
+    elif masking == "keys":   # one key row per leading index, as attention passes it
+        mask = rng.random(lead[:1] + (1,) * (len(lead) - 1) + (length,)) < 0.7
+    g = rng.normal(size=shape).astype(dtype)
+    g[rng.random(shape) < 0.1] = -0.0
+    with np.errstate(all="ignore"):
+        got = value_and_grad(ad.masked_softmax, x, g, mask)
+        want = value_and_grad(masked_softmax_reductions, x, g, mask)
+    assert bit_equal(got[0], want[0]) and bit_equal(got[1], want[1])
+
+
+@given(SEEDS, st.sampled_from([(1,), (1, 1), (9,), (4, 5), (2, 3, 4)]), DTYPES,
+       st.sampled_from(["rows", "negative", "above", "below"]))
+@settings(max_examples=200, deadline=None)
+def test_gather_equals_fancy_indexing(seed, shape, dtype, kind):
+    """In-range indices, negative ones among them, gather the same values
+    and gradients; an index past either end raises the same IndexError."""
+    rng = np.random.default_rng(seed)
+    v, d = (int(x) for x in rng.integers(1, [30, 6]))
+    table = rng.normal(size=(v, d)).astype(dtype)
+    idx = rng.integers(0 if kind == "rows" else -v, v, size=shape)
+    if kind in ("above", "below"):
+        bad = rng.random(shape) < 0.3
+        bad.flat[rng.integers(bad.size)] = True
+        reach = rng.integers(0, 3, size=np.count_nonzero(bad))
+        idx[bad] = v + reach if kind == "above" else -v - 1 - reach
+        with pytest.raises(IndexError) as want:
+            gather_add_at(ad.Tensor(table), idx)
+        with pytest.raises(IndexError) as got:
+            ad.gather(ad.Tensor(table), idx)
+        assert str(got.value) == str(want.value)
+        return
+    g = rng.normal(size=shape + (d,)).astype(dtype)
+    got = value_and_grad(ad.gather, table, g, idx)
+    want = value_and_grad(gather_add_at, table, g, idx)
+    assert bit_equal(got[0], want[0]) and bit_equal(got[1], want[1])
+
+
+@given(SEEDS, st.integers(1, 12), LEADS, DTYPES)
+@settings(max_examples=200, deadline=None)
+def test_bucket_sum_equals_take_along_axis_backward(seed, length, lead, dtype):
+    rng = np.random.default_rng(seed)
+    n_buckets = int(rng.integers(1, 8))
+    idx = rng.integers(0, n_buckets, size=lead + (length,))
+    x = scores(rng, lead + (length,), dtype)
+    g = rng.normal(size=lead + (n_buckets,)).astype(dtype)
+    with np.errstate(all="ignore"):
+        got = value_and_grad(ad.bucket_sum, x, g, idx, n_buckets)
+        want = value_and_grad(bucket_sum_take_along_axis, x, g, idx, n_buckets)
+    assert bit_equal(got[0], want[0]) and bit_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("length", range(1, ad._PAIRWISE_BLOCK))
+def test_numpy_sums_short_axes_left_to_right(length):
+    """``ad.masked_softmax`` sums fewer than 8 slots as elementwise passes,
+    assuming NumPy's ``sum(axis=-1)`` adds them left to right from +0.0. A
+    NumPy that orders them otherwise fails here, not in a training loss."""
+    rng = np.random.default_rng(length)
+    # signed magnitudes 2^-30..2^30 cancel, so the order shows in the sums
+    x = (rng.choice([-1.0, 1.0], size=(4096, length)) * rng.uniform(1, 2, size=(4096, length))
+         * 2.0 ** rng.integers(-30, 31, size=(4096, length))).astype(np.float32)
+    x[0] = -0.0
+    x[1, 0] = -0.0
+    want = np.zeros((4096, 1), dtype=np.float32)
+    for j in range(length):
+        want = want + x[:, j:j + 1]
+    for layout in (x, x.reshape(64, 64, length), np.asfortranarray(x)):
+        assert bit_equal(layout.sum(axis=-1, keepdims=True).reshape(-1, 1), want)
+    assert np.signbit(want[0, 0]) == np.False_
+    if length > 2:   # right to left differs, so the data tell the orders apart
+        backwards = np.zeros_like(want)
+        for j in reversed(range(length)):
+            backwards = backwards + x[:, j:j + 1]
+        assert not np.array_equal(backwards, want)

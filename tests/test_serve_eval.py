@@ -473,16 +473,24 @@ class TestNormHead:
         q = np.float32([[[a, 0.0]]])
         assert (q @ table[1])[0, 0] > np.float64(q[0, 0, 0]) * np.float64(table[1, 0])
         np.testing.assert_array_equal(np.sort(_first_head(table, 2)), np.r_[10:26])
-        ranked = []
-        rank_block = serve_eval._rank_block
-        monkeypatch.setattr(serve_eval, "_rank_block", lambda score, *args: (
-            ranked.append(score.shape), rank_block(score, *args))[1])
+        levels, scans = [], []
+        settle, rank_rows = serve_eval._settle_in_head, serve_eval._rank_rows
+
+        def settle_spy(interests, n, exclude, e_global, head):
+            result = settle(interests, n, exclude, e_global, head)
+            levels.append((len(head[0]) - 1, 1 in head[0], bool(result[1][0])))
+            return result
+
+        monkeypatch.setattr(serve_eval, "_settle_in_head", settle_spy)
+        monkeypatch.setattr(serve_eval, "_rank_rows", lambda interests, items_t, *args: (
+            scans.append(items_t.shape[1]), rank_rows(interests, items_t, *args))[1])
         got = serve_eval._rank_by_norm(q, table, [2], _pairs([set()]))
-        # the first head ranks no row. A normal score predicts a second head
-        # of 17 items, item 1 among them; a subnormal or infinite one sends
-        # the row to the full scan
+        # the first head settles nothing. A normal score predicts a second
+        # head of 17 items, item 1 among them, which settles the row; a
+        # subnormal or infinite one sends the row to the full scan
         normal = float(np.finfo(np.float32).tiny) < a * b < float(np.finfo(np.float32).max)
-        assert [width for rows, width in ranked if rows] == ([18] if normal else [128])
+        assert levels == [(16, False, False)] + ([(17, True, True)] if normal else [])
+        assert scans == ([] if normal else [128])
         np.testing.assert_array_equal(got, oracles.rank_rows_full_partition(
             q, table.T.copy(), np.array([2]), _pairs([set()])))
         if a < 2:   # finite scores

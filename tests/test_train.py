@@ -5,12 +5,15 @@ import pytest
 import scipy.stats
 
 from gimirec import autodiff as ad
-from gimirec import model
-from gimirec.config import HyperParams
+from gimirec import model, train
+from gimirec.config import PRESETS, HyperParams
 from gimirec.global_context import AblationVariant, build_weighted_adjacency, extract_hop_pairs
-from gimirec.ingest import DatasetBundle, DatasetSplit, Vocab
-from gimirec.model import ModelDims, ModelParams, cast_adjacency, forward_interests
+from gimirec.ingest import DatasetBundle, DatasetSplit, Vocab, prepare
+from gimirec.model import (ModelDims, ModelParams, cast_adjacency, forward_interests,
+                           load_checkpoint)
 from gimirec.recent import make_window
+from gimirec.serve_eval import evaluate
+from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 from gimirec.train import (AdamState, ExampleSampler, GradCheckResult, TrainingExample,
                            _relative_error, adam_step, batch_loss, build_batch,
                            gradient_check, make_examples, sampled_softmax_nll,
@@ -587,3 +590,38 @@ class TestTrainLoop:
         assert result.diverged
         assert result.steps_run < 50
         assert result.checkpoint_path.exists()
+
+
+def test_smoke_training_equals_replaced_primitives(tmp_path, monkeypatch):
+    """20 float32 steps of the smoke model (criterion 6's config) on the
+    planted bundle, and an evaluation of the result, with ``masked_softmax``,
+    ``gather`` and ``bucket_sum`` as they are and as they were before their
+    rewrites: equal losses, parameters and report."""
+    write_log(tmp_path / "log.csv", planted_cluster_records(PlantedConfig(), seed=1))
+    bundle, _ = prepare(tmp_path / "log.csv", tmp_path / "bundle", seed=1)
+    hp = HyperParams(**{**PRESETS["amazon-books"], "d": 32, "n_layers": 1, "lr": 0.005,
+                        "max_steps": 20, "eval_every": 20, "seed": 1}).validate()
+    assert hp.dtype == "float32"
+    a_norm = train.build_adjacency_from_bundle(bundle, hp).a_norm
+    runs = []
+    for replaced in (False, True):
+        losses = []
+
+        def recording(*args, **kwargs):
+            value, aux = batch_loss(*args, **kwargs)
+            losses.append(value.item())
+            return value, aux
+
+        with monkeypatch.context() as mp:
+            mp.setattr(train, "batch_loss", recording)
+            if replaced:
+                mp.setattr(ad, "masked_softmax", oracles.masked_softmax_reductions)
+                mp.setattr(ad, "gather", oracles.gather_add_at)
+                mp.setattr(ad, "bucket_sum", oracles.bucket_sum_take_along_axis)
+            result = train_loop(hp, bundle, a_norm, tmp_path / f"run{replaced}")
+            report = evaluate(bundle.sequences, bundle.split.test_users,
+                              load_checkpoint(result.checkpoint_path),
+                              cast_adjacency(a_norm, np.float32))
+        runs.append((losses, result.checkpoint_path.read_bytes(), report))
+    assert len(runs[0][0]) == 20 and runs[0][2].user_count > 0
+    assert runs[0] == runs[1]
