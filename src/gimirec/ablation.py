@@ -63,15 +63,15 @@ def compare_variant_matrices(bundle: DatasetBundle, hp: HyperParams) -> dict:
 
 def run_ablation(bundle: DatasetBundle, hp: HyperParams, seeds: list[int],
                  out_dir, n_eval: int = 20, log_fn=None) -> list[VariantResult]:
-    """Train/evaluate every variant for each seed; metrics on test users."""
+    """Train/evaluate every variant (one adjacency each) for each seed; test-user metrics."""
     from pathlib import Path
     out = Path(out_dir)
     results = []
     for variant in VARIANT_ORDER:
+        adj = build_adjacency_from_bundle(bundle, replace(hp, variant=variant))
         rows = []
         for seed in seeds:
             hp_v = replace(hp, variant=variant, seed=seed).validate()
-            adj = build_adjacency_from_bundle(bundle, hp_v)
             run_dir = out / f"{variant.value}_seed{seed}"
             result = train_loop(hp_v, bundle, adj.a_norm, run_dir, n_eval=n_eval)
             params = load_checkpoint(result.checkpoint_path)

@@ -46,14 +46,13 @@ class HyperParams:
 
     def validate(self) -> "HyperParams":
         for key in ("a", "b", "alpha", "beta", "gamma", "lr"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if abs(self.a + self.b - 1.0) > 1e-9:
             raise ConfigError(f"a+b must equal 1 (a={self.a}, b={self.b})")
-        if self.a < 0 or self.b < 0:
-            raise ConfigError("a and b must be non-negative")
         if not (self.alpha >= self.beta >= self.gamma > 0):
             warnings.warn(
                 f"hop weights should satisfy alpha >= beta >= gamma > 0 "

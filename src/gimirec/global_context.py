@@ -145,7 +145,8 @@ def build_weighted_adjacency(acc: HopPairAccumulator, alpha: float, beta: float,
     a_prime = combined + sp.identity(size, format="csr")
 
     degree = np.asarray(a_prime.sum(axis=1)).ravel()
-    assert np.all(degree > 0), "zero row sum impossible with unit diagonal"
+    if not np.all(degree > 0):   # only a negative hop weight cancels the unit diagonal
+        raise ValueError(f"adjacency row sums must be > 0, got {degree.min()}")
     d_inv_sqrt = 1.0 / np.sqrt(degree)
     entry_rows = np.repeat(np.arange(size), np.diff(a_prime.indptr))
     a_norm = a_prime.copy()

@@ -135,7 +135,6 @@ def _rank_rows(interests, items_t, n, exclude: tuple) -> np.ndarray:
     twice as fast as the (V, d) table's transposed view, which the one-row
     ``top_n`` keeps: it costs less than the copy.
     """
-    interests = np.asarray(interests)
     n = np.asarray(n, dtype=np.int64)
     out = np.full((len(n), int(n.max(initial=0))), -1, dtype=np.int64)
     for lo, block in _blocks(interests, items_t):
@@ -237,18 +236,10 @@ def _settle_in_head(interests, n, exclude, e_global, head) -> tuple:
     # the n-th largest score, NaN below -inf, as the ranking orders them
     nth = -np.partition(-score, np.unique(n - 1), axis=1)[np.arange(len(n)), n - 1]
     settled = np.isfinite(nth) & (nth > slack * outside * q_norm + tiny)
-    # a settled row's top n are its pool, the head scores at or above the
-    # n-th: left-aligned in index order, then sorted by score stably, so
-    # ties rank the smaller index first, as in ``_rank_block``
-    rows, at = np.nonzero((score >= nth[:, None]) & settled[:, None])
-    col = np.arange(rows.size) - np.searchsorted(rows, rows)
-    n_max = int(n.max())
-    key = np.full((len(n), max(n_max, col.max(initial=0) + 1)), np.inf, dtype=score.dtype)
-    key[rows, col] = -score[rows, at]
-    pool = np.zeros(key.shape, dtype=np.int64)
-    pool[rows, col] = items[at]
-    top = np.take_along_axis(pool, np.argsort(key, axis=1, kind="stable")[:, :n_max], axis=1)
-    ranked = np.where((np.arange(n_max) < n[:, None]) & settled[:, None], top, -1)
+    # a settled row's top n are its pool, the head scores at or above the n-th
+    ranked = np.full((len(n), int(n.max())), -1, dtype=np.int64)
+    _rank_pool(score, (score >= nth[:, None]) & settled[:, None], np.where(settled, n, 0),
+               ranked, items)
     with np.errstate(divide="ignore", invalid="ignore"):
         limit = (nth - tiny) / (slack * q_norm)
     return ranked, settled, np.where(np.isfinite(limit), limit, -np.inf)
@@ -291,19 +282,28 @@ def _rank_block(score, n, exclude, out) -> None:
     # a candidate reads NaN, and its bound -inf pools every candidate
     bound = np.fmax(-np.partition(-best, np.unique(kth), axis=1)
                     [np.arange(u), kth], -np.inf)
-    # the pool holds each row's top n; sort it by row, then score with NaN
-    # last, then index: the head of each row's full stable sort
-    rows, items = np.divmod(np.flatnonzero(key >= bound[:, None]), v)
-    items = items[np.lexsort((-score[rows, items], rows))]
-    pooled = np.bincount(rows, minlength=u)
+    # a negative n pools every candidate, which its error then counts
+    _rank_pool(score, key >= np.where(n < 0, -np.inf, bound)[:, None], n, out)
+
+
+def _rank_pool(score, pool, n, out, items=None) -> None:
+    """Row u's best n[u] items of its ``pool`` (a mask) into out[u, :n[u]],
+    column c listed as ``items[c]`` (as c without a map): the one order of
+    every ranked list, score descending, NaN last, ties to the smaller c."""
+    rows, at = np.divmod(np.flatnonzero(pool), score.shape[1])
+    pooled = np.bincount(rows, minlength=len(score))
     short = (n < 0) | (n > pooled)
     if short.any():
         r = np.argmax(short)
-        raise ValueError(f"cannot rank {n[r]} items from "
-                         f"{np.count_nonzero(~np.isnan(key[r]))} candidates")
-    slots = np.arange(out.shape[1])
-    head = slots < n[:, None]
-    out[head] = items[((np.cumsum(pooled) - pooled)[:, None] + slots)[head]]
+        raise ValueError(f"cannot rank {n[r]} items from {pooled[r]} candidates")
+    # -scores left-aligned, then NaN: a stable sort ranks NaN last, ties in order
+    start = np.cumsum(pooled) - pooled
+    key = np.full((len(score), max(out.shape[1], pooled.max(initial=0))), np.nan, score.dtype)
+    key[rows, np.arange(rows.size) - start[rows]] = -score[rows, at]
+    order = np.argsort(key, axis=1, kind="stable")[:, :out.shape[1]]
+    head = np.arange(out.shape[1]) < n[:, None]
+    picked = at[(start[:, None] + order)[head]]
+    out[head] = picked if items is None else items[picked]
 
 
 def compute_global_table(params: ModelParams, a_norm: sp.csr_matrix) -> np.ndarray:

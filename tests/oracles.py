@@ -666,6 +666,48 @@ def rank_rows_full_partition(interests, items_t, n, exclude):
     return out
 
 
+def _check_pool(pooled, n):
+    short = (n < 0) | (n > pooled)
+    if short.any():
+        r = np.argmax(short)
+        raise ValueError(f"cannot rank {n[r]} items from {pooled[r]} candidates")
+
+
+def rank_pool_lexsort(score, pool, n, out, items=None):
+    """``serve_eval._rank_pool`` as the full scan's former tail: one
+    ``np.lexsort`` of the flat pool by row, then -score (NaN last), then
+    column, and each row's first n read from its run."""
+    u, v = score.shape
+    rows, at = np.divmod(np.flatnonzero(pool), v)
+    at = at[np.lexsort((-score[rows, at], rows))]
+    pooled = np.bincount(rows, minlength=u)
+    _check_pool(pooled, n)
+    slots = np.arange(out.shape[1])
+    head = slots < n[:, None]
+    picked = at[((np.cumsum(pooled) - pooled)[:, None] + slots)[head]]
+    out[head] = picked if items is None else items[picked]
+
+
+def rank_pool_inf_padded(score, pool, n, out, items=None):
+    """``serve_eval._rank_pool`` as the norm head's former sort: each row's
+    -scores left-aligned in a +inf-padded key, sorted stably, then the
+    first n read through a matching item matrix. Padding ties a -inf score
+    and sorts before a NaN one, so it ranks only pools without NaN, as the
+    head's are."""
+    rows, at = np.nonzero(pool)
+    _check_pool(np.bincount(rows, minlength=len(score)), n)
+    col = np.arange(rows.size) - np.searchsorted(rows, rows)
+    width = out.shape[1]
+    key = np.full((len(n), max(width, col.max(initial=0) + 1)), np.inf, dtype=score.dtype)
+    key[rows, col] = -score[rows, at]
+    listed = np.zeros(key.shape, dtype=np.int64)
+    listed[rows, col] = at if items is None else items[at]
+    top = np.take_along_axis(listed, np.argsort(key, axis=1, kind="stable")[:, :width],
+                             axis=1)
+    head = np.arange(width) < n[:, None]
+    out[head] = top[head]
+
+
 def make_window_slices(seq, end_pos, l_rec):
     """``recent.make_window`` as one slice and concatenation per window, the
     formulation the shared window cutter replaced: (items, timestamps,

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from gimirec import ablation
 from gimirec.ablation import (VARIANT_ORDER, compare_variant_matrices,
                               direction_holds, run_ablation, VariantResult)
 from gimirec.config import HyperParams
@@ -39,6 +40,28 @@ def test_run_ablation_covers_all_variants(tmp_path):
         assert len(r.per_seed_recall) == 1
         assert (tmp_path / "runs" / f"{r.variant.value}_seed0"
                 / "checkpoint.bin").exists()
+
+
+def test_adjacency_built_once_per_variant(tmp_path, monkeypatch):
+    bundle = mini_bundle(tmp_path)
+    hp = HyperParams(d=8, k=2, l_rec=6, l_time=3, n_heads=2, n_layers=1,
+                     batch=8, neg_samples=4, max_steps=10, eval_every=10,
+                     lr=0.01).validate()
+    built = []
+    build = ablation.build_adjacency_from_bundle
+    monkeypatch.setattr(ablation, "build_adjacency_from_bundle",
+                        lambda bundle, hp: built.append(hp.variant) or build(bundle, hp))
+    results = run_ablation(bundle, hp, seeds=[0, 1], out_dir=tmp_path / "runs", n_eval=5)
+    assert built == list(VARIANT_ORDER)
+    # each seed's run is the one it makes alone
+    alone = [run_ablation(bundle, hp, seeds=[seed], out_dir=tmp_path / f"alone{seed}",
+                          n_eval=5) for seed in (0, 1)]
+    for result, *single in zip(results, *alone):
+        assert result == VariantResult(
+            result.variant,
+            *(float(np.mean([getattr(r, f) for r in single]))
+              for f in ("recall", "ndcg", "hit_rate")),
+            [r.recall for r in single])
 
 
 def test_direction_holds_logic():

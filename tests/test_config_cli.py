@@ -78,6 +78,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be >= ., got {value}$"):
             load_config(overrides=[override])
 
+    @pytest.mark.parametrize("overrides", [["a=-0.5", "b=1.5"], ["alpha=-1"], ["beta=-1"],
+                                           ["gamma=-1"]])
+    def test_negative_weight_rejected(self, overrides):
+        key, value = overrides[0].split("=")
+        with pytest.raises(ConfigError, match=f"^{key} must be finite and >= 0, "
+                                              f"got {float(value)}$"):
+            load_config(overrides=overrides)
+
+    def test_zero_hop_weight_only_warns(self):
+        with pytest.warns(UserWarning, match="alpha >= beta >= gamma > 0"):
+            assert load_config(overrides=["gamma=0"]).gamma == 0
+
     @pytest.mark.parametrize("value", ["-1", "x"])
     def test_env_seed_must_be_a_non_negative_integer(self, monkeypatch, value):
         monkeypatch.setenv("GIMI_SEED", value)
@@ -539,6 +551,20 @@ def prepared_bundle(mini_corpus, tmp_path):
 
 
 class TestCliEdgeCases:
+    def test_gce_rejects_negative_hop_weights(self, mini_corpus, tmp_path, capsys):
+        # they used to fail an assert in the adjacency build, or under
+        # python -O write a NaN adjacency
+        bundle = tmp_path / "bundle"
+        assert main(["prepare", "--input", str(mini_corpus / "log.csv"),
+                     "--out", str(bundle)]) == 0
+        capsys.readouterr()
+        assert main(["gce", "--bundle", str(bundle), "--out", str(tmp_path / "gce"), *SMALL,
+                     "--set", "alpha=-1", "--set", "beta=-2", "--set", "gamma=-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alpha must be finite and >= 0, got -1.0\n"
+        assert not (tmp_path / "gce").exists()
+
     def _empty_split(self, bundle):
         """Leave every user in train: the valid and test lists are empty."""
         path = bundle / "split.json"

@@ -139,6 +139,14 @@ class TestWeightedAdjacency:
         np.testing.assert_allclose(norm, [[0.25, 0.75], [0.75, 0.25]],
                                    atol=1e-12)
 
+    def test_row_sum_not_positive_rejected(self):
+        # a negative hop weight cancels the unit diagonal: A' = [[1, -1], [-1, 1]]
+        acc = acc_from_dicts({1: {(1, 2): 1.0}})
+        with pytest.raises(ValueError, match="^adjacency row sums must be > 0, got 0.0$"):
+            build_weighted_adjacency(acc, -1.0, 0.0, 0.0, 2)
+        with pytest.raises(ValueError, match="^adjacency row sums must be > 0, got -1.0$"):
+            build_weighted_adjacency(acc_from_dicts({2: {(2, 3): 2.0}}), 0.0, -1.0, 0.0, 3)
+
     def test_padding_row_stays_identity(self, tiny_adjacency):
         row = tiny_adjacency.a_norm.getrow(0).toarray().ravel()
         expect = np.zeros_like(row)

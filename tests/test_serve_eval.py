@@ -141,6 +141,11 @@ class TestTopN:
             np.testing.assert_array_equal(
                 top_n(vectors, e_global, n, exclude), full[:n])
 
+    def test_negative_n_counts_every_candidate(self):
+        # the chunk bound alone would pool only the best item
+        with pytest.raises(ValueError, match="^cannot rank -1 items from 25 candidates$"):
+            top_n(np.ones((1, 2)), np.arange(60.0).reshape(30, 2), -1, exclude={3, 4, 5, 6})
+
     def test_too_many_requested(self):
         with pytest.raises(ValueError):
             top_n(np.ones((1, 2)), np.zeros((4, 2)), 4)
@@ -323,6 +328,67 @@ class TestChunkBoundSelection:
         items_t = np.ascontiguousarray(table.T.astype(np.float32))
         monkeypatch.setattr(serve_eval, "_SCORE_BLOCK_BYTES", 7 * 4 * 5003 * 4)
         _assert_ranks_like_full_partition(interests, items_t, n, pairs)
+
+
+POOL_SCORES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 2.0]
+
+
+def _pool_case(rng):
+    """(score, pool, n, out width, item map or None) for ``_rank_pool``:
+    one row or several, float32 or float64 scores mixing normal draws with
+    tied and special values (NaN in half the draws), rows asking for 0 to
+    all of their pool, and one row in five asking for one more."""
+    u = 1 if rng.random() < 0.3 else int(rng.integers(2, 8))
+    v = int(rng.integers(1, 30))
+    dtype = (np.float32, np.float64)[rng.integers(2)]
+    specials = POOL_SCORES[rng.integers(2):]
+    score = np.where(rng.random((u, v)) < rng.random(), rng.normal(size=(u, v)),
+                     rng.choice(specials, size=(u, v))).astype(dtype)
+    pool = rng.random((u, v)) < rng.random()
+    pooled = pool.sum(axis=1)
+    n = rng.integers(0, pooled + 1)
+    if rng.random() < 0.2:
+        r = rng.integers(u)
+        n[r] = pooled[r] + 1
+    width = int(n.max()) + int(rng.integers(0, 3))
+    items = rng.permutation(1000)[:v] if rng.random() < 0.5 else None
+    return score, pool, n, width, items
+
+
+class TestRankPool:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_replaced_sorts(self, seed):
+        rng = np.random.default_rng(seed)
+        score, pool, n, width, items = _pool_case(rng)
+        replaced = [oracles.rank_pool_lexsort]
+        if not np.isnan(score[pool]).any():
+            replaced.append(oracles.rank_pool_inf_padded)
+        for oracle in replaced:
+            expect, got = (np.full((len(n), width), -1, dtype=np.int64) for _ in range(2))
+            try:
+                oracle(score, pool, n, expect, items)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    serve_eval._rank_pool(score, pool, n, got, items)
+                continue
+            serve_eval._rank_pool(score, pool, n, got, items)
+            np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("a, b, widths", [(1.3, 0.7, [17, 18]),
+                                              (1.6 * 2.0**-70, 2.0**-79, [17, 128])])
+    def test_heads_and_full_scan_share_it(self, monkeypatch, a, b, widths):
+        # TestNormHead's tie case: a second head, or the full scan, settles it
+        table = np.tile(np.float32([b / 2, 0.0]), (128, 1))
+        table[1] = [b, 0.0]
+        table[10:26] = [b, 10 * b]
+        table[10, 0] = 2 * b
+        seen, rank_pool = [], serve_eval._rank_pool
+        monkeypatch.setattr(serve_eval, "_rank_pool", lambda score, *args: (
+            seen.append(score.shape[1]), rank_pool(score, *args))[1])
+        got = serve_eval._rank_by_norm(np.float32([[[a, 0.0]]]), table, [2], _pairs([set()]))
+        assert seen == widths
+        np.testing.assert_array_equal(got, [[10, 1]])
 
 
 HEAD_CASES = ["hubs", "ties", "special", "head_excluded", "few_in_head",
