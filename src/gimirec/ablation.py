@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import HyperParams
-from .global_context import AblationVariant, extract_hop_pairs
+from .global_context import AblationVariant, HopPairs, extract_hop_pairs
 from .ingest import DatasetBundle
 from .serve_eval import evaluate
 from .train import build_adjacency_from_bundle, train_loop
@@ -30,6 +30,19 @@ class VariantResult:
     ndcg: float
     hit_rate: float
     per_seed_recall: list[float]
+
+
+def _pairs_within(sub: HopPairs, sup: HopPairs) -> bool:
+    """Whether every (row, col) pair of ``sub`` is also one of ``sup``'s.
+
+    Both hold sorted distinct pairs, so their row * base + col keys are
+    sorted and one ``np.searchsorted`` finds each of ``sub``'s.
+    """
+    base = int(max(sub.cols.max(initial=0), sup.cols.max(initial=0))) + 1
+    keys, wanted = sup.rows * base + sup.cols, sub.rows * base + sub.cols
+    at = np.searchsorted(keys, wanted)
+    return bool(at.size == 0 or (at.max() < keys.size
+                                 and np.array_equal(keys[at], wanted)))
 
 
 def compare_variant_matrices(bundle: DatasetBundle, hp: HyperParams) -> dict:
@@ -49,9 +62,7 @@ def compare_variant_matrices(bundle: DatasetBundle, hp: HyperParams) -> dict:
                            and np.array_equal(h.cols, full.cols)
                            for h in (no_i, no_in))
         report[f"hop{k}_same_support_under_threshold"] = same_support
-        report[f"hop{k}_no_threshold_superset"] = (
-            set(zip(no_in.rows.tolist(), no_in.cols.tolist()))
-            <= set(zip(no_int.rows.tolist(), no_int.cols.tolist())))
+        report[f"hop{k}_no_threshold_superset"] = _pairs_within(no_in, no_int)
         report[f"hop{k}_counts_are_integers"] = bool(np.all(
             (no_i.values == np.floor(no_i.values)) & (no_i.values >= 1.0)))
         report[f"hop{k}_presence_is_binary"] = bool(

@@ -8,7 +8,9 @@ backward scatters into rows: slices, broadcasts and per-example picks are
 all written as gathers. Gradients propagate in the same dtype as the forward
 values; training runs in float32, oracles and gradient checks in float64.
 Gradient arrays are never mutated in place, so sharing a grad buffer
-between consumers is safe.
+between consumers is safe. Only leaves (tensors without a backward closure,
+such as parameters) keep ``.grad`` after ``backward``: every interior node's
+gradient is released once it has been propagated.
 """
 
 from __future__ import annotations
@@ -105,7 +107,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(root: Tensor):
-    """Run reverse accumulation from ``root`` (seeded with ones)."""
+    """Run reverse accumulation from ``root`` (seeded with ones).
+
+    Each node with a backward closure, ``root`` included, drops its ``.grad``
+    as soon as the closure has passed it on, so the step holds at most the
+    gradients still waiting to be propagated; leaves accumulate and keep
+    theirs. The forward data and closures stay, so a second ``backward`` on
+    the same graph adds the same leaf gradients again.
+    """
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -125,6 +134,7 @@ def backward(root: Tensor):
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,12 @@ def hop_pairs_oracle(sequences, variant: str, a: float, b: float,
     return weights, occurrences
 
 
+def pairs_within_sets(sub, sup):
+    """``ablation._pairs_within`` as the Python-set comparison it replaced."""
+    return (set(zip(sub.rows.tolist(), sub.cols.tolist()))
+            <= set(zip(sup.rows.tolist(), sup.cols.tolist())))
+
+
 def normalized_adjacency_oracle(weights: dict, alpha: float, beta: float,
                                 gamma: float, num_items: int):
     """Dense symmetrize-combine-normalize; returns (a_prime, a_norm)."""
@@ -386,6 +392,28 @@ def metrics_oracle(recommended, ground_truth, n):
 
 # ---------------------------------------------------------------------------
 # replaced tape formulations
+
+def backward_keep_interior(root):
+    """``ad.backward`` as it was before it released interior gradients:
+    every node on the tape keeps its ``.grad``."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node.grad)
+
 
 def scatter_add_reference(shape, idx, g):
     """Sequential ``np.add.at`` scatter of ``g`` into zeros of ``shape``."""

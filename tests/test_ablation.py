@@ -1,14 +1,17 @@
 """Variant wiring checks and the ablation runner on a miniature dataset."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from gimirec import ablation
 from gimirec.ablation import (VARIANT_ORDER, compare_variant_matrices,
                               direction_holds, run_ablation, VariantResult)
 from gimirec.config import HyperParams
-from gimirec.global_context import AblationVariant
+from gimirec.global_context import AblationVariant, HopPairs
 from gimirec.ingest import prepare
 from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
+
+from oracles import pairs_within_sets
 
 
 def mini_bundle(tmp_path, seed=4):
@@ -25,6 +28,46 @@ def test_variant_matrices_differ_only_via_switches(tmp_path):
     hp = HyperParams(l_time=3).validate()
     wiring = compare_variant_matrices(bundle, hp)
     assert wiring and all(wiring.values()), wiring
+
+
+def hop_pairs(pairs) -> HopPairs:
+    """Sorted distinct pairs as the accumulator stores them."""
+    rows, cols = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
+    return HopPairs(rows, cols, np.ones(rows.size))
+
+
+PAIRS = st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pairs_within_matches_sets(data):
+    sup = data.draw(PAIRS)
+    sub = set(data.draw(st.lists(st.sampled_from(sorted(sup)), max_size=10))
+              if sup else [])
+    if data.draw(st.booleans()):
+        sub |= data.draw(PAIRS)                    # most often not a subset
+    a, b = hop_pairs(sub), hop_pairs(sup)
+    assert ablation._pairs_within(a, b) == pairs_within_sets(a, b)
+
+
+def test_pairs_within_both_outcomes():
+    sup = hop_pairs({(1, 2), (1, 7), (3, 0), (9, 9)})
+    assert ablation._pairs_within(hop_pairs({(1, 7), (9, 9)}), sup)
+    assert ablation._pairs_within(hop_pairs(set()), hop_pairs(set()))
+    for outside in ({(1, 3)}, {(0, 0)}, {(9, 10)}, {(2, 1)}):
+        assert not ablation._pairs_within(hop_pairs(outside), sup)
+    assert not ablation._pairs_within(sup, hop_pairs(set()))
+
+
+def test_variant_report_equals_set_check(tmp_path, monkeypatch):
+    bundle = mini_bundle(tmp_path)
+    for l_time in (1, 3):
+        hp = HyperParams(l_time=l_time).validate()
+        report = compare_variant_matrices(bundle, hp)
+        with monkeypatch.context() as mp:
+            mp.setattr(ablation, "_pairs_within", pairs_within_sets)
+            assert report == compare_variant_matrices(bundle, hp)
 
 
 def test_run_ablation_covers_all_variants(tmp_path):

@@ -241,6 +241,18 @@ def test_grad_accumulates_across_uses():
     np.testing.assert_allclose(x.grad, [5.0])
 
 
+def test_second_backward_adds_first_pass_again():
+    # no interior gradient carries over from the first pass
+    x = ad.Tensor(np.array([0.3, -1.2, 0.7]), requires_grad=True)
+    t = ad.tanh(ad.mul(x, x))
+    y = ad.sumt(ad.mul(t, t))
+    y.backward()
+    assert y.grad is None and t.grad is None
+    first = x.grad.copy()
+    y.backward()
+    np.testing.assert_array_equal(x.grad, first + first)
+
+
 def test_dropout_scales_kept_entries():
     rng = np.random.default_rng(11)
     x = ad.Tensor(np.ones((100, 100)), requires_grad=True)

@@ -1,5 +1,7 @@
 """Example sampling, loss, gradients, Adam and the training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -9,6 +11,7 @@ from gimirec import model, train
 from gimirec.config import PRESETS, HyperParams
 from gimirec.global_context import AblationVariant, build_weighted_adjacency, extract_hop_pairs
 from gimirec.ingest import DatasetBundle, DatasetSplit, Vocab, prepare
+from gimirec.interests import select_training_interest
 from gimirec.model import (ModelDims, ModelParams, cast_adjacency, forward_interests,
                            load_checkpoint)
 from gimirec.recent import make_window
@@ -357,9 +360,17 @@ class TestLossAndGradients:
         grads = example_gradients(example, params, a_norm)
         batch = build_batch([example], params.dims.l_time, 1)
         params.zero_grad()
-        value, aux = batch_loss(params, a_norm, batch)
-        value.backward()
-        chained = a_norm.T @ aux["e_global"].grad
+        _, aux = batch_loss(params, a_norm, batch)
+        # backward releases aux["e_global"]'s gradient: take it from a leaf
+        # copy of the table run through the rest of the model and the loss
+        table = ad.Tensor(aux["e_global"].data.copy(), requires_grad=True)
+        interests, _ = model.forward_from_table(params, table, batch.item_idx,
+                                                batch.buckets, batch.mask)
+        target_emb = ad.gather(table, batch.targets)
+        _, selected = select_training_interest(interests, target_emb)
+        nll = sampled_softmax_nll(selected, target_emb, ad.gather(table, batch.negatives))
+        ad.scale(ad.sumt(nll), 1.0 / batch.item_idx.shape[0]).backward()
+        chained = a_norm.T @ table.grad
         np.testing.assert_allclose(grads["item_embeddings"], chained,
                                    atol=1e-12)
 
@@ -625,3 +636,97 @@ def test_smoke_training_equals_replaced_primitives(tmp_path, monkeypatch):
         runs.append((losses, result.checkpoint_path.read_bytes(), report))
     assert len(runs[0][0]) == 20 and runs[0][2].user_count > 0
     assert runs[0] == runs[1]
+
+
+@pytest.fixture(scope="module")
+def criterion6(tmp_path_factory):
+    """Criterion 6's planted bundle, smoke config and adjacency."""
+    root = tmp_path_factory.mktemp("criterion6")
+    write_log(root / "log.csv", planted_cluster_records(PlantedConfig(), seed=11))
+    bundle, _ = prepare(root / "log.csv", root / "bundle", seed=11)
+    hp = HyperParams(**{**PRESETS["amazon-books"], "d": 32, "n_layers": 1, "lr": 0.005,
+                        "max_steps": 20, "eval_every": 20, "seed": 11}).validate()
+    return bundle, hp, train.build_adjacency_from_bundle(bundle, hp).a_norm
+
+
+def test_backward_holds_under_half_the_forward_tape(criterion6):
+    """What backward allocates above the forward tape, traced on one smoke
+    batch, stays under half the tape: interior gradients are released."""
+    bundle, hp, a_norm = criterion6
+    vocab = bundle.split.item_vocab
+    dims = ModelDims(vocab.size, hp.d, hp.k, hp.l_rec, hp.l_time, hp.n_heads, hp.n_layers)
+    rng = np.random.default_rng(hp.seed)
+    params = ModelParams.init(dims, rng, dtype=np.float32)
+    adj = cast_adjacency(a_norm, np.float32)
+    batch = ExampleSampler(bundle.split.train_users, bundle.sequences, hp.l_rec,
+                           hp.neg_samples, vocab.num_real).batch(
+        hp.batch, rng, hp.l_time, hp.time_unit_seconds)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value, _ = batch_loss(params, adj, batch, dropout_rate=hp.dropout, rng=rng)
+        after_forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        value.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tape = after_forward - before
+    assert tape > 1e6
+    assert peak - after_forward < 0.5 * tape, (peak - after_forward, tape)
+
+
+def test_smoke_training_equals_keep_interior_backward(criterion6, tmp_path, monkeypatch):
+    """20 float32 smoke steps give the same checkpoint bytes with the
+    backward that kept every interior gradient."""
+    bundle, hp, a_norm = criterion6
+    assert hp.dtype == "float32"
+    checkpoints = []
+    for replaced in (False, True):
+        with monkeypatch.context() as mp:
+            if replaced:
+                mp.setattr(ad, "backward", oracles.backward_keep_interior)
+            result = train_loop(hp, bundle, a_norm, tmp_path / f"run{replaced}")
+        assert result.steps_run == 20
+        checkpoints.append(result.checkpoint_path.read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+
+
+def tape_nodes(root):
+    """Every tensor reachable from ``root`` that requires a gradient."""
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if node.requires_grad and id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+@pytest.mark.parametrize("config", [dict(seed=0), dict(seed=1, n_layers=2),
+                                    dict(seed=2, k=4, n_layers=2)],
+                         ids=["one_layer", "two_layers", "k4"])
+def test_gradcheck_leaf_gradients_equal_keep_interior_backward(config, monkeypatch):
+    """On gradcheck models (float64), every leaf gradient is bit-identical
+    to the backward that kept interior gradients, and no interior one is
+    left behind."""
+    backward = ad.backward
+    compared = []
+
+    def both(root):
+        backward(root)
+        nodes = tape_nodes(root)
+        leaves = [n for n in nodes if n._backward is None]
+        assert all(n.grad is None for n in nodes if n._backward is not None)
+        released = [n.grad for n in leaves]
+        for n in leaves:
+            n.grad = None
+        oracles.backward_keep_interior(root)
+        for n, grad in zip(leaves, released):
+            assert grad.dtype == np.float64
+            np.testing.assert_array_equal(grad, n.grad, strict=True)
+        compared.append(len(leaves))
+
+    monkeypatch.setattr(ad, "backward", both)
+    assert gradient_check(**config).passed
+    assert len(compared) == 1 and compared[0] >= 9  # the tensors the loss reads
