@@ -16,10 +16,8 @@ import numpy as np
 from gimirec.config import HyperParams
 from gimirec.ingest import prepare
 from gimirec.model import load_checkpoint
-from gimirec.serve_eval import (compute_global_table, evaluate,
-                                evaluate_ranker, infer_interests,
-                                popularity_counts, popularity_lists,
-                                random_lists, top_n)
+from gimirec.serve_eval import (evaluate, evaluate_ranker, popularity_counts,
+                                popularity_lists, random_lists, recommend)
 from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 from gimirec.train import build_adjacency_from_bundle, train_loop
 
@@ -56,12 +54,10 @@ with tempfile.TemporaryDirectory(prefix="gimirec-demo-") as tmp:
     print(f"\ntest recall@20:  model {model:.3f}  popularity {pop:.3f}  "
           f"random {rnd:.3f}")
 
+    # what `gimirec recommend` runs: top-10 unseen items over the full history
     user = int(bundle.split.test_users[0])
-    seq = bundle.sequences[user]
-    vectors = infer_interests(seq, len(seq), params, a_cast)
-    ranked = top_n(vectors, compute_global_table(params, a_cast), 10,
-                   exclude=set(seq.items.tolist()))
+    ranked = recommend(params, a_cast, bundle.sequences.subset([user]), 10)[0]
     print(f"\nuser {user} recent items:",
-          [vocab.index_to_raw[i] for i in seq.items[-8:]])
+          [vocab.index_to_raw[i] for i in bundle.sequences[user].items[-8:]])
     print(f"top-10 recommendations:",
           [vocab.index_to_raw[int(i)] for i in ranked])

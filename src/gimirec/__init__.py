@@ -12,7 +12,7 @@ from .ingest import (DatasetBundle, DatasetSplit, InteractionRecord,
                      Sequences, Vocab, filter_and_index, load_bundle,
                      parse_log, prepare, split_users)
 from .model import ModelDims, ModelParams, load_checkpoint, save_checkpoint
-from .recent import RecentWindow, interval_matrix, make_window
+from .recent import RecentWindow, make_window
 from .serve_eval import (MetricsReport, evaluate, infer_interests, metrics, recommend,
                          top_n)
 from .train import (AdamState, TrainingExample, adam_step, gradient_check,
@@ -24,9 +24,8 @@ __all__ = [
     "ModelDims", "ModelParams", "NormalizedAdjacency", "PRESETS",
     "RecentWindow", "Sequences", "TrainingExample", "Vocab", "adam_step",
     "build_weighted_adjacency", "evaluate", "extract_hop_pairs",
-    "filter_and_index", "global_embeddings", "gradient_check",
-    "infer_interests", "interval_matrix", "load_bundle", "load_checkpoint",
-    "load_config", "make_window", "metrics", "occurrence_weight",
-    "parse_log", "prepare", "recommend", "run_gradient_checks", "save_checkpoint",
-    "split_users", "top_n", "train_loop",
+    "filter_and_index", "global_embeddings", "gradient_check", "infer_interests",
+    "load_bundle", "load_checkpoint", "load_config", "make_window", "metrics",
+    "occurrence_weight", "parse_log", "prepare", "recommend", "run_gradient_checks",
+    "save_checkpoint", "split_users", "top_n", "train_loop",
 ]

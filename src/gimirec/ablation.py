@@ -2,21 +2,23 @@
 
 The variants must differ only through the documented switches (interval
 weighting, occurrence counts, interval threshold); ``compare_variant_matrices``
-checks exactly that on the built adjacencies, and ``run_ablation`` trains and
-evaluates each variant over several seeds.
+checks exactly that on the accumulators of ``variant_accumulators``, and
+``run_ablation`` trains and evaluates each variant over several seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from .config import HyperParams
-from .global_context import AblationVariant, HopPairs, extract_hop_pairs
+from .global_context import (AblationVariant, HopPairs, build_weighted_adjacency,
+                             extract_hop_pairs)
 from .ingest import DatasetBundle
 from .serve_eval import evaluate
-from .train import build_adjacency_from_bundle, train_loop
+from .train import train_loop
 from .model import load_checkpoint
 
 VARIANT_ORDER = (AblationVariant.FULL, AblationVariant.NO_I,
@@ -45,16 +47,20 @@ def _pairs_within(sub: HopPairs, sup: HopPairs) -> bool:
                                  and np.array_equal(keys[at], wanted)))
 
 
-def compare_variant_matrices(bundle: DatasetBundle, hp: HyperParams) -> dict:
+def variant_accumulators(bundle: DatasetBundle, hp: HyperParams) -> dict:
+    """Each variant's ``HopPairAccumulator`` over the training-split users."""
+    train = bundle.train_sequences()
+    return {v: extract_hop_pairs(train, v, hp.a, hp.b, float(hp.l_time),
+                                 hp.time_unit_seconds, hp.allow_self_pairs)
+            for v in VARIANT_ORDER}
+
+
+def compare_variant_matrices(accs: dict) -> dict:
     """Facts tying each variant's accumulator to its documented switch.
 
     Returns a report dict; every boolean in it must be True for the variants
     to be considered wired correctly.
     """
-    train = bundle.train_sequences()
-    accs = {v: extract_hop_pairs(train, v, hp.a, hp.b, float(hp.l_time),
-                                 hp.time_unit_seconds, hp.allow_self_pairs)
-            for v in VARIANT_ORDER}
     report: dict[str, bool] = {}
     for k in (1, 2, 3):
         full, no_i, no_in, no_int = (accs[v].hops[k] for v in VARIANT_ORDER)
@@ -72,27 +78,26 @@ def compare_variant_matrices(bundle: DatasetBundle, hp: HyperParams) -> dict:
     return report
 
 
-def run_ablation(bundle: DatasetBundle, hp: HyperParams, seeds: list[int],
-                 out_dir, n_eval: int = 20, log_fn=None) -> list[VariantResult]:
-    """Train/evaluate every variant (one adjacency each) for each seed; test-user metrics."""
-    from pathlib import Path
-    out = Path(out_dir)
+def run_ablation(bundle: DatasetBundle, hp: HyperParams, accs: dict, seeds: list[int],
+                 out_dir, log_fn=None) -> list[VariantResult]:
+    """Train and evaluate (test users, N = 20) every variant from ``accs`` per seed."""
     results = []
     for variant in VARIANT_ORDER:
-        adj = build_adjacency_from_bundle(bundle, replace(hp, variant=variant))
+        adj = build_weighted_adjacency(accs[variant], hp.alpha, hp.beta, hp.gamma,
+                                       bundle.split.item_vocab.num_real)
         rows = []
         for seed in seeds:
             hp_v = replace(hp, variant=variant, seed=seed).validate()
-            run_dir = out / f"{variant.value}_seed{seed}"
-            result = train_loop(hp_v, bundle, adj.a_norm, run_dir, n_eval=n_eval)
+            run_dir = Path(out_dir) / f"{variant.value}_seed{seed}"
+            result = train_loop(hp_v, bundle, adj.a_norm, run_dir)
             params = load_checkpoint(result.checkpoint_path)
             report = evaluate(bundle.sequences, bundle.split.test_users, params,
-                              adj.a_norm.astype(params.dtype), n_list=(n_eval,),
+                              adj.a_norm.astype(params.dtype), n_list=(20,),
                               time_unit_seconds=hp_v.time_unit_seconds,
                               residual=hp_v.residual, threads=hp_v.threads)
-            rows.append(report.per_n[n_eval])
+            rows.append(report.per_n[20])
             if log_fn is not None:
-                log_fn(f"{variant.value} seed={seed} recall@{n_eval}={rows[-1].recall:.4f}")
+                log_fn(f"{variant.value} seed={seed} recall@20={rows[-1].recall:.4f}")
         means = (float(np.mean([getattr(r, f) for r in rows]))
                  for f in ("recall", "ndcg", "hit_rate"))
         results.append(VariantResult(variant, *means, [r.recall for r in rows]))

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ablation import compare_variant_matrices, direction_holds, run_ablation
+from .ablation import (compare_variant_matrices, direction_holds, run_ablation,
+                       variant_accumulators)
 from .config import ConfigError, PRESETS, load_config
 from .global_context import (global_embeddings, read_adjacency, write_adjacency,
                              write_global_embeddings)
@@ -224,6 +225,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     seeds = _int_list("--seeds", args.seeds)
+    if min(seeds) < 0:
+        raise ValueError(f"--seeds must be non-negative, got {args.seeds!r}")
     hp = _resolve_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -234,13 +237,13 @@ def cmd_ablate(args) -> int:
         log_path = out / "synthetic_log.csv"
         write_log(log_path, planted_cluster_records(PlantedConfig(), seed=hp.seed))
         bundle, _ = prepare(log_path, out / "bundle", seed=hp.seed)
-    matrix_report = compare_variant_matrices(bundle, hp)
+    accs = variant_accumulators(bundle, hp)
+    matrix_report = compare_variant_matrices(accs)
     wired = all(matrix_report.values())
     print("variant wiring checks:", "ok" if wired else "FAILED")
-    for key, ok in sorted(matrix_report.items()):
-        if not ok:
-            print(f"  {key}: FAILED")
-    results = run_ablation(bundle, hp, seeds, out / "runs", log_fn=print)
+    for key in sorted(key for key, ok in matrix_report.items() if not ok):
+        print(f"  {key}: FAILED")
+    results = run_ablation(bundle, hp, accs, seeds, out / "runs", log_fn=print)
     print(f"{'variant':<8} {'recall@20':>10} {'ndcg@20':>10} {'hit@20':>10}")
     for row in results:
         print(f"{row.variant.value:<8} {row.recall:>10.4f} {row.ndcg:>10.4f} "

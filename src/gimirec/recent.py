@@ -62,20 +62,11 @@ def cut_windows(items: np.ndarray, timestamps: np.ndarray, starts: np.ndarray,
             np.where(mask[:, -1:], timestamps[at], 0), mask)
 
 
-def interval_matrix(window: RecentWindow, l_time: float,
-                    time_unit_seconds: int = 86400) -> np.ndarray:
-    """Pairwise |dt| in time units, clamped to l_time.
-
-    Off-diagonal entries involving a padding slot are forced to l_time (the
-    maximal distance); the diagonal is zero.
-    """
-    return _interval_matrices(window.timestamps[None], window.mask[None],
-                              l_time, time_unit_seconds)[0]
-
-
 def _interval_matrices(timestamps: np.ndarray, mask: np.ndarray, l_time: float,
                        time_unit_seconds: int) -> np.ndarray:
-    """``interval_matrix`` of every window at once: (B, L) -> (B, L, L)."""
+    """Each window's pairwise |dt| in time units, clamped to l_time, with
+    l_time (the maximal distance) wherever a padding slot is involved and a
+    zero diagonal: (B, L) -> (B, L, L)."""
     t = timestamps.astype(np.float64)
     vals = np.abs(t[:, :, None] - t[:, None, :]) / time_unit_seconds
     np.minimum(vals, l_time, out=vals)

@@ -435,6 +435,8 @@ def run_gradient_checks(n_models: int = 20, base_seed: int = 0,
     L_rec <= 5, 1-2 layers)."""
     if n_models < 1:
         raise ValueError(f"n_models must be at least 1, got {n_models}")
+    if base_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {base_seed}")
     results = []
     for i in range(n_models):
         rng = np.random.default_rng(base_seed + 1000 + i)

@@ -18,6 +18,7 @@ from gimirec import autodiff as ad
 from gimirec.aggregate import init_center, multi_head_attention
 from gimirec.ingest import (MIN_INTERACTIONS, BinaryReader, Sequences, Vocab,
                             _recode_by_first_appearance, _text_lines, _user_time_order)
+from gimirec.recent import _interval_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +751,14 @@ def make_window_slices(seq, end_pos, l_rec):
             np.concatenate([np.full(n_pad, pad_ts, dtype=np.int64), hist_ts]),
             np.concatenate([np.zeros(n_pad, dtype=bool),
                             np.ones(len(hist_items), dtype=bool)]))
+
+
+def interval_matrix(window, l_time, time_unit_seconds=86400):
+    """One ``RecentWindow``'s pairwise |dt| in time units, clamped to
+    l_time, with padding entries at l_time and a zero diagonal: the
+    one-window case of ``recent._interval_matrices``."""
+    return _interval_matrices(window.timestamps[None], window.mask[None],
+                              l_time, time_unit_seconds)[0]
 
 
 def evaluate_per_user(sequences, user_indices, params, a_norm, n_list=(20, 50),

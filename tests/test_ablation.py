@@ -1,15 +1,19 @@
 """Variant wiring checks and the ablation runner on a miniature dataset."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from gimirec import ablation
 from gimirec.ablation import (VARIANT_ORDER, compare_variant_matrices,
-                              direction_holds, run_ablation, VariantResult)
+                              direction_holds, run_ablation, variant_accumulators,
+                              VariantResult)
 from gimirec.config import HyperParams
 from gimirec.global_context import AblationVariant, HopPairs
 from gimirec.ingest import prepare
 from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
+from gimirec.train import build_adjacency_from_bundle
 
 from oracles import pairs_within_sets
 
@@ -26,7 +30,7 @@ def mini_bundle(tmp_path, seed=4):
 def test_variant_matrices_differ_only_via_switches(tmp_path):
     bundle = mini_bundle(tmp_path)
     hp = HyperParams(l_time=3).validate()
-    wiring = compare_variant_matrices(bundle, hp)
+    wiring = compare_variant_matrices(variant_accumulators(bundle, hp))
     assert wiring and all(wiring.values()), wiring
 
 
@@ -63,11 +67,11 @@ def test_pairs_within_both_outcomes():
 def test_variant_report_equals_set_check(tmp_path, monkeypatch):
     bundle = mini_bundle(tmp_path)
     for l_time in (1, 3):
-        hp = HyperParams(l_time=l_time).validate()
-        report = compare_variant_matrices(bundle, hp)
+        accs = variant_accumulators(bundle, HyperParams(l_time=l_time).validate())
+        report = compare_variant_matrices(accs)
         with monkeypatch.context() as mp:
             mp.setattr(ablation, "_pairs_within", pairs_within_sets)
-            assert report == compare_variant_matrices(bundle, hp)
+            assert report == compare_variant_matrices(accs)
 
 
 def test_run_ablation_covers_all_variants(tmp_path):
@@ -75,8 +79,8 @@ def test_run_ablation_covers_all_variants(tmp_path):
     hp = HyperParams(d=8, k=2, l_rec=6, l_time=3, n_heads=2, n_layers=1,
                      batch=8, neg_samples=4, max_steps=10, eval_every=10,
                      lr=0.01).validate()
-    results = run_ablation(bundle, hp, seeds=[0], out_dir=tmp_path / "runs",
-                           n_eval=5)
+    results = run_ablation(bundle, hp, variant_accumulators(bundle, hp), seeds=[0],
+                           out_dir=tmp_path / "runs")
     assert [r.variant for r in results] == list(VARIANT_ORDER)
     for r in results:
         assert 0.0 <= r.recall <= 1.0
@@ -90,15 +94,25 @@ def test_adjacency_built_once_per_variant(tmp_path, monkeypatch):
     hp = HyperParams(d=8, k=2, l_rec=6, l_time=3, n_heads=2, n_layers=1,
                      batch=8, neg_samples=4, max_steps=10, eval_every=10,
                      lr=0.01).validate()
+    accs = variant_accumulators(bundle, hp)
     built = []
-    build = ablation.build_adjacency_from_bundle
-    monkeypatch.setattr(ablation, "build_adjacency_from_bundle",
-                        lambda bundle, hp: built.append(hp.variant) or build(bundle, hp))
-    results = run_ablation(bundle, hp, seeds=[0, 1], out_dir=tmp_path / "runs", n_eval=5)
-    assert built == list(VARIANT_ORDER)
+    build = ablation.build_weighted_adjacency
+
+    def spy(acc, *args):
+        built.append((acc, build(acc, *args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(ablation, "build_weighted_adjacency", spy)
+    results = run_ablation(bundle, hp, accs, seeds=[0, 1], out_dir=tmp_path / "runs")
+    assert [id(acc) for acc, _ in built] == [id(accs[v]) for v in VARIANT_ORDER]
+    # from the given accumulators, each adjacency is the one the bundle gives
+    for variant, (_, adj) in zip(VARIANT_ORDER, built):
+        expect = build_adjacency_from_bundle(bundle, replace(hp, variant=variant)).a_norm
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(adj.a_norm, field), getattr(expect, field))
     # each seed's run is the one it makes alone
-    alone = [run_ablation(bundle, hp, seeds=[seed], out_dir=tmp_path / f"alone{seed}",
-                          n_eval=5) for seed in (0, 1)]
+    alone = [run_ablation(bundle, hp, accs, seeds=[seed], out_dir=tmp_path / f"alone{seed}")
+             for seed in (0, 1)]
     for result, *single in zip(results, *alone):
         assert result == VariantResult(
             result.variant,

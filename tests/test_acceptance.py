@@ -11,13 +11,13 @@ import pytest
 
 from gimirec import autodiff as ad
 from gimirec.ablation import (compare_variant_matrices, direction_holds,
-                              run_ablation)
+                              run_ablation, variant_accumulators)
 from gimirec.config import HyperParams, PRESETS
 from gimirec.global_context import (AblationVariant, build_weighted_adjacency,
                                     extract_hop_pairs, global_embeddings)
 from gimirec.ingest import prepare
 from gimirec.model import ModelDims, ModelParams, cast_adjacency, forward_interests, load_checkpoint
-from gimirec.recent import interval_matrix, make_window, stack_windows
+from gimirec.recent import make_window, stack_windows
 from gimirec.serve_eval import (evaluate, evaluate_ranker, metrics,
                                 popularity_counts, popularity_lists,
                                 random_lists, top_n)
@@ -26,7 +26,7 @@ from gimirec.train import (build_adjacency_from_bundle, run_gradient_checks,
                            train_loop)
 
 from helpers import acc_from_dicts, hop_dicts, random_sequences, sequences_of
-from oracles import hop_pairs_oracle, metrics_oracle
+from oracles import hop_pairs_oracle, interval_matrix, metrics_oracle
 
 FULL = AblationVariant.FULL
 
@@ -218,11 +218,12 @@ def test_criterion_7_ablation_direction(planted_bundle, tmp_path):
                      max_steps=250, eval_every=250, lr=0.005).validate()
     # hard gate: the four variants differ only through the documented
     # interval-weight / count / threshold switches
-    wiring = compare_variant_matrices(bundle, hp)
+    accs = variant_accumulators(bundle, hp)
+    wiring = compare_variant_matrices(accs)
     bad = [k for k, ok in wiring.items() if not ok]
     assert not bad, f"variant wiring broken: {bad}"
 
-    results = run_ablation(bundle, hp, seeds=[0, 1, 2], out_dir=tmp_path)
+    results = run_ablation(bundle, hp, accs, seeds=[0, 1, 2], out_dir=tmp_path)
     table = {r.variant.value: r.recall for r in results}
     held = direction_holds(results)
     # reported, not enforced: desk-scale budgets may not separate variants

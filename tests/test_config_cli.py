@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gimirec import autodiff as ad
+from gimirec import ablation, autodiff as ad, cli, train
 from gimirec.cli import main
 from gimirec.config import ConfigError, HyperParams, PRESETS, load_config
 from gimirec.global_context import (AblationVariant, global_embeddings, read_adjacency,
@@ -139,6 +139,7 @@ SMALL = ["--set", "d=8", "--set", "k=2", "--set", "l_rec=6", "--set", "l_time=4"
          "--set", "n_layers=1", "--set", "n_heads=2", "--set", "batch=8",
          "--set", "max_steps=12", "--set", "eval_every=6", "--set",
          "neg_samples=4", "--set", "seed=5", "--set", "threads=1"]
+ABLATE = [*SMALL, "--set", "l_time=3", "--set", "max_steps=6", "--set", "eval_every=6"]
 
 
 class TestCliPipeline:
@@ -525,6 +526,62 @@ class TestCliPipeline:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: n_models must be at least 1, got {models}\n"
+
+    def test_gradcheck_rejects_negative_seed(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+
+    def test_ablate_rejects_negative_seed_before_out(self, tmp_path, capsys):
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--bundle", str(tmp_path / "no_bundle"), "--out", str(out),
+                     "--seeds", "0,-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seeds must be non-negative, got '0,-1'\n"
+        assert not out.exists()
+
+    def test_ablate_extracts_hop_pairs_once_per_variant(self, mini_corpus, tmp_path,
+                                                        monkeypatch, capsys):
+        bundle = tmp_path / "bundle"
+        assert main(["prepare", "--input", str(mini_corpus / "log.csv"),
+                     "--out", str(bundle), "--set", "seed=5"]) == 0
+        calls = []
+        for module in (ablation, train):
+            def spy(*args, extract=module.extract_hop_pairs, **kwargs):
+                calls.append(args[1])
+                return extract(*args, **kwargs)
+            monkeypatch.setattr(module, "extract_hop_pairs", spy)
+        # the wiring check and both seeds of every variant
+        assert main(["ablate", "--bundle", str(bundle), "--out", str(tmp_path / "ablate"),
+                     "--seeds", "0,1", *ABLATE]) == 0
+        assert calls == list(ablation.VARIANT_ORDER)
+        assert "variant wiring checks: ok" in capsys.readouterr().out
+
+    def test_ablate_wiring_failure_exits_1(self, mini_corpus, tmp_path, monkeypatch,
+                                           capsys):
+        bundle = tmp_path / "bundle"
+        assert main(["prepare", "--input", str(mini_corpus / "log.csv"),
+                     "--out", str(bundle), "--set", "seed=5"]) == 0
+        extract = ablation.variant_accumulators
+
+        def broken(*args):
+            # no_I's hop-1 occurrence counts are no longer integers
+            accs = extract(*args)
+            hops = accs[AblationVariant.NO_I].hops
+            assert hops[1].values.size
+            hops[1] = hops[1]._replace(values=hops[1].values + 0.5)
+            return accs
+
+        monkeypatch.setattr(cli, "variant_accumulators", broken)
+        capsys.readouterr()
+        assert main(["ablate", "--bundle", str(bundle), "--out", str(tmp_path / "ablate"),
+                     "--seeds", "0", *ABLATE]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "variant wiring checks: FAILED"
+        assert [line for line in lines[1:] if line.endswith(": FAILED")] == [
+            "  hop1_counts_are_integers: FAILED"]
 
     def test_ablate_command_on_bundle(self, mini_corpus, capsys):
         root = mini_corpus

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from gimirec import autodiff as ad
 from gimirec.recent import (bucketize, cut_windows, interval_attention,
-                            interval_matrix, make_window, stack_windows)
+                            make_window, stack_windows)
 
 from helpers import sequences_of
-from oracles import interval_attention_oracle, make_window_slices
+from oracles import interval_attention_oracle, interval_matrix, make_window_slices
 
 
 def seq(items, ts):
