@@ -15,21 +15,20 @@ gradient is released once it has been propagated.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import scipy.sparse as sp
 
 
-class _GradMode(threading.local):
-    enabled = True    # per thread: evaluation workers enter no_grad concurrently
+class _GradMode:
+    enabled = True
 
 
 _GRAD_MODE = _GradMode()
 
 
 class no_grad:
-    """Disable graph construction in this thread inside a ``with`` block."""
+    """Disable graph construction inside a ``with`` block; leaving it, even
+    by an exception, restores the previous mode."""
 
     def __enter__(self):
         self._prev = _GRAD_MODE.enabled

@@ -170,7 +170,7 @@ def cmd_eval(args) -> int:
              else bundle.split.valid_users)
     report = evaluate(bundle.sequences, users, params, a_norm, n_list=n_list,
                       time_unit_seconds=hp.time_unit_seconds,
-                      residual=hp.residual, threads=hp.threads)
+                      residual=hp.residual)
     payload = {
         "split": args.split,
         **report.to_dict(),
@@ -198,7 +198,7 @@ def cmd_recommend(args) -> int:
             raise ValueError(f"user index {u} of {args.bundle} has no interactions to "
                              "recommend from")
     ranked = recommend(params, a_norm, seqs.subset(users), args.n, hp.time_unit_seconds,
-                       hp.residual, hp.threads)
+                       hp.residual)
     vocab = bundle.split.item_vocab
     for u, row in zip(users, ranked):
         # a short list means too few candidates, reported when that user is
@@ -227,6 +227,9 @@ def cmd_ablate(args) -> int:
     seeds = _int_list("--seeds", args.seeds)
     if min(seeds) < 0:
         raise ValueError(f"--seeds must be non-negative, got {args.seeds!r}")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise ValueError(f"--seeds repeats seed {repeated[0]}, got {args.seeds!r}")
     hp = _resolve_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,6 +246,8 @@ def cmd_ablate(args) -> int:
     print("variant wiring checks:", "ok" if wired else "FAILED")
     for key in sorted(key for key, ok in matrix_report.items() if not ok):
         print(f"  {key}: FAILED")
+    if not wired:
+        return 1
     results = run_ablation(bundle, hp, accs, seeds, out / "runs", log_fn=print)
     print(f"{'variant':<8} {'recall@20':>10} {'ndcg@20':>10} {'hit@20':>10}")
     for row in results:
@@ -250,7 +255,7 @@ def cmd_ablate(args) -> int:
               f"{row.hit_rate:>10.4f}")
     print("full beats every ablation:" ,
           "yes" if direction_holds(results) else "no (reported, not enforced)")
-    return 0 if wired else 1
+    return 0
 
 
 def main(argv=None) -> int:

@@ -39,10 +39,10 @@ class HyperParams:
     seed: int = 42
     eval_every: int = 500
     dtype: str = "float32"
-    neg_distribution: str = "uniform"
+    neg_distribution: str = "uniform"  # one value, kept only for perfbench/
     allow_self_pairs: bool = True
     residual: bool = False
-    threads: int = 1
+    threads: int = 1  # one value, kept only for perfbench/
 
     def validate(self) -> "HyperParams":
         for key in ("a", "b", "alpha", "beta", "gamma", "lr"):
@@ -61,15 +61,17 @@ class HyperParams:
         if self.d < 1 or self.n_heads < 1 or self.d % self.n_heads != 0:
             raise ConfigError(f"d={self.d} must be a positive multiple of "
                               f"n_heads={self.n_heads}")
-        for key in ("k", "l_time", "l_rec", "n_layers", "threads"):
+        for key in ("k", "l_time", "l_rec", "n_layers"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype}")
-        if self.neg_distribution not in ("uniform", "log_uniform"):
-            raise ConfigError(f"unknown neg_distribution {self.neg_distribution}")
+        for key, only in (("neg_distribution", "uniform"), ("threads", 1)):
+            if getattr(self, key) != only:
+                raise ConfigError(f"{key} must be {only} (the option was removed), "
+                                  f"got {getattr(self, key)}")
         if self.neg_samples < 1 or self.batch < 1 or self.max_steps < 0:
             raise ConfigError("neg_samples/batch must be >= 1 and max_steps >= 0")
         if self.seed < 0:

@@ -8,8 +8,6 @@ remaining 20% as ground truth.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +156,7 @@ def _row_norms(table: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("vd,vd->v", table, table, dtype=np.float64))
 
 
-def _rank_by_norm(interests, e_global, n, exclude: tuple, each=map) -> np.ndarray:
+def _rank_by_norm(interests, e_global, n, exclude: tuple) -> np.ndarray:
     """``_rank_rows`` of the (V, d) table, through heads of its largest-norm
     items (norm-ordered search, LEMP: Teflioudi et al., SIGMOD 2015).
 
@@ -167,8 +165,7 @@ def _rank_by_norm(interests, e_global, n, exclude: tuple, each=map) -> np.ndarra
     second head, sized to the largest such need, tries those rows again.
     No head holds more than V // 4 - 1 items, and none is built if a norm is
     not finite. The rows left open, and those whose need is past the cap,
-    take the full scan against one C-contiguous (d, V) copy of the table,
-    ``_EVAL_CHUNK`` rows per ``each`` call.
+    take one full scan against a C-contiguous (d, V) copy of the table.
     """
     n = np.asarray(n, dtype=np.int64)
     out = np.full((len(n), int(n.max(initial=0))), -1, dtype=np.int64)
@@ -194,17 +191,9 @@ def _rank_by_norm(interests, e_global, n, exclude: tuple, each=map) -> np.ndarra
         need[rows] = np.where(settled, 0, np.maximum(count, t + 1))
     rows = need > 0
     if rows.any():
-        items_t = np.ascontiguousarray(e_global.T)
-        interests, n, exclude = interests[rows], n[rows], _pairs_of(exclude, rows)
-        ranked = np.full((len(n), out.shape[1]), -1, dtype=np.int64)
-
-        def scan(lo):
-            hi = lo + _EVAL_CHUNK
-            block = _rank_rows(interests[lo:hi], items_t, n[lo:hi], _pairs_in(exclude, lo, hi))
-            ranked[lo:hi, :block.shape[1]] = block
-
-        list(each(scan, range(0, len(n), _EVAL_CHUNK)))
-        out[rows] = ranked
+        ranked = _rank_rows(interests[rows], np.ascontiguousarray(e_global.T), n[rows],
+                            _pairs_of(exclude, rows))
+        out[rows, :ranked.shape[1]] = ranked
     return out
 
 
@@ -370,35 +359,28 @@ def _lists(sequences: Sequences, n: int, vocab_size: int) -> tuple:
 
 
 def recommend(params: ModelParams, a_norm: sp.csr_matrix, sequences: Sequences, n: int,
-              time_unit_seconds: int = 86400, residual: bool = False,
-              threads: int = 1) -> np.ndarray:
+              time_unit_seconds: int = 86400, residual: bool = False) -> np.ndarray:
     """Each row's ranked list, as a (rows, n) int64 matrix.
 
     Row r ranks the exact top n (``_rank_by_norm``) for the interests of its
     window over all of ``sequences[r]``, under every ranker's contract
     (``_lists``). One global table serves every row; rows are fed to the
-    forward pass ``_EVAL_CHUNK`` at a time, on ``threads`` threads.
+    forward pass ``_EVAL_CHUNK`` at a time.
     """
     exclude, lengths, ranked = _lists(sequences, n, params.dims.n_items)
     if not len(ranked):
         return ranked
     e_global = compute_global_table(params, a_norm)
-
-    def interests_of(lo):
+    chunks = []
+    for lo in range(0, len(ranked), _EVAL_CHUNK):
         hi = lo + _EVAL_CHUNK
         windows = _windows((sequences.items, sequences.timestamps, sequences.starts[lo:hi],
                             sequences.lengths[lo:hi]),
                            sequences.lengths[lo:hi], params.dims, time_unit_seconds)
         with ad.no_grad():
-            interests, _ = forward_from_table(params, ad.Tensor(e_global), *windows,
-                                              residual=residual)
-        return interests.data
-
-    chunks = range(0, len(ranked), _EVAL_CHUNK)
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        each = pool.map if pool else map
-        block = _rank_by_norm(np.concatenate(list(each(interests_of, chunks))), e_global,
-                              lengths, exclude, each)
+            chunks.append(forward_from_table(params, ad.Tensor(e_global), *windows,
+                                             residual=residual)[0].data)
+    block = _rank_by_norm(np.concatenate(chunks), e_global, lengths, exclude)
     ranked[:, :block.shape[1]] = block
     return ranked
 
@@ -467,8 +449,10 @@ def evaluate(sequences: Sequences, user_indices: np.ndarray,
              n_list: tuple[int, ...] = (20, 50), time_unit_seconds: int = 86400,
              residual: bool = False, threads: int = 1) -> MetricsReport:
     """``evaluate_ranker`` over the model's ``recommend`` lists."""
+    if threads != 1:  # kept only for perfbench/; evaluation runs on one thread
+        raise ValueError(f"threads must be 1 (the thread pool was removed), got {threads}")
     return evaluate_ranker(sequences, user_indices, lambda prefixes, n: recommend(
-        params, a_norm, prefixes, n, time_unit_seconds, residual, threads), n_list)
+        params, a_norm, prefixes, n, time_unit_seconds, residual), n_list)
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,8 @@ class ExampleSampler:
     An example is a uniform train user, a uniform target position 2..N in
     that user's sequence with the window of up to ``l_rec`` items before it,
     and ``n_neg`` distinct negatives from the real items other than the
-    target: a uniform subset by Floyd's algorithm, or successive draws
-    weighted 1/item for ``log_uniform``. When ``n_neg`` covers every other
-    item, all of them are the negatives.
+    target: a uniform subset by Floyd's algorithm. When ``n_neg`` covers
+    every other item, all of them are the negatives.
 
     Each example reads exactly ``2 + n_draws`` doubles from ``rng.random``,
     in order: user, position, then one per negative (``n_draws`` is 0 when
@@ -76,10 +75,7 @@ class ExampleSampler:
     """
 
     def __init__(self, train_users: np.ndarray, sequences: Sequences,
-                 l_rec: int, n_neg: int, n_real_items: int,
-                 distribution: str = "uniform"):
-        if distribution not in ("uniform", "log_uniform"):
-            raise ValueError(f"unknown negative distribution {distribution!r}")
+                 l_rec: int, n_neg: int, n_real_items: int):
         self.users = users = np.asarray(train_users, dtype=np.int64)
         if users.size == 0:
             raise ValueError("the train split is empty: no examples to draw")
@@ -91,7 +87,6 @@ class ExampleSampler:
                              f"{self.lengths[short[0]]} interaction(s); a "
                              "training example needs at least 2")
         self.l_rec, self.n_real_items = l_rec, n_real_items
-        self.distribution = distribution
         self.n_neg = max(min(n_neg, n_real_items - 1), 0)
         self.n_draws = n_neg if n_neg < n_real_items - 1 else 0
 
@@ -116,10 +111,9 @@ class ExampleSampler:
     def _negatives(self, u: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Negatives from the (n, n_draws) draws: picks in 0..n_real_items-2
         map to items 1..n_real_items, skipping each row's target."""
-        n = len(targets)
         if not self.n_draws:  # every other item
-            picks = np.broadcast_to(np.arange(self.n_neg), (n, self.n_neg))
-        elif self.distribution == "uniform":
+            picks = np.broadcast_to(np.arange(self.n_neg), (len(targets), self.n_neg))
+        else:
             # Floyd: a uniform n_draws-subset, one draw per member
             picks = np.empty(u.shape, dtype=np.int64)
             first = self.n_real_items - 1 - self.n_draws
@@ -127,16 +121,6 @@ class ExampleSampler:
                 t = (u[:, c] * (first + c + 1)).astype(np.int64)
                 taken = (picks[:, :c] == t[:, None]).any(axis=1)
                 picks[:, c] = np.where(taken, first + c, t)
-        else:
-            # successive draws weighted 1/item: the first pick whose
-            # cumulative weight reaches a point in (0, total]
-            items = np.arange(1, self.n_real_items)
-            weights = 1.0 / (items + (items >= targets[:, None]))
-            picks = np.empty(u.shape, dtype=np.int64)
-            for c in range(self.n_draws):
-                cdf = np.cumsum(weights, axis=1)
-                picks[:, c] = (cdf < (1.0 - u[:, c:c + 1]) * cdf[:, -1:]).sum(axis=1)
-                weights[np.arange(n), picks[:, c]] = 0.0
         negatives = picks + 1
         negatives += negatives >= targets[:, None]
         return negatives
@@ -153,8 +137,10 @@ def make_examples(train_users: np.ndarray, sequences: Sequences,
                   rng: np.random.Generator, distribution: str = "uniform"):
     """Endless stream of single ``ExampleSampler`` draws: n of them consume
     the stream exactly as one batch of n."""
-    sampler = ExampleSampler(train_users, sequences, l_rec, n_neg, n_real_items,
-                             distribution)
+    if distribution != "uniform":  # kept only for perfbench/
+        raise ValueError(f"distribution must be 'uniform' (the option was removed), "
+                         f"got {distribution!r}")
+    sampler = ExampleSampler(train_users, sequences, l_rec, n_neg, n_real_items)
     while True:
         user, items, timestamps, mask, target, negatives = (
             a[0] for a in sampler.draw(1, rng))
@@ -289,8 +275,7 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
     rng = np.random.default_rng(hp.seed)
     params = ModelParams.init(dims, rng, dtype=dtype)
     sampler = ExampleSampler(bundle.split.train_users, bundle.sequences,
-                             hp.l_rec, hp.neg_samples, vocab.num_real,
-                             hp.neg_distribution)
+                             hp.l_rec, hp.neg_samples, vocab.num_real)
     state = AdamState(lr=hp.lr)
     ckpt_path = out / "checkpoint.bin"
     log_path = out / "train_log.txt"
@@ -306,7 +291,7 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
         report = serve_eval.evaluate(
             bundle.sequences, bundle.split.valid_users, params, adj,
             n_list=(n_eval,), time_unit_seconds=hp.time_unit_seconds,
-            residual=hp.residual, threads=hp.threads)
+            residual=hp.residual)
         row = report.per_n[n_eval]
         mean_loss = loss_accum / max(loss_count, 1)
         wall = time.perf_counter() - start

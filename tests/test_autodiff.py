@@ -1,7 +1,5 @@
 """Finite-difference checks for every autodiff primitive."""
 
-import threading
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -207,30 +205,20 @@ def test_no_grad_builds_no_graph():
     assert y._backward is None and not y.requires_grad
 
 
-def test_no_grad_is_per_thread():
-    # events force the order: enter A, enter B, exit A, exit B
-    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
-
-    def first():
-        with ad.no_grad():
-            a_in.set()
-            b_in.wait(10)
-        a_out.set()
-
-    def second():
-        a_in.wait(10)
-        with ad.no_grad():
-            b_in.set()
-            a_out.wait(10)
-
-    workers = [threading.Thread(target=f) for f in (first, second)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join(10)
-    assert not any(w.is_alive() for w in workers)
-    assert a_out.is_set()
+def test_no_grad_restores_mode_on_exception_and_when_nested():
     x = ad.Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    assert ad.tanh(x).requires_grad
+    with ad.no_grad():
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("nested")
+        assert not ad.tanh(x).requires_grad
+        with ad.no_grad():
+            pass
+        assert not ad.tanh(x).requires_grad
     assert ad.tanh(x).requires_grad
 
 

@@ -25,10 +25,10 @@ MODEL_FILES = ("adjacency.bin", "checkpoint.bin", "run.cfg")
 KINDS = ("flip", b"\x00", b"\xff", b"\n", b"\t", b"-", "truncate", "insert",
          "duplicate")
 PER_KIND = 6
-# the keys a config file may set for eval and recommend; no thread count, so
-# a mutated digit cannot ask for many threads
+# the keys a config file may set for eval and recommend
 CONFIG = ("d = 8\nk = 2\nl_rec = 6\nl_time = 4\nn_layers = 1\nn_heads = 2\n"
-          "time_unit_seconds = 86400\nresidual = false\nseed = 5\n")
+          "time_unit_seconds = 86400\nresidual = false\nseed = 5\nthreads = 1\n"
+          "neg_distribution = uniform\n")
 
 
 @pytest.fixture(scope="module")

@@ -75,7 +75,8 @@ class TestConfig:
     @pytest.mark.parametrize("override", ["seed=-1", "threads=0", "threads=-3"])
     def test_negative_seed_and_threads_below_one_rejected(self, override):
         key, value = override.split("=")
-        with pytest.raises(ConfigError, match=f"^{key} must be >= ., got {value}$"):
+        bound = r"1 \(the option was removed\)" if key == "threads" else ">= 0"
+        with pytest.raises(ConfigError, match=f"^{key} must be {bound}, got {value}$"):
             load_config(overrides=[override])
 
     @pytest.mark.parametrize("overrides", [["a=-0.5", "b=1.5"], ["alpha=-1"], ["beta=-1"],
@@ -339,6 +340,22 @@ class TestCliPipeline:
         key = override.split("=")[0] if override else "GIMI_SEED"
         assert captured.err.startswith(f"error: {key} must be ")
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--bundle", "bundle", "--checkpoint", "checkpoint.bin"],
+        ["recommend", "--bundle", "bundle", "--checkpoint", "checkpoint.bin",
+         "--users", "0"]])
+    @pytest.mark.parametrize("override", ["threads=2", "neg_distribution=log_uniform"])
+    def test_removed_option_values_rejected(self, tmp_path, capsys, monkeypatch, command,
+                                            override):
+        # rejected before any file is read
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--set", override]) == 1
+        captured = capsys.readouterr()
+        key, value = override.split("=")
+        assert captured.out == ""
+        assert captured.err == (f"error: {key} must be {1 if key == 'threads' else 'uniform'}"
+                                f" (the option was removed), got {value}\n")
+
     @pytest.mark.parametrize("command, flag, raw", [
         (["recommend", "--checkpoint", "checkpoint.bin", "-n", "3"], "--users", "1,,2"),
         (["eval", "--checkpoint", "checkpoint.bin"], "--n", "20,x"),
@@ -486,12 +503,18 @@ class TestCliPipeline:
         assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path),
                      *SMALL, "--set", "max_steps=0"]) == 0
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("threads = 3\n", encoding="utf-8")
+        cfg.write_text("threads = 1\nneg_distribution = uniform\n", encoding="utf-8")
         capsys.readouterr()
-        assert main(["eval", "--bundle", str(bundle), "--config", str(cfg),
-                     "--checkpoint", str(tmp_path / "checkpoint.bin"),
-                     *SMALL[:-2]]) == 0
-        assert json.loads(capsys.readouterr().out)["config"]["threads"] == 3
+        argv = ["eval", "--bundle", str(bundle), "--config", str(cfg),
+                "--checkpoint", str(tmp_path / "checkpoint.bin"), *SMALL[:-2]]
+        assert main(argv) == 0
+        echo = json.loads(capsys.readouterr().out)["config"]
+        assert (echo["threads"], echo["neg_distribution"]) == (1, "uniform")
+        cfg.write_text("threads = 3\n", encoding="utf-8")
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: threads must be 1 (the option was removed), got 3\n"
 
     def test_train_missing_adjacency_hints_gce(self, mini_corpus, capsys):
         root = mini_corpus
@@ -542,6 +565,15 @@ class TestCliPipeline:
         assert captured.err == "error: --seeds must be non-negative, got '0,-1'\n"
         assert not out.exists()
 
+    def test_ablate_rejects_repeated_seed_before_out(self, tmp_path, capsys):
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--bundle", str(tmp_path / "no_bundle"), "--out", str(out),
+                     "--seeds", "2,0,1,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seeds repeats seed 0, got '2,0,1,0'\n"
+        assert not out.exists()
+
     def test_ablate_extracts_hop_pairs_once_per_variant(self, mini_corpus, tmp_path,
                                                         monkeypatch, capsys):
         bundle = tmp_path / "bundle"
@@ -582,6 +614,9 @@ class TestCliPipeline:
         assert lines[0] == "variant wiring checks: FAILED"
         assert [line for line in lines[1:] if line.endswith(": FAILED")] == [
             "  hop1_counts_are_integers: FAILED"]
+        # nothing is trained once the wiring has failed
+        assert not any("seed=" in line for line in lines)
+        assert not (tmp_path / "ablate" / "runs").exists()
 
     def test_ablate_command_on_bundle(self, mini_corpus, capsys):
         root = mini_corpus

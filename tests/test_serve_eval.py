@@ -634,8 +634,7 @@ def hub_model(tmp_path):
 
 
 class TestHeadInEvaluation:
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_settled_rows_skip_the_full_scan(self, tmp_path, monkeypatch, threads):
+    def test_settled_rows_skip_the_full_scan(self, tmp_path, monkeypatch):
         sequences, params, a_norm, users = hub_model(tmp_path)
         v = params.dims.n_items
         full_rows = []
@@ -648,20 +647,17 @@ class TestHeadInEvaluation:
 
         monkeypatch.setattr(serve_eval, "_rank_block", counted)
         monkeypatch.setattr(serve_eval, "_EVAL_CHUNK", 16)
-        got = evaluate(sequences, users, params, a_norm, n_list=(5, 10), threads=threads)
+        got = evaluate(sequences, users, params, a_norm, n_list=(5, 10))
         with_head = sum(full_rows)
         full_rows.clear()
         with monkeypatch.context() as mp:
             mp.setattr(serve_eval, "_HEAD_CAP", v + 1)   # no head fits the cap
-            expect = evaluate(sequences, users, params, a_norm, n_list=(5, 10),
-                              threads=threads)
+            expect = evaluate(sequences, users, params, a_norm, n_list=(5, 10))
         assert got == expect
         assert sum(full_rows) == got.user_count == users.size
         assert 0 < with_head < users.size
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_table_copied_once_and_only_for_the_full_scan(self, tmp_path, monkeypatch,
-                                                          threads):
+    def test_table_copied_once_and_only_for_the_full_scan(self, tmp_path, monkeypatch):
         sequences, params, a_norm, users = hub_model(tmp_path)
         prefixes = holdout_split(sequences, users).prefixes
         shape = (params.dims.d, params.dims.n_items)
@@ -681,15 +677,15 @@ class TestHeadInEvaluation:
         monkeypatch.setattr(serve_eval, "_settle_in_head", settle_spy)
         monkeypatch.setattr(np, "ascontiguousarray", copy_spy)
         monkeypatch.setattr(serve_eval, "_EVAL_CHUNK", 8)
-        ranked = recommend(params, a_norm, prefixes, 10, threads=threads)
-        # some rows reach the full scan, in several blocks, from one copy
-        assert sum(entry[0] == "scan" for entry in log) > 1
+        ranked = recommend(params, a_norm, prefixes, 10)
+        # some rows reach the full scan, one call over one copy
+        assert [entry[0] for entry in log].count("scan") == 1
         assert sum(copies) == 1
         settled = np.flatnonzero(first_level[0])
         assert 8 < settled.size < len(prefixes)
         copies.clear()
         log.clear()
-        again = recommend(params, a_norm, prefixes.subset(settled), 10, threads=threads)
+        again = recommend(params, a_norm, prefixes.subset(settled), 10)
         assert [entry[0] for entry in log] == ["head"] and sum(copies) == 0
         np.testing.assert_array_equal(again, ranked[settled])
 
@@ -777,7 +773,7 @@ class TestInferAndEvaluate:
 
         monkeypatch.setattr(serve_eval, "compute_global_table", counted)
         monkeypatch.setattr(ad, "spmm_rows", never)
-        got = evaluate(sequences, users, params, a_norm, n_list=(5, 20), threads=2)
+        got = evaluate(sequences, users, params, a_norm, n_list=(5, 20))
         assert len(calls) == 1
         assert got == expect
 
@@ -837,25 +833,19 @@ class TestInferAndEvaluate:
         for n in (3, 6):
             assert solo.per_n[n] == MetricRow(*metrics(ranked, {9, 10}, n))
 
-    def test_thread_count_does_not_change_results(self):
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_threads_other_than_one_rejected(self, threads):
         seqs, params, a_norm = build_model(5)
-        users = np.arange(len(seqs))
-        one = evaluate(seqs, users, params, a_norm, n_list=(4,),
-                       time_unit_seconds=1, threads=1)
-        four = evaluate(seqs, users, params, a_norm, n_list=(4,),
-                        time_unit_seconds=1, threads=4)
-        assert one.per_n[4] == four.per_n[4]
-        assert one.user_count == four.user_count
+        with pytest.raises(ValueError, match=f"^threads must be 1 .*got {threads}$"):
+            evaluate(seqs, np.arange(len(seqs)), params, a_norm, threads=threads)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_matches_per_user_evaluation(self, tmp_path, monkeypatch, threads):
+    def test_matches_per_user_evaluation(self, tmp_path, monkeypatch):
         sequences, params, a_norm, users = planted_model(tmp_path)
-        # several chunks per thread and several score blocks per chunk
+        # several forward chunks and several score blocks
         monkeypatch.setattr(serve_eval, "_EVAL_CHUNK", 5)
         monkeypatch.setattr(serve_eval, "_SCORE_BLOCK_BYTES",
                             2 * params.dims.k * params.dims.n_items * 4)
-        got = evaluate(sequences, users, params, a_norm, n_list=(5, 20),
-                       threads=threads)
+        got = evaluate(sequences, users, params, a_norm, n_list=(5, 20), threads=1)
         expect = oracles.evaluate_per_user(sequences, users, params, a_norm,
                                            n_list=(5, 20))
         assert got.user_count == users.size
@@ -906,8 +896,7 @@ class TestInferAndEvaluate:
 
 
 class TestRecommend:
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_rows_match_per_user_scan(self, monkeypatch, threads):
+    def test_rows_match_per_user_scan(self, monkeypatch):
         seqs, params, a_norm = build_model(9)
         # a repeated user, and one holding 10 of the 12 items: 2 candidates
         sequences = seqs.subset([0, 3, 0, 5, 1, 2, 4])
@@ -915,7 +904,7 @@ class TestRecommend:
                                  (np.r_[1:11], np.arange(1, 11)))
         monkeypatch.setattr(serve_eval, "_EVAL_CHUNK", 3)
         n = 4
-        got = recommend(params, a_norm, sequences, n, 1, threads=threads)
+        got = recommend(params, a_norm, sequences, n, 1)
         assert got.dtype == np.int64
         e_global = compute_global_table(params, a_norm)
         excludes = [set(s.items.tolist()) for s in sequences]

@@ -64,24 +64,22 @@ class TestSampledSoftmaxNll:
         assert np.isfinite(sampled_softmax_nll(selected, target, negs).data).all()
 
 
-def catalog_sampler(n_items, n_neg, distribution="uniform", l_rec=4, seed=0):
+def catalog_sampler(n_items, n_neg, l_rec=4, seed=0):
     """A sampler over the random sequences of 6 users, 2 to 12 items long."""
     rng = np.random.default_rng(seed)
     seqs = random_sequences(rng, n_users=6, n_items=n_items, max_len=12, min_len=2)
-    return ExampleSampler(np.arange(6), seqs, l_rec, n_neg, n_items,
-                          distribution), seqs
+    return ExampleSampler(np.arange(6), seqs, l_rec, n_neg, n_items), seqs
 
 
 class TestExampleStream:
     def test_negative_constraints(self):
-        for distribution in ("uniform", "log_uniform"):
-            sampler, _ = catalog_sampler(12, 5, distribution)
-            *_, targets, negs = sampler.draw(2000, np.random.default_rng(1))
-            assert negs.shape == (2000, 5)
-            ordered = np.sort(negs, axis=1)
-            assert (ordered[:, 1:] != ordered[:, :-1]).all()
-            assert not (negs == targets[:, None]).any()
-            assert negs.min() >= 1 and negs.max() <= 12
+        sampler, _ = catalog_sampler(12, 5)
+        *_, targets, negs = sampler.draw(2000, np.random.default_rng(1))
+        assert negs.shape == (2000, 5)
+        ordered = np.sort(negs, axis=1)
+        assert (ordered[:, 1:] != ordered[:, :-1]).all()
+        assert not (negs == targets[:, None]).any()
+        assert negs.min() >= 1 and negs.max() <= 12
 
     def test_exhaustive_negatives_when_vocab_small(self):
         for n_neg in (10, 11, 50):
@@ -92,13 +90,6 @@ class TestExampleStream:
                 assert sorted(row.tolist()) == [i for i in range(1, 12) if i != target]
             # the exhaustive branch draws only the user and the position
             assert rng.random() == np.random.default_rng(2).random(30 * 2 + 1)[-1]
-
-    def test_log_uniform_distribution_skews_low(self):
-        sampler, _ = catalog_sampler(100, 10, "log_uniform")
-        *_, draws = sampler.draw(400, np.random.default_rng(3))
-        low = (draws <= 10).mean()
-        high = (draws > 90).mean()
-        assert low > 2 * high
 
     def test_negatives_uniform_chi_square(self):
         n_items, n_neg = 9, 3
@@ -114,9 +105,8 @@ class TestExampleStream:
             _, p = scipy.stats.chisquare(others)
             assert p > 0.001, (target, others)
 
-    @pytest.mark.parametrize("distribution", ["uniform", "log_uniform"])
-    def test_batch_equals_single_draws(self, distribution):
-        sampler, seqs = catalog_sampler(30, 5, distribution)
+    def test_batch_equals_single_draws(self):
+        sampler, seqs = catalog_sampler(30, 5)
         batch = sampler.draw(40, np.random.default_rng(7))
         rng = np.random.default_rng(7)
         singles = [sampler.draw(1, rng) for _ in range(40)]
@@ -124,7 +114,7 @@ class TestExampleStream:
             np.testing.assert_array_equal(got, np.concatenate(parts))
         # make_examples is the same stream, one example at a time
         stream = make_examples(np.arange(6), seqs, 4, 5, 30,
-                               np.random.default_rng(7), distribution)
+                               np.random.default_rng(7))
         for i in range(40):
             ex = next(stream)
             assert (ex.user_index, ex.target_item) == (batch[0][i], batch[4][i])
@@ -151,18 +141,17 @@ class TestExampleStream:
             np.testing.assert_array_equal(mask[i], window.mask)
             assert targets[i] == seq.items[positions[i] - 1]
 
-    @pytest.mark.parametrize("distribution", ["uniform", "log_uniform"])
-    def test_draws_equal_those_over_the_train_users_columns(self, distribution):
+    def test_draws_equal_those_over_the_train_users_columns(self):
         # the sampler reads the shared columns through each train user's
         # start; the formulation it replaced copied the train users'
         # sequences into columns of their own
         rng = np.random.default_rng(12)
         seqs = random_sequences(rng, n_users=30, n_items=40, max_len=15, min_len=2)
         users = rng.permutation(30)[:17]
-        shared = ExampleSampler(users, seqs, 5, 6, 40, distribution)
+        shared = ExampleSampler(users, seqs, 5, 6, 40)
         copied = ExampleSampler(
             np.arange(17), sequences_of(*((seqs[u].items, seqs[u].timestamps) for u in users)),
-            5, 6, 40, distribution)
+            5, 6, 40)
         rng_a, rng_b = np.random.default_rng(13), np.random.default_rng(13)
         for _ in range(20):
             got, want = shared.draw(64, rng_a), copied.draw(64, rng_b)
@@ -181,6 +170,15 @@ class TestExampleStream:
         with pytest.raises(ValueError, match="train split is empty"):
             ExampleSampler(np.array([], dtype=np.int64), seqs, 4, 3, 9)
         ExampleSampler(np.array([0, 1, 3]), seqs, 4, 3, 9)
+
+    def test_make_examples_draws_only_uniform_negatives(self):
+        seqs = random_sequences(np.random.default_rng(9), n_users=3, n_items=9, min_len=2)
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="^distribution must be 'uniform' .*"
+                                             "got 'log_uniform'$"):
+            next(make_examples(np.arange(3), seqs, 4, 3, 9, rng, "log_uniform"))
+        example = next(make_examples(np.arange(3), seqs, 4, 3, 9, rng, "uniform"))
+        assert 1 <= example.target_item <= 9
 
     def test_target_position_range_and_window(self):
         rng = np.random.default_rng(4)
