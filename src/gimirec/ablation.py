@@ -93,8 +93,7 @@ def run_ablation(bundle: DatasetBundle, hp: HyperParams, accs: dict, seeds: list
             params = load_checkpoint(result.checkpoint_path)
             report = evaluate(bundle.sequences, bundle.split.test_users, params,
                               adj.a_norm.astype(params.dtype), n_list=(20,),
-                              time_unit_seconds=hp_v.time_unit_seconds,
-                              residual=hp_v.residual)
+                              time_unit_seconds=hp_v.time_unit_seconds)
             rows.append(report.per_n[20])
             if log_fn is not None:
                 log_fn(f"{variant.value} seed={seed} recall@20={rows[-1].recall:.4f}")

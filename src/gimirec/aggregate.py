@@ -4,7 +4,7 @@ Window items and a virtual central node exchange information for a fixed
 number of multi-head-attention layers. Each item attends over four tokens
 (left neighbor, center, itself, its global-context row); the center then
 attends over itself and all real items, except in the last layer, whose
-center nothing reads. No residual connections or layer norms by default.
+center nothing reads. There are no skip connections or layer norms.
 
 Item states are flat (B*L, d) rows: per layer one gather builds every
 slot's four tokens, and both updates are single-query attention.
@@ -97,6 +97,8 @@ def aggregate_layers(hybrid: ad.Tensor, global_rows: ad.Tensor,
     padding items masked out. The last layer's center update feeds nothing,
     so it is skipped. Padding rows stay exactly zero throughout.
     """
+    if residual:  # the keyword is kept only for perfbench/
+        raise ValueError("residual must be False (the option was removed)")
     if len(layers) < 1:
         raise ValueError("at least one aggregation layer is required")
     b, l, d = hybrid.shape
@@ -115,15 +117,13 @@ def aggregate_layers(hybrid: ad.Tensor, global_rows: ad.Tensor,
     center = init_center(hybrid, mask)
     for li, lp in enumerate(layers):
         tokens = ad.gather(ad.concat([zero, q, center, rows], axis=0), token_idx)
-        upd = multi_head_attention(q, tokens, lp.item, n_heads,
-                                   dropout_rate=dropout_rate, rng=rng)
-        q = ad.mul(ad.add(upd, q) if residual else upd, maskf)
+        q = ad.mul(multi_head_attention(q, tokens, lp.item, n_heads,
+                                        dropout_rate=dropout_rate, rng=rng), maskf)
         if li == len(layers) - 1:
             break
         center_tokens = ad.concat([ad.reshape(center, (b, 1, d)),
                                    ad.reshape(q, (b, l, d))], axis=1)
-        c_upd = multi_head_attention(center, center_tokens, lp.center, n_heads,
-                                     key_mask=center_key_mask,
-                                     dropout_rate=dropout_rate, rng=rng)
-        center = ad.add(c_upd, center) if residual else c_upd
+        center = multi_head_attention(center, center_tokens, lp.center, n_heads,
+                                      key_mask=center_key_mask,
+                                      dropout_rate=dropout_rate, rng=rng)
     return ad.reshape(q, (b, l, d))

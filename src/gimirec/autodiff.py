@@ -196,12 +196,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 _accum(a, (g @ b.data.T).reshape(a.shape))
             if b.requires_grad:
                 _accum(b, a_rows.T @ g)
-        elif a.ndim == 2 and b.ndim > 2:
-            if a.requires_grad:
-                summed = tuple(range(g.ndim - 2)) + (g.ndim - 1,)
-                _accum(a, np.tensordot(g, b.data, axes=(summed, summed)))
-            if b.requires_grad:
-                _accum(b, a.data.T @ g)
         else:
             if a.requires_grad:
                 _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))

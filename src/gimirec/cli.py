@@ -169,8 +169,7 @@ def cmd_eval(args) -> int:
     users = (bundle.split.test_users if args.split == "test"
              else bundle.split.valid_users)
     report = evaluate(bundle.sequences, users, params, a_norm, n_list=n_list,
-                      time_unit_seconds=hp.time_unit_seconds,
-                      residual=hp.residual)
+                      time_unit_seconds=hp.time_unit_seconds)
     payload = {
         "split": args.split,
         **report.to_dict(),
@@ -190,6 +189,9 @@ def cmd_recommend(args) -> int:
     users = _int_list("--users", args.users)
     hp = _resolve_config(args)
     bundle, a_norm, params = _load_model_inputs(args)
+    real = bundle.split.item_vocab.num_real
+    if args.n > real:
+        raise ValueError(f"-n must be at most the catalog's {real} items, got {args.n}")
     seqs = bundle.sequences
     for u in users:
         if not 0 <= u < len(seqs):
@@ -197,8 +199,7 @@ def cmd_recommend(args) -> int:
         if not seqs.lengths[u]:
             raise ValueError(f"user index {u} of {args.bundle} has no interactions to "
                              "recommend from")
-    ranked = recommend(params, a_norm, seqs.subset(users), args.n, hp.time_unit_seconds,
-                       hp.residual)
+    ranked = recommend(params, a_norm, seqs.subset(users), args.n, hp.time_unit_seconds)
     vocab = bundle.split.item_vocab
     for u, row in zip(users, ranked):
         # a short list means too few candidates, reported when that user is

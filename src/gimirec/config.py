@@ -41,7 +41,7 @@ class HyperParams:
     dtype: str = "float32"
     neg_distribution: str = "uniform"  # one value, kept only for perfbench/
     allow_self_pairs: bool = True
-    residual: bool = False
+    residual: bool = False  # one value, kept only for perfbench/
     threads: int = 1  # one value, kept only for perfbench/
 
     def validate(self) -> "HyperParams":
@@ -68,7 +68,8 @@ class HyperParams:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype}")
-        for key, only in (("neg_distribution", "uniform"), ("threads", 1)):
+        for key, only in (("neg_distribution", "uniform"), ("threads", 1),
+                          ("residual", False)):
             if getattr(self, key) != only:
                 raise ConfigError(f"{key} must be {only} (the option was removed), "
                                   f"got {getattr(self, key)}")

@@ -108,9 +108,12 @@ class DatasetSplit:
     item_vocab: Vocab
 
     def __post_init__(self):
-        sets = [set(s.tolist()) for s in (self.train_users, self.valid_users, self.test_users)]
-        if len(set().union(*sets)) != sum(map(len, sets)):
-            raise ValueError("split sets must be pairwise disjoint")
+        seen = set()
+        for user in np.concatenate([self.train_users, self.valid_users,
+                                    self.test_users]).tolist():
+            if user in seen:
+                raise ValueError(f"user {user} is listed more than once in the split")
+            seen.add(user)
 
 
 @dataclass
@@ -536,8 +539,11 @@ def load_bundle(in_dir: str | Path) -> DatasetBundle:
         if not all(type(u) is int and 0 <= u < n_users for u in manifest[key]):
             raise ValueError(f"{split_path}: {key} holds an entry that is not "
                              f"a user index in 0..{n_users - 1}")
-    split = DatasetSplit(*(np.asarray(manifest[k], dtype=np.int64) for k in keys),
-                         item_vocab=vocab)
+    try:
+        split = DatasetSplit(*(np.asarray(manifest[k], dtype=np.int64) for k in keys),
+                             item_vocab=vocab)
+    except ValueError as exc:
+        raise ValueError(f"{split_path}: {exc}") from None
     return DatasetBundle(sequences, split, user_ids)
 
 

@@ -9,14 +9,15 @@ from . import autodiff as ad
 
 def extract_interests(e_user: ad.Tensor, hidden_weight: ad.Tensor,
                       query_weight: ad.Tensor, mask: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
-    """Self-attentive pooling of the per-item matrix into K interest rows.
+    """Self-attentive pooling, ``softmax(W₂ tanh(W₁ Hᵀ))``, of each per-item
+    matrix H (B, L, d) into K interest rows.
 
-    e_user: (B, L, d); hidden_weight: (4d, d); query_weight: (K, 4d).
-    Attention logits are softmaxed over real positions only. Returns
-    (interests (B, K, d), attention (B, K, L)).
+    W₁ = hidden_weight (4d, d) and W₂ = query_weight (K, 4d) multiply H's
+    rows through transposed views. Logits are softmaxed over real positions
+    only. Returns (interests (B, K, d), attention (B, K, L)).
     """
-    hidden = ad.tanh(ad.matmul(hidden_weight, ad.swapaxes(e_user, -1, -2)))
-    logits = ad.matmul(query_weight, hidden)          # (B, K, L)
+    hidden = ad.tanh(ad.matmul(e_user, ad.swapaxes(hidden_weight, 0, 1)))  # (B, L, 4d)
+    logits = ad.swapaxes(ad.matmul(hidden, ad.swapaxes(query_weight, 0, 1)), 1, 2)  # (B, K, L)
     attn = ad.masked_softmax(logits, mask[:, None, :])
     interests = ad.matmul(attn, e_user)               # (B, K, d)
     return interests, attn

@@ -140,6 +140,8 @@ def forward_interests(params: ModelParams, a_norm: sp.csr_matrix,
     reads are computed: the window items and the indices in ``extra_rows``
     (a loss passes its targets and negatives); every other row is zero.
     """
+    if residual:  # the keyword is kept only for perfbench/
+        raise ValueError("residual must be False (the option was removed)")
     check_adjacency_shape(params, a_norm)
     read = np.zeros(params.item_table.shape[0], dtype=bool)
     read[item_idx] = True
@@ -148,14 +150,13 @@ def forward_interests(params: ModelParams, a_norm: sp.csr_matrix,
     e_global = ad.spmm_rows(a_norm, params.item_table,
                             np.flatnonzero(read))                  # (V, d)
     return forward_from_table(params, e_global, item_idx, buckets, mask,
-                              dropout_rate, rng, residual)
+                              dropout_rate, rng)
 
 
 def forward_from_table(params: ModelParams, e_global: ad.Tensor,
                        item_idx: np.ndarray, buckets: np.ndarray,
                        mask: np.ndarray, dropout_rate: float = 0.0,
-                       rng: np.random.Generator | None = None,
-                       residual: bool = False) -> tuple[ad.Tensor, dict]:
+                       rng: np.random.Generator | None = None) -> tuple[ad.Tensor, dict]:
     """``forward_interests`` after the sparse product: the window batch's
     interests from a (V, d) global table whose ``item_idx`` rows are set.
 
@@ -169,7 +170,7 @@ def forward_from_table(params: ModelParams, e_global: ad.Tensor,
     hybrid = hybrid_embeddings(global_rows, e_time, mask)
     e_user = aggregate_layers(
         hybrid, global_rows, params.layers, params.dims.n_heads, mask,
-        dropout_rate=dropout_rate, rng=rng, residual=residual)
+        dropout_rate=dropout_rate, rng=rng)
     interests, attn = extract_interests(
         e_user, params.interest_hidden_w, params.interest_query_w, mask)
     return interests, {"e_global": e_global, "e_user": e_user,

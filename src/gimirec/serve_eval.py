@@ -70,19 +70,23 @@ def metrics(recommended, ground_truth: set, n: int) -> tuple[float, float, float
 
 def _metric_rows(hits: np.ndarray, truth_sizes: np.ndarray,
                  n_list) -> dict[int, np.ndarray]:
-    """(users, 3) recall, ndcg and hit for each N from one (users, max N)
+    """(users, 3) recall, ndcg and hit for each N from one (users, width)
     hit matrix.
 
-    A rank's discount is the scalar 1 / log2(rank + 1) and DCG sums left to
-    right, so each value equals a per-user loop's.
+    A cutoff past the width reads the last column, which gives the full-width
+    values when the width is at least min(max N, V - 1): no list or truth
+    holds more than the V - 1 real items. A rank's discount is the scalar
+    1 / log2(rank + 1) and DCG sums left to right, so each value equals a
+    per-user loop's.
     """
     discount = np.array([1.0 / np.log2(r + 1) for r in range(1, hits.shape[1] + 1)])
     found = np.cumsum(hits, axis=1)
     dcg = np.cumsum(hits * discount, axis=1)
     ideal = np.cumsum(discount)
-    return {n: np.stack([found[:, n - 1] / truth_sizes,
-                         dcg[:, n - 1] / ideal[np.minimum(n, truth_sizes) - 1],
-                         (found[:, n - 1] > 0).astype(np.float64)], axis=1)
+    cut = {n: min(n, hits.shape[1]) - 1 for n in n_list}
+    return {n: np.stack([found[:, cut[n]] / truth_sizes,
+                         dcg[:, cut[n]] / ideal[np.minimum(cut[n], truth_sizes - 1)],
+                         (found[:, cut[n]] > 0).astype(np.float64)], axis=1)
             for n in n_list}
 
 
@@ -317,7 +321,7 @@ def infer_interests(seq: UserSequence, prefix_len: int, params: ModelParams,
                                     [prefix_len], params.dims, time_unit_seconds)
     with ad.no_grad():
         interests, _ = forward_interests(params, a_norm, items, buckets, mask,
-                                         residual=residual)
+                                         residual=residual)  # perfbench/ passes it
     return interests.data[0]
 
 
@@ -359,7 +363,7 @@ def _lists(sequences: Sequences, n: int, vocab_size: int) -> tuple:
 
 
 def recommend(params: ModelParams, a_norm: sp.csr_matrix, sequences: Sequences, n: int,
-              time_unit_seconds: int = 86400, residual: bool = False) -> np.ndarray:
+              time_unit_seconds: int = 86400) -> np.ndarray:
     """Each row's ranked list, as a (rows, n) int64 matrix.
 
     Row r ranks the exact top n (``_rank_by_norm``) for the interests of its
@@ -378,8 +382,7 @@ def recommend(params: ModelParams, a_norm: sp.csr_matrix, sequences: Sequences, 
                             sequences.lengths[lo:hi]),
                            sequences.lengths[lo:hi], params.dims, time_unit_seconds)
         with ad.no_grad():
-            chunks.append(forward_from_table(params, ad.Tensor(e_global), *windows,
-                                             residual=residual)[0].data)
+            chunks.append(forward_from_table(params, ad.Tensor(e_global), *windows)[0].data)
     block = _rank_by_norm(np.concatenate(chunks), e_global, lengths, exclude)
     ranked[:, :block.shape[1]] = block
     return ranked
@@ -448,11 +451,15 @@ def evaluate(sequences: Sequences, user_indices: np.ndarray,
              params: ModelParams, a_norm: sp.csr_matrix,
              n_list: tuple[int, ...] = (20, 50), time_unit_seconds: int = 86400,
              residual: bool = False, threads: int = 1) -> MetricsReport:
-    """``evaluate_ranker`` over the model's ``recommend`` lists."""
+    """``evaluate_ranker`` over the model's ``recommend`` lists, each at
+    most the catalog's V - 1 real items long whatever the cutoff."""
     if threads != 1:  # kept only for perfbench/; evaluation runs on one thread
         raise ValueError(f"threads must be 1 (the thread pool was removed), got {threads}")
+    if residual:  # the keyword is kept only for perfbench/
+        raise ValueError("residual must be False (the option was removed)")
     return evaluate_ranker(sequences, user_indices, lambda prefixes, n: recommend(
-        params, a_norm, prefixes, n, time_unit_seconds, residual), n_list)
+        params, a_norm, prefixes, min(n, params.dims.n_items - 1), time_unit_seconds),
+        n_list)
 
 
 # ---------------------------------------------------------------------------

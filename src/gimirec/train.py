@@ -173,7 +173,7 @@ def batch_loss(params: ModelParams, a_norm: sp.csr_matrix, batch: Batch,
     """
     interests, aux = forward_interests(
         params, a_norm, batch.item_idx, batch.buckets, batch.mask,
-        dropout_rate=dropout_rate, rng=rng, residual=residual,
+        dropout_rate=dropout_rate, rng=rng, residual=residual,  # perfbench/ passes it
         extra_rows=(batch.targets, batch.negatives))
     e_global = aux["e_global"]
     target_emb = ad.gather(e_global, batch.targets)
@@ -257,8 +257,7 @@ def build_adjacency_from_bundle(bundle: DatasetBundle, hp: HyperParams):
 
 
 def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
-               out_dir: str | Path, n_eval: int = 20,
-               log_fn=None) -> TrainResult:
+               out_dir: str | Path, log_fn=None) -> TrainResult:
     """Mini-batch training with periodic validation and best-checkpoint keep.
 
     Deterministic for a fixed config/seed in single-threaded mode: one RNG
@@ -290,17 +289,15 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
         nonlocal best_recall, loss_accum, loss_count
         report = serve_eval.evaluate(
             bundle.sequences, bundle.split.valid_users, params, adj,
-            n_list=(n_eval,), time_unit_seconds=hp.time_unit_seconds,
-            residual=hp.residual)
-        row = report.per_n[n_eval]
+            n_list=(20,), time_unit_seconds=hp.time_unit_seconds)
+        row = report.per_n[20]
         mean_loss = loss_accum / max(loss_count, 1)
         wall = time.perf_counter() - start
         entry = dict(step=step, loss=mean_loss, recall=row.recall,
                      ndcg=row.ndcg, hit_rate=row.hit_rate, wall=wall)
         history.append(entry)
-        line = (f"step={step} loss={mean_loss:.6f} recall@{n_eval}={row.recall:.6f} "
-                f"ndcg@{n_eval}={row.ndcg:.6f} hit@{n_eval}={row.hit_rate:.6f} "
-                f"wall={wall:.2f}")
+        line = (f"step={step} loss={mean_loss:.6f} recall@20={row.recall:.6f} "
+                f"ndcg@20={row.ndcg:.6f} hit@20={row.hit_rate:.6f} wall={wall:.2f}")
         log_file.write(line + "\n")
         log_file.flush()
         if log_fn is not None:
@@ -317,8 +314,7 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
             batch = sampler.batch(hp.batch, rng, hp.l_time, hp.time_unit_seconds)
             params.zero_grad()
             value, _ = batch_loss(params, adj, batch,
-                                  dropout_rate=hp.dropout, rng=rng,
-                                  residual=hp.residual)
+                                  dropout_rate=hp.dropout, rng=rng)
             if not np.isfinite(value.data):
                 log_file.write(f"step={step} diverged: non-finite loss\n")
                 diverged = True

@@ -551,7 +551,7 @@ def multi_head_attention_projected_tokens(query, keys, projs, n_heads,
 
 
 def aggregate_layers_token_tensor(hybrid, global_rows, layers, n_heads, mask,
-                                  dropout_rate=0.0, rng=None, residual=False):
+                                  dropout_rate=0.0, rng=None):
     """``aggregate.aggregate_layers`` over a (B, L, 4, d) token tensor built
     with slices and broadcasts, attending with one query row per item; like
     it, skips the last layer's center update."""
@@ -570,23 +570,19 @@ def aggregate_layers_token_tensor(hybrid, global_rows, layers, n_heads, mask,
         upd = multi_head_attention_query_rows(
             ad.reshape(q, (b, l, 1, d)), tokens, lp.item, n_heads,
             dropout_rate=dropout_rate, rng=rng)
-        upd = ad.reshape(upd, (b, l, d))
-        if residual:
-            upd = ad.add(upd, q)
-        q = ad.mul(upd, ad.Tensor(maskf))
+        q = ad.mul(ad.reshape(upd, (b, l, d)), ad.Tensor(maskf))
         if lp is layers[-1]:
             break
         center_tokens = ad.concat([ad.reshape(center, (b, 1, d)), q], axis=1)
         c_upd = multi_head_attention_query_rows(
             ad.reshape(center, (b, 1, d)), center_tokens, lp.center, n_heads,
             key_mask=center_key_mask, dropout_rate=dropout_rate, rng=rng)
-        c_upd = ad.reshape(c_upd, (b, d))
-        center = ad.add(c_upd, center) if residual else c_upd
+        center = ad.reshape(c_upd, (b, d))
     return q
 
 
 def aggregate_layers_with_last_center(hybrid, global_rows, layers, n_heads, mask,
-                                      dropout_rate=0.0, rng=None, residual=False):
+                                      dropout_rate=0.0, rng=None):
     """``aggregate.aggregate_layers`` as it was before it skipped the last
     layer's center update, which nothing reads; returns (items, center)."""
     b, l, d = hybrid.shape
@@ -602,15 +598,13 @@ def aggregate_layers_with_last_center(hybrid, global_rows, layers, n_heads, mask
     center = init_center(hybrid, mask)
     for lp in layers:
         tokens = ad.gather(ad.concat([zero, q, center, rows], axis=0), token_idx)
-        upd = multi_head_attention(q, tokens, lp.item, n_heads,
-                                   dropout_rate=dropout_rate, rng=rng)
-        q = ad.mul(ad.add(upd, q) if residual else upd, maskf)
+        q = ad.mul(multi_head_attention(q, tokens, lp.item, n_heads,
+                                        dropout_rate=dropout_rate, rng=rng), maskf)
         center_tokens = ad.concat([ad.reshape(center, (b, 1, d)),
                                    ad.reshape(q, (b, l, d))], axis=1)
-        c_upd = multi_head_attention(center, center_tokens, lp.center, n_heads,
-                                     key_mask=center_key_mask,
-                                     dropout_rate=dropout_rate, rng=rng)
-        center = ad.add(c_upd, center) if residual else c_upd
+        center = multi_head_attention(center, center_tokens, lp.center, n_heads,
+                                      key_mask=center_key_mask,
+                                      dropout_rate=dropout_rate, rng=rng)
     return ad.reshape(q, (b, l, d)), center
 
 
@@ -624,6 +618,16 @@ def matmul_stacked(a, b):
         ad._accum(b, ad._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return ad._node(a.data @ b.data, (a, b), bwd)
+
+
+def extract_interests_column_layout(e_user, hidden_weight, query_weight, mask):
+    """``interests.extract_interests`` as the column-layout form it replaced:
+    each weight multiplies the batch from the left, so the hidden layer is
+    (B, 4d, L) and the logits come out as (B, K, L) with no transpose."""
+    hidden = ad.tanh(ad.matmul(hidden_weight, ad.swapaxes(e_user, -1, -2)))
+    logits = ad.matmul(query_weight, hidden)
+    attn = ad.masked_softmax(logits, mask[:, None, :])
+    return ad.matmul(attn, e_user), attn
 
 
 def interval_attention_dense(buckets, interval_table, score_weight, mask):
@@ -762,7 +766,7 @@ def interval_matrix(window, l_time, time_unit_seconds=86400):
 
 
 def evaluate_per_user(sequences, user_indices, params, a_norm, n_list=(20, 50),
-                      time_unit_seconds=86400, residual=False):
+                      time_unit_seconds=86400):
     """``serve_eval.evaluate`` as one loop over users: a per-user 80/20
     split, ``make_window`` windows, ``top_n_per_user`` and ``metrics_oracle``
     per user and cutoff, averaged over a (users, 3) array.
@@ -793,8 +797,7 @@ def evaluate_per_user(sequences, user_indices, params, a_norm, n_list=(20, 50),
         items, buckets, mask = stack_windows(windows, params.dims.l_time,
                                              time_unit_seconds)
         with ad.no_grad():
-            interests, _ = forward_interests(params, a_norm, items, buckets, mask,
-                                             residual=residual)
+            interests, _ = forward_interests(params, a_norm, items, buckets, mask)
         for (seq, prefix, truth, exclude), vecs in zip(chunk, interests.data):
             candidates = e_global.shape[0] - 1 - len(exclude)
             ranked = top_n_per_user(vecs, e_global, min(n_max, candidates), exclude)

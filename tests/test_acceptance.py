@@ -289,8 +289,8 @@ def test_criterion_10_bit_identical_training(tmp_path):
                      lr=0.01, dropout=0.1, seed=77, dtype="float64",
                      threads=1).validate()
     adj = build_adjacency_from_bundle(bundle, hp)
-    r1 = train_loop(hp, bundle, adj.a_norm, tmp_path / "a", n_eval=5)
-    r2 = train_loop(hp, bundle, adj.a_norm, tmp_path / "b", n_eval=5)
+    r1 = train_loop(hp, bundle, adj.a_norm, tmp_path / "a")
+    r2 = train_loop(hp, bundle, adj.a_norm, tmp_path / "b")
     b1 = r1.checkpoint_path.read_bytes()
     b2 = r2.checkpoint_path.read_bytes()
     assert b1 == b2

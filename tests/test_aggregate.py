@@ -212,11 +212,10 @@ class TestAggregateLayers:
             for b in range(4):
                 np.testing.assert_array_equal(probs[b, :, 1:][:, ~mask[b]], 0.0)
 
-    @pytest.mark.parametrize("n_layers", [1, 2])
-    @pytest.mark.parametrize("residual", [False, True])
+    # the "False-" in the ids is the residual flag these tests once varied
+    @pytest.mark.parametrize("n_layers", [1, 2], ids=lambda n: f"False-{n}")
     @pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
-    def test_matches_token_tensor_formulation(self, n_layers, residual,
-                                              dropout_rate):
+    def test_matches_token_tensor_formulation(self, n_layers, dropout_rate):
         # the (B, L, 4, d) token tensor built with slices and broadcasts,
         # attended with one query row per item, that the flat gather replaced
         def run(aggregate):
@@ -231,7 +230,7 @@ class TestAggregateLayers:
             weights = rng.normal(size=(5, 6, 8))
             e_user = aggregate(hybrid, rows, layers, 2, mask,
                                dropout_rate=dropout_rate,
-                               rng=np.random.default_rng(15), residual=residual)
+                               rng=np.random.default_rng(15))
             ad.sumt(ad.mul(e_user, ad.Tensor(weights))).backward()
             # the last layer's center projections feed nothing
             return [e_user.data] + [t.grad for t in [hybrid, rows] + projections[:-4]]
@@ -240,9 +239,8 @@ class TestAggregateLayers:
                                run(aggregate_layers_token_tensor)):
             assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
-    @pytest.mark.parametrize("n_layers", [1, 2, 3])
-    @pytest.mark.parametrize("residual", [False, True])
-    def test_skipping_last_center_matches_full_update(self, n_layers, residual):
+    @pytest.mark.parametrize("n_layers", [1, 2, 3], ids=lambda n: f"False-{n}")
+    def test_skipping_last_center_matches_full_update(self, n_layers):
         # the formulation that still ran the last layer's center attention
         def run(aggregate):
             rng = np.random.default_rng(16)
@@ -253,7 +251,7 @@ class TestAggregateLayers:
                            for name in ("wq", "wk", "wv", "wo")]
             for w in projections:
                 w.data /= np.sqrt(8)
-            out = aggregate(hybrid, rows, layers, 2, mask, residual=residual)
+            out = aggregate(hybrid, rows, layers, 2, mask)
             e_user = out[0] if isinstance(out, tuple) else out
             ad.sumt(ad.mul(e_user, ad.Tensor(rng.normal(size=(5, 6, 8))))).backward()
             return [e_user.data] + [t.grad for t in [hybrid, rows] + projections]
@@ -283,12 +281,14 @@ class TestAggregateLayers:
         b = aggregate_layers(hybrid, rows, layers, 2, mask)
         assert np.array_equal(a.data, b.data)
 
-    def test_residual_flag_changes_output(self):
+    def test_removed_residual_option_rejected(self):
         rng = np.random.default_rng(12)
         hybrid, rows, layers, mask = self._setup(rng)
+        with pytest.raises(ValueError, match=r"residual must be False \(the option was removed\)"):
+            aggregate_layers(hybrid, rows, layers, 2, mask, residual=True)
         plain = aggregate_layers(hybrid, rows, layers, 2, mask)
-        res = aggregate_layers(hybrid, rows, layers, 2, mask, residual=True)
-        assert not np.allclose(plain.data, res.data)
+        kept = aggregate_layers(hybrid, rows, layers, 2, mask, residual=False)
+        assert np.array_equal(plain.data, kept.data)
 
     def test_dropout_only_in_training(self):
         rng = np.random.default_rng(13)

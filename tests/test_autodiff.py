@@ -32,8 +32,8 @@ def test_scale_neg_sub():
 
 def test_matmul_batched():
     rng = np.random.default_rng(2)
-    # batched x weight, weight x batched (flat weight gradients), both
-    # batched with a broadcast batch axis (stacked gradients)
+    # batched x weight (flat products), then weight x batched and both
+    # batched with a broadcast batch axis (stacked, unbroadcast gradients)
     for a_shape, b_shape in (((2, 3, 4), (4, 5)), ((4, 3), (2, 3, 5)),
                              ((2, 1, 3, 4), (3, 4, 2))):
         fd_check(ad.matmul, [leaf(rng, *a_shape), leaf(rng, *b_shape)])

@@ -21,6 +21,13 @@ from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 
 import oracles
 
+# each removed option's one accepted value
+ONE_VALUE_KEYS = {"threads": 1, "neg_distribution": "uniform", "residual": False}
+
+
+def removed_option_message(key: str, got: str) -> str:
+    return f"{key} must be {ONE_VALUE_KEYS[key]} (the option was removed), got {got}"
+
 
 class TestConfig:
     def test_amazon_books_preset(self):
@@ -78,6 +85,16 @@ class TestConfig:
         bound = r"1 \(the option was removed\)" if key == "threads" else ">= 0"
         with pytest.raises(ConfigError, match=f"^{key} must be {bound}, got {value}$"):
             load_config(overrides=[override])
+
+    @pytest.mark.parametrize("override, got", [
+        ("threads=0", "0"), ("threads=2", "2"), ("neg_distribution=log_uniform", "log_uniform"),
+        ("neg_distribution=zipf", "zipf"), ("residual=true", "True"), ("residual=1", "True")])
+    def test_one_value_keys_reject_every_other_value(self, override, got):
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=f"^{re.escape(removed_option_message(key, got))}$"):
+            load_config(overrides=[override])
+        only = load_config(overrides=[f"{key}={str(ONE_VALUE_KEYS[key]).lower()}"])
+        assert getattr(only, key) == ONE_VALUE_KEYS[key]
 
     @pytest.mark.parametrize("overrides", [["a=-0.5", "b=1.5"], ["alpha=-1"], ["beta=-1"],
                                            ["gamma=-1"]])
@@ -343,18 +360,21 @@ class TestCliPipeline:
     @pytest.mark.parametrize("command", [
         ["eval", "--bundle", "bundle", "--checkpoint", "checkpoint.bin"],
         ["recommend", "--bundle", "bundle", "--checkpoint", "checkpoint.bin",
-         "--users", "0"]])
-    @pytest.mark.parametrize("override", ["threads=2", "neg_distribution=log_uniform"])
+         "--users", "0"],
+        ["train", "--bundle", "bundle", "--out", "run"]])
+    @pytest.mark.parametrize("override", ["threads=2", "neg_distribution=log_uniform",
+                                          "residual=true"])
     def test_removed_option_values_rejected(self, tmp_path, capsys, monkeypatch, command,
                                             override):
-        # rejected before any file is read
+        # rejected before any file is read or written
         monkeypatch.chdir(tmp_path)
         assert main([*command, "--set", override]) == 1
+        assert list(tmp_path.iterdir()) == []
         captured = capsys.readouterr()
         key, value = override.split("=")
+        got = "True" if value == "true" else value  # the message shows the parsed value
         assert captured.out == ""
-        assert captured.err == (f"error: {key} must be {1 if key == 'threads' else 'uniform'}"
-                                f" (the option was removed), got {value}\n")
+        assert captured.err == f"error: {removed_option_message(key, got)}\n"
 
     @pytest.mark.parametrize("command, flag, raw", [
         (["recommend", "--checkpoint", "checkpoint.bin", "-n", "3"], "--users", "1,,2"),
@@ -390,6 +410,28 @@ class TestCliPipeline:
         bad = users.split(",")[-1]
         assert re.search(f"user index {bad} outside 0\\.\\.39 of "
                          f"{re.escape(str(bundle))}", captured.err), captured.err
+
+    @pytest.mark.parametrize("extra", [1, 10**9])
+    def test_recommend_rejects_n_past_the_catalog_before_ranking(
+            self, mini_corpus, tmp_path, capsys, monkeypatch, extra):
+        bundle = tmp_path / "bundle"
+        assert main(["prepare", "--input", str(mini_corpus / "log.csv"),
+                     "--out", str(bundle), "--set", "seed=5"]) == 0
+        assert main(["gce", "--bundle", str(bundle), "--out", str(bundle),
+                     *SMALL]) == 0
+        assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path),
+                     *SMALL, "--set", "max_steps=0"]) == 0
+        real = load_bundle(bundle).split.item_vocab.num_real
+        ranked = []
+        monkeypatch.setattr(cli, "recommend", lambda *args: ranked.append(args))
+        capsys.readouterr()
+        assert main(["recommend", "--bundle", str(bundle),
+                     "--checkpoint", str(tmp_path / "checkpoint.bin"),
+                     "--users", "0", "-n", str(real + extra), *SMALL]) == 1
+        captured = capsys.readouterr()
+        assert ranked == [] and captured.out == ""
+        assert captured.err == (f"error: -n must be at most the catalog's {real} items, "
+                                f"got {real + extra}\n")
 
     def test_recommend_rejects_user_without_interactions(self, mini_corpus, tmp_path,
                                                          capsys):

@@ -586,12 +586,15 @@ class TestBundle:
         ("users_missing", r"missing .*users\.tsv"),
         ("vocab_repeated_line", r"vocab\.tsv: indices are not dense from 1"),
         ("vocab_repeated_id", r"vocab\.tsv: item id 'e' appears twice"),
+        ("split_user_repeated", r"split\.json: user 8 is listed more than once"),
+        ("split_user_in_two_lists", r"split\.json: user 0 is listed more than once"),
     ], ids=["truncated", "trailing_byte", "item_zero", "item_past_vocab",
             "repeated_user", "huge_user_count", "decreasing_timestamp",
             "split_user_out_of_range", "users_short", "vocab_malformed",
             "users_malformed", "split_not_json", "split_not_object",
             "split_missing_key", "vocab_not_utf8", "users_misnumbered",
-            "users_missing", "vocab_repeated_line", "vocab_repeated_id"])
+            "users_missing", "vocab_repeated_line", "vocab_repeated_id",
+            "split_user_repeated", "split_user_in_two_lists"])
     def test_malformed_bundle_rejected(self, tmp_path, case, match):
         self._prepare(tmp_path)
         seq_path = tmp_path / "bundle" / "sequences.bin"
@@ -625,6 +628,11 @@ class TestBundle:
             "split_not_object": ("split.json", "[]"),
             "split_missing_key": ("split.json", json.dumps(
                 {k: v for k, v in manifest.items() if k != "valid_users"})),
+            # one user twice within a list, and one user in two lists
+            "split_user_repeated": ("split.json", json.dumps(
+                {**manifest, "test_users": manifest["test_users"] * 2})),
+            "split_user_in_two_lists": ("split.json", json.dumps(
+                {**manifest, "test_users": manifest["test_users"] + [0]})),
             "vocab_repeated_line": ("vocab.tsv", text["vocab.tsv"].replace(
                 "6\tf", "5\te")),
             "vocab_repeated_id": ("vocab.tsv", text["vocab.tsv"].replace(

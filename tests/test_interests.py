@@ -6,7 +6,7 @@ import pytest
 from gimirec import autodiff as ad
 from gimirec.interests import extract_interests, select_training_interest
 
-from oracles import interests_oracle
+from oracles import extract_interests_column_layout, interests_oracle
 
 
 def tensor(rng, *shape):
@@ -52,6 +52,28 @@ class TestExtractInterests:
                                                 w3.data, mask[b])
                 np.testing.assert_allclose(interests.data[b], exp_i, atol=1e-9)
                 np.testing.assert_allclose(attn.data[b], exp_a, atol=1e-9)
+
+    @pytest.mark.parametrize("b, l, d, k", [(3, 5, 8, 2), (128, 20, 32, 4), (2, 1, 4, 8)])
+    def test_matches_column_layout_form(self, b, l, d, k):
+        """The row-layout products agree with the (B, 4d, L) column layout
+        they replaced: float64 outputs and the gradients of the per-item
+        matrix and both weights to 1e-12 (relative to each array's max)."""
+        rng = np.random.default_rng(5)
+        data = [rng.normal(size=(b, l, d)), rng.normal(size=(4 * d, d)) / np.sqrt(d),
+                rng.normal(size=(k, 4 * d)) / np.sqrt(4 * d)]
+        mask = rng.random((b, l)) > 0.3
+        mask[:, -1] = True
+        seeds = rng.normal(size=(b, k, d)), rng.normal(size=(b, k, l))
+        results = []
+        for form in (extract_interests, extract_interests_column_layout):
+            leaves = [ad.Tensor(x.copy(), requires_grad=True) for x in data]
+            interests, attn = form(*leaves, mask)
+            ad.add(ad.sumt(ad.mul(interests, ad.Tensor(seeds[0]))),
+                   ad.sumt(ad.mul(attn, ad.Tensor(seeds[1])))).backward()
+            results.append([interests.data, attn.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_attention_rows_are_distributions(self):
         rng = np.random.default_rng(3)

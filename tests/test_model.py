@@ -173,6 +173,19 @@ class TestForward:
                                              r"not match the item table's 9 rows"):
             forward_interests(params, a, items, buckets, mask)
 
+    def test_removed_residual_option_rejected(self, tiny_adjacency):
+        params = fresh_params()
+        a = cast_adjacency(tiny_adjacency.a_norm, np.float64)
+        items = np.array([[0, 1, 2, 3]])
+        buckets = np.zeros((1, 4, 4), dtype=np.int64)
+        mask = np.array([[False, True, True, True]])
+        with pytest.raises(ValueError, match=r"^residual must be False \(the option "
+                                             r"was removed\)$"):
+            forward_interests(params, a, items, buckets, mask, residual=True)
+        kept, _ = forward_interests(params, a, items, buckets, mask, residual=False)
+        plain, _ = forward_interests(params, a, items, buckets, mask)
+        np.testing.assert_array_equal(kept.data, plain.data)
+
     def test_asymmetric_adjacency_rejected(self):
         import scipy.sparse as sp
         bad = sp.csr_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))

@@ -1,6 +1,7 @@
 """Metrics, exact retrieval and the 80/20 evaluation protocol."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -838,6 +839,32 @@ class TestInferAndEvaluate:
         seqs, params, a_norm = build_model(5)
         with pytest.raises(ValueError, match=f"^threads must be 1 .*got {threads}$"):
             evaluate(seqs, np.arange(len(seqs)), params, a_norm, threads=threads)
+
+    def test_cutoff_past_the_catalog_allocates_by_the_catalog(self):
+        # 12 real items: every list ends at the catalog, so N = 10⁶ costs what
+        # N = 12 does (the (users, N) matrices took 234 MiB at a 194-item
+        # catalog) and scores as the per-user oracle does at that N
+        seqs, params, a_norm = build_model(5)
+        users = np.arange(len(seqs))
+        n_list = (3, 12, 20, 10**6)
+        tracemalloc.start()
+        try:
+            got = evaluate(seqs, users, params, a_norm, n_list=n_list)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22
+        assert got == oracles.evaluate_per_user(seqs, users, params, a_norm, n_list=n_list)
+        assert got.per_n[10**6] == got.per_n[12] == got.per_n[20]
+
+    def test_removed_residual_option_rejected(self):
+        seqs, params, a_norm = build_model(5)
+        users = np.arange(len(seqs))
+        with pytest.raises(ValueError, match=r"^residual must be False \(the option "
+                                             r"was removed\)$"):
+            evaluate(seqs, users, params, a_norm, residual=True)
+        assert (evaluate(seqs, users, params, a_norm, residual=False)
+                == evaluate(seqs, users, params, a_norm))
 
     def test_matches_per_user_evaluation(self, tmp_path, monkeypatch):
         sequences, params, a_norm, users = planted_model(tmp_path)

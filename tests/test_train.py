@@ -494,7 +494,7 @@ class TestTrainLoop:
         hp = self._hp(max_steps=0)
         from gimirec.train import build_adjacency_from_bundle
         adj = build_adjacency_from_bundle(bundle, hp)
-        result = train_loop(hp, bundle, adj.a_norm, tmp_path / "run", n_eval=3)
+        result = train_loop(hp, bundle, adj.a_norm, tmp_path / "run")
         from gimirec.model import load_checkpoint
         ckpt = load_checkpoint(result.checkpoint_path, dtype=np.float64)
         dims = ModelDims(bundle.split.item_vocab.size, hp.d, hp.k, hp.l_rec,
@@ -511,8 +511,8 @@ class TestTrainLoop:
         hp = self._hp()
         from gimirec.train import build_adjacency_from_bundle
         adj = build_adjacency_from_bundle(bundle, hp)
-        r1 = train_loop(hp, bundle, adj.a_norm, tmp_path / "a", n_eval=3)
-        r2 = train_loop(hp, bundle, adj.a_norm, tmp_path / "b", n_eval=3)
+        r1 = train_loop(hp, bundle, adj.a_norm, tmp_path / "a")
+        r2 = train_loop(hp, bundle, adj.a_norm, tmp_path / "b")
         assert r1.checkpoint_path.read_bytes() == r2.checkpoint_path.read_bytes()
         assert [h["loss"] for h in r1.history] == [h["loss"] for h in r2.history]
 
@@ -521,10 +521,10 @@ class TestTrainLoop:
         hp = self._hp(max_steps=20, eval_every=10)
         from gimirec.train import build_adjacency_from_bundle
         adj = build_adjacency_from_bundle(bundle, hp)
-        result = train_loop(hp, bundle, adj.a_norm, tmp_path / "run", n_eval=3)
+        result = train_loop(hp, bundle, adj.a_norm, tmp_path / "run")
         lines = result.log_path.read_text().strip().splitlines()
         assert len(lines) == 2
-        assert all("recall@3=" in ln and "wall=" in ln for ln in lines)
+        assert all("recall@20=" in ln and "wall=" in ln for ln in lines)
 
     def test_loss_matches_single_example_replay(self, tmp_path):
         # what a benchmark replay runs: make_examples + build_batch +
@@ -533,7 +533,7 @@ class TestTrainLoop:
         hp = self._hp(max_steps=10, eval_every=1)
         from gimirec.train import build_adjacency_from_bundle
         adj = build_adjacency_from_bundle(bundle, hp)
-        result = train_loop(hp, bundle, adj.a_norm, tmp_path / "run", n_eval=3)
+        result = train_loop(hp, bundle, adj.a_norm, tmp_path / "run")
         rng = np.random.default_rng(hp.seed)
         dims = ModelDims(bundle.split.item_vocab.size, hp.d, hp.k, hp.l_rec,
                          hp.l_time, hp.n_heads, hp.n_layers)
@@ -578,7 +578,7 @@ class TestTrainLoop:
         (tmp_path / "run").mkdir()
         save_checkpoint(tmp_path / "run" / "checkpoint.bin",
                         ModelParams.init(dims, np.random.default_rng(hp.seed + 1)))
-        result = train_loop(hp, bundle, adj.a_norm, tmp_path / "run", n_eval=3)
+        result = train_loop(hp, bundle, adj.a_norm, tmp_path / "run")
         assert result.diverged and result.steps_run == 1
         assert result.log_path.read_text() == "step=1 diverged: non-finite gradient\n"
         ckpt = load_checkpoint(result.checkpoint_path, dtype=np.float64)
@@ -595,7 +595,7 @@ class TestTrainLoop:
         hp = self._hp(lr=1e18, max_steps=50, eval_every=5, dtype="float32")
         from gimirec.train import build_adjacency_from_bundle
         adj = build_adjacency_from_bundle(bundle, hp)
-        result = train_loop(hp, bundle, adj.a_norm, tmp_path / "run", n_eval=3)
+        result = train_loop(hp, bundle, adj.a_norm, tmp_path / "run")
         assert result.diverged
         assert result.steps_run < 50
         assert result.checkpoint_path.exists()
