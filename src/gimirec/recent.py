@@ -62,26 +62,6 @@ def cut_windows(items: np.ndarray, timestamps: np.ndarray, starts: np.ndarray,
             np.where(mask[:, -1:], timestamps[at], 0), mask)
 
 
-def _interval_matrices(timestamps: np.ndarray, mask: np.ndarray, l_time: float,
-                       time_unit_seconds: int) -> np.ndarray:
-    """Each window's pairwise |dt| in time units, clamped to l_time, with
-    l_time (the maximal distance) wherever a padding slot is involved and a
-    zero diagonal: (B, L) -> (B, L, L)."""
-    t = timestamps.astype(np.float64)
-    vals = np.abs(t[:, :, None] - t[:, None, :]) / time_unit_seconds
-    np.minimum(vals, l_time, out=vals)
-    pad = ~mask
-    vals[pad[:, :, None] | pad[:, None, :]] = l_time
-    diag = np.arange(vals.shape[1])
-    vals[:, diag, diag] = 0.0
-    return vals
-
-
-def bucketize(values: np.ndarray, l_time: float) -> np.ndarray:
-    """Floor interval values to integer buckets 0..floor(l_time)."""
-    return np.clip(np.floor(values), 0, int(l_time)).astype(np.int64)
-
-
 def interval_attention(buckets: np.ndarray, interval_table: ad.Tensor,
                        score_weight: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
     """Attention over discretized intervals; one embedding row per slot.
@@ -115,6 +95,17 @@ def stack_windows(windows: list[RecentWindow], l_time: float,
 
 def window_buckets(timestamps: np.ndarray, mask: np.ndarray, l_time: float,
                    time_unit_seconds: int) -> np.ndarray:
-    """Bucketed interval matrices of stacked windows: (B, L) -> (B, L, L)."""
-    return bucketize(_interval_matrices(timestamps, mask, l_time, time_unit_seconds),
-                     l_time)
+    """Each window's pairwise interval buckets: (B, L) -> (B, L, L) int64.
+
+    The one bucket rule: floor of |dt| in time units clamped to l_time,
+    floor(l_time) (the maximal distance) wherever a padding slot is
+    involved, and 0 on the diagonal.
+    """
+    t = timestamps.astype(np.float64)
+    vals = np.abs(t[:, :, None] - t[:, None, :]) / time_unit_seconds
+    np.minimum(vals, l_time, out=vals)
+    pad = ~mask
+    vals[pad[:, :, None] | pad[:, None, :]] = l_time
+    diag = np.arange(vals.shape[1])
+    vals[:, diag, diag] = 0.0
+    return np.floor(vals, out=vals).astype(np.int64)

@@ -62,7 +62,9 @@ def metrics(recommended, ground_truth: set, n: int) -> tuple[float, float, float
     recommended = list(recommended)[:n]
     if len(set(recommended)) < len(recommended):
         raise ValueError("a ranked list must not repeat an item")
-    hits = np.zeros((1, n), dtype=bool)
+    # wide enough for the list and the ideal DCG's min(n, |truth|) slots: a
+    # cutoff past the width reads the last column
+    hits = np.zeros((1, min(n, max(len(recommended), len(ground_truth)))), dtype=bool)
     hits[0, :len(recommended)] = [item in ground_truth for item in recommended]
     row = _metric_rows(hits, np.array([len(ground_truth)]), (n,))[n][0]
     return tuple(row.tolist())
@@ -419,32 +421,24 @@ def holdout_split(sequences: Sequences, user_indices) -> Holdout:
                    _unique_pairs(row[~in_prefix], items[~in_prefix]))
 
 
-def _check_cutoffs(n_list: tuple[int, ...]) -> None:
+def evaluate_ranker(sequences: Sequences, user_indices, rank,
+                    n_list: tuple[int, ...] = (20,)) -> MetricsReport:
+    """The 80/20 protocol over the given users (see ``holdout_split``) for
+    any ranker: ``rank(prefixes, max(n_list))`` returns each prefix's list
+    under the rankers' contract (``_lists``), scored against its held-out
+    rest; a user with fewer candidates is scored on the shorter list. Each
+    N's (recall, ndcg, hit) is averaged over the scored users, and is zero
+    when there are none."""
     if not n_list or min(n_list) < 1:
         raise ValueError(f"cutoffs must be at least 1, got {', '.join(map(str, n_list))}")
-
-
-def _score(split: Holdout, ranked: np.ndarray, n_list: tuple[int, ...]) -> MetricsReport:
-    """Average each N's (recall, ndcg, hit) over the split's users, one
-    ``ranked`` row each; zeros when there are none."""
-    count = len(split.prefixes)
+    split = holdout_split(sequences, user_indices)
+    ranked, count = rank(split.prefixes, max(n_list)), len(split.prefixes)
     if not count:
         return MetricsReport({n: MetricRow(0.0, 0.0, 0.0) for n in n_list}, 0)
     rows = _metric_rows(_hit_matrix(ranked, split.truth),
                         np.bincount(split.truth[0], minlength=count), n_list)
     return MetricsReport({n: MetricRow(*(float(x) for x in rows[n].mean(axis=0)))
                           for n in n_list}, count)
-
-
-def evaluate_ranker(sequences: Sequences, user_indices, rank,
-                    n_list: tuple[int, ...] = (20,)) -> MetricsReport:
-    """The 80/20 protocol over the given users (see ``holdout_split``) for
-    any ranker: ``rank(prefixes, max(n_list))`` returns each prefix's list
-    under the rankers' contract (``_lists``), scored against its held-out
-    rest; a user with fewer candidates is scored on the shorter list."""
-    _check_cutoffs(n_list)
-    split = holdout_split(sequences, user_indices)
-    return _score(split, rank(split.prefixes, max(n_list)), n_list)
 
 
 def evaluate(sequences: Sequences, user_indices: np.ndarray,

@@ -100,13 +100,8 @@ class ExampleSampler:
             self.items, self.timestamps, self.starts[row], self.lengths[row],
             target_at + 1, self.l_rec)
         targets = self.items[self.starts[row] + target_at]
-        negatives = self._negatives(u[:, 2:], targets)
-        ordered = np.sort(negatives, axis=1)
-        if ((negatives == targets[:, None]).any() or (ordered[:, :1] < 1).any()
-                or (ordered[:, 1:] == ordered[:, :-1]).any()):
-            raise ValueError("negatives must exclude the target and padding "
-                             "and hold no repeat")
-        return self.users[row], items, timestamps, mask, targets, negatives
+        return (self.users[row], items, timestamps, mask, targets,
+                self._negatives(u[:, 2:], targets))
 
     def _negatives(self, u: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Negatives from the (n, n_draws) draws: picks in 0..n_real_items-2
@@ -281,33 +276,8 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
     history: list[dict] = []
     best_recall = -1.0
     diverged = False
-    loss_accum = 0.0
-    loss_count = 0
+    loss_sum, loss_count = 0.0, 0
     start = time.perf_counter()
-
-    def evaluate_now(step: int, log_file) -> None:
-        nonlocal best_recall, loss_accum, loss_count
-        report = serve_eval.evaluate(
-            bundle.sequences, bundle.split.valid_users, params, adj,
-            n_list=(20,), time_unit_seconds=hp.time_unit_seconds)
-        row = report.per_n[20]
-        mean_loss = loss_accum / max(loss_count, 1)
-        wall = time.perf_counter() - start
-        entry = dict(step=step, loss=mean_loss, recall=row.recall,
-                     ndcg=row.ndcg, hit_rate=row.hit_rate, wall=wall)
-        history.append(entry)
-        line = (f"step={step} loss={mean_loss:.6f} recall@20={row.recall:.6f} "
-                f"ndcg@20={row.ndcg:.6f} hit@20={row.hit_rate:.6f} wall={wall:.2f}")
-        log_file.write(line + "\n")
-        log_file.flush()
-        if log_fn is not None:
-            log_fn(line)
-        if row.recall > best_recall:
-            best_recall = row.recall
-            save_checkpoint(ckpt_path, params)
-        loss_accum = 0.0
-        loss_count = 0
-
     with open(log_path, "w", encoding="utf-8") as log_file:
         step = 0
         for step in range(1, hp.max_steps + 1):
@@ -327,10 +297,26 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
                 diverged = True
                 break
             adam_step(params, grads, state)
-            loss_accum += value.item()
+            loss_sum += value.item()
             loss_count += 1
-            if step % hp.eval_every == 0 or step == hp.max_steps:
-                evaluate_now(step, log_file)
+            if step % hp.eval_every and step < hp.max_steps:
+                continue
+            row = serve_eval.evaluate(
+                bundle.sequences, bundle.split.valid_users, params, adj,
+                n_list=(20,), time_unit_seconds=hp.time_unit_seconds).per_n[20]
+            mean_loss, wall = loss_sum / loss_count, time.perf_counter() - start
+            loss_sum, loss_count = 0.0, 0
+            history.append(dict(step=step, loss=mean_loss, recall=row.recall,
+                                ndcg=row.ndcg, hit_rate=row.hit_rate, wall=wall))
+            line = (f"step={step} loss={mean_loss:.6f} recall@20={row.recall:.6f} "
+                    f"ndcg@20={row.ndcg:.6f} hit@20={row.hit_rate:.6f} wall={wall:.2f}")
+            log_file.write(line + "\n")
+            log_file.flush()
+            if log_fn is not None:
+                log_fn(line)
+            if row.recall > best_recall:
+                best_recall = row.recall
+                save_checkpoint(ckpt_path, params)
         if best_recall < 0:  # no validation saved: keep this run's parameters
             save_checkpoint(ckpt_path, params)
     return TrainResult(ckpt_path, log_path, history, best_recall, diverged, step)

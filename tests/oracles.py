@@ -18,7 +18,6 @@ from gimirec import autodiff as ad
 from gimirec.aggregate import init_center, multi_head_attention
 from gimirec.ingest import (MIN_INTERACTIONS, BinaryReader, Sequences, Vocab,
                             _recode_by_first_appearance, _text_lines, _user_time_order)
-from gimirec.recent import _interval_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -757,12 +756,32 @@ def make_window_slices(seq, end_pos, l_rec):
                             np.ones(len(hist_items), dtype=bool)]))
 
 
+def interval_matrices(timestamps, mask, l_time, time_unit_seconds=86400):
+    """Each window's pairwise |dt| in time units, clamped to l_time, with
+    l_time wherever a padding slot is involved and a zero diagonal:
+    (B, L) -> (B, L, L) float64. The float formulation that
+    ``recent.window_buckets`` folded into its bucket rule."""
+    t = timestamps.astype(np.float64)
+    vals = np.abs(t[:, :, None] - t[:, None, :]) / time_unit_seconds
+    np.minimum(vals, l_time, out=vals)
+    pad = ~mask
+    vals[pad[:, :, None] | pad[:, None, :]] = l_time
+    diag = np.arange(vals.shape[1])
+    vals[:, diag, diag] = 0.0
+    return vals
+
+
 def interval_matrix(window, l_time, time_unit_seconds=86400):
-    """One ``RecentWindow``'s pairwise |dt| in time units, clamped to
-    l_time, with padding entries at l_time and a zero diagonal: the
-    one-window case of ``recent._interval_matrices``."""
-    return _interval_matrices(window.timestamps[None], window.mask[None],
-                              l_time, time_unit_seconds)[0]
+    """One ``RecentWindow``'s ``interval_matrices``."""
+    return interval_matrices(window.timestamps[None], window.mask[None],
+                             l_time, time_unit_seconds)[0]
+
+
+def bucketize(values, l_time):
+    """Interval values floored and clipped to buckets 0..floor(l_time): with
+    ``interval_matrices``, the bucket rule ``recent.window_buckets``
+    replaced."""
+    return np.clip(np.floor(values), 0, int(l_time)).astype(np.int64)
 
 
 def evaluate_per_user(sequences, user_indices, params, a_norm, n_list=(20, 50),
@@ -833,17 +852,26 @@ def random_top_n(rng, vocab_size, n, exclude=None):
 def evaluate_ranker_per_user(sequences, user_indices, rank_fn, n_list=(20,)):
     """``serve_eval.evaluate_ranker`` as one ``rank_fn(n, exclude)`` call per
     scored user (at most n ranked items from a set of excluded ones), the
-    formulation the ranked-list contract replaced."""
+    formulation the ranked-list contract replaced: a per-user 80/20 split
+    and ``metrics_oracle`` per user and cutoff, averaged over a (users, 3)
+    array."""
     from gimirec import serve_eval as se
 
-    se._check_cutoffs(n_list)
-    split = se.holdout_split(sequences, user_indices)
-    count, n_max = len(split.prefixes), max(n_list)
-    ranked = np.full((count, n_max), -1, dtype=np.int64)
-    for r in range(count):
-        row = np.asarray(rank_fn(n_max, set(split.prefixes[r].items.tolist())))[:n_max]
-        ranked[r, :len(row)] = row
-    return se._score(split, ranked, n_list)
+    n_max, rows = max(n_list), []
+    for u in user_indices:
+        seq = sequences[int(u)]
+        prefix = (8 * len(seq)) // 10
+        if prefix < 1:
+            continue
+        ranked = list(rank_fn(n_max, set(seq.items[:prefix].tolist())))[:n_max]
+        truth = set(seq.items[prefix:].tolist())
+        rows.append({n: metrics_oracle(ranked, truth, n) for n in n_list})
+    report = {}
+    for n in n_list:
+        means = (np.array([row[n] for row in rows], dtype=np.float64).mean(axis=0)
+                 if rows else np.zeros(3))
+        report[n] = se.MetricRow(*(float(x) for x in means))
+    return se.MetricsReport(report, len(rows))
 
 
 def adam_step_out_of_place(params, grads, state):

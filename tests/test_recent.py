@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gimirec import autodiff as ad
-from gimirec.recent import (bucketize, cut_windows, interval_attention,
-                            make_window, stack_windows)
+from gimirec.recent import (cut_windows, interval_attention, make_window, stack_windows,
+                            window_buckets)
 
 from helpers import sequences_of
-from oracles import interval_attention_oracle, interval_matrix, make_window_slices
+from oracles import (bucketize, interval_attention_oracle, interval_matrices, interval_matrix,
+                     make_window_slices)
 
 
 def seq(items, ts):
@@ -143,6 +144,32 @@ class TestIntervalMatrix:
         assert vals.min() >= 0.0 and vals.max() <= 5.0
         buckets = bucketize(vals, 5.0)
         assert buckets.min() >= 0 and buckets.max() <= 5
+
+
+class TestWindowBuckets:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_floored_interval_matrices(self, data):
+        """int64 extremes and near timestamps, integer and non-integer
+        l_time, and empty, partly padded and full windows."""
+        b = data.draw(st.integers(1, 4), label="b")
+        l = data.draw(st.integers(1, 6), label="l")
+        stamp = st.one_of(st.sampled_from([-2**63, -1, 0, 2**63 - 1]),
+                          st.integers(-2**63, 2**63 - 1), st.integers(0, 10**6))
+        timestamps = np.array(data.draw(st.lists(st.lists(stamp, min_size=l, max_size=l),
+                                                 min_size=b, max_size=b),
+                                        label="timestamps"), dtype=np.int64)
+        real = np.array(data.draw(st.lists(st.integers(0, l), min_size=b, max_size=b),
+                                  label="real"))
+        mask = np.arange(l) >= l - real[:, None]
+        l_time = data.draw(st.one_of(st.sampled_from([0.3, 1, 5.5, 7, 64.0]),
+                                     st.floats(0, 100)), label="l_time")
+        unit = data.draw(st.one_of(st.sampled_from([1, 3600, 86400]),
+                                   st.integers(1, 10**6)), label="unit")
+        got = window_buckets(timestamps, mask, l_time, unit)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(
+            got, bucketize(interval_matrices(timestamps, mask, l_time, unit), l_time))
 
 
 def random_window_batch(rng, b, l, l_time):

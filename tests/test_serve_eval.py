@@ -62,6 +62,19 @@ class TestMetrics:
         # only the first n items are scored
         assert metrics([1, 2, 1], {1}, 2) == (1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("ranked, truth", [([3, 1, 2], {1, 9}), ([4], {4, 5, 6}),
+                                               ([7, 8, 5, 6], {8})])
+    def test_cutoff_past_list_and_truth_allocates_by_them(self, ranked, truth):
+        # sized by the cutoff, n = 10⁶ took 39.5 MiB and seconds
+        tracemalloc.start()
+        try:
+            got = metrics(ranked, truth, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert got == metrics_oracle(ranked, truth, 10**6)
+
     def test_matches_oracle_on_random_cases(self):
         rng = np.random.default_rng(0)
         for _ in range(300):

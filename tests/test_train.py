@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from gimirec import autodiff as ad
 from gimirec import model, train
@@ -80,6 +81,28 @@ class TestExampleStream:
         assert (ordered[:, 1:] != ordered[:, :-1]).all()
         assert not (negs == targets[:, None]).any()
         assert negs.min() >= 1 and negs.max() <= 12
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_negatives_hold_the_sampler_invariant(self, data):
+        """Floyd's subset and the every-other-item branch, over catalog sizes
+        and n_neg: distinct real items other than the target, and a stream
+        budget of 2 + n_neg doubles per example (2 when every other item is
+        a negative)."""
+        n_items = data.draw(st.integers(2, 40), label="n_items")
+        n_neg = data.draw(st.integers(1, n_items + 2), label="n_neg")
+        n = data.draw(st.integers(1, 60), label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        sampler, _ = catalog_sampler(n_items, n_neg, seed=seed)
+        rng = np.random.default_rng(seed)
+        *_, targets, negs = sampler.draw(n, rng)
+        assert negs.shape == (n, min(n_neg, n_items - 1))
+        ordered = np.sort(negs, axis=1)
+        assert (ordered[:, 1:] != ordered[:, :-1]).all()
+        assert (negs >= 1).all() and (negs <= n_items).all()
+        assert not (negs == targets[:, None]).any()
+        budget = n * (2 + (n_neg if n_neg < n_items - 1 else 0))
+        assert rng.random() == np.random.default_rng(seed).random(budget + 1)[-1]
 
     def test_exhaustive_negatives_when_vocab_small(self):
         for n_neg in (10, 11, 50):
