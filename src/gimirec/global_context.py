@@ -141,17 +141,24 @@ def build_weighted_adjacency(acc: HopPairAccumulator, alpha: float, beta: float,
     for hop_weight, k in zip((alpha, beta, gamma), HOPS):
         rows, cols, values = acc.hops[k]
         q = sp.csr_matrix((values, (rows, cols)), shape=(size, size))
-        combined = combined + hop_weight * (q + q.T)
+        q = hop_weight * (q + q.T)  # Q^k is freed before the sum, this term after it
+        combined = combined + q
+        del q
     a_prime = combined + sp.identity(size, format="csr")
+    del combined
 
     degree = np.asarray(a_prime.sum(axis=1)).ravel()
     if not np.all(degree > 0):   # only a negative hop weight cancels the unit diagonal
         raise ValueError(f"adjacency row sums must be > 0, got {degree.min()}")
     d_inv_sqrt = 1.0 / np.sqrt(degree)
-    entry_rows = np.repeat(np.arange(size), np.diff(a_prime.indptr))
-    a_norm = a_prime.copy()
-    # d[r]*d[c] first, then times the shared pair value: keeps bit symmetry
-    a_norm.data *= d_inv_sqrt[entry_rows] * d_inv_sqrt[a_norm.indices]
+    # (d[r]*d[c]) * a'[r, c]: the pair's scale first, then its shared value,
+    # keeps bit symmetry
+    scaled = np.repeat(d_inv_sqrt, np.diff(a_prime.indptr))
+    scaled *= d_inv_sqrt[a_prime.indices]
+    scaled *= a_prime.data
+    # own index arrays: an in-place SciPy op on one matrix must not reorder the other
+    a_norm = sp.csr_matrix((scaled, a_prime.indices.copy(), a_prime.indptr.copy()),
+                           shape=a_prime.shape)
     return NormalizedAdjacency(a_prime, degree, a_norm)
 
 

@@ -16,6 +16,7 @@ adjacency, checkpoint) loads through.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -184,6 +185,10 @@ def _parse_line(line: str, delimiter: str) -> tuple[str, str, int] | tuple[()] |
     return (parts[0], parts[1], ts) if -2**63 <= ts < 2**63 else None
 
 
+# lines the array parse takes at a time; its per-line temporaries stay this many long
+_PARSE_BLOCK = 1 << 15
+
+
 def read_columns(path: str | Path, delimiter: str) -> LogColumns:
     """``parse_log`` as coded columns, parsed from the file's bytes.
 
@@ -191,53 +196,37 @@ def read_columns(path: str | Path, delimiter: str) -> LogColumns:
     byte, the line holds exactly two of it, both ids are non-empty and the
     timestamp is an optional ``-`` and 1-18 ASCII digits. Every other line
     goes through ``_parse_line`` at its own position, so both routes agree.
+    The file is held once, with the 8 bytes ``_code_by_first_appearance``
+    reads past it.
     """
     if not delimiter or "\n" in delimiter or "\r" in delimiter:
         raise ValueError(f"delimiter {delimiter!r} must be non-empty and hold no "
                          "line break")
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as fh:  # the bytes, then 8 for the coder to read past them
+        raw = bytearray(os.fstat(fh.fileno()).st_size + 8)
+        got = fh.readinto(memoryview(raw)[:-8])
+        raw[got:-8] = fh.read()  # a file that is not the size it was stated at
     try:
-        raw.decode("utf-8")
+        str(memoryview(raw)[:-8], "utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    size = len(raw) - 8
     buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if not raw.endswith(b"\n") and raw:
-        ends = np.append(ends, len(raw))
+    ends = np.flatnonzero(buf[:size] == ord("\n"))
+    if size and buf[size - 1] != ord("\n"):
+        ends = np.append(ends, size)
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
 
-    n = len(ends)
-    user_len, item_start, item_len, timestamps = np.zeros((4, n), np.int64)
-    fast = np.zeros(n, dtype=bool)
+    user_len, item_len, timestamps = np.zeros((3, len(ends)), np.int64)
+    kept = np.zeros(len(ends), dtype=bool)
     sep = delimiter.encode("utf-8", "surrogatepass")
     if len(sep) == 1 and sep[0] < 128:
-        at = np.flatnonzero(buf == sep[0])
-        first = np.searchsorted(at, starts)
-        rows = np.flatnonzero(np.searchsorted(at, ends) - first == 2)
-        first, second = at[first[rows]], at[first[rows] + 1]
-        negative = buf[np.minimum(second + 1, len(raw) - 1)] == ord("-")
-        ts_start = second + 1 + negative
-        digits = ends[rows] - ts_start
-        ok = (first > starts[rows]) & (second > first + 1) & (digits >= 1) & (digits <= 18)
-        ts = np.zeros(len(rows), np.int64)
-        for j in range(int(digits[ok].max(initial=0))):
-            has = ok & (digits > j)
-            digit = buf[np.where(has, ts_start + j, 0)] - np.uint8(ord("0"))
-            ok &= ~has | (digit <= 9)
-            ts = np.where(has, ts * 10 + digit, ts)
-        rows, first, second = rows[ok], first[ok], second[ok]
-        fast[rows] = True
-        user_len[rows] = first - starts[rows]
-        item_start[rows] = first + 1
-        item_len[rows] = second - first - 1
-        timestamps[rows] = np.where(negative[ok], -ts[ok], ts[ok])
-
-    kept = fast.copy()
+        _parse_simple_lines(buf, sep[0], starts, ends, user_len, item_len, timestamps, kept)
     rejects = 0
-    for k in np.flatnonzero(~fast).tolist():
+    for k in np.flatnonzero(~kept).tolist():
         parsed = _parse_line(raw[starts[k]:ends[k]].decode("utf-8"), delimiter)
         if parsed is None:
             rejects += 1
@@ -245,31 +234,69 @@ def read_columns(path: str | Path, delimiter: str) -> LogColumns:
             user, item, timestamps[k] = parsed
             kept[k] = True
             user_len[k] = len(user.encode("utf-8"))
-            item_start[k] = starts[k] + user_len[k] + len(sep)
             item_len[k] = len(item.encode("utf-8"))
 
     kept = np.flatnonzero(kept)
-    users, user_ids = _code_by_first_appearance(raw, starts[kept], user_len[kept])
-    items, item_ids = _code_by_first_appearance(raw, item_start[kept], item_len[kept])
-    return LogColumns(users, user_ids, items, item_ids, timestamps[kept], kept + 1, rejects)
+    del ends
+    timestamps, item_len = timestamps[kept], item_len[kept]
+    starts, user_len = starts[kept], user_len[kept]
+    users, user_ids = _code_by_first_appearance(raw, starts, user_len)
+    starts += user_len  # each item's first byte: past the user and the delimiter
+    starts += len(sep)
+    del user_len
+    items, item_ids = _code_by_first_appearance(raw, starts, item_len)
+    kept += 1
+    return LogColumns(users, user_ids, items, item_ids, timestamps, kept, rejects)
+
+
+def _parse_simple_lines(buf: np.ndarray, sep: int, starts: np.ndarray, ends: np.ndarray,
+                        user_len: np.ndarray, item_len: np.ndarray, timestamps: np.ndarray,
+                        kept: np.ndarray) -> None:
+    """``read_columns``' array parse, ``_PARSE_BLOCK`` lines at a time: for
+    each line ``buf[starts[k]:ends[k]]`` that it covers, fill in entry k of
+    the columns and set ``kept[k]``. ``buf`` holds a byte past the last line."""
+    for lo in range(0, len(starts), _PARSE_BLOCK):
+        block = slice(lo, lo + _PARSE_BLOCK)
+        line_start, line_end = starts[block], ends[block]
+        at = np.flatnonzero(buf[line_start[0]:line_end[-1]] == sep) + line_start[0]
+        first = np.searchsorted(at, line_start)
+        rows = np.flatnonzero(np.searchsorted(at, line_end) - first == 2)
+        first, second = at[first[rows]], at[first[rows] + 1]
+        negative = buf[second + 1] == ord("-")
+        ts_start = second + 1 + negative
+        digits = line_end[rows] - ts_start
+        ok = (first > line_start[rows]) & (second > first + 1) & (digits >= 1) & (digits <= 18)
+        ts = np.zeros(len(rows), np.int64)
+        for j in range(int(digits[ok].max(initial=0))):
+            has = ok & (digits > j)
+            digit = buf[np.where(has, ts_start + j, 0)] - np.uint8(ord("0"))
+            ok &= ~has | (digit <= 9)
+            ts = np.where(has, ts * 10 + digit, ts)
+        rows, first = rows[ok], first[ok]
+        kept[block][rows] = True
+        user_len[block][rows] = first - line_start[rows]
+        item_len[block][rows] = second[ok] - first - 1
+        timestamps[block][rows] = np.where(negative[ok], -ts[ok], ts[ok])
 
 
 # byte k..7 of a little-endian word set to 0xFF, a byte no UTF-8 text holds
 _PAD_FROM = np.array([~((1 << 8 * k) - 1) & (2**64 - 1) for k in range(9)], dtype=np.uint64)
 
 
-def _code_by_first_appearance(raw: bytes, starts: np.ndarray, lengths: np.ndarray
-                              ) -> tuple[np.ndarray, list[str]]:
+def _code_by_first_appearance(raw: bytes | bytearray, starts: np.ndarray,
+                              lengths: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Code 0.. the UTF-8 strings ``raw[s:s + n]`` in order of first
     appearance; also the distinct strings, decoded once each.
 
     A string is read as little-endian uint64 words padded with 0xFF, so two
-    strings are equal exactly when their words are. Strings of one word
+    strings are equal exactly when their words are. Its last word reads up
+    to 8 bytes past its end (all 8 for an empty string), so ``raw`` must
+    hold 8 bytes, of any value, past every string's end. Strings of one word
     count are grouped by one argsort (a lexsort beyond one word), and each
     group's first row is its least.
     """
     # word_at[i] is the little-endian uint64 of the 8 bytes from offset i
-    word_at = np.ndarray((len(raw) + 1,), "<u8", raw + bytes(8), strides=(1,))
+    word_at = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
     first = np.empty(len(starts), np.int64)  # the row of each row's first equal string
     n_words = np.maximum((lengths + 7) >> 3, 1)  # "" reads as one word of 0xFF
     for count in np.flatnonzero(np.bincount(n_words)).tolist():
@@ -296,7 +323,8 @@ def _code_strings(keys: list[str]) -> tuple[np.ndarray, list[str]]:
     """``_code_by_first_appearance`` of a list of strings."""
     encoded = [key.encode("utf-8", "surrogatepass") for key in keys]
     lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
-    return _code_by_first_appearance(b"".join(encoded), np.cumsum(lengths) - lengths, lengths)
+    return _code_by_first_appearance(b"".join([*encoded, bytes(8)]),
+                                     np.cumsum(lengths) - lengths, lengths)
 
 
 def _recode_by_first_appearance(codes: np.ndarray, keys: list[str]

@@ -9,7 +9,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 from gimirec import autodiff as ad
 from gimirec.global_context import (AblationVariant, build_weighted_adjacency,
                                     extract_hop_pairs)
+from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 from helpers import random_sequences
+
+
+@pytest.fixture(scope="session")
+def planted_log(tmp_path_factory):
+    """A planted log of about 88k lines (1.8 MB) for the memory-budget tests."""
+    path = tmp_path_factory.mktemp("planted") / "log.csv"
+    write_log(path, planted_cluster_records(
+        PlantedConfig(n_clusters=100, n_users=1000, n_tail_items=4000), seed=1))
+    return path
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Plain helpers shared by the test modules (fixtures live in conftest.py)."""
 
+import tracemalloc
+
 import numpy as np
 
 from gimirec import autodiff as ad
@@ -44,6 +46,18 @@ def acc_from_dicts(weights: dict) -> HopPairAccumulator:
                            np.array([p[0][1] for p in pairs], dtype=np.int64),
                            np.array([p[1] for p in pairs], dtype=np.float64))
     return HopPairAccumulator(hops)
+
+
+def traced_peak(fn, *args, **kw):
+    """``fn(*args, **kw)`` and the peak bytes tracemalloc saw above the call's
+    start; what the call's inputs already hold is not counted."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kw)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def fd_check(build, tensors, h=1e-6, tol=1e-6):

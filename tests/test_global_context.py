@@ -10,9 +10,10 @@ from gimirec.global_context import (AblationVariant, build_weighted_adjacency,
                                     extract_hop_pairs, global_embeddings,
                                     occurrence_weight, read_adjacency,
                                     write_adjacency, write_global_embeddings)
+from gimirec.ingest import index_columns, read_columns
 from gimirec.model import cast_adjacency
 
-from helpers import acc_from_dicts, hop_dicts, random_sequences, sequences_of
+from helpers import acc_from_dicts, hop_dicts, random_sequences, sequences_of, traced_peak
 from oracles import (hop_pairs_oracle, normalized_adjacency_oracle,
                      weighted_adjacency_dict_reference)
 
@@ -217,6 +218,20 @@ class TestWeightedAdjacency:
         acc = extract_hop_pairs(seqs, AblationVariant.NO_IN, 0.5, 0.5, 4.0, 1)
         for d in hop_dicts(acc).values():
             assert all(v == 1.0 for v in d.values())
+
+    def test_build_peak_stays_under_1_5_times_its_output(self, planted_log):
+        # a copy of A', a per-entry row column and the float temporaries
+        # took 2.74 times the returned arrays
+        cols = read_columns(planted_log, ",")
+        seqs, vocab, _ = index_columns(cols.users, cols.user_ids, cols.items,
+                                       cols.item_ids, cols.timestamps)
+        acc = extract_hop_pairs(seqs, FULL, 0.65, 0.35, 64.0)
+        adj, peak = traced_peak(build_weighted_adjacency, acc, 4.5, 2.0, 1.0,
+                                vocab.num_real)
+        held = adj.degree.nbytes + sum(a.nbytes for m in (adj.a_prime, adj.a_norm)
+                                       for a in (m.data, m.indices, m.indptr))
+        assert adj.a_norm.nnz > 200_000
+        assert peak <= 1.5 * held, peak / held
 
     def test_num_items_too_small_rejected(self):
         with pytest.raises(ValueError):

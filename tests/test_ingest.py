@@ -13,6 +13,7 @@ from gimirec.ingest import (DatasetBundle, InteractionRecord, Sequences,
                             filter_and_index, load_bundle, parse_log, prepare,
                             save_bundle, split_users)
 from gimirec.synthetic import PlantedConfig, planted_cluster_records
+from helpers import traced_peak
 from oracles import (code_by_first_appearance_dict, filter_and_index_reference,
                      index_columns_split, parse_columns_per_line,
                      read_sequences_per_user)
@@ -341,6 +342,35 @@ class TestPrepareColumns:
         log = tmp_path / "log.csv"
         log.write_bytes(raw)
         assert_parse_matches_per_line_oracle(log, ",")
+
+    # the coder reads up to 8 bytes past a string's end, from the pad that
+    # ends the buffer when the string is the last one
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16])
+    def test_code_strings_reads_the_pad_past_the_last_id(self, n):
+        keys = ["x" * n + "y", "x" * n, "", "é" * 8, "x" * n]
+        codes, distinct = ingest._code_strings(keys)
+        want_codes, want_distinct = code_by_first_appearance_dict(keys)
+        np.testing.assert_array_equal(codes, want_codes)
+        assert distinct == want_distinct
+
+    # the last line ends the file without a break, with CRLF, or with a lone
+    # CR that the only CR rewrite turns into a new buffer; its ids are 1, 8
+    # and 9 bytes long
+    @pytest.mark.parametrize("ending", ["", "\r\n", "\r"], ids=["no_break", "crlf", "lone_cr"])
+    @pytest.mark.parametrize("last", ["u,i,5", "u1234567,i1234567,-5", "u12345678,i12345678,5",
+                                      "u,i1234567,123456789012345678"])
+    def test_last_line_at_the_buffer_end_matches_per_line_oracle(self, tmp_path, ending,
+                                                                 last):
+        log = tmp_path / "log.csv"
+        log.write_bytes(f"u1,i1,1\nu,i,2\nu12345678,i1234567,3\n{last}{ending}".encode())
+        assert_parse_matches_per_line_oracle(log, ",")
+
+    def test_parse_peak_stays_under_7_5_times_the_log(self, planted_log):
+        # whole-file copies and masks and whole-log per-line temporaries
+        # took 11.8 times the log
+        cols, peak = traced_peak(ingest.read_columns, planted_log, ",")
+        assert cols.rejects == 0 and cols.users.size > 80_000
+        assert peak <= 7.5 * planted_log.stat().st_size, peak / planted_log.stat().st_size
 
     def test_per_line_rule_runs_only_on_odd_lines(self, tmp_path, monkeypatch):
         cfg = PlantedConfig(n_clusters=3, items_per_cluster=10, n_users=40,

@@ -1,7 +1,6 @@
 """Metrics, exact retrieval and the 80/20 evaluation protocol."""
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 from gimirec.train import build_adjacency_from_bundle
 
 import oracles
-from helpers import sequences_of
+from helpers import sequences_of, traced_peak
 from oracles import metrics_oracle
 
 
@@ -66,12 +65,7 @@ class TestMetrics:
                                                ([7, 8, 5, 6], {8})])
     def test_cutoff_past_list_and_truth_allocates_by_them(self, ranked, truth):
         # sized by the cutoff, n = 10⁶ took 39.5 MiB and seconds
-        tracemalloc.start()
-        try:
-            got = metrics(ranked, truth, 10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(metrics, ranked, truth, 10**6)
         assert peak < 2**20
         assert got == metrics_oracle(ranked, truth, 10**6)
 
@@ -860,12 +854,7 @@ class TestInferAndEvaluate:
         seqs, params, a_norm = build_model(5)
         users = np.arange(len(seqs))
         n_list = (3, 12, 20, 10**6)
-        tracemalloc.start()
-        try:
-            got = evaluate(seqs, users, params, a_norm, n_list=n_list)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(evaluate, seqs, users, params, a_norm, n_list=n_list)
         assert peak < 2**22
         assert got == oracles.evaluate_per_user(seqs, users, params, a_norm, n_list=n_list)
         assert got.per_n[10**6] == got.per_n[12] == got.per_n[20]
