@@ -12,7 +12,6 @@ import dataclasses
 import json
 import subprocess
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from .config import ConfigError, PRESETS, load_config
 from .global_context import (global_embeddings, read_adjacency, write_adjacency,
                              write_global_embeddings)
 from .ingest import load_bundle, prepare
-from .model import AdjacencyError, ModelDims, ModelParams, cast_adjacency, load_checkpoint
+from .model import ModelDims, ModelParams, cast_adjacency, load_checkpoint
 from .serve_eval import evaluate, recommend
 from .synthetic import PlantedConfig, planted_cluster_records, write_log
 from .train import build_adjacency_from_bundle, run_gradient_checks, train_loop
@@ -50,7 +49,9 @@ def _config_echo(hp) -> dict:
 
 def _build_info() -> dict:
     try:
+        # the package's own checkout, not the caller's working directory
         git = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                             cwd=Path(__file__).parent,
                              capture_output=True, text=True, timeout=5)
         commit = git.stdout.strip() if git.returncode == 0 else "unknown"
     except (OSError, subprocess.TimeoutExpired):
@@ -82,32 +83,30 @@ def _load_bundle_checkpoint(args):
     return bundle, ckpt_path, params
 
 
-def _read_adjacency(args, owner, n_items: int):
-    """``--adjacency`` (default: <bundle>/adjacency.bin) and its path; it must
-    have the ``n_items`` rows of ``owner`` (a checkpoint or bundle)."""
+def _read_adjacency(args, owner, n_items: int, dtype):
+    """``--adjacency`` (default: <bundle>/adjacency.bin) cast to ``dtype``: the
+    one check of a file's adjacency. It must have the ``n_items`` rows of
+    ``owner`` (a checkpoint or bundle), be symmetric and stay finite."""
     adj_path = Path(args.adjacency) if args.adjacency else Path(args.bundle) / "adjacency.bin"
     _require(adj_path, "run `gimirec gce --bundle ... --out ...` first")
     a_norm = read_adjacency(adj_path)
     if a_norm.shape[0] != n_items:
         raise ValueError(f"{adj_path} has {a_norm.shape[0]} rows but {owner} "
                          f"has {n_items} items")
-    return adj_path, a_norm
-
-
-@contextmanager
-def _naming_adjacency(adj_path, owner):
-    """Name the file in a ``cast_adjacency`` rejection."""
-    try:
-        yield
-    except AdjacencyError as exc:
-        raise ValueError(f"{adj_path} (for {owner}): {exc}") from exc
+    if (a_norm != a_norm.T).nnz != 0:
+        raise ValueError(f"{adj_path} (for {owner}): normalized adjacency must be symmetric")
+    with np.errstate(over="ignore"):
+        cast = cast_adjacency(a_norm, dtype)
+    if not np.all(np.isfinite(cast.data)):
+        raise ValueError(f"{adj_path} (for {owner}): adjacency value overflows "
+                         f"{np.dtype(dtype)}")
+    return cast
 
 
 def _load_model_inputs(args):
     bundle, ckpt_path, params = _load_bundle_checkpoint(args)
-    adj_path, a_norm = _read_adjacency(args, ckpt_path, params.dims.n_items)
-    with _naming_adjacency(adj_path, ckpt_path):
-        return bundle, cast_adjacency(a_norm, params.dtype), params
+    a_norm = _read_adjacency(args, ckpt_path, params.dims.n_items, params.dtype)
+    return bundle, a_norm, params
 
 
 def cmd_prepare(args) -> int:
@@ -148,10 +147,9 @@ def cmd_gce(args) -> int:
 def cmd_train(args) -> int:
     hp = _resolve_config(args)
     bundle = load_bundle(args.bundle)
-    adj_path, a_norm = _read_adjacency(args, args.bundle, bundle.split.item_vocab.size)
-    # train_loop casts and checks the adjacency before it writes to --out
-    with _naming_adjacency(adj_path, args.bundle):
-        result = train_loop(hp, bundle, a_norm, args.out, log_fn=print)
+    # checked before train_loop writes to --out; train_loop does not test it again
+    a_norm = _read_adjacency(args, args.bundle, bundle.split.item_vocab.size, hp.dtype)
+    result = train_loop(hp, bundle, a_norm, args.out, log_fn=print)
     if result.diverged:
         print("training diverged; last good checkpoint retained", file=sys.stderr)
         return 1

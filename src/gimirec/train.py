@@ -260,7 +260,7 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
     and evaluation consumes no randomness.
     """
     dtype = np.float64 if hp.dtype == "float64" else np.float32
-    adj = cast_adjacency(a_norm, dtype)   # before anything is written
+    adj = cast_adjacency(a_norm, dtype)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     vocab = bundle.split.item_vocab

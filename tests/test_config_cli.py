@@ -2,7 +2,9 @@
 
 import json
 import re
+import subprocess
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -198,13 +200,17 @@ class TestCliPipeline:
         out = capsys.readouterr().out
         assert out.count("user ") == 2
 
-    @pytest.mark.parametrize("defect, match", [
-        ("asymmetric", "must be symmetric"),
-        ("extra_row", "has 42 rows but .* has 41 items"),
-        ("overflow", "adjacency value overflows float32"),
-    ], ids=["asymmetric", "extra_row", "overflow"])
+    # recommend keeps its defect-only test ids
+    @pytest.mark.parametrize("command, defect, match", [
+        (command, defect, match) for command in ("recommend", "eval")
+        for defect, match in (
+            ("asymmetric", "must be symmetric"),
+            ("extra_row", "has 42 rows but .* has 41 items"),
+            ("overflow", "adjacency value overflows float32"),
+        )], ids=["asymmetric", "extra_row", "overflow",
+                 "eval-asymmetric", "eval-extra_row", "eval-overflow"])
     def test_recommend_rejects_adjacency_not_matching_checkpoint(
-            self, mini_corpus, tmp_path, capsys, defect, match):
+            self, mini_corpus, tmp_path, capsys, command, defect, match):
         root = mini_corpus
         bundle = tmp_path / "bundle"
         assert main(["prepare", "--input", str(root / "log.csv"),
@@ -225,11 +231,13 @@ class TestCliPipeline:
         adj_path = tmp_path / f"{defect}.bin"
         write_adjacency(adj_path, SimpleNamespace(a_norm=bad))
         ckpt_path = tmp_path / "checkpoint.bin"
+        report = tmp_path / "report.json"
+        args = {"recommend": ["--users", "0", "-n", "3"], "eval": ["--out", str(report)]}
         capsys.readouterr()
-        assert main(["recommend", "--bundle", str(bundle),
-                     "--checkpoint", str(ckpt_path), "--adjacency", str(adj_path),
-                     "--users", "0", "-n", "3", *SMALL]) == 1
-        err = capsys.readouterr().err
+        assert main([command, "--bundle", str(bundle), "--checkpoint", str(ckpt_path),
+                     "--adjacency", str(adj_path), *args[command], *SMALL]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not report.exists()
         assert str(adj_path) in err and str(ckpt_path) in err
         assert re.search(match, err), err
 
@@ -772,6 +780,8 @@ class TestCliEdgeCases:
 
     def test_train_tests_the_adjacency_symmetry_once(self, mini_corpus, tmp_path,
                                                      monkeypatch):
+        # once per command, where the file is read; in-process callers trust
+        # a build and test it no more
         bundle = prepared_bundle(mini_corpus, tmp_path)
         tests = []
         not_equal = sp.csr_matrix.__ne__
@@ -781,7 +791,37 @@ class TestCliEdgeCases:
             return not_equal(a, b)
 
         monkeypatch.setattr(sp.csr_matrix, "__ne__", counted)
-        assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path / "run"),
-                     *SMALL, "--set", "max_steps=2"]) == 0
+        run = tmp_path / "run"
+        model = ["--checkpoint", str(run / "checkpoint.bin"), *SMALL]
         n_rows = read_adjacency(bundle / "adjacency.bin").shape[0]
-        assert tests == [(n_rows, n_rows)]
+        for command, args in (("train", ["--out", str(run), *SMALL, "--set", "max_steps=2"]),
+                              ("eval", model),
+                              ("recommend", [*model, "--users", "0", "-n", "3"])):
+            tests.clear()
+            assert main([command, "--bundle", str(bundle), *args]) == 0
+            assert tests == [(n_rows, n_rows)], command
+
+        hp = load_config(overrides=[*SMALL[1::2], "max_steps=2"])
+        loaded = load_bundle(bundle)
+        adj = train.build_adjacency_from_bundle(loaded, hp)
+        tests.clear()
+        train.train_loop(hp, loaded, adj.a_norm, tmp_path / "in_process")
+        cast_adjacency(adj.a_norm, np.float32)
+        assert tests == []
+
+    def test_build_info_names_the_package_checkout_not_the_working_directory(
+            self, tmp_path, monkeypatch):
+        def git(*args, cwd=tmp_path):
+            return subprocess.run(["git", *args], cwd=cwd, capture_output=True,
+                                  text=True)
+
+        assert git("init", "-q").returncode == 0
+        assert git("-c", "user.name=u", "-c", "user.email=u@example.com",
+                   "-c", "commit.gpgsign=false",
+                   "commit", "-q", "--allow-empty", "-m", "another repository").returncode == 0
+        elsewhere = git("rev-parse", "--short", "HEAD").stdout.strip()
+        own = git("rev-parse", "--short", "HEAD", cwd=Path(cli.__file__).parent)
+        expect = own.stdout.strip() if own.returncode == 0 else "unknown"
+        assert elsewhere and expect != elsewhere
+        monkeypatch.chdir(tmp_path)
+        assert cli._build_info()["git"] == expect

@@ -1,6 +1,7 @@
 """Co-occurrence accumulation, adjacency algebra and the exported containers."""
 
 import contextlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from gimirec.global_context import (AblationVariant, build_weighted_adjacency,
                                     occurrence_weight, read_adjacency,
                                     write_adjacency, write_global_embeddings)
 from gimirec.ingest import index_columns, read_columns
-from gimirec.model import cast_adjacency
+from gimirec.cli import _read_adjacency
 
 from helpers import acc_from_dicts, hop_dicts, random_sequences, sequences_of, traced_peak
 from oracles import (hop_pairs_oracle, normalized_adjacency_oracle,
@@ -198,6 +199,22 @@ class TestWeightedAdjacency:
         norm = adj.a_norm.toarray()
         assert np.array_equal(norm, norm.T)
 
+    @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(list(AblationVariant)),
+           allow_self_pairs=st.booleans(),
+           hop_weights=st.tuples(*[st.just(0.0) | st.floats(0.0, 8.0)] * 3))
+    @settings(max_examples=200, deadline=None)
+    def test_build_is_bitwise_symmetric(self, seed, variant, allow_self_pairs,
+                                        hop_weights):
+        # the CLI tests a file's symmetry; in-process callers rely on this
+        rng = np.random.default_rng(seed)
+        seqs = random_sequences(rng, n_users=int(rng.integers(1, 9)), n_items=10,
+                                max_len=16, min_len=1, max_gap=4)
+        acc = extract_hop_pairs(seqs, variant, 0.65, 0.35, 4.0, 1,
+                                allow_self_pairs=allow_self_pairs)
+        adj = build_weighted_adjacency(acc, *hop_weights, 10)
+        for m in (adj.a_prime, adj.a_norm):
+            assert (m != m.T).nnz == 0  # bitwise
+
     def test_variant_no_i_entries_are_cooccurrence_counts(self):
         rng = np.random.default_rng(5)
         seqs = random_sequences(rng, n_users=6, n_items=6, max_len=15)
@@ -301,10 +318,10 @@ class TestContainers:
         for offset, mask in flips:
             bad[offset % len(raw)] ^= mask
         path.write_bytes(bytes(bad))
-        # read, then the symmetry check a model load adds; a changed
-        # diagonal value keeps the matrix valid, so loading may succeed
+        # read, then the CLI's checks of the file; a changed diagonal value
+        # keeps the matrix valid, so both may pass
         with contextlib.suppress(ValueError):
-            cast_adjacency(read_adjacency(path), np.float32)
+            _read_adjacency(SimpleNamespace(adjacency=path), "a bundle", 9, np.float32)
 
     @pytest.mark.parametrize("corrupt, match", [
         (lambda m: {"shape": (3, 4)}, "square"),

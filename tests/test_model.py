@@ -185,9 +185,3 @@ class TestForward:
         kept, _ = forward_interests(params, a, items, buckets, mask, residual=False)
         plain, _ = forward_interests(params, a, items, buckets, mask)
         np.testing.assert_array_equal(kept.data, plain.data)
-
-    def test_asymmetric_adjacency_rejected(self):
-        import scipy.sparse as sp
-        bad = sp.csr_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="symmetric"):
-            cast_adjacency(bad, np.float64)
