@@ -6,13 +6,15 @@ number of multi-head-attention layers. Each item attends over four tokens
 attends over itself and all real items, except in the last layer, whose
 center nothing reads. There are no skip connections or layer norms.
 
-Item states are flat (B*L, d) rows: per layer one gather builds every
-slot's four tokens, and both updates are single-query attention.
+Item states are flat (B*L, d) rows. The item update is one tape node that
+reads its four tokens as shifts, broadcasts and copies of its sources; the
+center update is single-query attention over [itself; the window's items].
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +86,151 @@ def init_center(hybrid: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
     return ad.mul(total, ad.Tensor(inv))
 
 
+def _sources(proj: np.ndarray, b: int) -> tuple:
+    """The rows of a ``[q; rows; center]`` array: (B, L, d) item and
+    global-row views and a (B, 1, d) center view."""
+    n, d = (proj.shape[0] - b) // 2, proj.shape[1]
+    return (proj[:n].reshape(b, -1, d), proj[n:2 * n].reshape(b, -1, d),
+            proj[2 * n:].reshape(b, 1, d))
+
+
+def _token_dots(x: np.ndarray, proj: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Per-head dot products of each slot's row of x (B, L, d) with the slot's
+    four tokens in proj: (N, H, 4). A window's first slot reads a zero left
+    neighbor. ``heads`` (d, H) sums each head's coordinates."""
+    b, l, d = x.shape
+    n_heads = heads.shape[1]
+    own, row, center = _sources(proj, b)
+    out = np.zeros((b, l, n_heads, 4), dtype=x.dtype)
+    out[:, 1:, :, 0] = ((x[:, 1:] * own[:, :-1]).reshape(-1, d) @ heads).reshape(
+        b, l - 1, n_heads)
+    for t, token in enumerate((center, own, row), start=1):
+        out[..., t] = ((x * token).reshape(-1, d) @ heads).reshape(b, l, n_heads)
+    return out.reshape(b * l, n_heads, 4)
+
+
+def _spread(w: np.ndarray, heads: np.ndarray, shape: tuple) -> Callable[[int], np.ndarray]:
+    """A function of token t: t's weights in w (N, H, 4) repeated over each
+    head's coordinates, as a ``shape`` (B, L, d) array."""
+    by_token = np.ascontiguousarray(np.moveaxis(w, -1, 0))   # (4, N, H)
+    return lambda t: (by_token[t] @ heads.T).reshape(shape)
+
+
+def _mix_tokens(w: np.ndarray, proj: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Each slot's four tokens in proj, weighted per head by w (N, H, 4) and
+    summed: (B, L, d)."""
+    own, row, center = _sources(proj, proj.shape[0] - 2 * w.shape[0])
+    spread = _spread(w, heads, own.shape)
+    out = spread(2) * own
+    out += spread(1) * center
+    out += spread(3) * row
+    out[:, 1:] += spread(0)[:, 1:] * own[:, :-1]
+    return out
+
+
+def _token_grads(w: np.ndarray, x: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """The transpose of ``_mix_tokens`` in proj: what slot rows x (B, L, d),
+    weighted per head by w (N, H, 4), send back to the ``[q; rows; center]``
+    rows their tokens came from: (2N + B, d)."""
+    b, l, d = x.shape
+    out = np.empty(((2 * l + 1) * b, d), dtype=x.dtype)
+    own, row, center = _sources(out, b)
+    spread = _spread(w, heads, x.shape)
+    np.multiply(spread(2), x, out=own)
+    own[:, :-1] += spread(0)[:, 1:] * x[:, 1:]
+    np.multiply(spread(3), x, out=row)
+    center[:] = (spread(1) * x).sum(axis=1, keepdims=True)
+    return out
+
+
+def item_update(q: ad.Tensor, center: ad.Tensor, rows: ad.Tensor,
+                projs: AttnProjs, n_heads: int, maskf: np.ndarray,
+                dropout_rate: float = 0.0,
+                rng: np.random.Generator | None = None) -> ad.Tensor:
+    """Every window item's attention over its four tokens, as one tape node.
+
+    q and rows are the (N, d) item states and global rows of B windows of L
+    slots; center is (B, d). Slot i reads [its left neighbor (a zero row for
+    a window's first slot); its window's center; itself; its global row].
+    Keys and values are projected once per source row, the centers in the
+    same product as the items, and each token is a shift, a broadcast or a
+    copy of those rows. The (N, H, 4) probabilities come from
+    ``ad.masked_softmax`` and, when training, are dropped out as there.
+    Returns the (N, d) update times maskf (N, 1).
+
+    Besides its output the node keeps only the probabilities, the dropout
+    mask and the (N, d) mixture that ``wo`` reads; backward projects the
+    sources again and adds straight into the gradients of q, center, rows
+    and the four weights.
+    """
+    n, d = q.shape
+    b = center.shape[0]
+    shape = (b, n // b, d)
+    heads = np.repeat(np.eye(n_heads, dtype=q.dtype), d // n_heads, axis=0)  # (d, H)
+    scale = 1.0 / math.sqrt(d // n_heads)
+    wq, wk, wv, wo = projs.wq, projs.wk, projs.wv, projs.wo
+
+    def stacked() -> np.ndarray:
+        return np.concatenate([q.data, rows.data, center.data])   # (2N + B, d)
+
+    def weight_grad(d_proj: np.ndarray) -> np.ndarray:
+        # stacked().T @ d_proj, without stacking the sources again
+        return (q.data.T @ d_proj[:n] + rows.data.T @ d_proj[n:2 * n]
+                + center.data.T @ d_proj[2 * n:])
+
+    sources = stacked()
+    query = (q.data @ wq.data).reshape(shape)
+    probs = ad.masked_softmax(ad.Tensor(
+        _token_dots(query, sources @ wk.data, heads) * scale)).data
+    del query
+    keep = None
+    if dropout_rate > 0.0 and rng is not None:
+        keep = ad.dropout_keep(probs.shape, probs.dtype, dropout_rate, rng)
+
+    def weights() -> np.ndarray:
+        return probs if keep is None else probs * keep
+
+    mixed = _mix_tokens(weights(), sources @ wv.data, heads).reshape(n, d)
+    del sources
+    data = (mixed @ wo.data) * maskf
+
+    def bwd(g):
+        # each large temporary is dropped after its last read, which keeps
+        # backward's peak to a few (2N + B, d) arrays above the tape
+        g = g * maskf
+        ad._accum(wo, mixed.T @ g)
+        values = stacked() @ wv.data
+        w = weights()
+        d_mixed = (g @ wo.data.T).reshape(shape)
+        del g
+        d_w = _token_dots(d_mixed, values, heads)
+        del values
+        d_proj = _token_grads(w, d_mixed, heads)
+        del d_mixed, w
+        ad._accum(wv, weight_grad(d_proj))
+        d_sources = d_proj @ wv.data.T
+        del d_proj
+        if keep is not None:
+            d_w *= keep
+        d_scores = ad.softmax_grad(probs, d_w) * scale
+        del d_w
+        query = (q.data @ wq.data).reshape(shape)
+        keys = stacked() @ wk.data
+        d_query = _mix_tokens(d_scores, keys, heads).reshape(n, d)
+        del keys
+        d_proj = _token_grads(d_scores, query, heads)
+        del query
+        ad._accum(wk, weight_grad(d_proj))
+        d_sources += d_proj @ wk.data.T
+        del d_proj
+        ad._accum(wq, q.data.T @ d_query)
+        ad._accum(q, d_query @ wq.data.T + d_sources[:n])
+        ad._accum(rows, d_sources[n:2 * n])
+        ad._accum(center, d_sources[2 * n:])
+
+    return ad._node(data, (q, center, rows, wq, wk, wv, wo), bwd)
+
+
 def aggregate_layers(hybrid: ad.Tensor, global_rows: ad.Tensor,
                      layers: list[LayerParams], n_heads: int, mask: np.ndarray,
                      dropout_rate: float = 0.0,
@@ -93,9 +240,10 @@ def aggregate_layers(hybrid: ad.Tensor, global_rows: ad.Tensor,
 
     Item states start at the hybrid embeddings, the center at their masked
     mean. Within a layer every item re-reads [left neighbor; center; itself;
-    its global row]; the center then re-reads [itself; updated items], with
-    padding items masked out. The last layer's center update feeds nothing,
-    so it is skipped. Padding rows stay exactly zero throughout.
+    its global row] (``item_update``); the center then re-reads [itself;
+    updated items], with padding items masked out. The last layer's center
+    update feeds nothing, so it is skipped. Padding rows stay exactly zero
+    throughout.
     """
     if residual:  # the keyword is kept only for perfbench/
         raise ValueError("residual must be False (the option was removed)")
@@ -103,22 +251,14 @@ def aggregate_layers(hybrid: ad.Tensor, global_rows: ad.Tensor,
         raise ValueError("at least one aggregation layer is required")
     b, l, d = hybrid.shape
     n = b * l
-    slot = np.arange(n)
-    # rows of [zero; items; centers; global rows] that each slot reads:
-    # left neighbor (a window's first slot reads the zero row), center,
-    # itself, global row
-    token_idx = np.stack([np.where(slot % l > 0, slot, 0), 1 + n + slot // l,
-                          1 + slot, 1 + n + b + slot], axis=1)
-    zero = ad.Tensor(np.zeros((1, d), dtype=hybrid.dtype))
     rows = ad.reshape(global_rows, (n, d))
-    maskf = ad.Tensor(mask.reshape(n, 1).astype(hybrid.dtype))
+    maskf = mask.reshape(n, 1).astype(hybrid.dtype)
     center_key_mask = np.concatenate([np.ones((b, 1), dtype=bool), mask], axis=1)
     q = ad.reshape(hybrid, (n, d))
     center = init_center(hybrid, mask)
     for li, lp in enumerate(layers):
-        tokens = ad.gather(ad.concat([zero, q, center, rows], axis=0), token_idx)
-        q = ad.mul(multi_head_attention(q, tokens, lp.item, n_heads,
-                                        dropout_rate=dropout_rate, rng=rng), maskf)
+        q = item_update(q, center, rows, lp.item, n_heads, maskf,
+                        dropout_rate=dropout_rate, rng=rng)
         if li == len(layers) - 1:
             break
         center_tokens = ad.concat([ad.reshape(center, (b, 1, d)),

@@ -5,8 +5,11 @@ A deliberately small tape: only the primitives the recommender needs
 gathers, bucket sums, masked softmax, log-sum-exp, sparse-dense products
 over all rows or selected ones). ``gather`` is the one primitive whose
 backward scatters into rows: slices, broadcasts and per-example picks are
-all written as gathers. Gradients propagate in the same dtype as the forward
-values; training runs in float32, oracles and gradient checks in float64.
+all written as gathers. The one node built outside this module, from
+``_node`` and ``_accum``, is ``aggregate.item_update``, which reads its
+shifted and broadcast tokens without a gather. Gradients propagate in the
+same dtype as the forward values; training runs in float32, oracles and
+gradient checks in float64.
 Gradient arrays are never mutated in place, so sharing a grad buffer
 between consumers is safe. Only leaves (tensors without a backward closure,
 such as parameters) keep ``.grad`` after ``backward``: every interior node's
@@ -209,7 +212,10 @@ def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
 
     def bwd(g):
-        _accum(a, g * (1.0 - data * data))
+        grad = data * data   # one temporary of the input's size, not three
+        np.subtract(1.0, grad, out=grad)
+        grad *= g
+        _accum(a, grad)
 
     return _node(data, (a,), bwd)
 
@@ -338,10 +344,15 @@ def masked_softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     p = e / np.where(s == 0.0, 1.0, s)
 
     def bwd(g):
-        dot = _reduce_last(np.add, g * p)
-        _accum(x, p * (g - dot))
+        _accum(x, softmax_grad(p, g))
 
     return _node(p, (x,), bwd)
+
+
+def softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of a last-axis softmax's input from its output ``p`` and
+    the output gradient ``g``."""
+    return p * (g - _reduce_last(np.add, g * p))
 
 
 def logsumexp(x: Tensor, axis: int = -1) -> Tensor:
@@ -390,8 +401,14 @@ def spmm_rows(a_sparse: sp.csr_matrix, x: Tensor, rows: np.ndarray) -> Tensor:
     return _node(data, (x,), bwd)
 
 
+def dropout_keep(shape: tuple, dtype, rate: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Inverted dropout's multiplier: 0 for a dropped entry, else 1/(1 - rate)."""
+    keep = (rng.random(shape) >= rate).astype(dtype)
+    keep /= np.asarray(1.0 - rate, dtype=dtype)
+    return keep
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; call only in training mode with rate > 0."""
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
-    keep /= np.asarray(1.0 - rate, dtype=x.data.dtype)
-    return mul(x, Tensor(keep))
+    return mul(x, Tensor(dropout_keep(x.data.shape, x.data.dtype, rate, rng)))

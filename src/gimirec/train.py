@@ -283,6 +283,8 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
         for step in range(1, hp.max_steps + 1):
             batch = sampler.batch(hp.batch, rng, hp.l_time, hp.time_unit_seconds)
             params.zero_grad()
+            # the previous step's graph lives until this call returns: freeing
+            # it first let glibc trim the heap, and refaulting it was slower
             value, _ = batch_loss(params, adj, batch,
                                   dropout_rate=hp.dropout, rng=rng)
             if not np.isfinite(value.data):

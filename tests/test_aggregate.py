@@ -264,6 +264,34 @@ class TestAggregateLayers:
             assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
         assert sum(g is None for g in old) == 4
 
+    def test_tape_holds_no_per_token_or_per_head_tensor(self):
+        # every array the graph keeps, as node data or in a backward closure,
+        # is smaller than an (N, 4, d), (H, N, d) or (N, H, d) tensor
+        rng = np.random.default_rng(20)
+        hybrid, rows, layers, mask = self._setup(rng, b=6, l=8, d=16, n_layers=3)
+        out = aggregate_layers(hybrid, rows, layers, 4, mask,
+                               dropout_rate=0.3, rng=np.random.default_rng(21))
+        sizes, seen, stack = [], set(), [out]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                sizes.append(obj.size)
+            elif isinstance(obj, ad.Tensor):
+                stack += [obj.data, obj._backward, *obj._parents]
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                for cell in obj.__closure__:
+                    try:
+                        stack.append(cell.cell_contents)
+                    except ValueError:  # a name left unbound, like matmul's a_rows
+                        pass
+            elif isinstance(obj, (tuple, list)):
+                stack += list(obj)
+        n, d = 6 * 8, 16  # the (N, H, 4) probabilities are N·d
+        assert max(sizes) < 2 * n * d, max(sizes)
+
     def test_batch_permutation_equivariance(self):
         rng = np.random.default_rng(10)
         hybrid, rows, layers, mask = self._setup(rng, b=4)

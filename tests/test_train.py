@@ -405,6 +405,14 @@ class TestLossAndGradients:
             result = gradient_check(seed=seed)
             assert result.passed, result.per_tensor
 
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("d, n_heads", [(4, 1), (4, 4), (8, 8)])
+    def test_gradient_check_at_other_head_counts(self, d, n_heads, n_layers):
+        # one head spans all of d; (4, 4) and (8, 8) have heads of width 1
+        result = gradient_check(seed=d + n_heads + n_layers, d=d, n_heads=n_heads,
+                                n_layers=n_layers, tolerance=1e-4)
+        assert result.passed, result.per_tensor
+
 
 class TestAdam:
     def _params(self, value=1.0):
@@ -686,6 +694,41 @@ def test_backward_holds_under_half_the_forward_tape(criterion6):
     _, backward = traced_peak(value.backward)
     assert tape > 1e6
     assert backward < 0.5 * tape, (backward, tape)
+
+
+@pytest.mark.parametrize("preset, overrides", [
+    ("amazon-books", dict(d=32, n_layers=1, lr=0.005)),  # smoke's model
+    ("amazon-books", dict(batch=16)),
+    ("taobao-buy", dict(batch=16)),
+], ids=["smoke", "amazon-books", "taobao-buy"])
+def test_item_update_holds_under_two_thirds_of_the_token_tape(criterion6, monkeypatch,
+                                                             preset, overrides):
+    """One batch_loss forward's traced tape is at most 2/3 of the one that
+    gathers every slot's four tokens, kept as an oracle (its last center
+    update feeds nothing, so its graph is freed before the peak)."""
+    bundle, _, _ = criterion6
+    hp = HyperParams(**{**PRESETS[preset], **overrides, "seed": 11}).validate()
+    a_norm = cast_adjacency(train.build_adjacency_from_bundle(bundle, hp).a_norm,
+                            np.float32)
+    vocab = bundle.split.item_vocab
+    dims = ModelDims(vocab.size, hp.d, hp.k, hp.l_rec, hp.l_time, hp.n_heads, hp.n_layers)
+
+    def tape():
+        rng = np.random.default_rng(hp.seed)
+        params = ModelParams.init(dims, rng, dtype=np.float32)
+        batch = ExampleSampler(bundle.split.train_users, bundle.sequences, hp.l_rec,
+                               hp.neg_samples, vocab.num_real).batch(
+            hp.batch, rng, hp.l_time, hp.time_unit_seconds)
+        (value, _), peak = traced_peak(batch_loss, params, a_norm, batch,
+                                       dropout_rate=hp.dropout, rng=rng)
+        return value.item(), peak
+
+    new_loss, new_tape = tape()
+    monkeypatch.setattr(model, "aggregate_layers", lambda *args, **kw:
+                        oracles.aggregate_layers_with_last_center(*args, **kw)[0])
+    old_loss, old_tape = tape()
+    assert abs(new_loss - old_loss) <= 1e-5 * abs(old_loss)
+    assert new_tape <= 2 / 3 * old_tape, (new_tape, old_tape)
 
 
 def test_smoke_training_equals_keep_interior_backward(criterion6, tmp_path, monkeypatch):
