@@ -109,37 +109,58 @@ def _token_dots(x: np.ndarray, proj: np.ndarray, heads: np.ndarray) -> np.ndarra
     return out.reshape(b * l, n_heads, 4)
 
 
-def _spread(w: np.ndarray, heads: np.ndarray, shape: tuple) -> Callable[[int], np.ndarray]:
+def _spread(w: np.ndarray, heads: np.ndarray, shape: tuple) -> Callable[..., np.ndarray]:
     """A function of token t: t's weights in w (N, H, 4) repeated over each
-    head's coordinates, as a ``shape`` (B, L, d) array."""
+    head's coordinates, as a ``shape`` (B, L, d) array, written into ``out``
+    when one is given."""
     by_token = np.ascontiguousarray(np.moveaxis(w, -1, 0))   # (4, N, H)
-    return lambda t: (by_token[t] @ heads.T).reshape(shape)
+
+    def spread(t: int, out: np.ndarray | None = None) -> np.ndarray:
+        rows = None if out is None else out.reshape(-1, shape[-1])
+        return np.matmul(by_token[t], heads.T, out=rows).reshape(shape)
+
+    return spread
 
 
-def _mix_tokens(w: np.ndarray, proj: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Each slot's four tokens in proj, weighted per head by w (N, H, 4) and
-    summed: (B, L, d)."""
-    own, row, center = _sources(proj, proj.shape[0] - 2 * w.shape[0])
-    spread = _spread(w, heads, own.shape)
-    out = spread(2) * own
-    out += spread(1) * center
-    out += spread(3) * row
-    out[:, 1:] += spread(0)[:, 1:] * own[:, :-1]
+def _mix_tokens(spread: Callable[..., np.ndarray], proj: np.ndarray) -> np.ndarray:
+    """Each slot's four tokens in proj, weighted per head by the spread
+    weights of ``_spread`` and summed: (B, L, d). The weighted tokens pass
+    through one buffer and then proj's global-row block, which is
+    overwritten."""
+    out = spread(2)
+    own, row, center = _sources(proj, out.shape[0])
+    out *= own
+    term = spread(1)
+    term *= center
+    out += term
+    spread(3, out=term)
+    term *= row
+    out += term
+    del term
+    spread(0, out=row)
+    row[:, 1:] *= own[:, :-1]
+    out[:, 1:] += row[:, 1:]
     return out
 
 
-def _token_grads(w: np.ndarray, x: np.ndarray, heads: np.ndarray) -> np.ndarray:
+def _token_grads(spread: Callable[..., np.ndarray], x: np.ndarray) -> np.ndarray:
     """The transpose of ``_mix_tokens`` in proj: what slot rows x (B, L, d),
-    weighted per head by w (N, H, 4), send back to the ``[q; rows; center]``
-    rows their tokens came from: (2N + B, d)."""
+    weighted per head by the spread weights, send back to the
+    ``[q; rows; center]`` rows their tokens came from: (2N + B, d)."""
     b, l, d = x.shape
     out = np.empty(((2 * l + 1) * b, d), dtype=x.dtype)
     own, row, center = _sources(out, b)
-    spread = _spread(w, heads, x.shape)
-    np.multiply(spread(2), x, out=own)
-    own[:, :-1] += spread(0)[:, 1:] * x[:, 1:]
-    np.multiply(spread(3), x, out=row)
-    center[:] = (spread(1) * x).sum(axis=1, keepdims=True)
+    # the row block is scratch for the center and left-neighbor terms first
+    spread(1, out=row)
+    row *= x
+    center[:] = row.sum(axis=1, keepdims=True)
+    spread(2, out=own)
+    own *= x
+    spread(0, out=row)
+    row[:, 1:] *= x[:, 1:]
+    own[:, :-1] += row[:, 1:]
+    spread(3, out=row)
+    row *= x
     return out
 
 
@@ -190,39 +211,36 @@ def item_update(q: ad.Tensor, center: ad.Tensor, rows: ad.Tensor,
     def weights() -> np.ndarray:
         return probs if keep is None else probs * keep
 
-    mixed = _mix_tokens(weights(), sources @ wv.data, heads).reshape(n, d)
+    mixed = _mix_tokens(_spread(weights(), heads, shape), sources @ wv.data).reshape(n, d)
     del sources
     data = (mixed @ wo.data) * maskf
 
     def bwd(g):
-        # each large temporary is dropped after its last read, which keeps
-        # backward's peak to a few (2N + B, d) arrays above the tape
+        # each large temporary is dropped after its last read, and the key
+        # gradients come before the keys are projected again, which keeps
+        # backward's peak to three (2N + B, d) arrays above the tape
         g = g * maskf
         ad._accum(wo, mixed.T @ g)
         values = stacked() @ wv.data
-        w = weights()
         d_mixed = (g @ wo.data.T).reshape(shape)
         del g
         d_w = _token_dots(d_mixed, values, heads)
         del values
-        d_proj = _token_grads(w, d_mixed, heads)
-        del d_mixed, w
+        d_proj = _token_grads(_spread(weights(), heads, shape), d_mixed)
+        del d_mixed
         ad._accum(wv, weight_grad(d_proj))
         d_sources = d_proj @ wv.data.T
         del d_proj
         if keep is not None:
             d_w *= keep
-        d_scores = ad.softmax_grad(probs, d_w) * scale
+        spread = _spread(ad.softmax_grad(probs, d_w) * scale, heads, shape)
         del d_w
-        query = (q.data @ wq.data).reshape(shape)
-        keys = stacked() @ wk.data
-        d_query = _mix_tokens(d_scores, keys, heads).reshape(n, d)
-        del keys
-        d_proj = _token_grads(d_scores, query, heads)
-        del query
+        d_proj = _token_grads(spread, (q.data @ wq.data).reshape(shape))
         ad._accum(wk, weight_grad(d_proj))
         d_sources += d_proj @ wk.data.T
         del d_proj
+        d_query = _mix_tokens(spread, stacked() @ wk.data).reshape(n, d)
+        del spread
         ad._accum(wq, q.data.T @ d_query)
         ad._accum(q, d_query @ wq.data.T + d_sources[:n])
         ad._accum(rows, d_sources[n:2 * n])

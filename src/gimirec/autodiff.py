@@ -2,14 +2,15 @@
 
 A deliberately small tape: only the primitives the recommender needs
 (broadcast arithmetic, batched matmul, reshape/swapaxes/concat, row
-gathers, bucket sums, masked softmax, log-sum-exp, sparse-dense products
-over all rows or selected ones). ``gather`` is the one primitive whose
-backward scatters into rows: slices, broadcasts and per-example picks are
-all written as gathers. The one node built outside this module, from
-``_node`` and ``_accum``, is ``aggregate.item_update``, which reads its
-shifted and broadcast tokens without a gather. Gradients propagate in the
-same dtype as the forward values; training runs in float32, oracles and
-gradient checks in float64.
+gathers, masked softmax, log-sum-exp, sparse-dense products over all rows
+or selected ones). ``gather`` is the one primitive whose backward scatters
+into rows (``_scatter_rows``): slices, broadcasts and per-example picks are
+all written as gathers. Three layers are single nodes built outside this
+module from ``_node`` and ``_accum``, each keeping less than the chain of
+primitives it stands for: ``recent.interval_attention``,
+``aggregate.item_update`` and ``interests.attention_logits``. Gradients
+propagate in the same dtype as the forward values; training runs in
+float32, oracles and gradient checks in float64.
 Gradient arrays are never mutated in place, so sharing a grad buffer
 between consumers is safe. Only leaves (tensors without a backward closure,
 such as parameters) keep ``.grad`` after ``backward``: every interior node's
@@ -208,18 +209,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), bwd)
 
 
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-
-    def bwd(g):
-        grad = data * data   # one temporary of the input's size, not three
-        np.subtract(1.0, grad, out=grad)
-        grad *= g
-        _accum(a, grad)
-
-    return _node(data, (a,), bwd)
-
-
 def sumt(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
@@ -274,34 +263,22 @@ def gather(table: Tensor, idx: np.ndarray) -> Tensor:
     data = np.take(table.data, idx, axis=0)   # fancy indexing's copy, faster
 
     def bwd(g):
-        n, v = idx.size, table.data.shape[0]
-        # the product trusts the row indices: a negative one writes outside
-        rows = idx.ravel() % v if idx.min(initial=0) < 0 else idx.ravel()
-        one_hot = sp.csc_matrix((np.ones(n, dtype=g.dtype), rows, np.arange(n + 1)),
-                                shape=(v, n))
-        width = int(np.prod(table.data.shape[1:]))
-        _accum(table, (one_hot @ g.reshape(n, width)).reshape(table.data.shape))
+        _accum(table, _scatter_rows(idx, g, table.data.shape))
 
     return _node(data, (table,), bwd)
 
 
-def bucket_sum(x: Tensor, idx: np.ndarray, n_buckets: int) -> Tensor:
-    """Per-row histogram: x (..., L) summed into (..., n_buckets) by idx (..., L).
-
-    ``out[..., t]`` is the sum of ``x[..., j]`` over the j with
-    ``idx[..., j] == t``; the backward pass gathers the bucket gradient back.
-    """
-    idx = np.asarray(idx)
-    n_rows = int(np.prod(idx.shape[:-1]))
-    # each slot's bucket as an index into the flat (rows·n_buckets,) output
-    flat = idx + (np.arange(n_rows) * n_buckets).reshape(idx.shape[:-1] + (1,))
-    data = np.bincount(flat.ravel(), weights=x.data.ravel(), minlength=n_rows * n_buckets)
-    data = data.astype(x.data.dtype, copy=False).reshape(idx.shape[:-1] + (n_buckets,))
-
-    def bwd(g):
-        _accum(x, g.reshape(-1)[flat])
-
-    return _node(data, (x,), bwd)
+def _scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
+    """``gather``'s backward into a table of ``shape``: the gradient row of
+    lookup j, from g (idx.shape + shape[1:]), summed into row ``idx[j]``, as
+    one product with a one-hot matrix."""
+    n, v = idx.size, shape[0]
+    # the product trusts the row indices: a negative one writes outside
+    rows = idx.ravel() % v if idx.min(initial=0) < 0 else idx.ravel()
+    one_hot = sp.csc_matrix((np.ones(n, dtype=g.dtype), rows, np.arange(n + 1)),
+                            shape=(v, n))
+    width = int(np.prod(shape[1:]))
+    return (one_hot @ g.reshape(n, width)).reshape(shape)
 
 
 # NumPy adds fewer than 8 terms left to right, from +0.0, and 8 or more

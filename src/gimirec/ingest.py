@@ -445,26 +445,40 @@ class BinaryReader:
 #     u64 user_index, u64 n, u32[n] item indices, i64[n] timestamps
 
 def save_bundle(out_dir: str | Path, bundle: DatasetBundle) -> None:
+    """Write the bundle's four files, each in one call; ``sequences.bin`` is
+    laid out from the columns in one word array."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     vocab = bundle.split.item_vocab
-    with open(out / "vocab.tsv", "w", encoding="utf-8") as fh:
-        for idx in range(1, vocab.size):
-            fh.write(f"{idx}\t{vocab.index_to_raw[idx]}\n")
-    with open(out / "users.tsv", "w", encoding="utf-8") as fh:
-        for idx, raw in enumerate(bundle.user_ids):
-            fh.write(f"{idx}\t{raw}\n")
+    (out / "vocab.tsv").write_text("".join(
+        f"{idx}\t{raw}\n" for idx, raw in enumerate(vocab.index_to_raw[1:], 1)),
+        encoding="utf-8")
+    (out / "users.tsv").write_text("".join(
+        f"{idx}\t{raw}\n" for idx, raw in enumerate(bundle.user_ids)), encoding="utf-8")
+    seqs = bundle.sequences
+    n_users, total = len(seqs), seqs.items.size
+    # every field is a whole number of 32-bit words: a record is its 4-word
+    # header, one word per item and two per timestamp
+    words = np.empty(2 + 4 * n_users + 3 * total, dtype="<u4")
+    words[:2] = np.array([n_users], dtype="<u8").view("<u4")
+    head = 2 + 4 * np.arange(n_users) + 3 * seqs.starts
+    words[head[:, None] + np.arange(4)] = np.stack(
+        [np.arange(n_users), seqs.lengths], axis=1).astype("<u8").view("<u4")
+    at = np.repeat(head + 4 - seqs.starts, seqs.lengths)
+    at += np.arange(total)                 # each item's word
+    words[at] = seqs.items.astype("<u4")
+    at += np.repeat(seqs.lengths - seqs.starts, seqs.lengths)
+    at += np.arange(total)                 # each timestamp's first word
+    stamps = seqs.timestamps.astype("<i8", copy=False).view("<u4").reshape(-1, 2)
+    words[at] = stamps[:, 0]
+    at += 1
+    words[at] = stamps[:, 1]
     with open(out / "sequences.bin", "wb") as fh:
-        fh.write(np.uint64(len(bundle.sequences)).astype("<u8").tobytes())
-        for u, seq in enumerate(bundle.sequences):
-            fh.write(np.array([u, len(seq)], dtype="<u8").tobytes())
-            fh.write(seq.items.astype("<u4").tobytes())
-            fh.write(seq.timestamps.astype("<i8").tobytes())
+        fh.write(words)
     manifest = {key: getattr(bundle.split, key).tolist()
                 for key in ("train_users", "valid_users", "test_users")}
-    with open(out / "split.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    (out / "split.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n",
+                                    encoding="utf-8")
 
 
 def _read_ids(path: Path, first: int) -> list[str]:

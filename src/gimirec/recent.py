@@ -72,16 +72,45 @@ def interval_attention(buckets: np.ndarray, interval_table: ad.Tensor,
     on its bucket, so scores are read from the (l_time+1,) bucket scores and
     each row's output is its per-bucket attention mass times the table; no
     (B, L, L, d) tensor is formed.
+
+    One tape node: it keeps the (B, L, L) probabilities from
+    ``ad.masked_softmax`` and the (B, L, T) per-bucket histogram; backward
+    rebuilds the flat bucket index and sums the bucket-score gradient with
+    ``ad.gather``'s one-hot product.
     """
     b, l, _ = buckets.shape
     n_buckets = interval_table.shape[0]
-    bucket_scores = ad.matmul(interval_table, score_weight)       # (T, 1)
-    scores = ad.reshape(ad.gather(bucket_scores, buckets), (b, l, l))
-    probs = ad.masked_softmax(scores, mask[:, None, :])           # (B,L,L)
-    hist = ad.bucket_sum(probs, buckets, n_buckets)               # (B,L,T)
-    e_time = ad.matmul(hist, interval_table)                      # (B,L,d)
-    maskf = mask[:, :, None].astype(interval_table.dtype)
-    return ad.mul(e_time, ad.Tensor(maskf))
+    table = interval_table.data
+    bucket_scores = table @ score_weight.data                     # (T, 1)
+    probs = ad.masked_softmax(ad.Tensor(np.take(bucket_scores[:, 0], buckets)),
+                              mask[:, None, :]).data              # (B,L,L)
+
+    def flat_buckets() -> np.ndarray:
+        # each slot's bucket as an index into the flat (B·L·T,) histogram
+        return buckets + (np.arange(b * l) * n_buckets).reshape(b, l, 1)
+
+    hist = np.bincount(flat_buckets().ravel(), weights=probs.ravel(),
+                       minlength=b * l * n_buckets)
+    hist = hist.astype(table.dtype, copy=False).reshape(b * l, n_buckets)
+    maskf = mask[:, :, None].astype(table.dtype)
+    data = (hist @ table).reshape(b, l, -1)                       # (B,L,d)
+    data *= maskf
+
+    def bwd(g):
+        table, weight = interval_table.data, score_weight.data
+        g = (g * maskf).reshape(b * l, -1)
+        d_hist = g @ table.T
+        ad._accum(interval_table, hist.T @ g)
+        del g
+        d_probs = d_hist.reshape(-1)[flat_buckets()]
+        del d_hist
+        d_scores = ad.softmax_grad(probs, d_probs)
+        del d_probs
+        d_bucket_scores = ad._scatter_rows(buckets, d_scores, (n_buckets, 1))
+        ad._accum(interval_table, d_bucket_scores @ weight.T)
+        ad._accum(score_weight, table.T @ d_bucket_scores)
+
+    return ad._node(data, (interval_table, score_weight), bwd)
 
 
 def stack_windows(windows: list[RecentWindow], l_time: float,

@@ -60,6 +60,33 @@ def traced_peak(fn, *args, **kw):
         tracemalloc.stop()
 
 
+def tape_arrays(root: ad.Tensor) -> list[np.ndarray]:
+    """The unique base arrays the graph under ``root`` holds, as node data
+    or in backward closures (nested closures included); a view counts as
+    the array it views."""
+    bases, seen, stack = {}, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj
+        elif isinstance(obj, ad.Tensor):
+            stack += [obj.data, obj._backward, *obj._parents]
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            for cell in obj.__closure__:
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a name left unbound, like matmul's a_rows
+                    pass
+        elif isinstance(obj, (tuple, list)):
+            stack += list(obj)
+    return list(bases.values())
+
+
 def fd_check(build, tensors, h=1e-6, tol=1e-6):
     """Compare analytic gradients of sum(build(*tensors)) with central FD."""
     out = ad.sumt(build(*tensors))

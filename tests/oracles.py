@@ -9,7 +9,9 @@ against them.
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,6 +126,31 @@ def index_columns_split(users, user_ids, items, item_raw, timestamps):
     cuts = np.cumsum(np.bincount(users))[:-1]
     return (list(zip(np.split(items[order] + 1, cuts), np.split(timestamps[order], cuts))),
             item_raw, user_ids)
+
+
+def save_bundle_per_user(out_dir, bundle):
+    """``ingest.save_bundle`` as it was: one write per id line, and one per
+    user header, item list and timestamp list of ``sequences.bin``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    vocab = bundle.split.item_vocab
+    with open(out / "vocab.tsv", "w", encoding="utf-8") as fh:
+        for idx in range(1, vocab.size):
+            fh.write(f"{idx}\t{vocab.index_to_raw[idx]}\n")
+    with open(out / "users.tsv", "w", encoding="utf-8") as fh:
+        for idx, raw in enumerate(bundle.user_ids):
+            fh.write(f"{idx}\t{raw}\n")
+    with open(out / "sequences.bin", "wb") as fh:
+        fh.write(np.uint64(len(bundle.sequences)).astype("<u8").tobytes())
+        for u, seq in enumerate(bundle.sequences):
+            fh.write(np.array([u, len(seq)], dtype="<u8").tobytes())
+            fh.write(seq.items.astype("<u4").tobytes())
+            fh.write(seq.timestamps.astype("<i8").tobytes())
+    manifest = {key: getattr(bundle.split, key).tolist()
+                for key in ("train_users", "valid_users", "test_users")}
+    with open(out / "split.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def read_sequences_per_user(path, num_items):
@@ -433,19 +460,54 @@ def gather_add_at(table, idx):
     return ad._node(table.data[idx], (table,), bwd)
 
 
-def bucket_sum_take_along_axis(x, idx, n_buckets):
-    """``ad.bucket_sum`` with the ``np.take_along_axis`` backward it replaced."""
+def tanh(a):
+    """The deleted ``ad.tanh`` primitive: one temporary in its backward."""
+    data = np.tanh(a.data)
+
+    def bwd(g):
+        grad = data * data
+        np.subtract(1.0, grad, out=grad)
+        grad *= g
+        ad._accum(a, grad)
+
+    return ad._node(data, (a,), bwd)
+
+
+def bucket_sum(x, idx, n_buckets):
+    """The deleted ``ad.bucket_sum`` primitive, a per-row histogram: x (..., L)
+    summed into (..., n_buckets) by idx (..., L), with the flat-index
+    backward."""
     idx = np.asarray(idx)
     n_rows = int(np.prod(idx.shape[:-1]))
-    offsets = (np.arange(n_rows) * n_buckets).reshape(idx.shape[:-1] + (1,))
-    data = np.bincount((idx + offsets).ravel(), weights=x.data.ravel(),
-                       minlength=n_rows * n_buckets)
+    flat = idx + (np.arange(n_rows) * n_buckets).reshape(idx.shape[:-1] + (1,))
+    data = np.bincount(flat.ravel(), weights=x.data.ravel(), minlength=n_rows * n_buckets)
     data = data.astype(x.data.dtype, copy=False).reshape(idx.shape[:-1] + (n_buckets,))
 
     def bwd(g):
-        ad._accum(x, np.take_along_axis(g, idx, axis=-1))
+        ad._accum(x, g.reshape(-1)[flat])
 
     return ad._node(data, (x,), bwd)
+
+
+def interval_attention_chain(buckets, interval_table, score_weight, mask):
+    """``recent.interval_attention`` as the chain of primitives its node
+    replaced: gathered bucket scores, a masked softmax, a bucket sum and the
+    table product, each a tape node."""
+    b, l, _ = buckets.shape
+    bucket_scores = ad.matmul(interval_table, score_weight)       # (T, 1)
+    scores = ad.reshape(ad.gather(bucket_scores, buckets), (b, l, l))
+    probs = ad.masked_softmax(scores, mask[:, None, :])
+    hist = bucket_sum(probs, buckets, interval_table.shape[0])
+    e_time = ad.matmul(hist, interval_table)
+    maskf = mask[:, :, None].astype(interval_table.dtype)
+    return ad.mul(e_time, ad.Tensor(maskf))
+
+
+def attention_logits_chain(e_user, hidden_weight, query_weight):
+    """``interests.attention_logits`` as the chain of primitives its node
+    replaced: the hidden product, its tanh and the query product."""
+    hidden = tanh(ad.matmul(e_user, ad.swapaxes(hidden_weight, 0, 1)))
+    return ad.swapaxes(ad.matmul(hidden, ad.swapaxes(query_weight, 0, 1)), 1, 2)
 
 
 def masked_softmax_reductions(x, mask=None):
@@ -623,7 +685,7 @@ def extract_interests_column_layout(e_user, hidden_weight, query_weight, mask):
     """``interests.extract_interests`` as the column-layout form it replaced:
     each weight multiplies the batch from the left, so the hidden layer is
     (B, 4d, L) and the logits come out as (B, K, L) with no transpose."""
-    hidden = ad.tanh(ad.matmul(hidden_weight, ad.swapaxes(e_user, -1, -2)))
+    hidden = tanh(ad.matmul(hidden_weight, ad.swapaxes(e_user, -1, -2)))
     logits = ad.matmul(query_weight, hidden)
     attn = ad.masked_softmax(logits, mask[:, None, :])
     return ad.matmul(attn, e_user), attn

@@ -8,7 +8,7 @@ from gimirec.aggregate import (AttnProjs, LayerParams, aggregate_layers,
                                hybrid_embeddings, init_center,
                                multi_head_attention)
 
-from helpers import fd_check
+from helpers import fd_check, tape_arrays
 from oracles import (aggregate_layers_token_tensor, aggregate_layers_with_last_center,
                      aggregate_oracle, mha_oracle,
                      multi_head_attention_projected_tokens)
@@ -271,24 +271,7 @@ class TestAggregateLayers:
         hybrid, rows, layers, mask = self._setup(rng, b=6, l=8, d=16, n_layers=3)
         out = aggregate_layers(hybrid, rows, layers, 4, mask,
                                dropout_rate=0.3, rng=np.random.default_rng(21))
-        sizes, seen, stack = [], set(), [out]
-        while stack:
-            obj = stack.pop()
-            if id(obj) in seen:
-                continue
-            seen.add(id(obj))
-            if isinstance(obj, np.ndarray):
-                sizes.append(obj.size)
-            elif isinstance(obj, ad.Tensor):
-                stack += [obj.data, obj._backward, *obj._parents]
-            elif callable(obj) and getattr(obj, "__closure__", None):
-                for cell in obj.__closure__:
-                    try:
-                        stack.append(cell.cell_contents)
-                    except ValueError:  # a name left unbound, like matmul's a_rows
-                        pass
-            elif isinstance(obj, (tuple, list)):
-                stack += list(obj)
+        sizes = [a.size for a in tape_arrays(out)]
         n, d = 6 * 8, 16  # the (N, H, 4) probabilities are N·d
         assert max(sizes) < 2 * n * d, max(sizes)
 

@@ -1,6 +1,7 @@
 """Parsing, filtering, splitting and bundle round trips."""
 
 import contextlib
+import dataclasses
 import json
 import re
 
@@ -9,14 +10,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gimirec import ingest
-from gimirec.ingest import (DatasetBundle, InteractionRecord, Sequences,
+from gimirec.ingest import (DatasetBundle, InteractionRecord, Sequences, Vocab,
                             filter_and_index, load_bundle, parse_log, prepare,
                             save_bundle, split_users)
-from gimirec.synthetic import PlantedConfig, planted_cluster_records
+from gimirec.synthetic import PlantedConfig, planted_cluster_records, write_log
 from helpers import traced_peak
 from oracles import (code_by_first_appearance_dict, filter_and_index_reference,
                      index_columns_split, parse_columns_per_line,
-                     read_sequences_per_user)
+                     read_sequences_per_user, save_bundle_per_user)
 
 
 def rec(u, i, t):
@@ -589,6 +590,31 @@ class TestBundle:
         save_bundle(tmp_path / "bundle", bundle)
         for n in names:
             assert (tmp_path / "bundle" / n).read_bytes() == first[n]
+
+    @pytest.mark.parametrize("case", ["planted", "non_ascii_ids", "users_without_items"])
+    def test_bytes_equal_the_per_user_writer(self, tmp_path, case):
+        if case == "planted":
+            write_log(tmp_path / "log.csv", planted_cluster_records(PlantedConfig(), seed=1))
+            bundle, _ = prepare(tmp_path / "log.csv", tmp_path / "bundle", seed=1)
+        else:
+            bundle, _ = self._prepare(tmp_path)
+        seqs = bundle.sequences
+        if case == "non_ascii_ids":
+            vocab = Vocab(["", *(f"ítem·{i}·\u7269\U0001f4da" for i in range(1, 7))])
+            bundle = DatasetBundle(seqs, dataclasses.replace(bundle.split, item_vocab=vocab),
+                                   [f"üser {u} \u00a0\u0416" for u in range(len(seqs))])
+        elif case == "users_without_items":
+            # prepare never writes such a user, but a bundle may hold one
+            emptied = np.isin(np.arange(len(seqs)), [0, 5, len(seqs) - 1])
+            kept = np.repeat(~emptied, seqs.lengths)
+            bundle = DatasetBundle(Sequences(seqs.items[kept], seqs.timestamps[kept],
+                                             np.where(emptied, 0, seqs.lengths)),
+                                   bundle.split, bundle.user_ids)
+        save_bundle(tmp_path / "got", bundle)
+        save_bundle_per_user(tmp_path / "want", bundle)
+        for name in BUNDLE_FILES:
+            assert ((tmp_path / "got" / name).read_bytes()
+                    == (tmp_path / "want" / name).read_bytes()), name
 
     def test_missing_file_raises(self, tmp_path):
         self._prepare(tmp_path)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from gimirec import autodiff as ad
-from gimirec.interests import extract_interests, select_training_interest
+from gimirec import interests
+from gimirec.interests import attention_logits, extract_interests, select_training_interest
 
-from oracles import extract_interests_column_layout, interests_oracle
+from helpers import fd_check
+from oracles import attention_logits_chain, extract_interests_column_layout, interests_oracle
 
 
 def tensor(rng, *shape):
@@ -74,6 +76,42 @@ class TestExtractInterests:
         for got, want in zip(*results):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b, l, d, k", [(3, 5, 8, 2), (13, 20, 8, 3), (128, 20, 32, 4),
+                                            (2, 1, 4, 8)])
+    def test_logits_node_equals_primitive_chain(self, monkeypatch, b, l, d, k, dtype):
+        """Interests, attention and the gradients of the per-item matrix and
+        both weights are the same with the logits node as with the chain of
+        primitives it replaced (hidden product, tanh, query product), kept as
+        ``oracles.attention_logits_chain``; one window has a single real
+        item, and the (B·L, 4d) hidden layer spans one to ten row blocks."""
+        rng = np.random.default_rng(7)
+        data = [rng.normal(size=(b, l, d)), rng.normal(size=(4 * d, d)) / np.sqrt(d),
+                rng.normal(size=(k, 4 * d)) / np.sqrt(4 * d)]
+        mask = rng.random((b, l)) > 0.3
+        mask[:, -1] = True
+        mask[0, :-1] = False
+        seeds = [rng.normal(size=(b, k, d)).astype(dtype),
+                 rng.normal(size=(b, k, l)).astype(dtype)]
+        results = []
+        for chain in (False, True):
+            with monkeypatch.context() as mp:
+                if chain:
+                    mp.setattr(interests, "attention_logits", attention_logits_chain)
+                leaves = [ad.Tensor(x.astype(dtype), requires_grad=True) for x in data]
+                out, attn = extract_interests(*leaves, mask)
+            ad.add(ad.sumt(ad.mul(out, ad.Tensor(seeds[0]))),
+                   ad.sumt(ad.mul(attn, ad.Tensor(seeds[1])))).backward()
+            results.append([out.data, attn.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want, strict=True)
+
+    def test_logits_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(8)
+        d = 3
+        leaves = [tensor(rng, 2, 4, d), tensor(rng, 4 * d, d), tensor(rng, 2, 4 * d)]
+        fd_check(attention_logits, leaves)
 
     def test_attention_rows_are_distributions(self):
         rng = np.random.default_rng(3)

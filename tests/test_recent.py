@@ -8,9 +8,9 @@ from gimirec import autodiff as ad
 from gimirec.recent import (cut_windows, interval_attention, make_window, stack_windows,
                             window_buckets)
 
-from helpers import sequences_of
-from oracles import (bucketize, interval_attention_oracle, interval_matrices, interval_matrix,
-                     make_window_slices)
+from helpers import fd_check, sequences_of
+from oracles import (bucketize, interval_attention_chain, interval_attention_oracle,
+                     interval_matrices, interval_matrix, make_window_slices)
 
 
 def seq(items, ts):
@@ -221,6 +221,43 @@ class TestIntervalAttention:
                 expect, _ = interval_attention_oracle(
                     buckets[bi], table.data, w.data, mask[bi])
                 np.testing.assert_allclose(out.data[bi], expect, atol=1e-10)
+
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 4), l=st.integers(1, 8),
+           l_time=st.integers(0, 7), d=st.sampled_from([1, 4, 8]),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=200, deadline=None)
+    def test_node_equals_primitive_chain(self, seed, b, l, l_time, d, dtype):
+        """The node's output and both gradients equal those of the chain of
+        primitives it replaced (gathered bucket scores, softmax, bucket sum,
+        table product), kept as ``oracles.interval_attention_chain``: windows
+        of no to all real items, one with a single item, a row whose keys
+        share one bucket and buckets no key reads."""
+        rng = np.random.default_rng(seed)
+        buckets = rng.integers(0, l_time + 1, size=(b, l, l))
+        buckets[0, -1] = l_time
+        real = rng.integers(0, l + 1, size=b)
+        real[0] = 1
+        mask = np.arange(l) >= l - real[:, None]
+        data = [rng.normal(size=(l_time + 1, d)), rng.normal(size=(d, 1))]
+        g = rng.normal(size=(b, l, d)).astype(dtype)
+        results = []
+        for form in (interval_attention, interval_attention_chain):
+            table, w = (ad.Tensor(x.astype(dtype), requires_grad=True) for x in data)
+            out = form(buckets, table, w, mask)
+            ad.sumt(ad.mul(out, ad.Tensor(g))).backward()
+            results.append((out.data, table.grad, w.grad))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want, strict=True)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(14)
+        buckets, mask = random_window_batch(rng, 3, 5, l_time=4)
+        buckets[1, 2] = 3  # every key of a row in one bucket
+        mask[2] = [False, False, False, False, True]
+        table, w = self._params(rng, 4, 3)
+        weight = ad.Tensor(rng.normal(size=(3, 5, 3)))
+        fd_check(lambda t, s: ad.mul(interval_attention(buckets, t, s, mask), weight),
+                 [table, w])
 
     def test_rows_sum_to_one_and_pads_zero(self, softmax_probs):
         rng = np.random.default_rng(3)

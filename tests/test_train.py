@@ -6,7 +6,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from gimirec import autodiff as ad
-from gimirec import model, train
+from gimirec import interests, model, train
 from gimirec.config import PRESETS, HyperParams
 from gimirec.global_context import AblationVariant, build_weighted_adjacency, extract_hop_pairs
 from gimirec.ingest import DatasetBundle, DatasetSplit, Vocab, prepare
@@ -21,7 +21,7 @@ from gimirec.train import (AdamState, ExampleSampler, GradCheckResult, TrainingE
                            gradient_check, make_examples, sampled_softmax_nll,
                            train_loop)
 
-from helpers import random_sequences, sequences_of, traced_peak
+from helpers import random_sequences, sequences_of, tape_arrays, traced_peak
 import oracles
 from oracles import full_loss_oracle
 
@@ -592,14 +592,15 @@ class TestTrainLoop:
         hp = self._hp(max_steps=5, eval_every=5)
         from gimirec.train import build_adjacency_from_bundle
         adj = build_adjacency_from_bundle(bundle, hp)
-        finite_tanh = ad.tanh
+        finite_logits = interests.attention_logits
 
-        def tanh_with_inf_gradient(a):
-            out = finite_tanh(a)
-            out._backward = lambda g: ad._accum(a, np.full_like(a.data, np.inf))
+        def logits_with_inf_gradient(*parents):
+            out = finite_logits(*parents)
+            out._backward = lambda g: [ad._accum(p, np.full_like(p.data, np.inf))
+                                       for p in parents]
             return out
 
-        monkeypatch.setattr(ad, "tanh", tanh_with_inf_gradient)
+        monkeypatch.setattr(interests, "attention_logits", logits_with_inf_gradient)
         from gimirec.model import load_checkpoint, save_checkpoint
         dims = ModelDims(bundle.split.item_vocab.size, hp.d, hp.k, hp.l_rec,
                          hp.l_time, hp.n_heads, hp.n_layers)
@@ -632,9 +633,9 @@ class TestTrainLoop:
 
 def test_smoke_training_equals_replaced_primitives(tmp_path, monkeypatch):
     """20 float32 steps of the smoke model (criterion 6's config) on the
-    planted bundle, and an evaluation of the result, with ``masked_softmax``,
-    ``gather`` and ``bucket_sum`` as they are and as they were before their
-    rewrites: equal losses, parameters and report."""
+    planted bundle, and an evaluation of the result, with ``masked_softmax``
+    and ``gather`` as they are and as they were before their rewrites: equal
+    losses, parameters and report."""
     write_log(tmp_path / "log.csv", planted_cluster_records(PlantedConfig(), seed=1))
     bundle, _ = prepare(tmp_path / "log.csv", tmp_path / "bundle", seed=1)
     hp = HyperParams(**{**PRESETS["amazon-books"], "d": 32, "n_layers": 1, "lr": 0.005,
@@ -655,7 +656,6 @@ def test_smoke_training_equals_replaced_primitives(tmp_path, monkeypatch):
             if replaced:
                 mp.setattr(ad, "masked_softmax", oracles.masked_softmax_reductions)
                 mp.setattr(ad, "gather", oracles.gather_add_at)
-                mp.setattr(ad, "bucket_sum", oracles.bucket_sum_take_along_axis)
             result = train_loop(hp, bundle, a_norm, tmp_path / f"run{replaced}")
             report = evaluate(bundle.sequences, bundle.split.test_users,
                               load_checkpoint(result.checkpoint_path),
@@ -729,6 +729,67 @@ def test_item_update_holds_under_two_thirds_of_the_token_tape(criterion6, monkey
     old_loss, old_tape = tape()
     assert abs(new_loss - old_loss) <= 1e-5 * abs(old_loss)
     assert new_tape <= 2 / 3 * old_tape, (new_tape, old_tape)
+
+
+def smoke_batch(bundle, hp):
+    """Smoke float32 parameters and first batch, drawn as a training step
+    draws them, and the generator that step's dropout continues."""
+    vocab = bundle.split.item_vocab
+    dims = ModelDims(vocab.size, hp.d, hp.k, hp.l_rec, hp.l_time, hp.n_heads, hp.n_layers)
+    rng = np.random.default_rng(hp.seed)
+    params = ModelParams.init(dims, rng, dtype=np.float32)
+    batch = ExampleSampler(bundle.split.train_users, bundle.sequences, hp.l_rec,
+                           hp.neg_samples, vocab.num_real).batch(
+        hp.batch, rng, hp.l_time, hp.time_unit_seconds)
+    return params, batch, rng
+
+
+def test_tape_holds_one_hidden_layer_and_only_the_batch_buckets(criterion6):
+    """The interest layer keeps its (B, L, 4d) tanh output and no other
+    array of that size; interval attention keeps no (B, L, L) index array
+    besides the batch's own buckets."""
+    bundle, hp, a_norm = criterion6
+    params, batch, rng = smoke_batch(bundle, hp)
+    value, aux = batch_loss(params, cast_adjacency(a_norm, np.float32), batch,
+                            dropout_rate=hp.dropout, rng=rng)
+    b, l, d = batch.item_idx.shape + (hp.d,)
+    arrays = tape_arrays(value)
+    hidden = [a for a in arrays if a.size == b * l * 4 * d]
+    assert len(hidden) == 1, [a.shape for a in hidden]
+    want = np.tanh(aux["e_user"].data.reshape(b * l, d) @ params.interest_hidden_w.data.T)
+    np.testing.assert_array_equal(hidden[0].reshape(b * l, 4 * d), want)
+    index = [a for a in arrays if a.size == b * l * l and a.dtype == np.int64]
+    assert len(index) == 1 and np.shares_memory(index[0], batch.buckets), \
+        [a.shape for a in index]
+
+
+@pytest.mark.parametrize("dropout", [True, False], ids=["dropout", "no_dropout"])
+def test_smoke_batch_equals_primitive_chains(criterion6, monkeypatch, dropout):
+    """One float32 smoke batch (windows of 1-20 real items) gives the same
+    loss and the same bits in every parameter gradient with interval
+    attention and the interest logits as the primitive chains their nodes
+    replaced."""
+    bundle, hp, a_norm = criterion6
+    adj = cast_adjacency(a_norm, np.float32)
+    runs = []
+    for chains in (False, True):
+        with monkeypatch.context() as mp:
+            if chains:
+                mp.setattr(model, "interval_attention", oracles.interval_attention_chain)
+                mp.setattr(interests, "attention_logits", oracles.attention_logits_chain)
+            params, batch, rng = smoke_batch(bundle, hp)
+            value, _ = batch_loss(params, adj, batch,
+                                  dropout_rate=hp.dropout if dropout else 0.0, rng=rng)
+            value.backward()
+        runs.append((value.item(), {name: t.grad for name, t in params.named().items()}))
+    assert hp.dropout > 0.0 and (batch.mask.sum(axis=1) == 1).any()
+    assert runs[0][0] == runs[1][0]
+    for name, grad in runs[0][1].items():
+        if grad is None:  # the one layer's center update, which is skipped
+            assert runs[1][1][name] is None and ".center." in name
+            continue
+        assert grad.dtype == np.float32
+        np.testing.assert_array_equal(grad, runs[1][1][name], err_msg=name, strict=True)
 
 
 def test_smoke_training_equals_keep_interior_backward(criterion6, tmp_path, monkeypatch):
