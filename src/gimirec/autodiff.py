@@ -1,9 +1,12 @@
 """Reverse-mode automatic differentiation over NumPy arrays.
 
 A deliberately small tape: only the primitives the recommender needs
-(broadcast arithmetic, batched matmul, reshape/swapaxes/concat, row
-gathers, masked softmax, log-sum-exp, sparse-dense products over all rows
-or selected ones). ``gather`` is the one primitive whose backward scatters
+(elementwise arithmetic, matmul, reshape/swapaxes/concat, row gathers,
+masked softmax, log-sum-exp, sparse-dense products over all rows or
+selected ones). The generic ops differentiate only operands of their
+output's shape: a constant operand (one that needs no gradient), such as a
+mask, may broadcast, and ``_accum`` rejects any gradient whose shape is not
+its tensor's. ``gather`` is the one primitive whose backward scatters
 into rows (``_scatter_rows``): slices, broadcasts and per-example picks are
 all written as gathers. Three layers are single nodes built outside this
 module from ``_node`` and ``_accum``, each keeping less than the chain of
@@ -93,20 +96,10 @@ def _node(data, parents, backward_fn) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
+    if g.shape != t.data.shape:
+        raise ValueError(f"gradient of shape {g.shape} for a tensor of shape "
+                         f"{t.data.shape}")
     t.grad = g if t.grad is None else t.grad + g
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient over axes that were broadcast in the forward pass."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
 
 
 def backward(root: Tensor):
@@ -148,10 +141,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(a, g)
+        _accum(b, g)
 
     return _node(data, (a, b), bwd)
 
@@ -161,9 +152,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+            _accum(a, g * b.data)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+            _accum(b, g * a.data)
 
     return _node(data, (a, b), bwd)
 
@@ -178,42 +169,27 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product with NumPy broadcasting.
-
-    When ``a`` is batched and ``b`` is a 2-D weight, the forward product,
-    ``a``'s gradient and the weight gradient are each one product over the
-    flattened ``(-1, k)`` batch instead of a stack of per-example products.
+    """Matrix product ``a @ b`` of 2-D operands or of stacks with equal batch
+    shapes; only a constant operand may broadcast over the other's batch.
+    A batch times a 2-D weight is written as rows: reshape to (-1, k) first.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
-    flat = b.ndim == 2 and a.ndim > 2
-    if flat:
-        a_rows = a.data.reshape(-1, b.shape[0])
-        data = (a_rows @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
-    else:
-        data = a.data @ b.data
 
     def bwd(g):
-        if flat:
-            g = g.reshape(-1, b.shape[1])
-            if a.requires_grad:
-                _accum(a, (g @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                _accum(b, a_rows.T @ g)
-        else:
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
-    return _node(data, (a, b), bwd)
+    return _node(a.data @ b.data, (a, b), bwd)
 
 
-def sumt(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def sumt(a: Tensor, axis: int | None = None) -> Tensor:
+    data = a.data.sum(axis=axis)
 
     def bwd(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=False))
 

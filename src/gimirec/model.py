@@ -10,7 +10,7 @@ extraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,9 @@ class ModelDims:
     n_layers: int
 
     def __post_init__(self):
+        for field in fields(self):
+            if (value := getattr(self, field.name)) < 1:
+                raise ValueError(f"ModelDims.{field.name} must be >= 1, got {value}")
         if self.d % self.n_heads != 0:
             raise ValueError("embedding dim must be divisible by head count")
 

@@ -489,6 +489,14 @@ def bucket_sum(x, idx, n_buckets):
     return ad._node(data, (x,), bwd)
 
 
+def rows_matmul(x, weight):
+    """A stack x (..., k) times a 2-D weight (k, n) as one product over its
+    (-1, k) rows, reshaped back to (..., n)."""
+    lead = x.shape[:-1]
+    rows = ad.reshape(x, (math.prod(lead), x.shape[-1]))
+    return ad.reshape(ad.matmul(rows, weight), lead + (weight.shape[1],))
+
+
 def interval_attention_chain(buckets, interval_table, score_weight, mask):
     """``recent.interval_attention`` as the chain of primitives its node
     replaced: gathered bucket scores, a masked softmax, a bucket sum and the
@@ -498,7 +506,7 @@ def interval_attention_chain(buckets, interval_table, score_weight, mask):
     scores = ad.reshape(ad.gather(bucket_scores, buckets), (b, l, l))
     probs = ad.masked_softmax(scores, mask[:, None, :])
     hist = bucket_sum(probs, buckets, interval_table.shape[0])
-    e_time = ad.matmul(hist, interval_table)
+    e_time = rows_matmul(hist, interval_table)
     maskf = mask[:, :, None].astype(interval_table.dtype)
     return ad.mul(e_time, ad.Tensor(maskf))
 
@@ -506,8 +514,8 @@ def interval_attention_chain(buckets, interval_table, score_weight, mask):
 def attention_logits_chain(e_user, hidden_weight, query_weight):
     """``interests.attention_logits`` as the chain of primitives its node
     replaced: the hidden product, its tanh and the query product."""
-    hidden = tanh(ad.matmul(e_user, ad.swapaxes(hidden_weight, 0, 1)))
-    return ad.swapaxes(ad.matmul(hidden, ad.swapaxes(query_weight, 0, 1)), 1, 2)
+    hidden = tanh(rows_matmul(e_user, ad.swapaxes(hidden_weight, 0, 1)))
+    return ad.swapaxes(rows_matmul(hidden, ad.swapaxes(query_weight, 0, 1)), 1, 2)
 
 
 def masked_softmax_reductions(x, mask=None):
@@ -556,9 +564,12 @@ def tape_take(a, key):
 
 
 def tape_broadcast_to(a, shape):
-    """``np.broadcast_to`` on the tape, summing its gradient back."""
+    """``np.broadcast_to`` on the tape to a shape of ``a``'s rank, summing
+    its gradient back over the broadcast axes."""
+    axes = tuple(i for i, (n, m) in enumerate(zip(a.data.shape, shape)) if n != m)
+
     def bwd(g):
-        ad._accum(a, ad._unbroadcast(g, a.data.shape))
+        ad._accum(a, g.sum(axis=axes, keepdims=True))
 
     return ad._node(np.broadcast_to(a.data, shape), (a,), bwd)
 
@@ -575,16 +586,16 @@ def multi_head_attention_query_rows(query, keys, projs, n_heads, key_mask=None,
         x = ad.reshape(x, x.shape[:-1] + (n_heads, head))
         return ad.swapaxes(x, -2, -3)  # (..., H, T, head)
 
-    q = split(ad.matmul(query, projs.wq))
-    k = split(ad.matmul(keys, projs.wk))
-    v = split(ad.matmul(keys, projs.wv))
+    q = split(rows_matmul(query, projs.wq))
+    k = split(rows_matmul(keys, projs.wk))
+    v = split(rows_matmul(keys, projs.wv))
     scores = ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / math.sqrt(head))
     probs = ad.masked_softmax(scores, key_mask)
     if dropout_rate > 0.0 and rng is not None:
         probs = ad.dropout(probs, dropout_rate, rng)
     out = ad.swapaxes(ad.matmul(probs, v), -2, -3)  # (..., Tq, H, head)
     out = ad.reshape(out, out.shape[:-2] + (d,))
-    return ad.matmul(out, projs.wo)
+    return rows_matmul(out, projs.wo)
 
 
 def multi_head_attention_projected_tokens(query, keys, projs, n_heads,
@@ -600,8 +611,8 @@ def multi_head_attention_projected_tokens(query, keys, projs, n_heads,
         return ad.swapaxes(ad.reshape(x, (n, t, n_heads, head)), 1, 2)  # (N, H, T, head)
 
     q = ad.reshape(ad.matmul(query, projs.wq), (n, n_heads, 1, head))
-    k = split(ad.matmul(keys, projs.wk))
-    v = split(ad.matmul(keys, projs.wv))
+    k = split(rows_matmul(keys, projs.wk))
+    v = split(rows_matmul(keys, projs.wv))
     scores = ad.matmul(q, ad.swapaxes(k, -1, -2))                   # (N, H, 1, T)
     scores = ad.scale(ad.reshape(scores, (n, n_heads, t)), 1.0 / math.sqrt(head))
     probs = ad.masked_softmax(scores, None if key_mask is None else key_mask[:, None, :])
@@ -669,25 +680,15 @@ def aggregate_layers_with_last_center(hybrid, global_rows, layers, n_heads, mask
     return ad.reshape(q, (b, l, d)), center
 
 
-def matmul_stacked(a, b):
-    """``ad.matmul`` as NumPy's stacked products: the forward pass and the
-    input gradient run one product per batch element against the weight,
-    and the weight gradient is a batched (..., k, n) stack summed over the
-    batch axes."""
-    def bwd(g):
-        ad._accum(a, ad._unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        ad._accum(b, ad._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
-
-    return ad._node(a.data @ b.data, (a, b), bwd)
-
-
 def extract_interests_column_layout(e_user, hidden_weight, query_weight, mask):
     """``interests.extract_interests`` as the column-layout form it replaced:
-    each weight multiplies the batch from the left, so the hidden layer is
-    (B, 4d, L) and the logits come out as (B, K, L) with no transpose."""
-    hidden = tanh(ad.matmul(hidden_weight, ad.swapaxes(e_user, -1, -2)))
-    logits = ad.matmul(query_weight, hidden)
-    attn = ad.masked_softmax(logits, mask[:, None, :])
+    each weight multiplies the (d, B·L) columns from the left, so the hidden
+    layer is (4d, B·L) and the logits come out as (K, B·L)."""
+    b, l, d = e_user.shape
+    cols = ad.swapaxes(ad.reshape(e_user, (b * l, d)), 0, 1)
+    hidden = tanh(ad.matmul(hidden_weight, cols))
+    logits = ad.reshape(ad.matmul(query_weight, hidden), (query_weight.shape[0], b, l))
+    attn = ad.masked_softmax(ad.swapaxes(logits, 0, 1), mask[:, None, :])
     return ad.matmul(attn, e_user), attn
 
 
@@ -696,9 +697,9 @@ def interval_attention_dense(buckets, interval_table, score_weight, mask):
     b, l, _ = buckets.shape
     d = interval_table.shape[1]
     t_emb = gather_add_at(interval_table, buckets)                # (B,L,L,d)
-    scores = ad.reshape(matmul_stacked(t_emb, score_weight), (b, l, l))
+    scores = ad.reshape(rows_matmul(t_emb, score_weight), (b, l, l))
     probs = ad.masked_softmax(scores, mask[:, None, :])
-    e_time = ad.reshape(matmul_stacked(ad.reshape(probs, (b, l, 1, l)), t_emb), (b, l, d))
+    e_time = ad.reshape(ad.matmul(ad.reshape(probs, (b, l, 1, l)), t_emb), (b, l, d))
     maskf = mask[:, :, None].astype(interval_table.dtype)
     return ad.mul(e_time, ad.Tensor(maskf))
 

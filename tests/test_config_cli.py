@@ -127,10 +127,26 @@ class TestConfig:
         HyperParams().validate()
 
     @pytest.mark.parametrize("key", ["eval_every", "time_unit_seconds",
-                                     "n_heads", "d", "lr"])
+                                     "n_heads", "d", "lr", "k", "l_time", "l_rec",
+                                     "n_layers", "neg_samples", "batch"])
     def test_zero_count_rejected(self, key):
         with pytest.raises(ConfigError, match=key):
             load_config(overrides=[f"{key}=0"])
+
+    @pytest.mark.parametrize("override, match", [
+        ("max_steps=-1", "neg_samples/batch must be >= 1 and max_steps >= 0"),
+        ("dropout=1", r"dropout must be in \[0, 1\), got 1.0"),
+        ("dropout=-0.1", r"dropout must be in \[0, 1\), got -0.1"),
+        ("dtype=float16", "dtype must be float32 or float64, got float16"),
+        ("allow_self_pairs=maybe", "bad value for allow_self_pairs: 'maybe'"),
+        ("k", "override must look like key=value, got 'k'")])
+    def test_value_out_of_range_rejected(self, override, match):
+        with pytest.raises(ConfigError, match=f"^{match}$"):
+            load_config(overrides=[override])
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown preset 'nope'; choose from "):
+            load_config(preset="nope")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", ["a", "b", "alpha", "beta", "gamma", "lr"])

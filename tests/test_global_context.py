@@ -1,6 +1,7 @@
 """Co-occurrence accumulation, adjacency algebra and the exported containers."""
 
 import contextlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,6 +46,12 @@ class TestExtractHopPairs:
                                 time_unit_seconds=1)
         assert set(hop_dicts(acc)[1]) == {(1, 2)}
         assert not hop_dicts(acc)[2]
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.6), (0.3, 0.3), (-0.5, 1.5)])
+    def test_interval_weights_not_summing_to_one_rejected(self, a, b):
+        with pytest.raises(ValueError, match=re.escape(
+                f"interval weights need a+b=1, a,b>=0 (a={a}, b={b})")):
+            extract_hop_pairs(seq([1, 2], [1, 2]), FULL, a, b, 10.0, 1)
 
     def test_no_int_variant_ignores_threshold(self):
         s = seq([1, 2, 3], [1, 2, 102])

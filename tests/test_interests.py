@@ -57,9 +57,10 @@ class TestExtractInterests:
 
     @pytest.mark.parametrize("b, l, d, k", [(3, 5, 8, 2), (128, 20, 32, 4), (2, 1, 4, 8)])
     def test_matches_column_layout_form(self, b, l, d, k):
-        """The row-layout products agree with the (B, 4d, L) column layout
-        they replaced: float64 outputs and the gradients of the per-item
-        matrix and both weights to 1e-12 (relative to each array's max)."""
+        """The row-layout products agree with the column layout they
+        replaced, each weight multiplying the (d, B·L) columns from the
+        left: float64 outputs and the gradients of the per-item matrix and
+        both weights to 1e-12 (relative to each array's max)."""
         rng = np.random.default_rng(5)
         data = [rng.normal(size=(b, l, d)), rng.normal(size=(4 * d, d)) / np.sqrt(d),
                 rng.normal(size=(k, 4 * d)) / np.sqrt(4 * d)]

@@ -1,6 +1,7 @@
 """Parameter container, shared forward pass and checkpoint format."""
 
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -43,6 +44,12 @@ class TestModelParams:
             assert na == nb
             np.testing.assert_array_equal(ta.data, tb.data)
 
+    @pytest.mark.parametrize("value", [0, -2])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ModelDims)])
+    def test_dims_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^ModelDims.{field} must be >= 1, got {value}$"):
+            dataclasses.replace(DIMS, **{field: value})
+
     def test_head_divisibility_enforced(self):
         with pytest.raises(ValueError):
             ModelDims(n_items=5, d=6, k=2, l_rec=3, l_time=4, n_heads=4,
@@ -80,6 +87,7 @@ class TestCheckpoint:
         ("repeated_tensor", "repeated tensor 'item_embeddings'"),
         ("nan_value", "non-finite value in tensor 'layer1.center.wo'"),
         ("huge_layer_count", "2199023255554 layers cannot fit"),
+        ("missing_tensor", "checkpoint tensor names do not match model dims"),
     ])
     def test_malformed_checkpoint_rejected(self, tmp_path, case, match):
         path = tmp_path / "checkpoint.bin"
@@ -105,6 +113,9 @@ class TestCheckpoint:
             "nan_value": raw[:-4] + np.array([np.nan], "<f4").tobytes(),
             "huge_layer_count": raw[:62] + np.array([2 + 2**41], "<i8").tobytes()
                                 + raw[70:],
+            # the count says 20 tensors and the last one is gone
+            "missing_tensor": raw[:70] + np.uint32(20).tobytes()
+                              + raw[74:raw.index(b"layer1.center.wo") - 4],
         }[case]
         path.write_bytes(bad)
         with pytest.raises(ValueError, match=match):

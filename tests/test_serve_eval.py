@@ -721,6 +721,12 @@ class TestInferAndEvaluate:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (2, 8)
 
+    @pytest.mark.parametrize("prefix", [0, -1])
+    def test_infer_rejects_empty_prefix(self, prefix):
+        seqs, params, a_norm = build_model(0)
+        with pytest.raises(ValueError, match="^prefix must contain at least one interaction$"):
+            infer_interests(seqs[0], prefix, params, a_norm, time_unit_seconds=1)
+
     def test_infer_shares_training_forward_path(self):
         seqs, params, a_norm = build_model(1)
         prefix = 5
@@ -1009,6 +1015,10 @@ class TestBaselines:
         np.testing.assert_array_equal(
             popularity_lists(np.array([0, 5, 3, 9, 1]), sequences_of(([3, 1, 3], [1, 2, 3])),
                              4), [[2, 4, -1, -1]])
+
+    def test_popularity_counts_reject_item_outside_vocabulary(self):
+        with pytest.raises(IndexError, match="^item index 5 outside a vocabulary of 5$"):
+            popularity_counts(sequences_of(([1, 5], [1, 2])), 5)
 
     def test_random_ranker_excludes_and_covers(self):
         rng = np.random.default_rng(0)

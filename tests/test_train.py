@@ -232,10 +232,11 @@ class TestExampleStream:
         assert p > 0.01
 
     def test_example_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            TrainingExample(0, make_window(
-                sequences_of(([1, 2], [1, 2]))[0], 2, 3),
-                target_item=5, negatives=np.array([5, 6]))
+        window = make_window(sequences_of(([1, 2], [1, 2]))[0], 2, 3)
+        with pytest.raises(ValueError, match="^target must not appear among negatives$"):
+            TrainingExample(0, window, target_item=5, negatives=np.array([5, 6]))
+        with pytest.raises(ValueError, match="^padding index cannot be a negative sample$"):
+            TrainingExample(0, window, target_item=5, negatives=np.array([6, 0]))
 
 
 def tiny_setup(seed=0, n_items=6, d=4, k=2, l_rec=3, l_time=5, n_layers=1,
@@ -297,7 +298,6 @@ class TestLossAndGradients:
                 n: t.grad for n, t in params.named().items()}
 
         new_loss, new_attn, new_grads = run()
-        monkeypatch.setattr(ad, "matmul", oracles.matmul_stacked)
         monkeypatch.setattr(ad, "gather", oracles.gather_add_at)
         monkeypatch.setattr(model, "aggregate_layers",
                             oracles.aggregate_layers_token_tensor)
