@@ -1,8 +1,9 @@
 """Walk through global-context extraction on a tiny hand-made log.
 
-Shows the k-hop pair accumulation, the interval weighting, the symmetrized
-weighted adjacency with unit diagonal, the symmetric normalization, and the
-one-hop graph convolution that produces global item embeddings.
+Shows the k-hop pair accumulation, the interval weighting, the symmetrically
+normalized adjacency built from the weighted hop matrices and a unit
+diagonal, and the one-hop graph convolution that produces global item
+embeddings.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ print("interval weight at dt=64 days:", occurrence_weight(64.0, 0.65, 0.35, 64))
 acc = extract_hop_pairs(sequences, AblationVariant.FULL, a=0.65, b=0.35,
                         l_time=64.0)
 print("\nqualifying pair occurrences:", acc.occurrences,
-      "(cap: 3x interactions =", 3 * acc.total_interactions, ")")
+      "(cap: 3x interactions =", 3 * sequences.items.size, ")")
 for k in (1, 2, 3):
     print(f"{k}-hop accumulated weights:")
     for mu, nu, q in zip(*acc.hops[k]):
@@ -36,11 +37,10 @@ for k in (1, 2, 3):
 
 adj = build_weighted_adjacency(acc, alpha=4.5, beta=2.0, gamma=1.0,
                                num_items=5)
-print("\nweighted adjacency A' (row 0 is the padding slot):")
-print(np.round(adj.a_prime.toarray(), 3))
-print("row sums (degree):", np.round(adj.degree, 3))
-print("\nnormalized adjacency:")
+print("\nnormalized adjacency D^-1/2 A' D^-1/2 (row 0 is the padding slot):")
 print(np.round(adj.a_norm.toarray(), 3))
+print("its row sums (not 1: the normalization is symmetric):",
+      np.round(np.asarray(adj.a_norm.sum(axis=1)).ravel(), 3))
 
 rng = np.random.default_rng(0)
 item_table = rng.normal(size=(6, 4))

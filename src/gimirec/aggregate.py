@@ -125,8 +125,7 @@ def _spread(w: np.ndarray, heads: np.ndarray, shape: tuple) -> Callable[..., np.
 def _mix_tokens(spread: Callable[..., np.ndarray], proj: np.ndarray) -> np.ndarray:
     """Each slot's four tokens in proj, weighted per head by the spread
     weights of ``_spread`` and summed: (B, L, d). The weighted tokens pass
-    through one buffer and then proj's global-row block, which is
-    overwritten."""
+    through one buffer; proj is only read."""
     out = spread(2)
     own, row, center = _sources(proj, out.shape[0])
     out *= own
@@ -136,10 +135,9 @@ def _mix_tokens(spread: Callable[..., np.ndarray], proj: np.ndarray) -> np.ndarr
     spread(3, out=term)
     term *= row
     out += term
-    del term
-    spread(0, out=row)
-    row[:, 1:] *= own[:, :-1]
-    out[:, 1:] += row[:, 1:]
+    spread(0, out=term)
+    term[:, 1:] *= own[:, :-1]
+    out[:, 1:] += term[:, 1:]
     return out
 
 

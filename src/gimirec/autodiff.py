@@ -322,17 +322,9 @@ def logsumexp(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def spmm(a_sparse, a_sparse_t, x: Tensor) -> Tensor:
-    """Fixed sparse matrix times dense tensor: a_sparse @ x.
-
-    ``a_sparse_t`` must be the exact transpose of ``a_sparse`` (for a
-    symmetric matrix, pass the matrix itself twice).
-    """
-    data = a_sparse @ x.data
-
-    def bwd(g):
-        _accum(x, a_sparse_t @ g)
-
-    return _node(data, (x,), bwd)
+    """``a_sparse @ x`` as ``spmm_rows`` over every row; ``a_sparse_t`` is
+    unread, as the backward transposes exactly. Only perfbench/ calls it."""
+    return spmm_rows(a_sparse, x, np.arange(a_sparse.shape[0]))
 
 
 def spmm_rows(a_sparse: sp.csr_matrix, x: Tensor, rows: np.ndarray) -> Tensor:

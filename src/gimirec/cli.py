@@ -151,7 +151,11 @@ def cmd_train(args) -> int:
     a_norm = _read_adjacency(args, args.bundle, bundle.split.item_vocab.size, hp.dtype)
     result = train_loop(hp, bundle, a_norm, args.out, log_fn=print)
     if result.diverged:
-        print("training diverged; last good checkpoint retained", file=sys.stderr)
+        kept = ("last good checkpoint retained" if result.history else
+                f"no validation ran; {result.checkpoint_path} holds its last parameters"
+                if result.checkpoint_path.exists() else
+                "no validation ran and its parameters are not finite; no checkpoint written")
+        print(f"training diverged; {kept}", file=sys.stderr)
         return 1
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"log: {result.log_path}")

@@ -58,7 +58,6 @@ class HopPairAccumulator:
 
     hops: dict[int, HopPairs]
     occurrences: int = 0
-    total_interactions: int = 0
 
 
 def occurrence_weight(delta_t, a: float, b: float, l_time: float):
@@ -107,19 +106,14 @@ def extract_hop_pairs(sequences: Sequences, variant: AblationVariant,
             values[:] = 1.0
         hops[k] = HopPairs(keys // base, keys % base, values)
         occurrences += len(w)
-    return HopPairAccumulator(hops, occurrences, len(items))
+    return HopPairAccumulator(hops, occurrences)
 
 
 @dataclass
 class NormalizedAdjacency:
-    """Weighted co-occurrence adjacency with its symmetric normalization.
+    """The normalized adjacency; its row/column 0, the padding slot, is an
+    identity row, so padding passes through the graph convolution unchanged."""
 
-    Row/column 0 is the padding slot and stays an identity row, so padding
-    embeddings pass through the graph convolution unchanged.
-    """
-
-    a_prime: sp.csr_matrix
-    degree: np.ndarray
     a_norm: sp.csr_matrix
 
 
@@ -137,29 +131,24 @@ def build_weighted_adjacency(acc: HopPairAccumulator, alpha: float, beta: float,
         raise ValueError("num_items smaller than the largest accumulated index")
     size = num_items + 1  # padding row 0 included
 
-    combined = sp.csr_matrix((size, size))
+    a_norm = sp.csr_matrix((size, size))  # A' until it is scaled in place below
     for hop_weight, k in zip((alpha, beta, gamma), HOPS):
         rows, cols, values = acc.hops[k]
         q = sp.csr_matrix((values, (rows, cols)), shape=(size, size))
         q = hop_weight * (q + q.T)  # Q^k is freed before the sum, this term after it
-        combined = combined + q
+        a_norm = a_norm + q
         del q
-    a_prime = combined + sp.identity(size, format="csr")
-    del combined
+    a_norm = a_norm + sp.identity(size, format="csr")
 
-    degree = np.asarray(a_prime.sum(axis=1)).ravel()
+    degree = np.asarray(a_norm.sum(axis=1)).ravel()
     if not np.all(degree > 0):   # only a negative hop weight cancels the unit diagonal
         raise ValueError(f"adjacency row sums must be > 0, got {degree.min()}")
     d_inv_sqrt = 1.0 / np.sqrt(degree)
-    # (d[r]*d[c]) * a'[r, c]: the pair's scale first, then its shared value,
-    # keeps bit symmetry
-    scaled = np.repeat(d_inv_sqrt, np.diff(a_prime.indptr))
-    scaled *= d_inv_sqrt[a_prime.indices]
-    scaled *= a_prime.data
-    # own index arrays: an in-place SciPy op on one matrix must not reorder the other
-    a_norm = sp.csr_matrix((scaled, a_prime.indices.copy(), a_prime.indptr.copy()),
-                           shape=a_prime.shape)
-    return NormalizedAdjacency(a_prime, degree, a_norm)
+    # a'[r, c] * (d[r]*d[c]): the pair's scale is one product, so bit symmetry holds
+    scale = np.repeat(d_inv_sqrt, np.diff(a_norm.indptr))
+    scale *= d_inv_sqrt[a_norm.indices]
+    a_norm.data *= scale
+    return NormalizedAdjacency(a_norm)
 
 
 def global_embeddings(a_norm: sp.csr_matrix, item_table: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ extraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -180,12 +180,10 @@ def forward_from_table(params: ModelParams, e_global: ad.Tensor,
 #               f32[] row-major values
 
 def save_checkpoint(path: str | Path, params: ModelParams) -> None:
-    d = params.dims
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(np.uint32(CHECKPOINT_VERSION).astype("<u4").tobytes())
-        fh.write(np.array([d.n_items, d.d, d.k, d.l_rec, d.l_time,
-                           d.n_heads, d.n_layers], dtype="<i8").tobytes())
+        fh.write(np.array(astuple(params.dims), dtype="<i8").tobytes())
         named = params.named()
         fh.write(np.uint32(len(named)).astype("<u4").tobytes())
         for name, tensor in named.items():
@@ -208,11 +206,12 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> ModelParams:
     reader = BinaryReader(path, CHECKPOINT_MAGIC)
     version = int(reader.read("<u4", 1, "header")[0])
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    header = [int(x) for x in reader.read("<i8", 7, "header")]
-    if min(header) < 1:
-        raise ValueError(f"{path}: model dims must be positive, got {header}")
-    dims = ModelDims(*header)
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    header = reader.read("<i8", 7, "header")
+    try:
+        dims = ModelDims(*(int(x) for x in header))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     # the shape table grows with the layer count: bound it by the file first
     if dims.n_layers > len(reader.raw):
         raise ValueError(f"{path}: {dims.n_layers} layers cannot fit in "
@@ -235,6 +234,6 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> ModelParams:
             raise ValueError(f"{path}: non-finite value in tensor {name!r}")
         tensors[name] = ad.Tensor(data, requires_grad=True)
     if set(tensors) != set(expected):
-        raise ValueError("checkpoint tensor names do not match model dims")
+        raise ValueError(f"{path}: checkpoint tensor names do not match model dims")
     reader.finish()
     return ModelParams(dims, tensors)

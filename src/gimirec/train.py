@@ -275,7 +275,7 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
     log_path = out / "train_log.txt"
     history: list[dict] = []
     best_recall = -1.0
-    diverged = False
+    diverged = None  # what turned non-finite
     loss_sum, loss_count = 0.0, 0
     start = time.perf_counter()
     with open(log_path, "w", encoding="utf-8") as log_file:
@@ -288,21 +288,22 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
             value, _ = batch_loss(params, adj, batch,
                                   dropout_rate=hp.dropout, rng=rng)
             if not np.isfinite(value.data):
-                log_file.write(f"step={step} diverged: non-finite loss\n")
-                diverged = True
+                diverged = "loss"
                 break
             value.backward()
             grads = {n: (t.grad if t.grad is not None else np.zeros_like(t.data))
                      for n, t in params.named().items()}
             if not all(np.isfinite(g).all() for g in grads.values()):
-                log_file.write(f"step={step} diverged: non-finite gradient\n")
-                diverged = True
+                diverged = "gradient"
                 break
             adam_step(params, grads, state)
             loss_sum += value.item()
             loss_count += 1
             if step % hp.eval_every and step < hp.max_steps:
                 continue
+            if not all(np.isfinite(t.data).all() for t in params.named().values()):
+                diverged = "parameters"  # an update overflowed: validate nothing
+                break
             row = serve_eval.evaluate(
                 bundle.sequences, bundle.split.valid_users, params, adj,
                 n_list=(20,), time_unit_seconds=hp.time_unit_seconds).per_n[20]
@@ -319,9 +320,15 @@ def train_loop(hp: HyperParams, bundle: DatasetBundle, a_norm: sp.csr_matrix,
             if row.recall > best_recall:
                 best_recall = row.recall
                 save_checkpoint(ckpt_path, params)
-        if best_recall < 0:  # no validation saved: keep this run's parameters
-            save_checkpoint(ckpt_path, params)
-    return TrainResult(ckpt_path, log_path, history, best_recall, diverged, step)
+        if diverged:
+            log_file.write(f"step={step} diverged: non-finite {diverged}\n")
+        if best_recall < 0:  # no validation saved: keep this run's parameters,
+            if all(np.isfinite(t.data).all() for t in params.named().values()):
+                save_checkpoint(ckpt_path, params)
+            else:  # unless an update overflowed; an earlier run's file goes too
+                ckpt_path.unlink(missing_ok=True)
+                log_file.write("no checkpoint written: non-finite parameters\n")
+    return TrainResult(ckpt_path, log_path, history, best_recall, diverged is not None, step)
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,9 @@ def read_sequences_per_user(path, num_items):
         if n and (items[-1].min() < 1 or items[-1].max() > num_items):
             raise ValueError(f"{path}: user {u} has an item index outside "
                              f"1..{num_items}")
-        timestamps.append(reader.read("<i8", n, f"user {u}").astype(np.int64))
-        if np.any(np.diff(timestamps[-1]) < 0):
+        ts = reader.read("<i8", n, f"user {u}").astype(np.int64)
+        timestamps.append(ts)
+        if np.any(ts[1:] < ts[:-1]):  # np.diff wraps past 2**63
             raise ValueError(f"{path}: user {u}: timestamps must be non-decreasing")
     reader.finish()
     return (np.concatenate(items), np.concatenate(timestamps),
@@ -225,7 +226,7 @@ def pairs_within_sets(sub, sup):
 
 def normalized_adjacency_oracle(weights: dict, alpha: float, beta: float,
                                 gamma: float, num_items: int):
-    """Dense symmetrize-combine-normalize; returns (a_prime, a_norm)."""
+    """Dense symmetrize-combine-normalize; returns a_norm."""
     size = num_items + 1
     a_prime = np.eye(size)
     for hop_weight, k in zip((alpha, beta, gamma), (1, 2, 3)):
@@ -235,13 +236,12 @@ def normalized_adjacency_oracle(weights: dict, alpha: float, beta: float,
             a_k[v, m] += q
         a_prime = a_prime + hop_weight * a_k
     d_inv_sqrt = 1.0 / np.sqrt(a_prime.sum(axis=1))
-    a_norm = d_inv_sqrt[:, None] * a_prime * d_inv_sqrt[None, :]
-    return a_prime, a_norm
+    return d_inv_sqrt[:, None] * a_prime * d_inv_sqrt[None, :]
 
 
 def weighted_adjacency_dict_reference(weights: dict, alpha: float, beta: float,
                                       gamma: float, num_items: int):
-    """Dict-of-dicts symmetrize-combine-normalize; returns CSR (a_prime, a_norm).
+    """Dict-of-dicts symmetrize-combine-normalize; returns CSR a_norm.
 
     The per-pair formulation the library's array build replaced: each
     unordered pair's value is summed once and stored for both orientations,
@@ -277,7 +277,7 @@ def weighted_adjacency_dict_reference(weights: dict, alpha: float, beta: float,
     norm_vals = vals * (d_inv_sqrt[rows] * d_inv_sqrt[cols])
     a_norm = sp.csr_matrix((norm_vals, (rows, cols)), shape=(size, size))
     a_norm.sort_indices()
-    return a_prime, a_norm
+    return a_norm
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +706,14 @@ def interval_attention_dense(buckets, interval_table, score_weight, mask):
 
 def spmm_full_table(a_sparse, x, rows):
     """``ad.spmm_rows`` as the full-table product it replaced: every row of
-    ``a_sparse @ x`` is computed, whichever rows are read."""
-    return ad.spmm(a_sparse, a_sparse.T.tocsr(), x)
+    ``a_sparse @ x`` is computed, whichever rows are read, and the backward
+    multiplies by the whole transpose."""
+    a_t = a_sparse.T.tocsr()
+
+    def bwd(g):
+        ad._accum(x, a_t @ g)
+
+    return ad._node(a_sparse @ x.data, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

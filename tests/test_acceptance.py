@@ -108,7 +108,7 @@ def test_criterion_4_normalization_suite(softmax_probs):
         seqs = random_sequences(rng, n_users=6, n_items=12, max_len=14)
         acc = extract_hop_pairs(seqs, FULL, 0.5, 0.5, 6.0, 1)
         adj = build_weighted_adjacency(acc, 3.0, 2.0, 1.0, 12)
-        dense = adj.a_prime.toarray()
+        dense = adj.a_norm.toarray()
         assert np.array_equal(dense, dense.T)  # bit-exact symmetry
 
         dims = ModelDims(13, 8, 3, 5, 6, 2, 2)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gimirec import autodiff as ad
-from gimirec.aggregate import (AttnProjs, LayerParams, aggregate_layers,
-                               hybrid_embeddings, init_center,
+from gimirec.aggregate import (AttnProjs, LayerParams, _mix_tokens, _sources, _spread,
+                               aggregate_layers, hybrid_embeddings, init_center,
                                multi_head_attention)
 
 from helpers import fd_check, tape_arrays
@@ -308,3 +308,22 @@ class TestAggregateLayers:
                                 dropout_rate=0.5, rng=np.random.default_rng(0))
         plain = aggregate_layers(hybrid, rows, layers, 2, mask)
         assert not np.allclose(drop.data, plain.data)
+
+
+def test_mix_tokens_only_reads_its_projection():
+    # the item update's backward may keep a projection it mixes, so the
+    # mix must not use one as scratch
+    rng = np.random.default_rng(23)
+    b, l, d, n_heads = 3, 5, 8, 2
+    proj = rng.normal(size=((2 * l + 1) * b, d))
+    before = proj.tobytes()
+    heads = np.repeat(np.eye(n_heads), d // n_heads, axis=0)
+    w = rng.random((b * l, n_heads, 4))
+    out = _mix_tokens(_spread(w, heads, (b, l, d)), proj)
+    assert proj.tobytes() == before
+    own, row, center = _sources(proj, b)
+    left = np.concatenate([np.zeros((b, 1, d)), own[:, :-1]], axis=1)
+    tokens = (left, center, own, row)
+    expect = sum((w[..., t] @ heads.T).reshape(b, l, d) * token
+                 for t, token in enumerate(tokens))
+    np.testing.assert_allclose(out, expect, rtol=1e-13, atol=1e-15)

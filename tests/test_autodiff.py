@@ -40,6 +40,14 @@ def test_matmul_batched():
         fd_check(ad.matmul, [leaf(rng, *a_shape), leaf(rng, *b_shape)])
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [((4,), (4, 5)), ((3, 4), (4,))],
+                         ids=["vector_left", "vector_right"])
+def test_matmul_rejects_a_vector_operand(a_shape, b_shape):
+    rng = np.random.default_rng(14)
+    with pytest.raises(ValueError, match="^matmul operands must be at least 2-D$"):
+        ad.matmul(leaf(rng, *a_shape), leaf(rng, *b_shape))
+
+
 @pytest.mark.parametrize("op, a_shape, b_shape, grad, bad", [
     (ad.add, (3, 4), (1, 4), (3, 4), (1, 4)),
     (ad.add, (4,), (3, 4), (3, 4), (4,)),

@@ -684,6 +684,16 @@ class TestCliPipeline:
         assert not any("seed=" in line for line in lines)
         assert not (tmp_path / "ablate" / "runs").exists()
 
+    def test_ablate_without_bundle_generates_the_planted_log(self, tmp_path, capsys):
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--out", str(out), "--seeds", "0", *ABLATE,
+                     "--set", "max_steps=1", "--set", "eval_every=1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "no bundle given; generating the planted-cluster synthetic dataset"
+        assert "variant wiring checks: ok" in lines
+        assert load_bundle(out / "bundle").split.item_vocab.num_real > 0
+        assert (out / "synthetic_log.csv").stat().st_size > 0
+
     def test_ablate_command_on_bundle(self, mini_corpus, capsys):
         root = mini_corpus
         assert main(["prepare", "--input", str(root / "log.csv"),
@@ -765,6 +775,37 @@ class TestCliEdgeCases:
         assert out.splitlines()[-1] == "best validation recall@20: none (no validation ran)"
         load_checkpoint(tmp_path / "run" / "checkpoint.bin")
 
+    # an overflowing update: the loss of step 2, or the parameters checked
+    # before step 1's validation, are non-finite
+    @pytest.mark.parametrize("lr, eval_every, log, kept", [
+        ("1e300", 5, ["step=2 diverged: non-finite loss",
+                      "no checkpoint written: non-finite parameters"],
+         "no validation ran and its parameters are not finite; no checkpoint written"),
+        ("1e300", 1, ["step=1 diverged: non-finite parameters",
+                      "no checkpoint written: non-finite parameters"],
+         "no validation ran and its parameters are not finite; no checkpoint written"),
+        ("1e30", 5, ["step=2 diverged: non-finite loss"],
+         "no validation ran; {ckpt} holds its last parameters"),
+    ], ids=["non_finite_loss", "non_finite_parameters", "finite_parameters"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_diverging_before_validation_never_leaves_an_unloadable_checkpoint(
+            self, mini_corpus, tmp_path, capsys, lr, eval_every, log, kept):
+        bundle = prepared_bundle(mini_corpus, tmp_path)
+        run = tmp_path / "run"
+        run.mkdir()
+        ckpt = run / "checkpoint.bin"
+        ckpt.write_bytes(b"an earlier run's checkpoint")
+        capsys.readouterr()
+        assert main(["train", "--bundle", str(bundle), "--out", str(run), *SMALL,
+                     "--set", f"lr={lr}", "--set", "max_steps=5",
+                     "--set", f"eval_every={eval_every}"]) == 1
+        assert capsys.readouterr().err == f"training diverged; {kept.format(ckpt=ckpt)}\n"
+        assert (run / "train_log.txt").read_text().splitlines() == log
+        if lr == "1e30":
+            load_checkpoint(ckpt)
+        else:
+            assert not ckpt.exists()
+
     @pytest.mark.parametrize("defect, match", [
         ("asymmetric", "{adj} \\(for {bundle}\\): normalized adjacency must be symmetric"),
         ("extra_row", "{adj} has 42 rows but {bundle} has 41 items"),
@@ -824,6 +865,16 @@ class TestCliEdgeCases:
         train.train_loop(hp, loaded, adj.a_norm, tmp_path / "in_process")
         cast_adjacency(adj.a_norm, np.float32)
         assert tests == []
+
+    @pytest.mark.parametrize("failure", [FileNotFoundError(2, "No such file", "git"),
+                                         subprocess.TimeoutExpired("git", 5)],
+                             ids=["missing", "timeout"])
+    def test_build_info_without_git_is_unknown(self, monkeypatch, failure):
+        def git(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(subprocess, "run", git)
+        assert cli._build_info()["git"] == "unknown"
 
     def test_build_info_names_the_package_checkout_not_the_working_directory(
             self, tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -83,7 +84,9 @@ class TestCheckpoint:
         ("negative_dim", r"'layer1.center.wo' has shape \(8, -1\)"),
         ("truncated_values", "truncated in layer1.center.wo"),
         ("truncated_header", "truncated in header"),
-        ("zero_dim", "dims must be positive"),
+        ("zero_dim", "ModelDims.d must be >= 1, got 0"),
+        ("version", "unsupported checkpoint version 2"),
+        ("heads_not_dividing_dim", "embedding dim must be divisible by head count"),
         ("repeated_tensor", "repeated tensor 'item_embeddings'"),
         ("nan_value", "non-finite value in tensor 'layer1.center.wo'"),
         ("huge_layer_count", "2199023255554 layers cannot fit"),
@@ -108,6 +111,11 @@ class TestCheckpoint:
             "truncated_values": raw[:-3],
             "truncated_header": raw[:30],
             "zero_dim": raw[:22] + np.array([0], "<i8").tobytes() + raw[30:],
+            "version": raw[:10] + np.uint32(2).tobytes() + raw[14:],
+            # d = 6 and n_heads = 4
+            "heads_not_dividing_dim": raw[:22] + np.array([6], "<i8").tobytes()
+                                      + raw[30:54] + np.array([4], "<i8").tobytes()
+                                      + raw[62:],
             "repeated_tensor": raw[:second - 4] + np.uint32(15).tobytes()
                                + b"item_embeddings" + raw[second + 19:],
             "nan_value": raw[:-4] + np.array([np.nan], "<f4").tobytes(),
@@ -118,7 +126,7 @@ class TestCheckpoint:
                               + raw[74:raw.index(b"layer1.center.wo") - 4],
         }[case]
         path.write_bytes(bad)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{match}"):
             load_checkpoint(path)
 
     @given(cut=st.integers(0, 2**20),
